@@ -16,6 +16,7 @@ classifier-free training and as the guidance reference.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -29,6 +30,9 @@ from .tokens import TokenGrid, atomic_write_text
 NULL_COND = None
 
 MAX_ORACLE_SUPPORT = 10_000
+
+# float64 weights of one TabularDenoiser (condition x step x position x token)
+MAX_TABULAR_BYTES = 2**30
 
 _PREDICT_ATOL = 1e-9
 
@@ -141,8 +145,11 @@ def cfg_combine(log_p_cond, log_p_uncond, guidance_scale: float, mode: str = "lo
     if lp_c.shape != lp_u.shape:
         raise ValueError("log_p_cond and log_p_uncond must have the same shape")
     for name, lp in (("log_p_cond", lp_c), ("log_p_uncond", lp_u)):
-        norm = logsumexp(lp, axis=-1)
-        if np.max(np.abs(norm)) > 1e-6:
+        # a normalized row has no entry above ~0, so exp cannot overflow;
+        # NaN, overflow and zero mass all fail the comparison
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            norm = np.log(np.exp(lp).sum(axis=-1))
+        if not np.all(np.abs(norm) <= 1e-6):
             raise ValueError(f"{name} is not a normalized log-distribution")
 
     if mode == "prob":
@@ -172,6 +179,125 @@ def _predict_guided(denoiser, x_t, t, cond, guidance_scale, guidance_mode):
         return cfg_combine(np.log(p_c), np.log(p_u), guidance_scale, mode=guidance_mode)
 
 
+@dataclass(frozen=True)
+class _KernelRows:
+    """Coefficients of the reverse kernel from step t to t_prev, (n_rows,) each."""
+
+    t: int
+    ab_t: np.ndarray
+    bb_t: np.ndarray
+    gb_t: np.ndarray
+    ab_s: np.ndarray
+    bb_s: np.ndarray
+    gb_s: np.ndarray
+    a_seg: np.ndarray
+    b_seg: np.ndarray
+    g_seg: np.ndarray
+
+
+def _kernel_rows(table, t: int, t_prev: int, n_rows: int) -> _KernelRows:
+    return _KernelRows(
+        t,
+        *_cum_rows(table, t, n_rows),
+        *_cum_rows(table, t_prev, n_rows),
+        *_segment_rows(table, t_prev, t, n_rows),
+    )
+
+
+class _StepKernel:
+    """The reverse kernel Q[k, v] = q(x_s=k | x_t, x0=v) at every position of one x_t.
+
+    At a masked position the block of Q over real tokens is
+    (g_seg/gb_t)(bb_s + delta_kv ab_s), its mask row is gb_s/gb_t and every
+    clean token v is valid.  At an observed token c,
+    Q[k, v] = lead_k (bb_s + delta_kv ab_s) / D_v with
+    lead_k = b_seg + delta_kc a_seg and D_v = bb_t + delta_vc ab_t, the mask
+    row is 0, and v is valid where D_v > 0.  Both products below cost O(K)
+    per position; Q itself is never formed.
+    """
+
+    def __init__(self, data: np.ndarray, K: int, kr: _KernelRows):
+        self.K = K
+        self.masked = data == K
+        self.any_masked = bool(self.masked.any())
+        if self.any_masked:
+            if np.any(kr.gb_t[np.nonzero(self.masked)[0]] == 0.0):
+                raise InconsistencyError(
+                    f"grid contains mask tokens but step {kr.t} assigns them zero probability"
+                )
+            coef_keep = (kr.g_seg / kr.gb_t)[:, None]  # per row, broadcast over frames
+            self.keep_b = (coef_keep * kr.bb_s[:, None])[..., None]
+            self.keep_a = (coef_keep * kr.ab_s[:, None])[..., None]
+            self.mask_prob = (kr.gb_s / kr.gb_t)[:, None]
+        rr, cc = np.nonzero(~self.masked)
+        self.rr, self.cc = rr, cc
+        self.obs = data[rr, cc]
+        self.at = np.arange(rr.size)
+        D = np.repeat(kr.bb_t[rr][:, None], K, axis=1)
+        D[self.at, self.obs] += kr.ab_t[rr]
+        self.D = D
+        self.ok = D > 0
+        self.bb_s, self.ab_s, self.b_seg, self.a_seg = (
+            x[rr] for x in (kr.bb_s, kr.ab_s, kr.b_seg, kr.a_seg)
+        )
+
+    def _lead(self, base: np.ndarray) -> np.ndarray:
+        """lead_k * base_k at the observed positions."""
+        vals = self.b_seg[:, None] * base
+        vals[self.at, self.obs] += self.a_seg * base[self.at, self.obs]
+        return vals
+
+    def mix(self, p0: np.ndarray) -> np.ndarray:
+        """Q·p0 per position as (N_q, L, K+1), renormalized over the valid v."""
+        K = self.K
+        N_q, L = self.masked.shape
+        out = np.zeros((N_q, L, K + 1))
+        if self.any_masked:
+            base = self.keep_b + self.keep_a * p0
+            out[..., :K] = np.where(self.masked[..., None], base, 0.0)
+            out[..., K] = np.where(self.masked, np.broadcast_to(self.mask_prob, (N_q, L)), 0.0)
+
+        if self.rr.size:
+            p = p0[self.rr, self.cc]
+            M = np.where(self.ok, p, 0.0).sum(axis=1)
+            if np.any(M <= 0.0):
+                raise InconsistencyError(
+                    "denoiser assigns zero probability to every clean token "
+                    "consistent with an observed token"
+                )
+            with np.errstate(divide="ignore", invalid="ignore"):
+                W = np.where(self.ok, p / self.D, 0.0)
+            S = W.sum(axis=1)
+            vals = self._lead(self.bb_s[:, None] * S[:, None] + self.ab_s[:, None] * W)
+            vals /= M[:, None]
+            out[self.rr, self.cc, :K] = vals
+        return out
+
+    def mix_t(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Qᵀ·r per position and the valid set, both (N_q, L, K).
+
+        The values are sum_k r_k Q[k, v], 0 where v is invalid; with
+        rl_k = r_k lead_k an observed position gives
+        (bb_s sum(rl) + ab_s rl_v) / D_v.
+        """
+        K = self.K
+        out = np.zeros(self.masked.shape + (K,))
+        valid = np.ones(out.shape, dtype=bool)
+        if self.any_masked:
+            rk = r[..., :K]
+            vals = self.keep_b * rk.sum(axis=-1, keepdims=True) + self.keep_a * rk
+            vals += self.mask_prob[..., None] * r[..., K:]
+            out = np.where(self.masked[..., None], vals, 0.0)
+
+        if self.rr.size:
+            rl = self._lead(r[self.rr, self.cc, :K])
+            num = self.bb_s[:, None] * rl.sum(axis=1, keepdims=True) + self.ab_s[:, None] * rl
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out[self.rr, self.cc] = np.where(self.ok, num / self.D, 0.0)
+            valid[self.rr, self.cc] = self.ok
+        return out, valid
+
+
 def _reverse_step_dists(x_t: TokenGrid, t: int, p0: np.ndarray, table, t_prev: int) -> np.ndarray:
     """Per-position p(x_{t_prev} | x_t) as an (N_q, L, K+1) array.
 
@@ -180,54 +306,8 @@ def _reverse_step_dists(x_t: TokenGrid, t: int, p0: np.ndarray, table, t_prev: i
     Clean-token candidates impossible under the forward process are
     dropped and the remainder renormalized.
     """
-    K = x_t.K
-    N_q, L = x_t.N_q, x_t.L
-    data = x_t.data
-    ab_t, bb_t, gb_t = _cum_rows(table, t, N_q)
-    ab_s, bb_s, gb_s = _cum_rows(table, t_prev, N_q)
-    a_seg, b_seg, g_seg = _segment_rows(table, t_prev, t, N_q)
-
-    out = np.zeros((N_q, L, K + 1))
-    masked = data == K
-
-    if masked.any():
-        rows = np.nonzero(masked)[0]
-        if np.any(gb_t[rows] == 0.0):
-            raise InconsistencyError(
-                f"grid contains mask tokens but step {t} assigns them zero probability"
-            )
-        coef_keep = (g_seg / gb_t)[:, None]  # per row, broadcast over frames
-        base = (coef_keep * bb_s[:, None])[..., None] + (
-            (coef_keep * ab_s[:, None])[..., None] * p0
-        )
-        mask_prob = (gb_s / gb_t)[:, None]
-        out[..., :K] = np.where(masked[..., None], base, 0.0)
-        out[..., K] = np.where(masked, np.broadcast_to(mask_prob, (N_q, L)), 0.0)
-
-    unmasked = ~masked
-    if unmasked.any():
-        rr, cc = np.nonzero(unmasked)
-        obs = data[rr, cc]
-        n = rr.size
-        D = np.repeat(bb_t[rr][:, None], K, axis=1)
-        D[np.arange(n), obs] += ab_t[rr]
-        valid = D > 0
-        p = p0[rr, cc]
-        M = np.where(valid, p, 0.0).sum(axis=1)
-        if np.any(M <= 0.0):
-            raise InconsistencyError(
-                "denoiser assigns zero probability to every clean token "
-                "consistent with an observed token"
-            )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            W = np.where(valid, p / D, 0.0)
-        S = W.sum(axis=1)
-        base = bb_s[rr][:, None] * S[:, None] + ab_s[rr][:, None] * W
-        vals = b_seg[rr][:, None] * base
-        vals[np.arange(n), obs] += a_seg[rr] * base[np.arange(n), obs]
-        vals /= M[:, None]
-        out[rr, cc, :K] = vals
-    return out
+    kr = _kernel_rows(table, t, t_prev, x_t.N_q)
+    return _StepKernel(x_t.data, x_t.K, kr).mix(p0)
 
 
 def _sample_categorical(dists: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -235,7 +315,13 @@ def _sample_categorical(dists: np.ndarray, rng: np.random.Generator) -> np.ndarr
     cdf = np.cumsum(dists, axis=-1)
     u = rng.random(dists.shape[:-1])
     idx = (u[..., None] > cdf).sum(axis=-1)
-    return np.minimum(idx, dists.shape[-1] - 1)
+    n = dists.shape[-1]
+    if idx.max(initial=0) == n:
+        # rounding left cdf[-1] < u: take the last category with mass, since
+        # a zero-mass tail (the mask state at an observed token) is impossible
+        last = n - 1 - np.argmax(dists[..., ::-1] > 0, axis=-1)
+        idx = np.minimum(idx, last)
+    return idx
 
 
 def reverse_step(
@@ -518,6 +604,12 @@ class TabularDenoiser(Denoiser):
             self.K + 1,
             self.K,
         )
+        n_bytes = 8 * math.prod(shape)
+        if n_bytes > MAX_TABULAR_BYTES:
+            raise SizeGuardError(
+                f"tabular denoiser weights of shape {shape} need {n_bytes} bytes, "
+                f"above the {MAX_TABULAR_BYTES}-byte limit"
+            )
         if weights is None:
             self.weights = np.zeros(shape)
         else:
@@ -577,46 +669,27 @@ def load_denoiser(path) -> TabularDenoiser:
     )
 
 
-def _posterior_kernel(obs: np.ndarray, rows: np.ndarray, t: int, table, K: int):
-    """Per position: Q[k, v] = q(x_{t-1}=k | x_t=obs, x0=v) and the valid-v set.
+def _kl_step(data: np.ndarray, x0: np.ndarray, p: np.ndarray, kr: _KernelRows):
+    """Mean per-position KL(q(x_s|x_t, x0) || p(x_s|x_t)) and its logit gradient.
 
-    obs, rows are flat arrays over positions; returns Q (n, K+1, K) and
-    valid (n, K).  Used by the analytic training gradient at toy scales.
+    ``p`` is the (N_q, L, K) softmax prediction at x_t.  The gradient is
+    that of the KL summed over positions, with respect to each position's
+    logits.  The model kernel is Q·p_eff / M, where p_eff is p on the valid
+    clean tokens and M its mass, so dKL/dp_v = (1 - (Qᵀ·ratio)_v) / M on
+    the valid set and 0 off it, with ratio = post / mix.
     """
-    n = obs.size
-    n_rows = int(rows.max()) + 1 if n else 1
-    ab_t, bb_t, gb_t = _cum_rows(table, t, n_rows)
-    ab_s, bb_s, gb_s = _cum_rows(table, t - 1, n_rows)
-    a_seg, b_seg, g_seg = _segment_rows(table, t - 1, t, n_rows)
-    Q = np.zeros((n, K + 1, K))
-    valid = np.zeros((n, K), dtype=bool)
-    arange = np.arange(K)
-    is_mask = obs == K
-    for i in range(n):
-        r = rows[i]
-        if is_mask[i]:
-            if gb_t[r] == 0.0:
-                raise InconsistencyError("mask token impossible at this step")
-            block = np.full((K, K), g_seg[r] * bb_s[r] / gb_t[r])
-            block[arange, arange] += g_seg[r] * ab_s[r] / gb_t[r]
-            Q[i, :K, :] = block
-            Q[i, K, :] = gb_s[r] / gb_t[r]
-            valid[i] = True
-        else:
-            c = obs[i]
-            D = np.full(K, bb_t[r])
-            D[c] += ab_t[r]
-            v_ok = D > 0
-            lead = np.full(K, b_seg[r])
-            lead[c] += a_seg[r]
-            body = np.full((K, K), bb_s[r])
-            body[arange, arange] += ab_s[r]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                blk = lead[:, None] * body / D[None, :]
-            blk[:, ~v_ok] = 0.0
-            Q[i, :K, :] = blk
-            valid[i] = v_ok
-    return Q, valid
+    K = p.shape[-1]
+    kernel = _StepKernel(data, K, kr)
+    mix = kernel.mix(p)
+    post = kernel.mix(_onehot_p0(x0, K))
+    support = post > 0
+    ratio = post / np.where(mix > 0, mix, 1.0)  # 0 off the support
+    log_ratio = np.log(ratio, out=np.zeros_like(ratio), where=support)
+    inner, valid = kernel.mix_t(ratio)
+    M = np.where(valid, p, 0.0).sum(axis=-1, keepdims=True)
+    g_p = (valid - inner) / M  # inner is 0 off the valid set
+    loss = float(np.sum(post * log_ratio)) / data.size
+    return loss, p * (g_p - (p * g_p).sum(axis=-1, keepdims=True))
 
 
 def train_denoiser(
@@ -631,9 +704,12 @@ def train_denoiser(
     pairs.  Each step draws one grid and one step index t ~ U{1..T},
     corrupts the grid, and descends the analytic gradient of
     KL(q(x_{t-1}|x_t, x0) || p_model(x_{t-1}|x_t)) through the softmax
-    table.  With probability ``null_cond_prob`` the condition is replaced
-    by the null label, which trains the guidance reference for free.
-    Returns the denoiser and the mean per-epoch loss trace.
+    table.  The gradient uses the closed-form reverse-kernel algebra that
+    sampling and the VLB share (the products Q·p and Qᵀ·r of
+    ``_StepKernel``), so a step costs O(N_q·L·K).  With probability
+    ``null_cond_prob`` the condition is replaced by the null label, which
+    trains the guidance reference for free.  Returns the denoiser and the
+    mean per-epoch loss trace.
     """
     if config is None:
         config = TrainConfig()
@@ -658,6 +734,8 @@ def train_denoiser(
 
     trace: list[float] = []
     n = len(pairs)
+    kernels = [None] + [_kernel_rows(table, t, t - 1, first.N_q) for t in range(1, table.T + 1)]
+    rows, cols = np.indices((first.N_q, first.L))
     for _ in range(config.epochs):
         order = rng.permutation(n) if config.shuffle else np.arange(n)
         epoch_losses = []
@@ -667,38 +745,9 @@ def train_denoiser(
                 cond = None
             t = int(rng.integers(1, table.T + 1))
             x_t = corrupt(grid, t, table, rng)
-
-            obs = x_t.data.reshape(-1)
-            rows = np.repeat(np.arange(grid.N_q), grid.L)
-            cols = np.tile(np.arange(grid.L), grid.N_q)
-            ci = den._cond_row(cond)
-            p = den._probs_for(x_t.data, t, cond).reshape(-1, K)  # (n_pos, K)
-
-            Q, valid = _posterior_kernel(obs, rows, t, table, K)
-            p_eff = np.where(valid, p, 0.0)
-            M = p_eff.sum(axis=1)
-            mix = np.einsum("nkv,nv->nk", Q, p_eff) / M[:, None]
-
-            post_flat = _reverse_step_dists(
-                x_t, t, _onehot_p0(grid.data, K), table, t - 1
-            ).reshape(-1, K + 1)
-
-            support = post_flat > 0
-            ratio = np.where(support, post_flat / np.where(mix > 0, mix, 1.0), 0.0)
-            loss = float(
-                np.mean(
-                    np.sum(
-                        np.where(support, post_flat * np.log(np.where(support, ratio, 1.0)), 0.0),
-                        axis=1,
-                    )
-                )
-            )
+            p = den._probs_for(x_t.data, t, cond)
+            loss, g_w = _kl_step(x_t.data, grid.data, p, kernels[t])
             epoch_losses.append(loss)
-
-            # dL/dp_v = (1 - sum_k post_k Q[k,v] / mix_k) / M on the valid set
-            inner = np.einsum("nk,nkv->nv", ratio, Q)
-            g_p = np.where(valid, (1.0 - inner) / M[:, None], 0.0)
-            g_w = p * (g_p - (p * g_p).sum(axis=1, keepdims=True))
-            den.weights[ci, t, rows, cols, obs] -= config.lr * g_w
+            den.weights[den._cond_row(cond), t, rows, cols, x_t.data] -= config.lr * g_w
         trace.append(float(np.mean(epoch_losses)))
     return den, trace

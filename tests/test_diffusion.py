@@ -20,14 +20,22 @@ from vqdiff import (
     empirical_bayes_denoiser,
     improved_schedule,
     linear_schedule,
+    load_denoiser,
     from_stepwise,
     reverse_step,
     sample,
     train_denoiser,
     vlb_loss,
 )
-from vqdiff.diffusion import _reverse_step_dists, _validated_predict
-from vqdiff.transitions import build_transition_matrix, marginal_xt_given_x0
+from vqdiff.diffusion import (
+    _kernel_rows,
+    _kl_step,
+    _reverse_step_dists,
+    _sample_categorical,
+    _StepKernel,
+    _validated_predict,
+)
+from vqdiff.transitions import build_transition_matrix, marginal_xt_given_x0, true_posterior
 
 from conftest import random_stepwise_table
 
@@ -205,6 +213,121 @@ class TestReverseStepDistribution:
         assert got[0, 1, 4] > 0  # masked position may stay masked
 
 
+def dense_kernel(table, obs, t, position):
+    """Q[k, v] = q(x_{t-1}=k | x_t=obs, x0=v) from the brute-force posterior; invalid v -> 0."""
+    K = table.K
+    Q = np.zeros((K + 1, K))
+    valid = np.zeros(K, dtype=bool)
+    for v in range(K):
+        try:
+            Q[:, v] = true_posterior(obs, v, t, table, position)
+            valid[v] = True
+        except InconsistencyError:
+            pass
+    return Q, valid
+
+
+def kernel_tables():
+    rng = np.random.default_rng(404)
+    return [
+        (linear_schedule(5, 3), 1),
+        (random_stepwise_table(rng, 6, 4), 1),
+        (improved_schedule(5, 3, 2, L=4), 2),
+    ]
+
+
+class TestStepKernel:
+    """The closed-form kernel against the dense one built from ``true_posterior``."""
+
+    @pytest.mark.parametrize("table,N_q", kernel_tables(), ids=["linear", "random", "improved"])
+    def test_products_match_dense_oracle(self, table, N_q):
+        K = table.K
+        L = K + 1  # every observed value, the mask included, in each row
+        data = np.tile(np.arange(K + 1), (N_q, 1))
+        rng = np.random.default_rng(5)
+        for t in range(1, table.T + 1):
+            kernel = _StepKernel(data, K, _kernel_rows(table, t, t - 1, N_q))
+            r = rng.normal(size=(N_q, L, K + 1))
+            p = rng.dirichlet(np.ones(K), size=(N_q, L))
+            got_t, got_valid = kernel.mix_t(r)
+            try:
+                got_mix = kernel.mix(p)
+            except InconsistencyError:
+                # an observed token at a fully masked step: no clean token is valid
+                assert (~got_valid.any(axis=-1)).any()
+                got_mix = None
+            for q in range(N_q):
+                for l in range(L):
+                    Q, valid = dense_kernel(table, data[q, l], t, q * L + l)
+                    np.testing.assert_array_equal(got_valid[q, l], valid)
+                    np.testing.assert_allclose(got_t[q, l], r[q, l] @ Q, rtol=1e-12, atol=1e-14)
+                    assert np.all(got_t[q, l][~valid] == 0.0)
+                    if got_mix is not None:
+                        p_eff = np.where(valid, p[q, l], 0.0)
+                        np.testing.assert_allclose(
+                            got_mix[q, l], Q @ p_eff / p_eff.sum(), rtol=1e-12, atol=1e-14
+                        )
+
+    def test_mask_at_zero_mask_step_rejected(self):
+        table = from_stepwise([0.7, 0.5], [0.1, 0.1], [0.0, 0.2], 3)  # no mask mass at t=1
+        with pytest.raises(InconsistencyError):
+            _StepKernel(np.array([[3, 0]]), 3, _kernel_rows(table, 1, 0, 1))
+
+
+def softmax(w):
+    e = np.exp(w - w.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def dense_step_kl(table, t, x_t, x0, w):
+    """Summed per-position KL(post || Q p_eff / M) from the brute-force posterior."""
+    p = softmax(w)
+    total = 0.0
+    for l in range(x_t.shape[1]):
+        Q, valid = dense_kernel(table, x_t[0, l], t, l)
+        p_eff = np.where(valid, p[0, l], 0.0)
+        mix = Q @ p_eff / p_eff.sum()
+        post = true_posterior(x_t[0, l], x0[0, l], t, table, l)
+        s = post > 0
+        total += float(np.sum(post[s] * np.log(post[s] / mix[s])))
+    return total
+
+
+class TestTrainingGradient:
+    @pytest.mark.parametrize(
+        "table",
+        [random_stepwise_table(np.random.default_rng(9), 4, 3), improved_schedule(4, 3, 1, L=2)],
+        ids=["random", "improved"],
+    )
+    def test_matches_central_finite_difference(self, table):
+        # K=3, 1x2: the gradient one SGD step applies before the lr scale,
+        # against the central difference of the step's summed KL
+        K, h = 3, 1e-6
+        rng = np.random.default_rng(12)
+        x0 = np.array([[0, 2]])
+        checked = 0
+        for t in range(1, table.T + 1):
+            for x_t in ([[0, 2]], [[3, 2]], [[1, 3]], [[3, 3]], [[2, 0]]):
+                x_t = np.array(x_t)
+                try:
+                    [true_posterior(x_t[0, l], x0[0, l], t, table, l) for l in range(2)]
+                except InconsistencyError:
+                    continue  # x_t impossible from x0 at this step
+                w = rng.normal(size=(1, 2, K))
+                kr = _kernel_rows(table, t, t - 1, 1)
+                loss, g_w = _kl_step(x_t, x0, softmax(w), kr)
+                assert loss == pytest.approx(dense_step_kl(table, t, x_t, x0, w) / 2, rel=1e-12)
+                fd = np.zeros_like(w)
+                for idx in np.ndindex(w.shape):
+                    e = np.zeros_like(w)
+                    e[idx] = h
+                    fd[idx] = (dense_step_kl(table, t, x_t, x0, w + e)
+                               - dense_step_kl(table, t, x_t, x0, w - e)) / (2 * h)
+                np.testing.assert_allclose(g_w, fd, rtol=1e-6, atol=1e-9)
+                checked += 1
+        assert checked >= table.T
+
+
 class TestReverseStep:
     def test_point_mass_recovery_with_identity_first_step(self):
         alpha = np.array([1.0, 0.6, 0.5])
@@ -287,6 +410,25 @@ class TestCfgCombine:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             cfg_combine(np.log([0.5, 0.4]), np.log([0.5, 0.5]), 1.0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[np.nan, 0.0], [1000.0, 0.0], [np.log(0.5), np.log(0.4)], [-np.inf, -np.inf]],
+        ids=["nan", "overflow", "unnormalized", "no-mass"],
+    )
+    @pytest.mark.parametrize("side", ["cond", "uncond"])
+    def test_invalid_log_distribution_rejected(self, bad, side):
+        good = np.log([0.5, 0.5])
+        args = (np.array(bad), good) if side == "cond" else (good, np.array(bad))
+        with pytest.raises(ValueError, match="normalized log-distribution"):
+            cfg_combine(*args, 1.0)
+
+    def test_neg_inf_entries_accepted(self):
+        with np.errstate(divide="ignore"):
+            lp_c = np.log([[0.0, 0.25, 0.75], [0.5, 0.5, 0.0]])
+            lp_u = np.log([[0.0, 0.5, 0.5], [0.2, 0.8, 0.0]])
+        got = cfg_combine(lp_c, lp_u, 1.0)
+        np.testing.assert_allclose(got, [[0.0, 0.1, 0.9], [0.8, 0.2, 0.0]], atol=1e-12)
 
     def test_batched_shape(self):
         rng = np.random.default_rng(3)
@@ -372,6 +514,25 @@ class TestBayesOracle:
 def tv_distance(counts: dict, probs: dict, n: int) -> float:
     keys = set(counts) | set(probs)
     return 0.5 * sum(abs(counts.get(k, 0) / n - probs.get(k, 0.0)) for k in keys)
+
+
+class _StubGenerator:
+    """Returns the same uniform for every draw."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return np.full(size, self.u)
+
+
+class TestSampleCategorical:
+    def test_rounding_overflow_never_picks_zero_mass_tail(self):
+        # each CDF ends at 1 - 2**-52, below the largest uniform 1 - 2**-53
+        dists = np.array([[0.25, 0.75 - 2**-52, 0.0], [0.25, 0.0, 0.75 - 2**-52]])
+        assert np.all(np.cumsum(dists, axis=-1)[:, -1] < 1 - 2**-53)
+        got = _sample_categorical(dists, _StubGenerator(1 - 2**-53))
+        np.testing.assert_array_equal(got, [1, 2])
 
 
 class TestSample:
@@ -556,6 +717,21 @@ class TestTrainDenoiser:
                 for tokens in itertools.product(range(4), repeat=3)
             }
             assert tv_distance(counts, probs, n) < 0.1
+
+    def test_oversize_table_rejected_before_allocating(self, tmp_path):
+        # Kp=256, R=4, T=100, 200 frames: about 42 GB of float64 weights
+        with pytest.raises(SizeGuardError, match=r"\(1, 101, 4, 200, 257, 256\)"):
+            TabularDenoiser(256, (4, 200), 100, cond_labels=[])
+        path = tmp_path / "huge.json"
+        path.write_text('{"kind": "tabular", "K": 256, "N_q": 4, "L": 200, "T": 100, '
+                        '"cond_labels": [], "weights": []}')
+        with pytest.raises(SizeGuardError):
+            load_denoiser(path)
+
+    def test_moderate_table_allowed(self):
+        # K=16, 4x32 grids, T=20, two labels: 17.5 MB
+        den = TabularDenoiser(16, (4, 32), 20, cond_labels=[0, 1])
+        assert den.weights.nbytes == 3 * 21 * 4 * 32 * 17 * 16 * 8
 
     def test_unknown_condition_rejected_at_predict(self):
         table = linear_schedule(5, 3)
