@@ -55,6 +55,7 @@ from .schedules import (
     improved_schedule,
     linear_schedule,
     load_schedule,
+    random_schedule,
     save_schedule,
 )
 from .tokens import TokenGrid, load_token_file, save_token_file
@@ -98,17 +99,6 @@ def _cmd_schedule_inspect(args) -> int:
 # -------------------------------------------------------------- transitions
 
 
-def _random_stepwise(rng, T: int, K: int):
-    from .schedules import from_stepwise
-
-    alpha = rng.uniform(0.5, 1.0, size=T)
-    rest = 1.0 - alpha
-    split = rng.uniform(0.0, 1.0, size=T)
-    gamma = rest * split
-    beta = rest * (1.0 - split) / K
-    return from_stepwise(alpha, beta, gamma, K)
-
-
 def _check_schedule_against_products(table, atol: float = 1e-12) -> float:
     """Max |closed form - explicit matrix product| over all (x0, t)."""
     worst = 0.0
@@ -130,7 +120,7 @@ def _cmd_transitions_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for i in range(args.schedules):
-        table = _random_stepwise(rng, args.T, args.K)
+        table = random_schedule(rng, args.T, args.K)
         worst = max(worst, _check_schedule_against_products(table))
     worst = max(worst, _check_schedule_against_products(linear_schedule(args.T, args.K)))
     print(
@@ -143,14 +133,8 @@ def _cmd_transitions_check(args) -> int:
 # ------------------------------------------------------------------ diffuse
 
 
-def _load_single_schedule(path):
-    table = load_schedule(path)
-    table.validate()
-    return table
-
-
 def _cmd_diffuse_corrupt(args) -> int:
-    table = _load_single_schedule(args.schedule)
+    table = load_schedule(args.schedule)
     grids, labels = load_token_file(args.tokens)
     rng = np.random.default_rng(args.seed)
     noisy = [corrupt(g, args.t, table, rng) for g in grids]
@@ -160,7 +144,7 @@ def _cmd_diffuse_corrupt(args) -> int:
 
 
 def _cmd_diffuse_sample(args) -> int:
-    table = _load_single_schedule(args.schedule)
+    table = load_schedule(args.schedule)
     denoiser = load_denoiser(args.denoiser)
     grids = []
     for chain in range(args.count):
@@ -184,7 +168,7 @@ def _cmd_diffuse_sample(args) -> int:
 
 
 def _cmd_diffuse_train(args) -> int:
-    table = _load_single_schedule(args.schedule)
+    table = load_schedule(args.schedule)
     grids, labels = load_token_file(args.tokens)
     if labels is None:
         dataset = list(grids)
@@ -204,7 +188,7 @@ def _cmd_diffuse_train(args) -> int:
 
 
 def _cmd_diffuse_vlb(args) -> int:
-    table = _load_single_schedule(args.schedule)
+    table = load_schedule(args.schedule)
     denoiser = load_denoiser(args.denoiser)
     grids, labels = load_token_file(args.tokens)
     rng = np.random.default_rng(args.seed)
@@ -339,14 +323,14 @@ def _selftest_transitions(rng) -> str:
     for _ in range(10):
         K = int(rng.integers(2, 5))
         T = int(rng.integers(2, 7))
-        worst = max(worst, _check_schedule_against_products(_random_stepwise(rng, T, K)))
+        worst = max(worst, _check_schedule_against_products(random_schedule(rng, T, K)))
     return f"max |closed-form - product| = {worst:.3e} over 10 random schedules"
 
 
 def _selftest_posterior(rng) -> str:
     """Exhaustive Bayes check through explicit matrices at K=3, T=4."""
     K, T = 3, 4
-    table = _random_stepwise(rng, T, K)
+    table = random_schedule(rng, T, K)
     worst = 0.0
     for t in range(1, T + 1):
         step = build_transition_matrix(

@@ -47,24 +47,17 @@ def _check_grid_table(grid: TokenGrid, table) -> None:
         )
 
 
+def _rows(coeffs, n_rows: int) -> tuple[np.ndarray, ...]:
+    """Shared or per-layer coefficients as one (n_rows,) array each, by grid row."""
+    out = np.empty((len(coeffs), n_rows))
+    for row, c in zip(out, coeffs):
+        row[:] = c  # a scalar or one value per layer, broadcast over the rows
+    return tuple(out)
+
+
 def _cum_rows(table, t: int, n_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cumulative coefficients per grid row, shape (n_rows,) each."""
-    ab = np.atleast_1d(np.asarray(table.alpha_bar[t], dtype=float))
-    bb = np.atleast_1d(np.asarray(table.beta_bar[t], dtype=float))
-    gb = np.atleast_1d(np.asarray(table.gamma_bar[t], dtype=float))
-    if ab.size == 1:
-        ab, bb, gb = (np.full(n_rows, x[0]) for x in (ab, bb, gb))
-    return ab, bb, gb
-
-
-def _segment_rows(table, s: int, t: int, n_rows: int):
-    a = np.empty(n_rows)
-    b = np.empty(n_rows)
-    g = np.empty(n_rows)
-    for r in range(n_rows):
-        layer = r if table.n_layers > 1 else 0
-        a[r], b[r], g[r] = table.segment(s, t, layer)
-    return a, b, g
+    return _rows((table.alpha_bar[t], table.beta_bar[t], table.gamma_bar[t]), n_rows)
 
 
 def corrupt(x0: TokenGrid, t: int, table, rng: np.random.Generator) -> TokenGrid:
@@ -161,12 +154,11 @@ def cfg_combine(log_p_cond, log_p_uncond, guidance_scale: float, mode: str = "lo
         g = (1.0 + lam) * lp_c - lam * lp_u
     # both components zero: zero mass in the limit, not NaN
     g[np.isneginf(lp_c) & np.isneginf(lp_u)] = -np.inf
+    # conditional mass where the unconditional model has none: that row's
+    # sharpened distribution degenerates uniformly onto those states
     pos_inf = np.isposinf(g)
-    if np.any(pos_inf):
-        # conditional mass where the unconditional model has none: the
-        # sharpened distribution degenerates onto those states
-        out = pos_inf.astype(float)
-        return out / out.sum(axis=-1, keepdims=True)
+    degenerate = pos_inf.any(axis=-1, keepdims=True)
+    g = np.where(degenerate, np.where(pos_inf, 0.0, -np.inf), g)
     return np.exp(g - logsumexp(g, axis=-1, keepdims=True))
 
 
@@ -196,12 +188,9 @@ class _KernelRows:
 
 
 def _kernel_rows(table, t: int, t_prev: int, n_rows: int) -> _KernelRows:
-    return _KernelRows(
-        t,
-        *_cum_rows(table, t, n_rows),
-        *_cum_rows(table, t_prev, n_rows),
-        *_segment_rows(table, t_prev, t, n_rows),
-    )
+    ab, bb, gb = table.alpha_bar, table.beta_bar, table.gamma_bar
+    coeffs = (ab[t], bb[t], gb[t], ab[t_prev], bb[t_prev], gb[t_prev], *table.segment(t_prev, t))
+    return _KernelRows(t, *_rows(coeffs, n_rows))
 
 
 class _StepKernel:
@@ -314,7 +303,7 @@ def _sample_categorical(dists: np.ndarray, rng: np.random.Generator) -> np.ndarr
     """Inverse-CDF draw along the last axis; dists sums to 1 there."""
     cdf = np.cumsum(dists, axis=-1)
     u = rng.random(dists.shape[:-1])
-    idx = (u[..., None] > cdf).sum(axis=-1)
+    idx = (u[..., None] >= cdf).sum(axis=-1)  # zero-mass categories are never drawn
     n = dists.shape[-1]
     if idx.max(initial=0) == n:
         # rounding left cdf[-1] < u: take the last category with mass, since

@@ -22,7 +22,7 @@ of the step taking ``t-1`` to ``t``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +32,8 @@ SIMPLEX_ATOL = 1e-12
 
 LAYOUTS = ("concatenated", "interleaved")
 
+_ARRAYS = ("alpha_bar", "beta_bar", "gamma_bar", "alpha", "beta", "gamma")
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
@@ -40,27 +42,55 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _check_unit_interval(name: str, a: np.ndarray) -> None:
-    if np.any(a < -SIMPLEX_ATOL) or np.any(a > 1 + SIMPLEX_ATOL):
+    if not np.all((a >= -SIMPLEX_ATOL) & (a <= 1 + SIMPLEX_ATOL)):  # NaN fails too
         raise ScheduleError(f"{name} has entries outside [0, 1]")
+
+
+def _check_shapes(T: int, arrays: dict) -> None:
+    shape = arrays["alpha_bar"].shape
+    if shape[:1] != (T + 1,) or len(shape) > 2 or 0 in shape:
+        raise ScheduleError(
+            f"alpha_bar must have shape (T+1,) or (T+1, n_layers) with T+1={T + 1}, got {shape}"
+        )
+    for name, a in arrays.items():
+        if a.shape != shape:
+            raise ScheduleError(f"{name} must have the shape of alpha_bar, {shape}")
+
+
+def _pick(arrays, t: int, layer: int) -> tuple:
+    # a shared schedule has the same coefficients on every layer
+    return tuple(a[t] if a.ndim == 1 else a[t, layer] for a in arrays)
+
+
+def _quotients(ab_s, gb_s, ab_t, gb_t):
+    """alpha and gamma of the kernel taking cumulative step s to step t.
+
+    A layer with nothing left to keep (ab_s = 0) or to mask (gb_s = 1) gets
+    0; adding and multiplying by the masks gives that elementwise without
+    division warnings.
+    """
+    kept, unmasked = ab_s > 0, gb_s < 1
+    alpha = ab_t / (ab_s + ~kept) * kept
+    gamma = (1.0 - (1.0 - gb_t) / (1.0 - gb_s + ~unmasked)) * unmasked
+    return alpha, gamma
 
 
 def _derive_stepwise(alpha_bar, gamma_bar, K):
     """Invert the cumulative products into per-step coefficients.
 
-    Degenerate steps (alpha_bar already 0, or gamma_bar already 1) get
-    alpha=0 / gamma=0 respectively; beta is the simplex residual over K.
+    Works on (T+1,) and (T+1, n_layers) arrays alike.  Degenerate steps
+    (alpha_bar already 0, or gamma_bar already 1) get alpha=0 / gamma=0
+    respectively; beta is the simplex residual over K.
     """
-    T = len(alpha_bar) - 1
-    alpha = np.ones(T + 1)
-    gamma = np.zeros(T + 1)
-    for t in range(1, T + 1):
-        if alpha_bar[t] > alpha_bar[t - 1] + SIMPLEX_ATOL:
-            raise ScheduleError(f"alpha_bar increases at t={t}")
-        if gamma_bar[t] < gamma_bar[t - 1] - SIMPLEX_ATOL:
-            raise ScheduleError(f"gamma_bar decreases at t={t}")
-        alpha[t] = alpha_bar[t] / alpha_bar[t - 1] if alpha_bar[t - 1] > 0 else 0.0
-        survive_prev = 1.0 - gamma_bar[t - 1]
-        gamma[t] = 1.0 - (1.0 - gamma_bar[t]) / survive_prev if survive_prev > 0 else 0.0
+    ab_prev, ab = alpha_bar[:-1], alpha_bar[1:]
+    gb_prev, gb = gamma_bar[:-1], gamma_bar[1:]
+    for name, bad in (("alpha_bar increases", ab > ab_prev + SIMPLEX_ATOL),
+                      ("gamma_bar decreases", gb < gb_prev - SIMPLEX_ATOL)):
+        if np.any(bad):
+            raise ScheduleError(f"{name} at t={np.nonzero(bad)[0][0] + 1}")
+    alpha = np.ones_like(alpha_bar)
+    gamma = np.zeros_like(gamma_bar)
+    alpha[1:], gamma[1:] = _quotients(ab_prev, gb_prev, ab, gb)
     beta = (1.0 - alpha - gamma) / K
     if np.any(beta < -1e-9):
         raise ScheduleError("cumulative tables imply a negative uniform mass")
@@ -72,11 +102,15 @@ def _derive_stepwise(alpha_bar, gamma_bar, K):
 
 @dataclass(frozen=True)
 class ScheduleTable:
-    """Mask+uniform schedule shared by every position of a token grid.
+    """Mask+uniform schedule, shared by every grid row or one per codebook.
 
-    ``alpha_bar``, ``beta_bar``, ``gamma_bar`` have length T+1 (cumulative,
-    ``t=0`` is the identity); ``alpha``, ``beta``, ``gamma`` have length T+1
-    with index 0 unused (identity placeholder).
+    The six arrays all have shape (T+1,) for a schedule shared by every
+    codebook row, or (T+1, n_layers) for one column per codebook row.
+    ``alpha_bar``, ``beta_bar``, ``gamma_bar`` are cumulative (``t=0`` is
+    the identity, except for the ``improved`` kind); ``alpha``, ``beta``,
+    ``gamma`` are stepwise with index 0 unused (identity placeholder).
+    ``layout`` and ``L`` are carried for the file format; no computed number
+    depends on them.
     """
 
     T: int
@@ -88,9 +122,11 @@ class ScheduleTable:
     beta: np.ndarray
     gamma: np.ndarray
     kind: str = "custom"
+    layout: str = "concatenated"
+    L: int = 0
 
     def __post_init__(self):
-        for name in ("alpha_bar", "beta_bar", "gamma_bar", "alpha", "beta", "gamma"):
+        for name in _ARRAYS:
             object.__setattr__(self, name, _freeze(getattr(self, name)))
         self.validate()
 
@@ -100,51 +136,57 @@ class ScheduleTable:
 
     @property
     def n_layers(self) -> int:
-        return 1
-
-    def layer_of(self, position: int) -> int:
-        return 0
+        return 1 if self.alpha_bar.ndim == 1 else self.alpha_bar.shape[1]
 
     def cumulative(self, t: int, layer: int = 0):
-        """(alpha_bar, beta_bar, gamma_bar) at step ``t``."""
-        return self.alpha_bar[t], self.beta_bar[t], self.gamma_bar[t]
+        """(alpha_bar, beta_bar, gamma_bar) of ``layer`` at step ``t``."""
+        return _pick((self.alpha_bar, self.beta_bar, self.gamma_bar), t, layer)
 
     def stepwise(self, t: int, layer: int = 0):
-        """(alpha, beta, gamma) of the single step ``t-1 -> t``; requires t >= 1."""
+        """(alpha, beta, gamma) of ``layer`` for the single step ``t-1 -> t``; requires t >= 1."""
         if not 1 <= t <= self.T:
             raise ValueError(f"step index must be in 1..{self.T}, got {t}")
-        return self.alpha[t], self.beta[t], self.gamma[t]
+        return _pick((self.alpha, self.beta, self.gamma), t, layer)
 
-    def segment(self, s: int, t: int, layer: int = 0):
+    def segment(self, s: int, t: int):
         """(alpha, beta, gamma) of the composite kernel taking step s to step t > s.
 
         The product of mask+uniform matrices stays in the family, with the
-        composite coefficients given by the same quotient rules as single steps.
+        composite coefficients given by the same quotient rules as single
+        steps.  Each value is shaped like ``alpha_bar[t]``: one entry per
+        layer for a per-codebook schedule.
         """
         if not 0 <= s < t <= self.T:
             raise ValueError(f"need 0 <= s < t <= {self.T}, got s={s}, t={t}")
-        ab_s, _, gb_s = self.cumulative(s, layer)
-        ab_t, _, gb_t = self.cumulative(t, layer)
-        alpha = ab_t / ab_s if ab_s > 0 else 0.0
-        gamma = 1.0 - (1.0 - gb_t) / (1.0 - gb_s) if gb_s < 1 else 0.0
-        beta = max(0.0, (1.0 - alpha - gamma)) / self.K
+        alpha, gamma = _quotients(
+            self.alpha_bar[s], self.gamma_bar[s], self.alpha_bar[t], self.gamma_bar[t]
+        )
+        beta = np.maximum(0.0, 1.0 - alpha - gamma) / self.K
         return alpha, beta, gamma
 
     def validate(self) -> None:
+        _check_shapes(self.T, {name: getattr(self, name) for name in _ARRAYS})
+        if self.layout not in LAYOUTS:
+            raise ScheduleError(f"layout must be one of {LAYOUTS}")
         for name in ("alpha_bar", "beta_bar", "gamma_bar"):
-            arr = getattr(self, name)
-            if arr.shape != (self.T + 1,):
-                raise ScheduleError(f"{name} must have length T+1={self.T + 1}")
-            _check_unit_interval(name, arr)
+            _check_unit_interval(name, getattr(self, name))
         closure = self.alpha_bar + self.K * self.beta_bar + self.gamma_bar
         if np.max(np.abs(closure - 1.0)) > SIMPLEX_ATOL:
             raise ScheduleError("alpha_bar + K*beta_bar + gamma_bar must equal 1")
-        if not (self.alpha_bar[0] == 1.0 and self.gamma_bar[0] == 0.0 and self.beta_bar[0] == 0.0):
+        # the improved schedule's offset leaves mask mass at t=0
+        if self.kind != "improved" and not (
+            np.all(self.alpha_bar[0] == 1.0)
+            and np.all(self.gamma_bar[0] == 0.0)
+            and np.all(self.beta_bar[0] == 0.0)
+        ):
             raise ScheduleError("step 0 must be the identity (alpha_bar=1, others 0)")
-        if np.any(np.diff(self.alpha_bar) > SIMPLEX_ATOL):
-            raise ScheduleError("alpha_bar must be non-increasing")
-        if np.any(np.diff(self.gamma_bar) < -SIMPLEX_ATOL):
-            raise ScheduleError("gamma_bar must be non-decreasing")
+        if np.any(np.diff(self.alpha_bar, axis=0) > SIMPLEX_ATOL):
+            raise ScheduleError("alpha_bar must be non-increasing in t")
+        if np.any(np.diff(self.gamma_bar, axis=0) < -SIMPLEX_ATOL):
+            raise ScheduleError("gamma_bar must be non-decreasing in t")
+        # later codebooks must never be less masked than earlier ones
+        if np.any(np.diff(self.gamma_bar.reshape(self.T + 1, -1), axis=1) < -SIMPLEX_ATOL):
+            raise ScheduleError("gamma_bar must be non-decreasing in the layer index")
         # recurrence consistency between cumulative and stepwise views
         rebuilt_ab = self.alpha_bar[:-1] * self.alpha[1:]
         rebuilt_surv = (1.0 - self.gamma_bar[:-1]) * (1.0 - self.gamma[1:])
@@ -158,107 +200,7 @@ class ScheduleTable:
             "T": self.T,
             "K": self.K,
             "kind": self.kind if self.kind in ("linear", "improved") else "linear",
-            "N_q": 1,
-            "layout": "concatenated",
-            "L": 0,
-            "alpha_bar": self.alpha_bar.tolist(),
-            "gamma_bar": self.gamma_bar.tolist(),
-            "beta_bar": self.beta_bar.tolist(),
-        }
-
-
-@dataclass(frozen=True)
-class PositionalScheduleTable:
-    """Per-codebook schedule: each of ``N_q`` layers has its own coefficients.
-
-    Cumulative and stepwise arrays have shape (T+1, N_q).  ``layout``
-    defines which layer owns a flattened sequence position: under
-    ``concatenated`` layout position ``i`` belongs to layer ``i // L``,
-    under ``interleaved`` layout to ``i % N_q``.
-    """
-
-    T: int
-    K: int
-    N_q: int
-    L: int
-    layout: str
-    alpha_bar: np.ndarray
-    beta_bar: np.ndarray
-    gamma_bar: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-    kind: str = "improved"
-
-    def __post_init__(self):
-        for name in ("alpha_bar", "beta_bar", "gamma_bar", "alpha", "beta", "gamma"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
-        self.validate()
-
-    @property
-    def mask_id(self) -> int:
-        return self.K
-
-    @property
-    def n_layers(self) -> int:
-        return self.N_q
-
-    @property
-    def n_positions(self) -> int:
-        return self.N_q * self.L
-
-    def layer_of(self, position: int) -> int:
-        if not 0 <= position < self.N_q * self.L:
-            raise ValueError(f"position {position} outside 0..{self.N_q * self.L - 1}")
-        if self.layout == "concatenated":
-            return position // self.L
-        return position % self.N_q
-
-    def cumulative(self, t: int, layer: int = 0):
-        return self.alpha_bar[t, layer], self.beta_bar[t, layer], self.gamma_bar[t, layer]
-
-    def stepwise(self, t: int, layer: int = 0):
-        if not 1 <= t <= self.T:
-            raise ValueError(f"step index must be in 1..{self.T}, got {t}")
-        return self.alpha[t, layer], self.beta[t, layer], self.gamma[t, layer]
-
-    def segment(self, s: int, t: int, layer: int = 0):
-        if not 0 <= s < t <= self.T:
-            raise ValueError(f"need 0 <= s < t <= {self.T}, got s={s}, t={t}")
-        ab_s, _, gb_s = self.cumulative(s, layer)
-        ab_t, _, gb_t = self.cumulative(t, layer)
-        alpha = ab_t / ab_s if ab_s > 0 else 0.0
-        gamma = 1.0 - (1.0 - gb_t) / (1.0 - gb_s) if gb_s < 1 else 0.0
-        beta = max(0.0, (1.0 - alpha - gamma)) / self.K
-        return alpha, beta, gamma
-
-    def validate(self) -> None:
-        shape = (self.T + 1, self.N_q)
-        if self.layout not in LAYOUTS:
-            raise ScheduleError(f"layout must be one of {LAYOUTS}")
-        for name in ("alpha_bar", "beta_bar", "gamma_bar"):
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ScheduleError(f"{name} must have shape {shape}")
-            _check_unit_interval(name, arr)
-        closure = self.alpha_bar + self.K * self.beta_bar + self.gamma_bar
-        if np.max(np.abs(closure - 1.0)) > SIMPLEX_ATOL:
-            raise ScheduleError("per-layer simplex closure violated")
-        # later codebooks must never be less masked than earlier ones
-        if np.any(np.diff(self.gamma_bar, axis=1) < -SIMPLEX_ATOL):
-            raise ScheduleError("gamma_bar must be non-decreasing in the layer index")
-        for q in range(self.N_q):
-            if np.any(np.diff(self.alpha_bar[:, q]) > SIMPLEX_ATOL):
-                raise ScheduleError(f"alpha_bar must be non-increasing in t (layer {q})")
-            if np.any(np.diff(self.gamma_bar[:, q]) < -SIMPLEX_ATOL):
-                raise ScheduleError(f"gamma_bar must be non-decreasing in t (layer {q})")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "T": self.T,
-            "K": self.K,
-            "kind": "improved",
-            "N_q": self.N_q,
+            "N_q": self.n_layers,
             "layout": self.layout,
             "L": self.L,
             "alpha_bar": self.alpha_bar.tolist(),
@@ -292,7 +234,7 @@ def improved_schedule(
     N_q: int,
     layout: str = "concatenated",
     L: int = 1,
-) -> PositionalScheduleTable:
+) -> ScheduleTable:
     """Per-codebook schedule that masks later (residual) layers earlier.
 
     Layer ``q`` of ``N_q`` uses
@@ -325,16 +267,10 @@ def improved_schedule(
     beta_bar = np.zeros_like(alpha_bar_raw)  # the three-line construction leaves no uniform mass
     alpha_bar = np.clip(alpha_bar_raw, 0.0, 1.0)
     gamma_bar = 1.0 - alpha_bar - K * beta_bar
-
-    alpha = np.ones_like(alpha_bar)
-    beta = np.zeros_like(alpha_bar)
-    gamma = np.zeros_like(alpha_bar)
-    for layer in range(N_q):
-        alpha[:, layer], beta[:, layer], gamma[:, layer] = _derive_stepwise(
-            alpha_bar[:, layer], gamma_bar[:, layer], K
-        )
-    return PositionalScheduleTable(
-        T, K, N_q, L, layout, alpha_bar, beta_bar, gamma_bar, alpha, beta, gamma
+    alpha, beta, gamma = _derive_stepwise(alpha_bar, gamma_bar, K)
+    return ScheduleTable(
+        T, K, alpha_bar, beta_bar, gamma_bar, alpha, beta, gamma,
+        kind="improved", layout=layout, L=L,
     )
 
 
@@ -376,67 +312,86 @@ def from_stepwise(alpha, beta, gamma, K: int) -> ScheduleTable:
     return ScheduleTable(T, K, alpha_bar, beta_bar, gamma_bar, alpha_full, beta_full, gamma_full)
 
 
+def random_schedule(rng: np.random.Generator, T: int, K: int) -> ScheduleTable:
+    """Random valid schedule from random per-step simplex coefficients.
+
+    Draws alpha ~ U[0.5, 1) for all T steps, then the split of the rest
+    between mask and uniform mass; the oracle checks use it.
+    """
+    alpha = rng.uniform(0.5, 1.0, size=T)
+    rest = 1.0 - alpha
+    split = rng.uniform(0.0, 1.0, size=T)
+    gamma = rest * split
+    beta = rest * (1.0 - split) / K
+    return from_stepwise(alpha, beta, gamma, K)
+
+
 def stepwise_from_cumulative(table: ScheduleTable) -> ScheduleTable:
     """Recompute the stepwise coefficients of ``table`` from its cumulatives."""
     alpha, beta, gamma = _derive_stepwise(table.alpha_bar, table.gamma_bar, table.K)
+    return replace(table, alpha=alpha, beta=beta, gamma=gamma)
+
+
+def _field(payload: dict, name: str, convert, default=None):
+    if name not in payload and default is None:
+        raise ScheduleError(f"schedule file has no {name!r} field")
+    try:
+        return convert(payload.get(name, default))
+    except (TypeError, ValueError) as exc:
+        raise ScheduleError(f"schedule field {name!r} is malformed: {exc}") from None
+
+
+def schedule_from_json_dict(payload: dict) -> ScheduleTable:
+    if not isinstance(payload, dict):
+        raise ScheduleError("a schedule file must hold a JSON object")
+    kind = _field(payload, "kind", str, "linear")
+    T = _field(payload, "T", int)
+    K = _field(payload, "K", int)
+    cum = {
+        name: _field(payload, name, lambda v: np.asarray(v, dtype=np.float64))
+        for name in ("alpha_bar", "beta_bar", "gamma_bar")
+    }
+    _check_shapes(T, cum)
+    alpha_bar, beta_bar, gamma_bar = cum.values()
+    stored = {}
+    if kind == "improved":
+        N_q = _field(payload, "N_q", int)
+        if alpha_bar.shape != (T + 1, N_q):
+            raise ScheduleError(
+                f"N_q={N_q} needs alpha_bar of shape (T+1, N_q) = {(T + 1, N_q)}, "
+                f"got {alpha_bar.shape}"
+            )
+        stored = {"L": _field(payload, "L", int),
+                  "layout": _field(payload, "layout", str, "concatenated")}
+    alpha, beta, gamma = _derive_stepwise(alpha_bar, gamma_bar, K)
     return ScheduleTable(
-        table.T, table.K, table.alpha_bar, table.beta_bar, table.gamma_bar,
-        alpha, beta, gamma, kind=table.kind,
+        T, K, alpha_bar, beta_bar, gamma_bar, alpha, beta, gamma, kind=kind, **stored
     )
 
 
-def schedule_from_json_dict(payload: dict) -> ScheduleTable | PositionalScheduleTable:
-    kind = payload.get("kind", "linear")
-    T = int(payload["T"])
-    K = int(payload["K"])
-    alpha_bar = np.asarray(payload["alpha_bar"], dtype=np.float64)
-    gamma_bar = np.asarray(payload["gamma_bar"], dtype=np.float64)
-    beta_bar = np.asarray(payload["beta_bar"], dtype=np.float64)
-    if kind == "improved":
-        N_q = int(payload["N_q"])
-        L = int(payload["L"])
-        layout = payload.get("layout", "concatenated")
-        alpha = np.ones_like(alpha_bar)
-        beta = np.zeros_like(alpha_bar)
-        gamma = np.zeros_like(alpha_bar)
-        for q in range(N_q):
-            alpha[:, q], beta[:, q], gamma[:, q] = _derive_stepwise(
-                alpha_bar[:, q], gamma_bar[:, q], K
-            )
-        return PositionalScheduleTable(
-            T, K, N_q, L, layout, alpha_bar, beta_bar, gamma_bar, alpha, beta, gamma
-        )
-    alpha, beta, gamma = _derive_stepwise(alpha_bar, gamma_bar, K)
-    return ScheduleTable(T, K, alpha_bar, beta_bar, gamma_bar, alpha, beta, gamma, kind=kind)
-
-
-def load_schedule(path) -> ScheduleTable | PositionalScheduleTable:
+def load_schedule(path) -> ScheduleTable:
     with open(path, "r", encoding="utf-8") as fh:
         return schedule_from_json_dict(json.load(fh))
 
 
-def save_schedule(path, table: ScheduleTable | PositionalScheduleTable) -> None:
+def save_schedule(path, table: ScheduleTable) -> None:
     from .tokens import atomic_write_text
 
     atomic_write_text(path, json.dumps(table.to_json_dict()))
 
 
-def format_table(table: ScheduleTable | PositionalScheduleTable) -> str:
+def format_table(table: ScheduleTable) -> str:
     """Human-readable per-step listing used by the CLI."""
-    lines = []
-    if isinstance(table, PositionalScheduleTable):
-        lines.append(f"kind=improved T={table.T} K={table.K} N_q={table.N_q} "
-                     f"layout={table.layout} L={table.L}")
-        header = f"{'t':>5} {'layer':>5} {'alpha_bar':>12} {'K*beta_bar':>12} {'gamma_bar':>12}"
-        lines.append(header)
-        for t in range(table.T + 1):
-            for q in range(table.N_q):
-                ab, bb, gb = table.cumulative(t, q)
-                lines.append(f"{t:>5} {q:>5} {ab:>12.6f} {table.K * bb:>12.6f} {gb:>12.6f}")
-    else:
-        lines.append(f"kind={table.kind} T={table.T} K={table.K}")
-        lines.append(f"{'t':>5} {'alpha_bar':>12} {'K*beta_bar':>12} {'gamma_bar':>12}")
-        for t in range(table.T + 1):
-            ab, bb, gb = table.cumulative(t)
-            lines.append(f"{t:>5} {ab:>12.6f} {table.K * bb:>12.6f} {gb:>12.6f}")
+    per_layer = table.alpha_bar.ndim == 2
+    head = f"kind={table.kind} T={table.T} K={table.K}"
+    cols = f"{'alpha_bar':>12} {'K*beta_bar':>12} {'gamma_bar':>12}"
+    if per_layer:
+        head += f" N_q={table.n_layers} layout={table.layout} L={table.L}"
+        cols = f"{'layer':>5} {cols}"
+    lines = [head, f"{'t':>5} {cols}"]
+    for t in range(table.T + 1):
+        for q in range(table.n_layers):
+            ab, bb, gb = table.cumulative(t, q)
+            layer = f"{q:>5} " if per_layer else ""
+            lines.append(f"{t:>5} {layer}{ab:>12.6f} {table.K * bb:>12.6f} {gb:>12.6f}")
     return "\n".join(lines)

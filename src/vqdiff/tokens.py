@@ -77,27 +77,6 @@ class TokenGrid:
     def contains_mask(self) -> bool:
         return bool(np.any(self.data == self.K))
 
-    def flatten(self) -> np.ndarray:
-        """Flatten to 1-D following the grid's layout.
-
-        ``concatenated`` lays out whole codebook rows one after another;
-        ``interleaved`` alternates codebooks frame by frame.
-        """
-        if self.layout == "concatenated":
-            return self.data.reshape(-1).copy()
-        return self.data.T.reshape(-1).copy()
-
-    @classmethod
-    def from_flat(cls, flat, N_q: int, L: int, K: int, layout: str = "concatenated"):
-        flat = np.asarray(flat)
-        if flat.size != N_q * L:
-            raise ValueError(f"expected {N_q * L} tokens, got {flat.size}")
-        if layout == "concatenated":
-            data = flat.reshape(N_q, L)
-        else:
-            data = flat.reshape(L, N_q).T
-        return cls(data=data, K=K, layout=layout)
-
     def with_data(self, data: np.ndarray) -> "TokenGrid":
         return TokenGrid(data=data, K=self.K, layout=self.layout)
 

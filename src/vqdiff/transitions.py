@@ -37,30 +37,26 @@ def build_transition_matrix(alpha: float, beta: float, gamma: float, K: int) -> 
     return Q
 
 
-def _coeffs_cumulative(table, t: int, position: int) -> tuple[float, float, float]:
-    return table.cumulative(t, table.layer_of(position))
-
-
-def marginal_xt_given_x0(x0: int, t: int, table, position: int = 0) -> np.ndarray:
+def marginal_xt_given_x0(x0: int, t: int, table, layer: int = 0) -> np.ndarray:
     """Closed-form q(x_t | x_0) as a length-(K+1) probability vector.
 
     Equals alpha_bar * onehot(x0) + beta_bar on every non-mask state plus
-    gamma_bar on the mask state.  Positional tables use the coefficients of
-    the layer that owns ``position``.
+    gamma_bar on the mask state, with the coefficients of codebook
+    ``layer`` (a shared schedule has the same ones on every layer).
     """
     K = table.K
     if not 0 <= x0 < K:
         raise ValueError(f"x0 must be a non-mask token in 0..{K - 1}, got {x0}")
     if not 0 <= t <= table.T:
         raise ValueError(f"t must be in 0..{table.T}, got {t}")
-    ab, bb, gb = _coeffs_cumulative(table, t, position)
+    ab, bb, gb = table.cumulative(t, layer)
     probs = np.full(K + 1, bb)
     probs[x0] += ab
     probs[K] = gb
     return probs
 
 
-def stationary_dist(table, position: int = 0) -> np.ndarray:
+def stationary_dist(table, layer: int = 0) -> np.ndarray:
     """The step-T distribution the process converges to, independent of x0.
 
     For the built-in schedules alpha_bar at T is exactly 0, so this is the
@@ -68,7 +64,7 @@ def stationary_dist(table, position: int = 0) -> np.ndarray:
     it is the x0-free part used as the reverse process prior.
     """
     K = table.K
-    _, bb, gb = _coeffs_cumulative(table, table.T, position)
+    _, bb, gb = table.cumulative(table.T, layer)
     probs = np.full(K + 1, bb)
     probs[K] = gb
     # any leftover identity mass is spread uniformly so the vector is a
@@ -79,7 +75,7 @@ def stationary_dist(table, position: int = 0) -> np.ndarray:
     return probs
 
 
-def true_posterior(x_t: int, x0: int, t: int, table, position: int = 0) -> np.ndarray:
+def true_posterior(x_t: int, x0: int, t: int, table, layer: int = 0) -> np.ndarray:
     """Exact q(x_{t-1} | x_t, x_0) over the K+1 states.
 
     Bayes rule with the single-step kernel at t and the closed-form
@@ -93,7 +89,6 @@ def true_posterior(x_t: int, x0: int, t: int, table, position: int = 0) -> np.nd
         raise ValueError(f"x0 must be a non-mask token in 0..{K - 1}, got {x0}")
     if not 0 <= x_t <= K:
         raise ValueError(f"x_t must be in 0..{K}, got {x_t}")
-    layer = table.layer_of(position)
     a, b, g = table.stepwise(t, layer)
     # row x_t of the step matrix: P(x_t | x_{t-1} = k) for each k
     if x_t == K:
@@ -103,7 +98,7 @@ def true_posterior(x_t: int, x0: int, t: int, table, position: int = 0) -> np.nd
         row = np.full(K + 1, b)
         row[x_t] += a
         row[K] = 0.0
-    prior = marginal_xt_given_x0(x0, t - 1, table, position)
+    prior = marginal_xt_given_x0(x0, t - 1, table, layer)
     with np.errstate(divide="ignore"):
         log_num = np.log(row) + np.log(prior)
     if np.all(np.isneginf(log_num)):
@@ -113,7 +108,7 @@ def true_posterior(x_t: int, x0: int, t: int, table, position: int = 0) -> np.nd
     return np.exp(log_num - logsumexp(log_num))
 
 
-def brute_force_cumulative(t: int, table, position: int = 0) -> np.ndarray:
+def brute_force_cumulative(t: int, table, layer: int = 0) -> np.ndarray:
     """Explicit product Q_t ... Q_1 of per-step matrices (test oracle).
 
     Guarded to small instances; use the closed form for real work.
@@ -125,7 +120,6 @@ def brute_force_cumulative(t: int, table, position: int = 0) -> np.ndarray:
         raise SizeGuardError(
             f"brute-force product limited to K <= {ORACLE_MAX_K}, t <= {ORACLE_MAX_T}"
         )
-    layer = table.layer_of(position)
     out = np.eye(K + 1)
     for u in range(1, t + 1):
         a, b, g = table.stepwise(u, layer)

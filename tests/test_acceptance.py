@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 import scipy.stats
-from conftest import random_stepwise_table
 
 from vqdiff.auxiliary import club_mi, info_nce, recall_at_k
 from vqdiff.cli import run
@@ -25,7 +24,7 @@ from vqdiff.diffusion import (
     vlb_loss,
 )
 from vqdiff.metrics import PitchTrack, mcd, pitch_errors, ssim
-from vqdiff.schedules import improved_schedule, linear_schedule, save_schedule
+from vqdiff.schedules import improved_schedule, linear_schedule, random_schedule, save_schedule
 from vqdiff.tokens import TokenGrid, save_token_file
 from vqdiff.transitions import (
     brute_force_cumulative,
@@ -49,7 +48,7 @@ def test_criterion_01_closed_form_equals_matrix_product():
     for _ in range(50):
         K = int(rng.integers(2, 6))
         T = int(rng.integers(2, 9))
-        table = random_stepwise_table(rng, T, K)
+        table = random_schedule(rng, T, K)
         for t in range(T + 1):
             product = brute_force_cumulative(t, table)
             for x0 in range(K):
@@ -69,7 +68,7 @@ def test_criterion_02_exhaustive_posterior():
     checked = 0
     for K in (2, 3, 4):
         for T in (2, 4, 6):
-            for table in (random_stepwise_table(rng, T, K), linear_schedule(T, K)):
+            for table in (random_schedule(rng, T, K), linear_schedule(T, K)):
                 for t in range(1, T + 1):
                     a, b, g = (float(c) for c in table.stepwise(t))
                     step = build_transition_matrix(a, b, g, K)
@@ -149,7 +148,7 @@ def test_criterion_05_vlb_sanity():
         K = int(rng.integers(2, 5))
         T = int(rng.integers(2, 6))
         L = int(rng.integers(1, 4))
-        table = random_stepwise_table(rng, T, K)
+        table = random_schedule(rng, T, K)
         x0 = TokenGrid(data=rng.integers(0, K, size=(1, L)), K=K)
         den = TabularDenoiser(K, (1, L), T, cond_labels=[],
                               weights=rng.normal(size=(1, T + 1, 1, L, K + 1, K)))
@@ -165,7 +164,7 @@ def test_criterion_05_vlb_sanity():
 
     # (c) Monte-Carlo estimate vs exhaustive enumeration (K=3, T=3, L=1)
     K, T = 3, 3
-    table = random_stepwise_table(np.random.default_rng(1050), T, K)
+    table = random_schedule(np.random.default_rng(1050), T, K)
     x0_val = 1
     x0 = TokenGrid(data=np.array([[x0_val]]), K=K)
     den = TabularDenoiser(K, (1, 1), T, cond_labels=[],

@@ -59,6 +59,23 @@ class TestExitCodesAndErrors:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_bad_schedule_file_names_the_field(self, toy_setup, capsys, tmp_path):
+        payload = json.loads(toy_setup["sched"].read_text())
+        payload["kind"] = "improved"  # with the linear file's 1-D arrays
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "never.json"
+        code, _, err = invoke(
+            capsys, "diffuse", "corrupt",
+            "--tokens", str(toy_setup["tokens"]),
+            "--schedule", str(bad),
+            "--t", "2", "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "N_q" in err and "alpha_bar" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         assert invoke(capsys, "--help")[0] == 0
         assert invoke(capsys, "diffuse", "--help")[0] == 0

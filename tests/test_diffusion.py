@@ -10,6 +10,7 @@ from vqdiff import (
     ContractError,
     Denoiser,
     InconsistencyError,
+    ScheduleTable,
     SizeGuardError,
     TabularDenoiser,
     TokenGrid,
@@ -35,9 +36,8 @@ from vqdiff.diffusion import (
     _StepKernel,
     _validated_predict,
 )
+from vqdiff.schedules import random_schedule
 from vqdiff.transitions import build_transition_matrix, marginal_xt_given_x0, true_posterior
-
-from conftest import random_stepwise_table
 
 
 def grid1(tokens, K, layout="concatenated"):
@@ -96,7 +96,7 @@ class TestCorrupt:
 
     def test_histogram_matches_marginal(self):
         rng = np.random.default_rng(2024)
-        table = random_stepwise_table(rng, 6, 3)
+        table = random_schedule(rng, 6, 3)
         g = grid1([1], 3)
         t = 4
         draws = np.array(
@@ -127,7 +127,9 @@ class TestCorrupt:
 def mixture_oracle(table, obs, t, s, p0, layer=0):
     """Enumerated sum_v q(x_s | x_t=obs, v) p0[v], dropping impossible v."""
     K = table.K
-    seg = build_transition_matrix(*table.segment(s, t, layer), K)
+    seg = build_transition_matrix(
+        *(np.broadcast_to(c, table.n_layers)[layer] for c in table.segment(s, t)), K
+    )
     out = np.zeros(K + 1)
     weights = []
     posts = []
@@ -159,7 +161,7 @@ class TestReverseStepDistribution:
         for _ in range(25):
             T = int(rng.integers(2, 7))
             K = int(rng.integers(2, 5))
-            table = random_stepwise_table(rng, T, K)
+            table = random_schedule(rng, T, K)
             t = int(rng.integers(1, T + 1))
             s = int(rng.integers(0, t))
             p0 = rng.dirichlet(np.ones(K))
@@ -198,7 +200,7 @@ class TestReverseStepDistribution:
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(8)
-        table = random_stepwise_table(rng, 10, 6)
+        table = random_schedule(rng, 10, 6)
         p0 = rng.dirichlet(np.ones(6), size=(2, 3))
         g = TokenGrid(data=rng.integers(0, 7, size=(2, 3)), K=6)
         got = _reverse_step_dists(g, 7, p0, table, 3)
@@ -213,14 +215,14 @@ class TestReverseStepDistribution:
         assert got[0, 1, 4] > 0  # masked position may stay masked
 
 
-def dense_kernel(table, obs, t, position):
+def dense_kernel(table, obs, t, layer):
     """Q[k, v] = q(x_{t-1}=k | x_t=obs, x0=v) from the brute-force posterior; invalid v -> 0."""
     K = table.K
     Q = np.zeros((K + 1, K))
     valid = np.zeros(K, dtype=bool)
     for v in range(K):
         try:
-            Q[:, v] = true_posterior(obs, v, t, table, position)
+            Q[:, v] = true_posterior(obs, v, t, table, layer)
             valid[v] = True
         except InconsistencyError:
             pass
@@ -231,7 +233,7 @@ def kernel_tables():
     rng = np.random.default_rng(404)
     return [
         (linear_schedule(5, 3), 1),
-        (random_stepwise_table(rng, 6, 4), 1),
+        (random_schedule(rng, 6, 4), 1),
         (improved_schedule(5, 3, 2, L=4), 2),
     ]
 
@@ -258,7 +260,7 @@ class TestStepKernel:
                 got_mix = None
             for q in range(N_q):
                 for l in range(L):
-                    Q, valid = dense_kernel(table, data[q, l], t, q * L + l)
+                    Q, valid = dense_kernel(table, data[q, l], t, q)
                     np.testing.assert_array_equal(got_valid[q, l], valid)
                     np.testing.assert_allclose(got_t[q, l], r[q, l] @ Q, rtol=1e-12, atol=1e-14)
                     assert np.all(got_t[q, l][~valid] == 0.0)
@@ -284,10 +286,10 @@ def dense_step_kl(table, t, x_t, x0, w):
     p = softmax(w)
     total = 0.0
     for l in range(x_t.shape[1]):
-        Q, valid = dense_kernel(table, x_t[0, l], t, l)
+        Q, valid = dense_kernel(table, x_t[0, l], t, 0)
         p_eff = np.where(valid, p[0, l], 0.0)
         mix = Q @ p_eff / p_eff.sum()
-        post = true_posterior(x_t[0, l], x0[0, l], t, table, l)
+        post = true_posterior(x_t[0, l], x0[0, l], t, table)
         s = post > 0
         total += float(np.sum(post[s] * np.log(post[s] / mix[s])))
     return total
@@ -296,7 +298,7 @@ def dense_step_kl(table, t, x_t, x0, w):
 class TestTrainingGradient:
     @pytest.mark.parametrize(
         "table",
-        [random_stepwise_table(np.random.default_rng(9), 4, 3), improved_schedule(4, 3, 1, L=2)],
+        [random_schedule(np.random.default_rng(9), 4, 3), improved_schedule(4, 3, 1, L=2)],
         ids=["random", "improved"],
     )
     def test_matches_central_finite_difference(self, table):
@@ -310,7 +312,7 @@ class TestTrainingGradient:
             for x_t in ([[0, 2]], [[3, 2]], [[1, 3]], [[3, 3]], [[2, 0]]):
                 x_t = np.array(x_t)
                 try:
-                    [true_posterior(x_t[0, l], x0[0, l], t, table, l) for l in range(2)]
+                    [true_posterior(x_t[0, l], x0[0, l], t, table) for l in range(2)]
                 except InconsistencyError:
                     continue  # x_t impossible from x0 at this step
                 w = rng.normal(size=(1, 2, K))
@@ -326,6 +328,37 @@ class TestTrainingGradient:
                 np.testing.assert_allclose(g_w, fd, rtol=1e-6, atol=1e-9)
                 checked += 1
         assert checked >= table.T
+
+
+class TestSharedScheduleBroadcast:
+    def test_identical_columns_match_shared_table_bytes(self):
+        # a (T+1, N_q) table whose columns all equal the linear schedule's
+        shared = linear_schedule(6, 4)
+        N_q = 3
+        wide = ScheduleTable(
+            shared.T, shared.K,
+            *(np.tile(a[:, None], (1, N_q)) for a in (
+                shared.alpha_bar, shared.beta_bar, shared.gamma_bar,
+                shared.alpha, shared.beta, shared.gamma,
+            )),
+            kind="linear",
+        )
+        rng = np.random.default_rng(31)
+        x0 = TokenGrid(data=rng.integers(0, 4, size=(N_q, 7)), K=4)
+        p0 = rng.dirichlet(np.ones(4), size=(N_q, 7))
+        tables = (shared, wide)
+        for t in range(1, shared.T + 1):
+            a, b = (corrupt(x0, t, table, np.random.default_rng(t)) for table in tables)
+            np.testing.assert_array_equal(a.data, b.data)
+            for s in range(t):
+                da, db = (_reverse_step_dists(a, t, p0, table, s) for table in tables)
+                assert da.tobytes() == db.tobytes()
+        den = FixedDenoiser(rng.dirichlet(np.ones(4)), (N_q, 7))
+        va, vb = (
+            vlb_loss(den, x0, None, table, np.random.default_rng(5), num_t_samples=4)
+            for table in tables
+        )
+        assert va == vb
 
 
 class TestReverseStep:
@@ -430,6 +463,16 @@ class TestCfgCombine:
         got = cfg_combine(lp_c, lp_u, 1.0)
         np.testing.assert_allclose(got, [[0.0, 0.1, 0.9], [0.8, 0.2, 0.0]], atol=1e-12)
 
+    def test_degenerate_row_leaves_other_rows_alone(self):
+        # row 0 has conditional mass where the unconditional has none
+        with np.errstate(divide="ignore"):
+            lp_c = np.log([[0.0, 0.25, 0.75], [0.5, 0.5, 0.0]])
+            lp_u = np.log([[0.5, 0.5, 0.0], [0.2, 0.8, 0.0]])
+        got = cfg_combine(lp_c, lp_u, 1.0)
+        for row in range(2):
+            np.testing.assert_array_equal(got[row], cfg_combine(lp_c[row], lp_u[row], 1.0))
+        np.testing.assert_array_equal(got[0], [0.0, 0.0, 1.0])
+
     def test_batched_shape(self):
         rng = np.random.default_rng(3)
         p_c = rng.dirichlet(np.ones(4), size=(2, 3))
@@ -464,7 +507,7 @@ class TestBayesOracle:
         rng = np.random.default_rng(31)
         for _ in range(5):
             K, L, T = 3, 2, 4
-            table = random_stepwise_table(rng, T, K)
+            table = random_schedule(rng, T, K)
             support = all_grids(K, L)
             probs = rng.dirichlet(np.ones(len(support)))
             den = bayes_oracle_denoiser(support, probs, table)
@@ -534,6 +577,10 @@ class TestSampleCategorical:
         got = _sample_categorical(dists, _StubGenerator(1 - 2**-53))
         np.testing.assert_array_equal(got, [1, 2])
 
+    def test_zero_uniform_never_picks_zero_mass_head(self):
+        got = _sample_categorical(np.array([[0.0, 1.0, 0.0, 0.0]]), _StubGenerator(0.0))
+        np.testing.assert_array_equal(got, [1])
+
 
 class TestSample:
     def test_degenerate_target(self):
@@ -596,7 +643,7 @@ class TestVlbLoss:
         for _ in range(10):
             T = int(rng.integers(2, 8))
             K = int(rng.integers(2, 5))
-            table = random_stepwise_table(rng, T, K)
+            table = random_schedule(rng, T, K)
             x0 = grid1([int(rng.integers(0, K))], K)
             den = FixedDenoiser(rng.dirichlet(np.ones(K)), (1, 1))
             loss = vlb_loss(den, x0, None, table, rng, num_t_samples=4)
@@ -612,7 +659,7 @@ class TestVlbLoss:
     def test_matches_exhaustive_enumeration(self):
         # K=3, T=3, one position; oracle = full sum over (t, x_t)
         rng = np.random.default_rng(99)
-        table = random_stepwise_table(rng, 3, 3)
+        table = random_schedule(rng, 3, 3)
         x0 = grid1([1], 3)
         support = [grid1([0], 3), grid1([1], 3), grid1([2], 3)]
         den = bayes_oracle_denoiser(support, [0.2, 0.5, 0.3], table)

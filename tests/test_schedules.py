@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from vqdiff import (
-    PositionalScheduleTable,
     ScheduleError,
     ScheduleTable,
     from_cumulative,
@@ -14,9 +13,7 @@ from vqdiff import (
     load_schedule,
     stepwise_from_cumulative,
 )
-from vqdiff.schedules import schedule_from_json_dict
-
-from conftest import random_stepwise_table
+from vqdiff.schedules import random_schedule, schedule_from_json_dict
 
 
 class TestLinearSchedule:
@@ -105,16 +102,6 @@ class TestImprovedSchedule:
         assert ab0 < 1.0
         assert gb0 == pytest.approx(np.exp(0.0) / 200.0, abs=1e-12)
 
-    def test_layer_of_concatenated(self):
-        table = improved_schedule(10, 4, 3, layout="concatenated", L=5)
-        assert [table.layer_of(i) for i in (0, 4, 5, 9, 10, 14)] == [0, 0, 1, 1, 2, 2]
-        with pytest.raises(ValueError):
-            table.layer_of(15)
-
-    def test_layer_of_interleaved(self):
-        table = improved_schedule(10, 4, 3, layout="interleaved", L=5)
-        assert [table.layer_of(i) for i in range(6)] == [0, 1, 2, 0, 1, 2]
-
     def test_bad_layout(self):
         with pytest.raises(ValueError):
             improved_schedule(10, 4, 3, layout="stacked", L=5)
@@ -133,7 +120,7 @@ class TestStepwiseCumulativeRoundTrip:
         for _ in range(25):
             T = int(rng.integers(1, 40))
             K = int(rng.integers(2, 30))
-            table = random_stepwise_table(rng, T, K)
+            table = random_schedule(rng, T, K)
             again = from_cumulative(table.alpha_bar, table.gamma_bar, K)
             np.testing.assert_allclose(again.alpha[1:], table.alpha[1:], atol=1e-9)
             np.testing.assert_allclose(again.beta[1:], table.beta[1:], atol=1e-9)
@@ -154,7 +141,7 @@ class TestStepwiseCumulativeRoundTrip:
 class TestSegmentCoefficients:
     def test_segment_matches_matrix_product(self):
         rng = np.random.default_rng(7)
-        table = random_stepwise_table(rng, 12, 5)
+        table = random_schedule(rng, 12, 5)
         for s, t in [(0, 1), (0, 12), (3, 7), (5, 6)]:
             a, b, g = table.segment(s, t)
             # compose the single-step coefficients directly
@@ -191,10 +178,34 @@ class TestSerialization:
         path = tmp_path / "sched.json"
         path.write_text(json.dumps(table.to_json_dict()))
         loaded = load_schedule(path)
-        assert isinstance(loaded, PositionalScheduleTable)
+        assert isinstance(loaded, ScheduleTable)
         assert loaded.layout == "interleaved"
-        assert loaded.N_q == 3 and loaded.L == 4
+        assert loaded.n_layers == 3 and loaded.L == 4
         np.testing.assert_allclose(loaded.alpha_bar, table.alpha_bar, atol=1e-15)
+
+    def test_improved_n_q_must_match_columns(self):
+        payload = improved_schedule(6, 4, 3).to_json_dict()
+        payload["N_q"] = 2
+        with pytest.raises(ScheduleError, match="N_q=2"):
+            schedule_from_json_dict(payload)
+
+    def test_improved_needs_per_layer_arrays(self):
+        payload = linear_schedule(6, 4).to_json_dict()
+        payload["kind"] = "improved"
+        with pytest.raises(ScheduleError, match="alpha_bar of shape"):
+            schedule_from_json_dict(payload)
+
+    def test_missing_field_named(self):
+        payload = linear_schedule(6, 4).to_json_dict()
+        del payload["gamma_bar"]
+        with pytest.raises(ScheduleError, match="no 'gamma_bar' field"):
+            schedule_from_json_dict(payload)
+
+    def test_nan_entry_rejected(self):
+        payload = linear_schedule(4, 3).to_json_dict()
+        payload["alpha_bar"][2] = float("nan")
+        with pytest.raises(ScheduleError, match="alpha_bar has entries outside"):
+            schedule_from_json_dict(payload)
 
     def test_json_dict_invariants_checked(self):
         payload = linear_schedule(5, 4).to_json_dict()

@@ -1,4 +1,4 @@
-"""Token grid validation, flattening layouts, and the JSON token file."""
+"""Token grid validation and the JSON token file."""
 
 import json
 
@@ -38,23 +38,6 @@ class TestTokenGrid:
         grid = TokenGrid(data=np.array([[0, 1]]), K=2)
         with pytest.raises(ValueError):
             grid.data[0, 0] = 1
-
-    @pytest.mark.parametrize("layout", ["concatenated", "interleaved"])
-    def test_flatten_round_trip(self, layout):
-        rng = np.random.default_rng(0)
-        grid = TokenGrid(data=rng.integers(0, 4, size=(3, 5)), K=4, layout=layout)
-        back = TokenGrid.from_flat(grid.flatten(), 3, 5, 4, layout=layout)
-        np.testing.assert_array_equal(back.data, grid.data)
-
-    def test_flatten_orders(self):
-        grid = TokenGrid(data=np.array([[0, 1], [2, 3]]), K=4)
-        assert grid.flatten().tolist() == [0, 1, 2, 3]
-        inter = TokenGrid(data=np.array([[0, 1], [2, 3]]), K=4, layout="interleaved")
-        assert inter.flatten().tolist() == [0, 2, 1, 3]
-
-    def test_from_flat_size_check(self):
-        with pytest.raises(ValueError, match="expected 6"):
-            TokenGrid.from_flat(np.zeros(5, dtype=np.int64), 2, 3, 4)
 
 
 class TestTokenFile:

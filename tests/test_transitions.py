@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vqdiff import InconsistencyError, SizeGuardError, linear_schedule, improved_schedule
+from vqdiff.schedules import random_schedule
 from vqdiff.transitions import (
     brute_force_cumulative,
     build_transition_matrix,
@@ -9,8 +10,6 @@ from vqdiff.transitions import (
     stationary_dist,
     true_posterior,
 )
-
-from conftest import random_stepwise_table
 
 
 class TestBuildTransitionMatrix:
@@ -58,7 +57,7 @@ class TestMarginal:
         for _ in range(20):
             T = int(rng.integers(1, 9))
             K = int(rng.integers(2, 6))
-            table = random_stepwise_table(rng, T, K)
+            table = random_schedule(rng, T, K)
             for t in range(T + 1):
                 prod = brute_force_cumulative(t, table)
                 for x0 in range(K):
@@ -73,8 +72,7 @@ class TestMarginal:
 
     def test_positional_table_uses_owning_layer(self):
         table = improved_schedule(50, 8, 4, layout="concatenated", L=6)
-        # position 13 belongs to layer 2
-        probs = marginal_xt_given_x0(3, 20, table, position=13)
+        probs = marginal_xt_given_x0(3, 20, table, layer=2)
         ab, bb, gb = table.cumulative(20, layer=2)
         assert probs[3] == pytest.approx(ab + bb, abs=1e-15)
         assert probs[8] == pytest.approx(gb, abs=1e-15)
@@ -112,7 +110,7 @@ class TestTruePosterior:
         for _ in range(15):
             T = int(rng.integers(1, 7))
             K = int(rng.integers(2, 5))
-            table = random_stepwise_table(rng, T, K)
+            table = random_schedule(rng, T, K)
             for t in range(1, T + 1):
                 Q_t = build_transition_matrix(*table.stepwise(t), K)
                 prev = brute_force_cumulative(t - 1, table)
@@ -129,7 +127,7 @@ class TestTruePosterior:
                         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_deterministic_first_step(self):
-        table = random_stepwise_table(np.random.default_rng(5), 4, 3)
+        table = random_schedule(np.random.default_rng(5), 4, 3)
         # rebuild with an identity first step
         from vqdiff import from_stepwise
 
@@ -149,7 +147,7 @@ class TestTruePosterior:
         for _ in range(10):
             T = int(rng.integers(2, 7))
             K = int(rng.integers(2, 5))
-            table = random_stepwise_table(rng, T, K)
+            table = random_schedule(rng, T, K)
             for t in range(1, T + 1):
                 for x0 in range(K):
                     w = marginal_xt_given_x0(x0, t, table)
@@ -192,11 +190,10 @@ class TestBruteForce:
         # segment coefficients from 0 (not the raw cumulative, which carries
         # the t=0 offset)
         table = improved_schedule(12, 5, 3, layout="interleaved", L=4)
-        for position in (0, 1, 5):
-            layer = table.layer_of(position)
+        for layer in range(3):
             for t in (1, 4, 12):
-                prod = brute_force_cumulative(t, table, position=position)
-                a, b, g = table.segment(0, t, layer)
+                prod = brute_force_cumulative(t, table, layer=layer)
+                a, b, g = (c[layer] for c in table.segment(0, t))
                 col = np.full(6, b)
                 col[2] += a
                 col[5] = g
