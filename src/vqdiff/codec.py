@@ -25,7 +25,17 @@ from .tokens import TokenGrid, atomic_write_text
 
 KINDS = ("VQ", "RVQ", "GVQ", "GRVQ")
 
-_CHUNK = 4096  # frames per distance-matrix block
+# Float64 entries of working array per block of frames (1 MiB): the
+# distance block of `_nearest` (rows x Kp) or the frame differences of
+# `_kmeanspp_init` (rows x dims), together with the frames they are
+# computed from, then stay in a core's L2 cache (2 MiB on the x86_64
+# machine measured) across the several passes over them, where whole-array
+# temporaries go out to memory on every pass.
+_CHUNK = 1 << 17
+
+
+def _block_rows(width: int) -> int:
+    return max(1, _CHUNK // width)
 
 
 @dataclass
@@ -94,10 +104,14 @@ def _nearest(X: np.ndarray, book: np.ndarray) -> np.ndarray:
     """Index of the closest code per frame; ties go to the lowest index."""
     out = np.empty(len(X), dtype=np.int64)
     c2 = (book**2).sum(axis=1)
-    for lo in range(0, len(X), _CHUNK):
-        block = X[lo : lo + _CHUNK]
-        d2 = (block**2).sum(axis=1)[:, None] - 2.0 * block @ book.T + c2[None, :]
-        out[lo : lo + _CHUNK] = np.argmin(d2, axis=1)
+    rows = _block_rows(len(book))
+    for lo in range(0, len(X), rows):
+        block = X[lo : lo + rows]
+        # (|x|^2 - 2 x.c) + |c|^2, in this order, in one buffer
+        d2 = (2.0 * block) @ book.T
+        np.subtract((block**2).sum(axis=1)[:, None], d2, out=d2)
+        d2 += c2
+        np.argmin(d2, axis=1, out=out[lo : lo + rows])
     return out
 
 
@@ -163,22 +177,44 @@ class FitConfig:
 
 
 def _check_distinct(X: np.ndarray, k: int) -> None:
-    if len(np.unique(X, axis=0)) < k:
+    distinct = len(np.unique(X, axis=0))
+    if distinct < k:
         raise FittingError(
-            f"need at least {k} distinct frames to fit {k} codes, "
-            f"got {len(np.unique(X, axis=0))}"
+            f"need at least {k} distinct frames to fit {k} codes, got {distinct}"
         )
 
 
 def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = len(X)
-    centroids = np.empty((k, X.shape[1]))
+    """k-means++ seeding; the same centroids and generator draws as picking
+    each next centroid with ``rng.choice(n, p=d2 / d2.sum())``."""
+    n, dims = X.shape
+    centroids = np.empty((k, dims))
     centroids[0] = X[rng.integers(n)]
-    d2 = ((X - centroids[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        probs = d2 / d2.sum()
-        centroids[j] = X[rng.choice(n, p=probs)]
-        d2 = np.minimum(d2, ((X - centroids[j]) ** 2).sum(axis=1))
+    d2 = np.full(n, np.inf)
+    rows = _block_rows(dims)
+    diff = np.empty((min(rows, n), dims))
+    row_d2 = np.empty(len(diff))
+    for j in range(k):
+        if j:
+            total = d2.sum()
+            if not 0.0 < total < np.inf:
+                raise FittingError(
+                    f"k-means++ seeding: squared distances sum to {total}, "
+                    "so the features overflow (or underflow) float64 distances"
+                )
+            # Generator.choice's own arithmetic for one weighted draw
+            cdf = np.cumsum(d2 / total)
+            cdf /= cdf[-1]
+            centroids[j] = X[cdf.searchsorted(rng.random(), side="right")]
+        # d2 = min(d2, |x - c_j|^2), a block of frames at a time; an
+        # overflow to inf is caught by the check on the sum above
+        with np.errstate(over="ignore"):
+            for lo in range(0, n, rows):
+                m = min(rows, n - lo)
+                np.subtract(X[lo : lo + m], centroids[j], out=diff[:m])
+                np.multiply(diff[:m], diff[:m], out=diff[:m])
+                diff[:m].sum(axis=1, out=row_d2[:m])
+                np.minimum(d2[lo : lo + m], row_d2[:m], out=d2[lo : lo + m])
     return centroids
 
 
@@ -190,13 +226,18 @@ def _lloyd_step(X: np.ndarray, centroids: np.ndarray):
     index.
     """
     labels = _nearest(X, centroids)
-    diffs = X - centroids[labels]
-    point_d2 = (diffs**2).sum(axis=1)
+    diffs = centroids[labels]
+    np.subtract(X, diffs, out=diffs)
+    np.multiply(diffs, diffs, out=diffs)
+    point_d2 = diffs.sum(axis=1)
     inertia = float(point_d2.sum())
     k = len(centroids)
     new = np.zeros_like(centroids)
     counts = np.bincount(labels, minlength=k)
-    np.add.at(new, labels, X)
+    # per column, adds each cluster's frames in frame order from 0.0, as
+    # np.add.at(new, labels, X) does
+    for c in range(X.shape[1]):
+        new[:, c] = np.bincount(labels, weights=X[:, c], minlength=k)
     nonempty = counts > 0
     new[nonempty] /= counts[nonempty][:, None]
     empty = np.nonzero(~nonempty)[0]
@@ -330,15 +371,38 @@ def save_codec(path, model: CodecModel) -> None:
     atomic_write_text(path, json.dumps(model_to_json_dict(model)))
 
 
+def _field(payload: dict, name: str, convert):
+    if name not in payload:
+        raise ValueError(f"codec file has no {name!r} field")
+    try:
+        return convert(payload[name])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"codec field {name!r} is malformed: {exc}") from None
+
+
+def _as_books(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of matrices, got {type(value).__name__}")
+    books = []
+    for b, book in enumerate(value):
+        try:
+            books.append(np.asarray(book, dtype=float))
+        except (TypeError, ValueError):
+            raise ValueError(f"entry {b} is not a numeric matrix") from None
+    return books
+
+
 def load_codec(path) -> CodecModel:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("a codec file must hold a JSON object")
     return CodecModel(
-        kind=payload["kind"],
-        G=int(payload["G"]),
-        R=int(payload["R"]),
-        Kp=int(payload["Kp"]),
-        codebooks=[np.asarray(b, dtype=float) for b in payload["codebooks"]],
+        kind=_field(payload, "kind", str),
+        G=_field(payload, "G", int),
+        R=_field(payload, "R", int),
+        Kp=_field(payload, "Kp", int),
+        codebooks=_field(payload, "codebooks", _as_books),
     )
 
 

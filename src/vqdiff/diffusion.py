@@ -150,8 +150,14 @@ def cfg_combine(log_p_cond, log_p_uncond, guidance_scale: float, mode: str = "lo
         p = np.clip(p, 0.0, None)
         return p / p.sum(axis=-1, keepdims=True)
 
-    with np.errstate(invalid="ignore"):
-        g = (1.0 + lam) * lp_c - lam * lp_u
+    # a term whose coefficient is exactly 0 is dropped: 0 * -inf is NaN
+    if lam == 0:
+        g = lp_c.copy()
+    elif lam == -1:
+        g = lp_u.copy()
+    else:
+        with np.errstate(invalid="ignore"):
+            g = (1.0 + lam) * lp_c - lam * lp_u
     # both components zero: zero mass in the limit, not NaN
     g[np.isneginf(lp_c) & np.isneginf(lp_u)] = -np.inf
     # conditional mass where the unconditional model has none: that row's

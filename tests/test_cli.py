@@ -304,6 +304,50 @@ class TestCodecCommands:
         assert not out.exists()
 
 
+    def test_fit_overflow_is_exit_one(self, capsys, tmp_path):
+        feats = tmp_path / "huge.csv"
+        write_csv(feats, np.random.default_rng(0).normal(size=(50, 2)) * 1e200)
+        out = tmp_path / "codec.json"
+        code, _, err = invoke(
+            capsys, "codec", "fit", "--features", str(feats),
+            "--kind", "VQ", "--Kp", "4", "--iters", "5", "--seed", "0",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "overflow" in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["missing-Kp", "list", "ragged"])
+    def test_bad_codec_file_names_the_field(self, toy_setup, capsys, tmp_path, bad):
+        codec = tmp_path / "codec.json"
+        invoke(
+            capsys, "codec", "fit", "--features", str(toy_setup["feats"]),
+            "--kind", "VQ", "--Kp", "4", "--iters", "10", "--seed", "0",
+            "--out", str(codec),
+        )
+        payload = json.loads(codec.read_text())
+        if bad == "missing-Kp":
+            del payload["Kp"]
+            field = "'Kp'"
+        elif bad == "list":
+            payload = [payload]
+            field = "JSON object"
+        else:
+            payload["codebooks"][0][1] = [1.0]
+            field = "'codebooks'"
+        codec.write_text(json.dumps(payload))
+        out = tmp_path / "tok.json"
+        code, _, err = invoke(
+            capsys, "codec", "encode", "--features", str(toy_setup["feats"]),
+            "--codec", str(codec), "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error:") and field in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestMetricsCommands:
     def test_mcd_and_ssim(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,13 +1,17 @@
 """Quantizer behaviour: nearest-code selection, residual chains, grouped
 splits, Lloyd fitting, and file round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
 from vqdiff.codec import (
     CodecModel,
     FitConfig,
+    _kmeanspp_init,
     _lloyd_step,
+    _nearest,
     dequantize,
     fit_codebooks,
     load_codec,
@@ -19,6 +23,74 @@ from vqdiff.codec import (
 )
 from vqdiff.errors import FittingError
 from vqdiff.tokens import TokenGrid
+
+
+# The straightforward implementations the fast path replaced.  The fast
+# path must reproduce them bit for bit: same labels, centroids, inertia
+# and generator draws.
+
+
+def nearest_reference(X, book, chunk=4096):
+    out = np.empty(len(X), dtype=np.int64)
+    c2 = (book**2).sum(axis=1)
+    for lo in range(0, len(X), chunk):
+        block = X[lo : lo + chunk]
+        d2 = (block**2).sum(axis=1)[:, None] - 2.0 * block @ book.T + c2[None, :]
+        out[lo : lo + chunk] = np.argmin(d2, axis=1)
+    return out
+
+
+def lloyd_step_reference(X, centroids):
+    labels = nearest_reference(X, centroids)
+    point_d2 = ((X - centroids[labels]) ** 2).sum(axis=1)
+    k = len(centroids)
+    new = np.zeros_like(centroids)
+    counts = np.bincount(labels, minlength=k)
+    np.add.at(new, labels, X)
+    nonempty = counts > 0
+    new[nonempty] /= counts[nonempty][:, None]
+    empty = np.nonzero(~nonempty)[0]
+    if empty.size:
+        order = np.argsort(-point_d2, kind="stable")
+        new[empty] = X[order[: empty.size]]
+    return new, float(point_d2.sum())
+
+
+def kmeanspp_reference(X, k, rng):
+    n = len(X)
+    centroids = np.empty((k, X.shape[1]))
+    centroids[0] = X[rng.integers(n)]
+    d2 = ((X - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        centroids[j] = X[rng.choice(n, p=d2 / d2.sum())]
+        d2 = np.minimum(d2, ((X - centroids[j]) ** 2).sum(axis=1))
+    return centroids
+
+
+def near_tie_frames(book, n, rng):
+    """Midpoints between codes and their nearest neighbours: exact ties in
+    real arithmetic, so the label follows the rounding of the distance
+    expansion, which changes with its operation order."""
+    gaps = ((book[:, None, :] - book[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(gaps, np.inf)
+    i = rng.integers(len(book), size=n)
+    return 0.5 * (book[i] + book[gaps.argmin(axis=1)[i]])
+
+
+class FixedDraws(np.random.Generator):
+    """A generator whose ``integers`` returns 0 and whose ``random`` returns
+    preset values; ``choice`` draws through ``random`` as well."""
+
+    def __init__(self, uniforms):
+        super().__init__(np.random.PCG64(0))
+        self.uniforms = list(uniforms)
+
+    def integers(self, *args, **kwargs):
+        return 0
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        u = self.uniforms.pop(0)
+        return u if size is None else np.full(size, u)
 
 
 def vq_model(codes):
@@ -309,6 +381,139 @@ class TestLloydStep:
         new, inertia = _lloyd_step(X, centroids)
         np.testing.assert_array_equal(new, [[2.5], [10.0]])
         assert inertia == pytest.approx(100.0)
+
+
+class TestFastPathOracles:
+    @pytest.mark.parametrize("n", [300, 1024, 2500])
+    def test_nearest_exact_ties_match_brute_force(self, n):
+        # integer coordinates make every distance exact, so the expansion
+        # and the broadcast difference agree and ties are real ties
+        rng = np.random.default_rng(n)
+        book = rng.integers(-3, 4, size=(256, 4)).astype(float)
+        book[128:] = book[:128]  # duplicate codes: the lower index wins
+        X = rng.integers(-4, 5, size=(n, 4)).astype(float)
+        brute = np.argmin(((X[:, None, :] - book[None, :, :]) ** 2).sum(axis=2), axis=1)
+        got = _nearest(X, book)
+        np.testing.assert_array_equal(got, brute)
+        assert got.max() < 128
+
+    def test_nearest_non_contiguous_group_slice(self):
+        rng = np.random.default_rng(41)
+        full = rng.integers(-4, 5, size=(2500, 12)).astype(float)
+        cols = full[:, 4:8]  # a GVQ group: a strided view
+        assert not cols.flags.c_contiguous
+        book = rng.integers(-3, 4, size=(256, 4)).astype(float)
+        brute = np.argmin(((cols[:, None, :] - book[None, :, :]) ** 2).sum(axis=2), axis=1)
+        np.testing.assert_array_equal(_nearest(cols, book), brute)
+
+    @pytest.mark.parametrize("n", [300, 2500])
+    def test_nearest_reproduces_reference_rounding(self, n):
+        rng = np.random.default_rng(42)
+        book = rng.normal(size=(256, 8))
+        X = near_tie_frames(book, n, rng)
+        ref = nearest_reference(X, book)
+        np.testing.assert_array_equal(_nearest(X, book), ref)
+        # the same frames as a GVQ column slice
+        wide = np.hstack([rng.normal(size=(n, 3)), X, rng.normal(size=(n, 2))])
+        np.testing.assert_array_equal(_nearest(wide[:, 3:11], book), ref)
+
+    def test_lloyd_step_matches_add_at_reference(self):
+        rng = np.random.default_rng(43)
+        X = rng.normal(size=(3000, 6)) * 4.0
+        centroids = kmeanspp_reference(X, 64, np.random.default_rng(1))
+        for _ in range(3):
+            new, inertia = _lloyd_step(X, centroids)
+            ref_new, ref_inertia = lloyd_step_reference(X, centroids)
+            np.testing.assert_array_equal(new, ref_new)
+            assert inertia == ref_inertia
+            centroids = new
+
+    def test_lloyd_step_empty_clusters_match_reference(self):
+        rng = np.random.default_rng(44)
+        X = rng.normal(size=(500, 3))
+        centroids = np.vstack([X[:20], 1e3 + rng.normal(size=(5, 3))])
+        new, inertia = _lloyd_step(X, centroids)
+        ref_new, ref_inertia = lloyd_step_reference(X, centroids)
+        assert not np.isin(np.arange(20, 25), _nearest(X, centroids)).any()
+        np.testing.assert_array_equal(new, ref_new)
+        assert inertia == ref_inertia
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_kmeanspp_matches_choice_reference(self, seed):
+        data = np.random.default_rng(45)
+        X = np.repeat(data.normal(size=(300, 5)), 3, axis=0)  # zero-mass repeats
+        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _kmeanspp_init(X, 40, rng_new)
+        np.testing.assert_array_equal(got, kmeanspp_reference(X, 40, rng_ref))
+        # both consumed the same stream
+        assert rng_new.random() == rng_ref.random()
+
+    def test_kmeanspp_draw_skips_zero_mass_frames(self):
+        # centroid 0 is frame 0, so d2 = [0, 0, 1, 4] and the CDF is
+        # [0, 0, .2, 1]: a uniform equal to a CDF value goes past it
+        X = np.array([[0.0], [0.0], [1.0], [2.0]])
+        for u, want in ((0.0, 1.0), (0.2, 2.0)):
+            got = _kmeanspp_init(X, 2, FixedDraws([u]))
+            ref = kmeanspp_reference(X, 2, FixedDraws([u]))
+            assert got[1, 0] == ref[1, 0] == want
+
+
+class TestOverflowGuard:
+    def test_huge_features_raise_naming_overflow(self):
+        X = np.random.default_rng(0).normal(size=(50, 2)) * 1e200
+        for kind, R in (("VQ", 1), ("RVQ", 2)):
+            with pytest.raises(FittingError, match="overflow"):
+                fit_codebooks(X, FitConfig(kind=kind, Kp=4, R=R, iters=5, seed=0))
+
+
+class TestLoadCodecSchema:
+    def write(self, tmp_path, payload):
+        path = tmp_path / "codec.json"
+        path.write_text(json.dumps(payload))
+        return path
+
+    def good_payload(self):
+        return {"kind": "RVQ", "G": 1, "R": 2, "Kp": 2,
+                "codebooks": [[[0.0, 1.0], [1.0, 0.0]], [[0.5, 0.5], [0.0, 0.0]]]}
+
+    def test_good_payload_loads(self, tmp_path):
+        model = load_codec(self.write(tmp_path, self.good_payload()))
+        assert model.N_q == 2 and model.dp == 2
+
+    @pytest.mark.parametrize("name", ["kind", "G", "R", "Kp", "codebooks"])
+    def test_missing_field_named(self, tmp_path, name):
+        payload = self.good_payload()
+        del payload[name]
+        with pytest.raises(ValueError, match=f"no '{name}' field"):
+            load_codec(self.write(tmp_path, payload))
+
+    def test_non_object_payload(self, tmp_path):
+        with pytest.raises(ValueError, match="JSON object"):
+            load_codec(self.write(tmp_path, [self.good_payload()]))
+
+    def test_ragged_codebook_entry(self, tmp_path):
+        payload = self.good_payload()
+        payload["codebooks"][1] = [[0.5, 0.5], [0.0]]
+        with pytest.raises(ValueError, match="'codebooks'.*entry 1"):
+            load_codec(self.write(tmp_path, payload))
+
+    def test_non_numeric_codebook_entry(self, tmp_path):
+        payload = self.good_payload()
+        payload["codebooks"][0] = [["a", "b"], [1.0, 0.0]]
+        with pytest.raises(ValueError, match="'codebooks'.*entry 0"):
+            load_codec(self.write(tmp_path, payload))
+
+    def test_codebooks_not_a_list(self, tmp_path):
+        payload = self.good_payload()
+        payload["codebooks"] = 3
+        with pytest.raises(ValueError, match="'codebooks'"):
+            load_codec(self.write(tmp_path, payload))
+
+    def test_non_integer_size_named(self, tmp_path):
+        payload = self.good_payload()
+        payload["Kp"] = "many"
+        with pytest.raises(ValueError, match="'Kp'"):
+            load_codec(self.write(tmp_path, payload))
 
 
 class TestModelValidation:

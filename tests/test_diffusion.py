@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import chisquare
 
 from vqdiff import (
@@ -435,6 +436,43 @@ class TestCfgCombine:
         with np.errstate(divide="ignore"):
             got = cfg_combine(np.log([1.0, 0.0]), np.log([0.5, 0.5]), 1.0)
         np.testing.assert_allclose(got, [1.0, 0.0], atol=1e-15)
+
+    def test_zero_coefficient_term_dropped(self):
+        # 0 * log(0) would make every entry NaN
+        with np.errstate(divide="ignore"):
+            half, one_hot = np.log([0.5, 0.5]), np.log([1.0, 0.0])
+        np.testing.assert_array_equal(cfg_combine(half, one_hot, 0.0), [0.5, 0.5])
+        np.testing.assert_array_equal(cfg_combine(one_hot, half, -1.0), [0.5, 0.5])
+        np.testing.assert_array_equal(cfg_combine(one_hot, half, 0.0), [1.0, 0.0])
+        np.testing.assert_array_equal(cfg_combine(half, one_hot, -1.0), [1.0, 0.0])
+
+    def test_other_lambdas_unchanged(self):
+        def full_formula(lp_c, lp_u, lam):
+            with np.errstate(invalid="ignore"):
+                g = (1.0 + lam) * lp_c - lam * lp_u
+            g[np.isneginf(lp_c) & np.isneginf(lp_u)] = -np.inf
+            pos_inf = np.isposinf(g)
+            degenerate = pos_inf.any(axis=-1, keepdims=True)
+            g = np.where(degenerate, np.where(pos_inf, 0.0, -np.inf), g)
+            return np.exp(g - logsumexp(g, axis=-1, keepdims=True))
+
+        rng = np.random.default_rng(5)
+        p_c, p_u = rng.dirichlet(np.ones(6), size=(2, 4, 3))
+        p_c[0, 0, :2] = 0.0
+        p_u[1, 1, 1:3] = 0.0
+        p_c[2, 2, 4] = p_u[2, 2, 4] = 0.0
+        with np.errstate(divide="ignore"):
+            lp_c = np.log(p_c / p_c.sum(-1, keepdims=True))
+            lp_u = np.log(p_u / p_u.sum(-1, keepdims=True))
+        for lam in (-0.999, -0.5, 1e-9, 0.25, 1.0, 3.0, 7.5):
+            np.testing.assert_array_equal(
+                cfg_combine(lp_c, lp_u, lam), full_formula(lp_c, lp_u, lam)
+            )
+        # the unaffected zero-coefficient cases: inputs without zeros
+        for lam in (0.0, -1.0):
+            np.testing.assert_array_equal(
+                cfg_combine(lp_c[3], lp_u[3], lam), full_formula(lp_c[3], lp_u[3], lam)
+            )
 
     def test_lambda_below_minus_one_rejected(self):
         with pytest.raises(ValueError):
