@@ -13,7 +13,6 @@ result does not depend on how chains would be scheduled.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -572,7 +571,7 @@ def run(argv=None) -> int:
         return int(code) if code is not None else 0
     try:
         return args.func(args)
-    except (VqdiffError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (VqdiffError, ValueError, OSError) as exc:  # JSON decode errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FittingError
-from .tokens import TokenGrid, atomic_write_text
+from .tokens import TokenGrid, _field, _load_object, atomic_write_text
 
 KINDS = ("VQ", "RVQ", "GVQ", "GRVQ")
 
@@ -371,15 +371,6 @@ def save_codec(path, model: CodecModel) -> None:
     atomic_write_text(path, json.dumps(model_to_json_dict(model)))
 
 
-def _field(payload: dict, name: str, convert):
-    if name not in payload:
-        raise ValueError(f"codec file has no {name!r} field")
-    try:
-        return convert(payload[name])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"codec field {name!r} is malformed: {exc}") from None
-
-
 def _as_books(value) -> list:
     if not isinstance(value, list):
         raise TypeError(f"expected a list of matrices, got {type(value).__name__}")
@@ -393,16 +384,13 @@ def _as_books(value) -> list:
 
 
 def load_codec(path) -> CodecModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError("a codec file must hold a JSON object")
+    payload = _load_object(path, "codec")
     return CodecModel(
-        kind=_field(payload, "kind", str),
-        G=_field(payload, "G", int),
-        R=_field(payload, "R", int),
-        Kp=_field(payload, "Kp", int),
-        codebooks=_field(payload, "codebooks", _as_books),
+        kind=_field(payload, "kind", str, "codec"),
+        G=_field(payload, "G", int, "codec"),
+        R=_field(payload, "R", int, "codec"),
+        Kp=_field(payload, "Kp", int, "codec"),
+        codebooks=_field(payload, "codebooks", _as_books, "codec"),
     )
 
 

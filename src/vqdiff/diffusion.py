@@ -22,10 +22,9 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ContractError, InconsistencyError, SizeGuardError
-from .tokens import TokenGrid, atomic_write_text
+from .tokens import TokenGrid, _field, _integer, _integers, _layout, _load_object, atomic_write_text
 
 NULL_COND = None
 
@@ -47,17 +46,44 @@ def _check_grid_table(grid: TokenGrid, table) -> None:
         )
 
 
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, keeping that axis (length 1).
+
+    The arithmetic of ``scipy.special.logsumexp`` on real input, without its
+    dispatch: every entry equal to the maximum is taken out of the shifted
+    sum and counted, log1p(s/m) + log(m) + max, and the direct log(sum(exp))
+    wherever that is not finite (all -inf, +inf or NaN).  The results are
+    those of SciPy 1.17 bit for bit, so the sampler's bits no longer depend
+    on the installed SciPy version; ``transitions.py`` and ``auxiliary.py``
+    still use SciPy.
+    """
+    a_max = a.max(axis=-1, keepdims=True)
+    at_max = a == a_max
+    m = at_max.sum(axis=-1, keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=-1, keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + a_max  # s = 0 stays 0: m >= 1 unless max is NaN
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out = np.where(bad, np.log(np.exp(a).sum(axis=-1, keepdims=True)), out)
+    return out
+
+
 def _rows(coeffs, n_rows: int) -> tuple[np.ndarray, ...]:
-    """Shared or per-layer coefficients as one (n_rows,) array each, by grid row."""
+    """Shared or per-layer coefficients as one read-only (n_rows,) array each, by grid row."""
     out = np.empty((len(coeffs), n_rows))
     for row, c in zip(out, coeffs):
         row[:] = c  # a scalar or one value per layer, broadcast over the rows
+    out.flags.writeable = False
     return tuple(out)
 
 
 def _cum_rows(table, t: int, n_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cumulative coefficients per grid row, shape (n_rows,) each."""
-    return _rows((table.alpha_bar[t], table.beta_bar[t], table.gamma_bar[t]), n_rows)
+    """Cumulative coefficients per grid row, shape (n_rows,) each, cached on the table."""
+    return table.cached(
+        ("cum_rows", t, n_rows),
+        lambda: _rows((table.alpha_bar[t], table.beta_bar[t], table.gamma_bar[t]), n_rows),
+    )
 
 
 def corrupt(x0: TokenGrid, t: int, table, rng: np.random.Generator) -> TokenGrid:
@@ -109,13 +135,18 @@ def _validated_predict(denoiser, x_t: TokenGrid, t: int, cond) -> np.ndarray:
     expected = (x_t.N_q, x_t.L, x_t.K)
     if p0.shape != expected:
         raise ContractError(f"denoiser returned shape {p0.shape}, expected {expected}")
-    if not np.all(np.isfinite(p0)):
+    lo, hi = p0.min(), p0.max()  # NaN reaches both, -inf the first, +inf the second
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ContractError("denoiser returned non-finite probabilities")
-    if np.any(p0 < -_PREDICT_ATOL):
+    if lo < -_PREDICT_ATOL:
         raise ContractError("denoiser returned negative probabilities")
     sums = p0.sum(axis=-1)
     if np.max(np.abs(sums - 1.0)) > _PREDICT_ATOL:
         raise ContractError("denoiser distributions do not sum to 1")
+    if p0.flags.c_contiguous and (lo > 0 or not np.signbit(p0).any()):
+        # clipping at +0.0 changes nothing (it would turn -0.0 into +0.0), so
+        # these are the sums of the clipped rows, taken in the same order
+        return p0 / sums[..., None]
     p0 = np.clip(p0, 0.0, None)
     return p0 / p0.sum(axis=-1, keepdims=True)
 
@@ -137,13 +168,12 @@ def cfg_combine(log_p_cond, log_p_uncond, guidance_scale: float, mode: str = "lo
     lp_u = np.asarray(log_p_uncond, dtype=float)
     if lp_c.shape != lp_u.shape:
         raise ValueError("log_p_cond and log_p_uncond must have the same shape")
-    for name, lp in (("log_p_cond", lp_c), ("log_p_uncond", lp_u)):
-        # a normalized row has no entry above ~0, so exp cannot overflow;
-        # NaN, overflow and zero mass all fail the comparison
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            norm = np.log(np.exp(lp).sum(axis=-1))
-        if not np.all(np.abs(norm) <= 1e-6):
-            raise ValueError(f"{name} is not a normalized log-distribution")
+    # a normalized row has no entry above ~0, so exp cannot overflow;
+    # NaN, overflow and zero mass all fail the comparison
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for name, lp in (("log_p_cond", lp_c), ("log_p_uncond", lp_u)):
+            if not np.all(np.abs(np.log(np.exp(lp).sum(axis=-1))) <= 1e-6):
+                raise ValueError(f"{name} is not a normalized log-distribution")
 
     if mode == "prob":
         p = (1.0 + lam) * np.exp(lp_c) - lam * np.exp(lp_u)
@@ -158,14 +188,17 @@ def cfg_combine(log_p_cond, log_p_uncond, guidance_scale: float, mode: str = "lo
     else:
         with np.errstate(invalid="ignore"):
             g = (1.0 + lam) * lp_c - lam * lp_u
-    # both components zero: zero mass in the limit, not NaN
-    g[np.isneginf(lp_c) & np.isneginf(lp_u)] = -np.inf
-    # conditional mass where the unconditional model has none: that row's
-    # sharpened distribution degenerates uniformly onto those states
-    pos_inf = np.isposinf(g)
-    degenerate = pos_inf.any(axis=-1, keepdims=True)
-    g = np.where(degenerate, np.where(pos_inf, 0.0, -np.inf), g)
-    return np.exp(g - logsumexp(g, axis=-1, keepdims=True))
+    # the fix-ups act only on infinite or NaN logits (a zero on both sides
+    # gives one of those), so finite logits skip them
+    if not np.isfinite(g).all():
+        # both components zero: zero mass in the limit, not NaN
+        g[np.isneginf(lp_c) & np.isneginf(lp_u)] = -np.inf
+        # conditional mass where the unconditional model has none: that row's
+        # sharpened distribution degenerates uniformly onto those states
+        pos_inf = np.isposinf(g)
+        degenerate = pos_inf.any(axis=-1, keepdims=True)
+        g = np.where(degenerate, np.where(pos_inf, 0.0, -np.inf), g)
+    return np.exp(g - _logsumexp(g))
 
 
 def _predict_guided(denoiser, x_t, t, cond, guidance_scale, guidance_mode):
@@ -194,9 +227,15 @@ class _KernelRows:
 
 
 def _kernel_rows(table, t: int, t_prev: int, n_rows: int) -> _KernelRows:
-    ab, bb, gb = table.alpha_bar, table.beta_bar, table.gamma_bar
-    coeffs = (ab[t], bb[t], gb[t], ab[t_prev], bb[t_prev], gb[t_prev], *table.segment(t_prev, t))
-    return _KernelRows(t, *_rows(coeffs, n_rows))
+    """The read-only coefficients of step t -> t_prev, built once per table."""
+
+    def build():
+        ab, bb, gb = table.alpha_bar, table.beta_bar, table.gamma_bar
+        seg = table.segment(t_prev, t)
+        coeffs = (ab[t], bb[t], gb[t], ab[t_prev], bb[t_prev], gb[t_prev], *seg)
+        return _KernelRows(t, *_rows(coeffs, n_rows))
+
+    return table.cached(("kernel_rows", t, t_prev, n_rows), build)
 
 
 class _StepKernel:
@@ -426,6 +465,31 @@ def _kl_grids(post: np.ndarray, model: np.ndarray) -> float:
     return float(np.sum(post[support] * np.log(ratio[support])))
 
 
+def _prior_kl(x0: TokenGrid, table) -> float:
+    """KL(q(x_T | x0) || p(x_T)) summed over positions, exactly.
+
+    Each position's KL is summed over its support in token order, and the
+    positions are added up one by one in grid order.
+    """
+    K = x0.K
+    N_q, L = x0.data.shape
+    ab, bb, gb = _cum_rows(table, table.T, N_q)
+    prior_rows = _stationary_rows(table, N_q, K)
+    q = np.repeat(np.repeat(bb[:, None, None], L, axis=1), K + 1, axis=2)
+    rows, cols = np.indices((N_q, L))
+    q[rows, cols, x0.data] += ab[:, None]
+    q[..., K] = gb[:, None]
+    support = q > 0
+    total = 0.0
+    for r in range(N_q):
+        # the support has one size at every position of a row
+        qs = q[r][support[r]].reshape(L, -1)
+        ps = np.broadcast_to(prior_rows[r], (L, K + 1))[support[r]].reshape(qs.shape)
+        for term in np.sum(qs * np.log(qs / ps), axis=1).tolist():
+            total += term
+    return total
+
+
 def vlb_loss(
     denoiser: Denoiser,
     x0: TokenGrid,
@@ -451,25 +515,15 @@ def vlb_loss(
     T = table.T
     K = x0.K
 
-    # prior term, exact
-    ab, bb, gb = _cum_rows(table, T, x0.N_q)
-    prior_rows = _stationary_rows(table, x0.N_q, K)
-    prior = 0.0
-    for r in range(x0.N_q):
-        for token in x0.data[r]:
-            q = np.full(K + 1, bb[r])
-            q[token] += ab[r]
-            q[K] = gb[r]
-            support = q > 0
-            prior += float(np.sum(q[support] * np.log(q[support] / prior_rows[r][support])))
-
+    prior = _prior_kl(x0, table)
     terms = []
     for _ in range(num_t_samples):
         t = int(rng.integers(1, T + 1))
         x_t = corrupt(x0, t, table, rng)
         p0 = _validated_predict(denoiser, x_t, t, cond)
-        model = _reverse_step_dists(x_t, t, p0, table, t - 1)
-        post = _reverse_step_dists(x_t, t, _onehot_p0(x0.data, K), table, t - 1)
+        kernel = _StepKernel(x_t.data, K, _kernel_rows(table, t, t - 1, x0.N_q))
+        model = kernel.mix(p0)
+        post = kernel.mix(_onehot_p0(x0.data, K))
         kl = _kl_grids(post, model)
         if kl == float("inf"):
             return float("inf")
@@ -529,7 +583,7 @@ class BayesOracleDenoiser(Denoiser):
         per_pos = np.where(match, log_keep[None], log_uni[None])
         per_pos = np.where(is_mask[None], log_mask[None], per_pos)
         loglik = per_pos.sum(axis=(1, 2)) + self._log_probs  # (S,)
-        total = logsumexp(loglik)
+        total = _logsumexp(loglik)[0]
         if np.isneginf(total):
             raise InconsistencyError(
                 "observed grid has zero probability under the oracle's support"
@@ -591,6 +645,8 @@ class TabularDenoiser(Denoiser):
         self.layout = layout
         self.cond_labels = sorted(int(c) for c in cond_labels)
         self._cond_index = {c: i + 1 for i, c in enumerate(self.cond_labels)}
+        self._positions = np.indices(self.grid_shape)
+        self._positions.flags.writeable = False
         shape = (
             len(self.cond_labels) + 1,
             self.T + 1,
@@ -608,7 +664,13 @@ class TabularDenoiser(Denoiser):
         if weights is None:
             self.weights = np.zeros(shape)
         else:
-            self.weights = np.asarray(weights, dtype=float).reshape(shape)
+            weights = np.asarray(weights, dtype=float)
+            if weights.size != math.prod(shape):
+                raise ValueError(
+                    f"weights hold {weights.size} values; the stored shape {shape} "
+                    f"needs {math.prod(shape)}"
+                )
+            self.weights = weights.reshape(shape)
 
     def _cond_row(self, cond) -> int:
         if cond is None:
@@ -619,7 +681,7 @@ class TabularDenoiser(Denoiser):
         return self._cond_index[cond]
 
     def _probs_for(self, data: np.ndarray, t: int, cond) -> np.ndarray:
-        iq, il = np.indices(self.grid_shape)
+        iq, il = self._positions
         w = self.weights[self._cond_row(cond), t, iq, il, data]  # (N_q, L, K)
         w = w - w.max(axis=-1, keepdims=True)
         e = np.exp(w)
@@ -649,18 +711,31 @@ def save_denoiser(path, denoiser: TabularDenoiser) -> None:
     atomic_write_text(path, json.dumps(denoiser.to_json_dict()))
 
 
+def _flat_weights(value) -> np.ndarray:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of numbers, got {type(value).__name__}")
+    weights = np.asarray(value, dtype=float)
+    if weights.ndim != 1:
+        raise ValueError("expected a flat list of numbers")
+    return weights
+
+
 def load_denoiser(path) -> TabularDenoiser:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("kind") != "tabular":
-        raise ValueError(f"unsupported denoiser kind {payload.get('kind')!r}")
+    payload = _load_object(path, "denoiser")
+    kind = _field(payload, "kind", str, "denoiser")
+    if kind != "tabular":
+        raise ValueError(f"unsupported denoiser kind {kind!r}")
+    fields = {name: _field(payload, name, _integer, "denoiser") for name in ("K", "N_q", "L", "T")}
+    for name, low in (("K", 2), ("N_q", 1), ("L", 1), ("T", 1)):
+        if fields[name] < low:
+            raise ValueError(f"denoiser field {name!r} must be >= {low}, got {fields[name]}")
     return TabularDenoiser(
-        K=payload["K"],
-        grid_shape=(payload["N_q"], payload["L"]),
-        T=payload["T"],
-        cond_labels=payload["cond_labels"],
-        layout=payload.get("layout", "concatenated"),
-        weights=payload["weights"],
+        K=fields["K"],
+        grid_shape=(fields["N_q"], fields["L"]),
+        T=fields["T"],
+        cond_labels=_field(payload, "cond_labels", _integers, "denoiser"),
+        layout=_field(payload, "layout", _layout, "denoiser", default="concatenated"),
+        weights=_field(payload, "weights", _flat_weights, "denoiser"),
     )
 
 
@@ -730,7 +805,7 @@ def train_denoiser(
     trace: list[float] = []
     n = len(pairs)
     kernels = [None] + [_kernel_rows(table, t, t - 1, first.N_q) for t in range(1, table.T + 1)]
-    rows, cols = np.indices((first.N_q, first.L))
+    rows, cols = den._positions
     for _ in range(config.epochs):
         order = rng.permutation(n) if config.shuffle else np.arange(n)
         epoch_losses = []

@@ -22,15 +22,14 @@ of the step taking ``t-1`` to ``t``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ScheduleError
+from .tokens import LAYOUTS, _field, atomic_write_text
 
 SIMPLEX_ATOL = 1e-12
-
-LAYOUTS = ("concatenated", "interleaved")
 
 _ARRAYS = ("alpha_bar", "beta_bar", "gamma_bar", "alpha", "beta", "gamma")
 
@@ -110,7 +109,8 @@ class ScheduleTable:
     the identity, except for the ``improved`` kind); ``alpha``, ``beta``,
     ``gamma`` are stepwise with index 0 unused (identity placeholder).
     ``layout`` and ``L`` are carried for the file format; no computed number
-    depends on them.
+    depends on them.  ``cached`` keeps values derived from the table alone,
+    such as reverse-kernel coefficients, with this instance.
     """
 
     T: int
@@ -124,6 +124,7 @@ class ScheduleTable:
     kind: str = "custom"
     layout: str = "concatenated"
     L: int = 0
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in _ARRAYS:
@@ -133,6 +134,17 @@ class ScheduleTable:
     @property
     def mask_id(self) -> int:
         return self.K
+
+    def cached(self, key, build):
+        """``build()``, computed on the first call with ``key`` and kept.
+
+        The table is immutable, so anything computed from it alone stays
+        valid; callers store read-only arrays.
+        """
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build()
+        return value
 
     @property
     def n_layers(self) -> int:
@@ -332,37 +344,32 @@ def stepwise_from_cumulative(table: ScheduleTable) -> ScheduleTable:
     return replace(table, alpha=alpha, beta=beta, gamma=gamma)
 
 
-def _field(payload: dict, name: str, convert, default=None):
-    if name not in payload and default is None:
-        raise ScheduleError(f"schedule file has no {name!r} field")
-    try:
-        return convert(payload.get(name, default))
-    except (TypeError, ValueError) as exc:
-        raise ScheduleError(f"schedule field {name!r} is malformed: {exc}") from None
+def _schedule_field(payload: dict, name: str, convert, default=None):
+    return _field(payload, name, convert, "schedule", ScheduleError, default)
 
 
 def schedule_from_json_dict(payload: dict) -> ScheduleTable:
     if not isinstance(payload, dict):
         raise ScheduleError("a schedule file must hold a JSON object")
-    kind = _field(payload, "kind", str, "linear")
-    T = _field(payload, "T", int)
-    K = _field(payload, "K", int)
+    kind = _schedule_field(payload, "kind", str, "linear")
+    T = _schedule_field(payload, "T", int)
+    K = _schedule_field(payload, "K", int)
     cum = {
-        name: _field(payload, name, lambda v: np.asarray(v, dtype=np.float64))
+        name: _schedule_field(payload, name, lambda v: np.asarray(v, dtype=np.float64))
         for name in ("alpha_bar", "beta_bar", "gamma_bar")
     }
     _check_shapes(T, cum)
     alpha_bar, beta_bar, gamma_bar = cum.values()
     stored = {}
     if kind == "improved":
-        N_q = _field(payload, "N_q", int)
+        N_q = _schedule_field(payload, "N_q", int)
         if alpha_bar.shape != (T + 1, N_q):
             raise ScheduleError(
                 f"N_q={N_q} needs alpha_bar of shape (T+1, N_q) = {(T + 1, N_q)}, "
                 f"got {alpha_bar.shape}"
             )
-        stored = {"L": _field(payload, "L", int),
-                  "layout": _field(payload, "layout", str, "concatenated")}
+        stored = {"L": _schedule_field(payload, "L", int),
+                  "layout": _schedule_field(payload, "layout", str, "concatenated")}
     alpha, beta, gamma = _derive_stepwise(alpha_bar, gamma_bar, K)
     return ScheduleTable(
         T, K, alpha_bar, beta_bar, gamma_bar, alpha, beta, gamma, kind=kind, **stored
@@ -375,8 +382,6 @@ def load_schedule(path) -> ScheduleTable:
 
 
 def save_schedule(path, table: ScheduleTable) -> None:
-    from .tokens import atomic_write_text
-
     atomic_write_text(path, json.dumps(table.to_json_dict()))
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+LAYOUTS = ("concatenated", "interleaved")
+
 
 def atomic_write_text(path, text: str) -> None:
     """Write ``text`` to ``path`` via a temp file in the same directory.
@@ -32,6 +34,49 @@ def atomic_write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _load_object(path, what: str, error=ValueError) -> dict:
+    """The JSON object stored at ``path``; raises ``error`` for any other JSON value."""
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise error(f"a {what} file must hold a JSON object")
+    return payload
+
+
+def _field(payload: dict, name: str, convert, what: str, error=ValueError, default=None):
+    """``convert`` applied to ``payload[name]``, or to ``default`` when the field is absent.
+
+    A missing field without a default, or a value ``convert`` rejects with
+    ``TypeError``/``ValueError``, raises ``error`` naming the field of the
+    ``what`` file.
+    """
+    if name not in payload and default is None:
+        raise error(f"{what} file has no {name!r} field")
+    try:
+        return convert(payload.get(name, default))
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what} field {name!r} is malformed: {exc}") from None
+
+
+def _integer(value) -> int:
+    """A JSON integer as ``int``; floats, strings and booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _layout(value) -> str:
+    if value not in LAYOUTS:
+        raise ValueError(f"expected one of {LAYOUTS}, got {value!r}")
+    return value
+
+
+def _integers(value) -> list[int]:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of integers, got {type(value).__name__}")
+    return [_integer(v) for v in value]
 
 
 @dataclass(frozen=True)
@@ -53,7 +98,7 @@ class TokenGrid:
             raise ValueError(f"K must be >= 2, got {self.K}")
         if np.any(data < 0) or np.any(data > self.K):
             raise ValueError(f"token values must lie in 0..{self.K} (K = mask)")
-        if self.layout not in ("concatenated", "interleaved"):
+        if self.layout not in LAYOUTS:
             raise ValueError(f"unknown layout {self.layout!r}")
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
@@ -106,16 +151,35 @@ def save_token_file(path, grids: list[TokenGrid], labels: list[int] | None = Non
     atomic_write_text(path, json.dumps(token_file_dict(grids, labels), indent=2))
 
 
+def _grid_array(value) -> np.ndarray:
+    """Every grid as one (n_grids, N_q, L) integer array."""
+    if not isinstance(value, list) or not value:
+        raise TypeError("expected a non-empty list of grids")
+    try:
+        grids = np.asarray(value)
+    except ValueError:
+        raise ValueError("the grids are ragged or differ in shape") from None
+    if grids.ndim != 3 or not np.issubdtype(grids.dtype, np.integer):
+        raise ValueError("expected rectangular 2-D grids of integers, all of one shape")
+    return grids
+
+
 def load_token_file(path) -> tuple[list[TokenGrid], list[int] | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    K = int(payload["K"])
-    layout = payload.get("layout", "concatenated")
-    grids = [
-        TokenGrid(data=np.asarray(g, dtype=np.int64), K=K, layout=layout)
-        for g in payload["grids"]
-    ]
-    labels = payload.get("labels")
-    if labels is not None:
-        labels = [int(x) for x in labels]
+    payload = _load_object(path, "token")
+    K = _field(payload, "K", _integer, "token")
+    if K < 2:
+        raise ValueError(f"token field 'K' must be >= 2, got {K}")
+    layout = _field(payload, "layout", _layout, "token", default="concatenated")
+    arrays = _field(payload, "grids", _grid_array, "token")
+    labels = None
+    if payload.get("labels") is not None:
+        labels = _field(payload, "labels", _integers, "token")
+        if len(labels) != len(arrays):
+            raise ValueError(f"token file has {len(labels)} labels for {len(arrays)} grids")
+    grids = []
+    for i, a in enumerate(arrays):
+        try:
+            grids.append(TokenGrid(data=a, K=K, layout=layout))
+        except ValueError as exc:  # K and layout are valid, so the tokens are not
+            raise ValueError(f"token field 'grids' is malformed: grid {i}: {exc}") from None
     return grids, labels

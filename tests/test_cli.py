@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, error stream, reproducibility, file safety."""
 
+import hashlib
 import json
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from vqdiff.cli import run
-from vqdiff.schedules import linear_schedule, load_schedule, save_schedule
+from vqdiff.schedules import improved_schedule, linear_schedule, load_schedule, save_schedule
 from vqdiff.tokens import TokenGrid, load_token_file, save_token_file
 
 
@@ -235,6 +236,178 @@ class TestDiffuseCommands:
         first_of_many = load_token_file(many)[0][0]
         only = load_token_file(one)[0][0]
         np.testing.assert_array_equal(only.data, first_of_many.data)
+
+
+def mutate_tokens(payload, bad):
+    """A broken token file and the text its error must contain."""
+    if bad == "not-an-object":
+        return [payload], "JSON object"
+    if bad == "missing-K":
+        del payload["K"]
+        return payload, "'K'"
+    if bad == "missing-grids":
+        del payload["grids"]
+        return payload, "'grids'"
+    if bad == "ragged-grid":
+        payload["grids"][1][0] = [0]
+        return payload, "'grids'"
+    if bad == "float-grid":
+        payload["grids"][2][0][1] = 1.5
+        return payload, "'grids'"
+    if bad == "token-out-of-range":
+        payload["grids"][0][0][0] = 9
+        return payload, "'grids'"
+    if bad == "string-K":
+        payload["K"] = "3"
+        return payload, "'K'"
+    assert bad == "labels-length"
+    payload["labels"] = payload["labels"][:-1]
+    return payload, "labels"
+
+
+def mutate_denoiser(payload, bad):
+    """A broken denoiser file and the text its error must contain."""
+    if bad == "not-an-object":
+        return payload["weights"][:3], "JSON object"
+    if bad in ("missing-K", "missing-weights", "missing-cond_labels"):
+        name = bad.split("-", 1)[1]
+        del payload[name]
+        return payload, repr(name)
+    if bad == "short-weights":
+        payload["weights"] = payload["weights"][:-1]
+        return payload, "weights"
+    if bad == "nested-weights":
+        payload["weights"] = [payload["weights"]]
+        return payload, "'weights'"
+    assert bad == "float-T"
+    payload["T"] = 6.5
+    return payload, "'T'"
+
+
+class TestLoaderErrors:
+    """A malformed token or denoiser file fails with exit code 1 naming the field."""
+
+    def trained(self, toy_setup, capsys):
+        den = toy_setup["dir"] / "den.json"
+        code, _, _ = invoke(
+            capsys, "diffuse", "train", "--tokens", str(toy_setup["tokens"]),
+            "--schedule", str(toy_setup["sched"]), "--epochs", "1", "--out", str(den),
+        )
+        assert code == 0
+        return den
+
+    @pytest.mark.parametrize("bad", [
+        "not-an-object", "missing-K", "missing-grids", "ragged-grid", "float-grid",
+        "token-out-of-range", "string-K", "labels-length",
+    ])
+    def test_bad_token_file(self, toy_setup, capsys, tmp_path, bad):
+        payload, field = mutate_tokens(json.loads(toy_setup["tokens"].read_text()), bad)
+        tokens = tmp_path / "bad-tokens.json"
+        tokens.write_text(json.dumps(payload))
+        out = tmp_path / "never.json"
+        code, stdout, err = invoke(
+            capsys, "diffuse", "corrupt", "--tokens", str(tokens),
+            "--schedule", str(toy_setup["sched"]), "--t", "2", "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error:") and field in err
+        assert "Traceback" not in err and stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [
+        "not-an-object", "missing-K", "missing-weights", "missing-cond_labels",
+        "short-weights", "nested-weights", "float-T",
+    ])
+    def test_bad_denoiser_file(self, toy_setup, capsys, tmp_path, bad):
+        den = self.trained(toy_setup, capsys)
+        payload, field = mutate_denoiser(json.loads(den.read_text()), bad)
+        den.write_text(json.dumps(payload))
+        out = tmp_path / "never.json"
+        code, stdout, err = invoke(
+            capsys, "diffuse", "sample", "--denoiser", str(den),
+            "--schedule", str(toy_setup["sched"]), "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error:") and field in err
+        assert "Traceback" not in err and stdout == ""
+        assert not out.exists()
+
+
+# sha256 of each stdout (with the temporary directory replaced by <tmp>) and
+# of each --out file of the run below, recorded before the guided reverse
+# step's fast path went in.  A change to the sampler, the VLB, training or the
+# file formats that alters a single output byte fails here.
+GOLDEN = {
+    "linear": {
+        "train.stdout": "325cfe83c21682cb83a7122527e560ed44e292f5cdcc6ef7ef8d1e0fadc4296f",
+        "train.out": "41596cb331741ffdcb7ae56a62e5f74d4938a938d1baab5ae64e96de6f379d76",
+        "sample-log.stdout": "1c0e5e074d1427a96648109e938f831fbe2ba5c5436cf3c3c3f410b69dd852f6",
+        "sample-log.out": "96acd7b24dbe83c186f2dd0d9beadf6ed0364d1a2f0ae034af932035bb13fa59",
+        "sample-prob.stdout": "f22e1fe3120b5e987b7f9a0993d3ca5db77e292e5e1191cad30644fb065a49c1",
+        "sample-prob.out": "cae7bebc71f6252efc6c37f903b17705771038ef310c3019bd3dc54b04b106c5",
+        "sample-unguided.stdout": "16c38e961fe321f0b5749e8bc0cd0625b7839d82120e937910c2f13f3e1ee4bb",
+        "sample-unguided.out": "058d930cd20308c8250c9176d55b814aafe043f4bdc301629c6cecb1b78f74b5",
+        "vlb.stdout": "ce7bbc5bf7249e42ad514579ff6bb1363ba19ba41d8390570de21a7369045f14",
+    },
+    "improved": {
+        "train.stdout": "3ae0794313105572eccb4474c2d55d219bc889cad5e32fda2c6d4214328013da",
+        "train.out": "54b4ef0a83bf6669a8d22bb33866ead6f1d653a4d45caf4b355e7ca3f4690825",
+        "sample-log.stdout": "1c0e5e074d1427a96648109e938f831fbe2ba5c5436cf3c3c3f410b69dd852f6",
+        "sample-log.out": "5e094a6883b6082125f78fac66fdbc4db8f28b8768ecfc021f337f61abac5ad3",
+        "sample-prob.stdout": "f22e1fe3120b5e987b7f9a0993d3ca5db77e292e5e1191cad30644fb065a49c1",
+        "sample-prob.out": "9f737abe340d1254560b6c543b1b749530d96813496ad542a1766f7ef2ad883a",
+        "sample-unguided.stdout": "16c38e961fe321f0b5749e8bc0cd0625b7839d82120e937910c2f13f3e1ee4bb",
+        "sample-unguided.out": "a2ed8f207e37c284e4919c6c543570988c816348f34dc5791c575d9e5a09809a",
+        "vlb.stdout": "309e5634b0d871eb8872aa54e6526cf3099a6d5c1294d880ae0bcae4d5c4e151",
+    },
+}
+
+
+def golden_run(tmp_path, capsys, kind):
+    sched = tmp_path / "sched.json"
+    if kind == "linear":
+        save_schedule(sched, linear_schedule(6, 4))
+    else:
+        save_schedule(sched, improved_schedule(6, 4, 2, L=3))
+    rng = np.random.default_rng(71)
+    protos = rng.integers(0, 4, size=(2, 2, 3))
+    grids, labels = [], []
+    for i in range(10):
+        noisy = rng.random((2, 3)) < 0.3
+        grids.append(TokenGrid(np.where(noisy, rng.integers(0, 4, (2, 3)), protos[i % 2]), K=4))
+        labels.append(i % 2)
+    tokens = tmp_path / "tokens.json"
+    save_token_file(tokens, grids, labels)
+    den = tmp_path / "den.json"
+    common = ["--schedule", str(sched)]
+    sample = ["diffuse", "sample", "--denoiser", str(den), *common, "--count", "4", "--seed", "5"]
+    steps = [
+        ("train", ["diffuse", "train", "--tokens", str(tokens), *common,
+                   "--epochs", "3", "--seed", "4", "--out", str(den)], den),
+        ("sample-log", [*sample, "--cond", "1", "--lambda", "0.5"], tmp_path / "log.json"),
+        ("sample-prob", [*sample, "--cond", "0", "--lambda", "1.5", "--guidance-mode", "prob",
+                         "--stride", "2"], tmp_path / "prob.json"),
+        ("sample-unguided", sample, tmp_path / "plain.json"),
+        ("vlb", ["diffuse", "vlb", "--denoiser", str(den), "--tokens", str(tokens), *common,
+                 "--samples", "3", "--seed", "6"], None),
+    ]
+    digests = {}
+    for name, argv, out in steps:
+        if out is not None and name != "train":
+            argv = [*argv, "--out", str(out)]
+        code, stdout, err = invoke(capsys, *argv)
+        assert code == 0, err
+        text = stdout.replace(str(tmp_path), "<tmp>")
+        digests[f"{name}.stdout"] = hashlib.sha256(text.encode()).hexdigest()
+        if out is not None:
+            digests[f"{name}.out"] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return digests
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("kind", ["linear", "improved"])
+    def test_diffuse_outputs_match_recorded_digests(self, tmp_path, capsys, kind):
+        assert golden_run(tmp_path, capsys, kind) == GOLDEN[kind]
 
 
 class TestCodecCommands:

@@ -1,0 +1,401 @@
+"""The guided reverse step's fast path against the code it replaced.
+
+The fast path (a NumPy logsumexp, reverse-kernel coefficients cached on the
+schedule, contract checks that skip no-op passes, a vectorised VLB prior)
+must reproduce the straightforward versions below bit for bit.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from scipy.special import logsumexp
+
+from vqdiff import (
+    ContractError,
+    Denoiser,
+    TokenGrid,
+    TrainConfig,
+    bayes_oracle_denoiser,
+    cfg_combine,
+    improved_schedule,
+    linear_schedule,
+    sample,
+    train_denoiser,
+)
+from vqdiff.diffusion import (
+    _KernelRows,
+    _kernel_rows,
+    _logsumexp,
+    _prior_kl,
+    _rows,
+    _sample_categorical,
+    _stationary_rows,
+    _StepKernel,
+    _validated_predict,
+)
+from vqdiff.schedules import random_schedule, stepwise_from_cumulative
+
+
+# The straightforward implementations the fast path replaced.
+
+
+def validated_predict_reference(denoiser, x_t, t, cond):
+    p0 = np.asarray(denoiser.predict(x_t, t, cond), dtype=float)
+    expected = (x_t.N_q, x_t.L, x_t.K)
+    if p0.shape != expected:
+        raise ContractError(f"denoiser returned shape {p0.shape}, expected {expected}")
+    if not np.all(np.isfinite(p0)):
+        raise ContractError("denoiser returned non-finite probabilities")
+    if np.any(p0 < -1e-9):
+        raise ContractError("denoiser returned negative probabilities")
+    sums = p0.sum(axis=-1)
+    if np.max(np.abs(sums - 1.0)) > 1e-9:
+        raise ContractError("denoiser distributions do not sum to 1")
+    p0 = np.clip(p0, 0.0, None)
+    return p0 / p0.sum(axis=-1, keepdims=True)
+
+
+def cfg_combine_reference(log_p_cond, log_p_uncond, lam, mode="log"):
+    lp_c = np.asarray(log_p_cond, dtype=float)
+    lp_u = np.asarray(log_p_uncond, dtype=float)
+    for name, lp in (("log_p_cond", lp_c), ("log_p_uncond", lp_u)):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            norm = np.log(np.exp(lp).sum(axis=-1))
+        if not np.all(np.abs(norm) <= 1e-6):
+            raise ValueError(f"{name} is not a normalized log-distribution")
+    if mode == "prob":
+        p = (1.0 + lam) * np.exp(lp_c) - lam * np.exp(lp_u)
+        p = np.clip(p, 0.0, None)
+        return p / p.sum(axis=-1, keepdims=True)
+    if lam == 0:
+        g = lp_c.copy()
+    elif lam == -1:
+        g = lp_u.copy()
+    else:
+        with np.errstate(invalid="ignore"):
+            g = (1.0 + lam) * lp_c - lam * lp_u
+    g[np.isneginf(lp_c) & np.isneginf(lp_u)] = -np.inf
+    pos_inf = np.isposinf(g)
+    degenerate = pos_inf.any(axis=-1, keepdims=True)
+    g = np.where(degenerate, np.where(pos_inf, 0.0, -np.inf), g)
+    return np.exp(g - logsumexp(g, axis=-1, keepdims=True))
+
+
+def kernel_rows_reference(table, t, t_prev, n_rows):
+    ab, bb, gb = table.alpha_bar, table.beta_bar, table.gamma_bar
+    coeffs = (ab[t], bb[t], gb[t], ab[t_prev], bb[t_prev], gb[t_prev], *table.segment(t_prev, t))
+    return _KernelRows(t, *_rows(coeffs, n_rows))
+
+
+def sample_reference(denoiser, cond, table, stride, rng, lam, mode):
+    N_q, L = denoiser.grid_shape
+    K = denoiser.K
+    init = _stationary_rows(table, N_q, K)
+    x = TokenGrid(_sample_categorical(np.repeat(init[:, None, :], L, axis=1), rng), K,
+                  layout=denoiser.layout)
+    last_p0 = None
+    for t in range(table.T, 0, -stride):
+        s = max(0, t - stride)
+        p0 = validated_predict_reference(denoiser, x, t, cond)
+        if lam != 0 and cond is not None:
+            p_u = validated_predict_reference(denoiser, x, t, None)
+            with np.errstate(divide="ignore"):
+                p0 = cfg_combine_reference(np.log(p0), np.log(p_u), lam, mode)
+        kernel = _StepKernel(x.data, K, kernel_rows_reference(table, t, s, N_q))
+        x = x.with_data(_sample_categorical(kernel.mix(p0), rng))
+        last_p0 = p0
+    if x.contains_mask():
+        x = x.with_data(np.where(x.data == K, last_p0.argmax(axis=-1), x.data))
+    return x
+
+
+def prior_kl_reference(x0, table):
+    K = x0.K
+    ab, bb, gb = (np.broadcast_to(a[table.T], (x0.N_q,))
+                  for a in (table.alpha_bar, table.beta_bar, table.gamma_bar))
+    prior_rows = _stationary_rows(table, x0.N_q, K)
+    prior = 0.0
+    for r in range(x0.N_q):
+        for token in x0.data[r]:
+            q = np.full(K + 1, bb[r])
+            q[token] += ab[r]
+            q[K] = gb[r]
+            support = q > 0
+            prior += float(np.sum(q[support] * np.log(q[support] / prior_rows[r][support])))
+    return prior
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class ArrayDenoiser(Denoiser):
+    """Returns a fixed (N_q, L, K) array, whatever the input."""
+
+    def __init__(self, probs):
+        self.probs = probs
+        self.K = probs.shape[-1]
+        self.grid_shape = probs.shape[:2]
+
+    def predict(self, x_t, t, cond=None):
+        return self.probs
+
+
+# ----------------------------------------------------------------- logsumexp
+
+
+def logsumexp_battery():
+    rng = np.random.default_rng(2301)
+    cases = {}
+    for scale in (1e-3, 1.0, 30.0, 800.0):
+        cases[f"normal-{scale:g}"] = rng.normal(size=(4, 32, 16)) * scale
+        cases[f"shifted-{scale:g}"] = rng.normal(size=(9, 5)) * scale - 700.0
+    cases["ties"] = rng.integers(-2, 3, size=(64, 8)).astype(float)
+    cases["all-equal"] = np.full((3, 7), -1.25)
+    cases["signed-zeros"] = rng.choice([-0.0, 0.0, -1.0], size=(32, 6))
+    sparse = rng.normal(size=(16, 12))
+    sparse[rng.random(sparse.shape) < 0.4] = -np.inf
+    sparse[3] = -np.inf
+    cases["scattered-neg-inf"] = sparse
+    special = rng.normal(size=(8, 5))
+    special[0, 1] = np.inf
+    special[1, :2] = np.inf
+    special[2, 3] = np.nan
+    special[3, [0, 4]] = [np.inf, np.nan]
+    special[4, :] = -np.inf
+    special[5, [1, 2]] = [np.inf, -np.inf]
+    cases["inf-nan"] = special
+    cases["width-one"] = rng.normal(size=(6, 1))
+    cases["wide"] = rng.normal(size=(3, 300)) * 5.0
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(logsumexp_battery()))
+def test_logsumexp_matches_scipy_bit_for_bit(name):
+    a = logsumexp_battery()[name]
+    with np.errstate(all="ignore"):
+        expected = logsumexp(a, axis=-1, keepdims=True)
+    assert same_bits(_logsumexp(a), expected)
+
+
+@pytest.mark.parametrize("name", sorted(logsumexp_battery()))
+def test_logsumexp_over_all_elements_matches_scipy(name):
+    # the Bayes oracle's call: one flat vector, reduced to a scalar
+    a = logsumexp_battery()[name].reshape(-1)
+    with np.errstate(all="ignore"):
+        expected = logsumexp(a)
+    assert same_bits(_logsumexp(a)[0], expected)
+
+
+def test_logsumexp_leaves_input_alone():
+    a = np.array([[0.0, -np.inf, 1.0], [2.0, 2.0, -1.0]])
+    before = a.copy()
+    _logsumexp(a)
+    assert same_bits(a, before)
+
+
+# --------------------------------------------------------- contract checks
+
+
+def predict_inputs():
+    rng = np.random.default_rng(17)
+    p = rng.dirichlet(np.ones(5), size=(2, 3))
+    zeros = p.copy()
+    zeros[0, 0] = [0.0, 0.5, 0.5, 0.0, 0.0]
+    signed = zeros.copy()
+    signed[0, 0, 0] = -0.0
+    signed[1, 2] = [1.0, -0.0, -0.0, 0.0, -0.0]
+    tiny = p.copy()
+    tiny[1, 1] = [0.5 + 1e-12, -1e-12, 0.25, 0.25, 0.0]
+    return {
+        "positive": p,
+        "exact-zeros": zeros,
+        "signed-zeros": signed,
+        "tiny-negatives": tiny,
+        "fortran-order": np.asfortranarray(tiny),
+        "transposed-view": np.ascontiguousarray(tiny.transpose(1, 0, 2)).transpose(1, 0, 2),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(predict_inputs()))
+def test_validated_predict_matches_reference(name):
+    probs = predict_inputs()[name]
+    den = ArrayDenoiser(probs)
+    x = TokenGrid(np.zeros(probs.shape[:2], dtype=np.int64), K=probs.shape[-1])
+    got = _validated_predict(den, x, 1, None)
+    assert same_bits(got, validated_predict_reference(den, x, 1, None))
+    assert not np.signbit(got).any()
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.nan, "non-finite"),
+        (np.inf, "non-finite"),
+        (-np.inf, "non-finite"),
+        (-1e-6, "negative"),
+        (0.5, "sum to 1"),
+    ],
+)
+def test_validated_predict_rejects_what_the_reference_rejects(bad, message):
+    probs = np.full((1, 2, 4), 0.25)
+    probs[0, 1, 2] = bad
+    den = ArrayDenoiser(probs)
+    x = TokenGrid(np.zeros((1, 2), dtype=np.int64), K=4)
+    for check in (_validated_predict, validated_predict_reference):
+        with pytest.raises(ContractError, match=message):
+            check(den, x, 1, None)
+
+
+def combine_inputs():
+    rng = np.random.default_rng(29)
+    p_c = rng.dirichlet(np.ones(5), size=(3, 4))
+    p_u = rng.dirichlet(np.ones(5), size=(3, 4))
+    p_c[0, 0, :2] = 0.0  # conditional zero, unconditional mass
+    p_u[1, 1, 1:3] = 0.0  # unconditional zero: +inf logits for lam > 0
+    p_c[2, 2, 4] = p_u[2, 2, 4] = 0.0  # zero on both sides
+    p_c[0, 3] = p_u[0, 3] = [0.0, 1.0, 0.0, 0.0, 0.0]  # one-hot on both sides
+    with np.errstate(divide="ignore"):
+        lp_c = np.log(p_c / p_c.sum(-1, keepdims=True))
+        lp_u = np.log(p_u / p_u.sum(-1, keepdims=True))
+    lp_c[1, 0, np.argmax(p_c[1, 0])] = -0.0  # exp(-0.0) = 1: still normalized
+    lp_c[1, 0, np.arange(5) != np.argmax(p_c[1, 0])] = -np.inf
+    finite_c = np.log(rng.dirichlet(np.ones(5), size=(3, 4)))
+    finite_u = np.log(rng.dirichlet(np.ones(5), size=(3, 4)))
+    return {"zeros-and-infs": (lp_c, lp_u), "finite": (finite_c, finite_u)}
+
+
+@pytest.mark.parametrize("lam", [-1.0, -0.5, 0.0, 0.5, 3.0])
+@pytest.mark.parametrize("mode", ["log", "prob"])
+@pytest.mark.parametrize("name", ["zeros-and-infs", "finite"])
+def test_cfg_combine_matches_reference(name, mode, lam):
+    lp_c, lp_u = combine_inputs()[name]
+    with np.errstate(invalid="ignore"):
+        expected = cfg_combine_reference(lp_c, lp_u, lam, mode)
+        got = cfg_combine(lp_c, lp_u, lam, mode=mode)
+    assert same_bits(got, expected)
+
+
+# ------------------------------------------------------ cached kernel rows
+
+
+def kernel_tables():
+    return {
+        "linear": linear_schedule(9, 4),
+        "improved": improved_schedule(9, 4, 3, L=2),
+        "random": random_schedule(np.random.default_rng(3), 9, 4),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(kernel_tables()))
+def test_cached_kernel_rows_equal_fresh_ones_and_are_read_only(name):
+    table = kernel_tables()[name]
+    for t in range(1, table.T + 1):
+        for t_prev in range(t):  # every stride
+            kr = _kernel_rows(table, t, t_prev, 3)
+            fresh = kernel_rows_reference(table, t, t_prev, 3)
+            for f in dataclasses.fields(_KernelRows):
+                assert same_bits(getattr(kr, f.name), getattr(fresh, f.name))
+                if f.name != "t":
+                    assert not getattr(kr, f.name).flags.writeable
+            assert _kernel_rows(table, t, t_prev, 3) is kr
+    with pytest.raises(ValueError):
+        kr.ab_t[0] = 0.5
+
+
+def test_kernel_rows_kept_per_step_pair_and_row_count():
+    table = linear_schedule(9, 4)
+    a, b, c = _kernel_rows(table, 6, 5, 2), _kernel_rows(table, 6, 3, 2), _kernel_rows(table, 6, 5, 3)
+    assert len({id(a), id(b), id(c)}) == 3
+    assert not np.array_equal(a.gb_s, b.gb_s)
+    assert c.ab_t.shape == (3,)
+
+
+def test_kernel_rows_kept_per_table():
+    one, two = improved_schedule(9, 4, 3, L=2), improved_schedule(9, 4, 3, L=2)
+    kr_one, kr_two = _kernel_rows(one, 4, 2, 3), _kernel_rows(two, 4, 2, 3)
+    assert kr_one is not kr_two
+    for f in dataclasses.fields(_KernelRows):
+        assert same_bits(getattr(kr_one, f.name), getattr(kr_two, f.name))
+    assert _kernel_rows(stepwise_from_cumulative(one), 4, 2, 3) is not kr_one
+
+
+def test_kernel_rows_never_reach_a_later_table():
+    # a cache keyed by id(table) would hand a new table the rows of a
+    # collected one whose id it reuses
+    for seed in range(20):
+        table = random_schedule(np.random.default_rng(seed), 5, 3)
+        kr = _kernel_rows(table, 3, 1, 2)
+        fresh = kernel_rows_reference(table, 3, 1, 2)
+        for f in dataclasses.fields(_KernelRows):
+            assert same_bits(getattr(kr, f.name), getattr(fresh, f.name))
+        del table, kr
+
+
+# --------------------------------------------------------------- VLB prior
+
+
+@pytest.mark.parametrize("name", sorted(kernel_tables()))
+def test_prior_matches_the_position_loop(name):
+    table = kernel_tables()[name]
+    rng = np.random.default_rng(41)
+    n_rows = table.n_layers if table.n_layers > 1 else 2
+    for L in (1, 5, 40):
+        x0 = TokenGrid(rng.integers(0, table.K, size=(n_rows, L)), K=table.K)
+        assert same_bits(_prior_kl(x0, table), prior_kl_reference(x0, table))
+
+
+def test_prior_matches_the_position_loop_wide_alphabet():
+    # 21 support entries per position: pairwise summation blocks of 8 and a tail
+    table = linear_schedule(7, 20)
+    x0 = TokenGrid(np.random.default_rng(43).integers(0, 20, size=(3, 17)), K=20)
+    assert same_bits(_prior_kl(x0, table), prior_kl_reference(x0, table))
+
+
+# ----------------------------------------------------------- whole chains
+
+
+def trained_setup(table, N_q, L):
+    rng = np.random.default_rng(7)
+    protos = rng.integers(0, table.K, size=(2, N_q, L))
+    data = []
+    for label in (0, 1):
+        for _ in range(6):
+            noisy = rng.random((N_q, L)) < 0.3
+            grid = np.where(noisy, rng.integers(0, table.K, size=(N_q, L)), protos[label])
+            data.append((TokenGrid(grid, K=table.K), label))
+    den, _ = train_denoiser(data, table, TrainConfig(epochs=2), np.random.default_rng(8))
+    return den, data
+
+
+CHAIN_CASES = [
+    ("improved", 0.5, "log", 1),
+    ("improved", 3.0, "log", 2),
+    ("linear", -1.0, "log", 1),
+    ("linear", -0.5, "prob", 3),
+    ("random", 0.0, "log", 1),
+    ("random", 1.5, "prob", 1),
+]
+
+
+@pytest.mark.parametrize("name, lam, mode, stride", CHAIN_CASES)
+def test_sampled_chains_match_reference_loop(name, lam, mode, stride):
+    table = kernel_tables()[name]
+    N_q = table.n_layers if table.n_layers > 1 else 2
+    den, data = trained_setup(table, N_q, 4)
+    oracle = bayes_oracle_denoiser([g for g, _ in data[:4]], [0.4, 0.3, 0.2, 0.1], table)
+    for model in (den, oracle):
+        for i in range(4):
+            try:
+                ref = sample_reference(model, i % 2, table, stride,
+                                       np.random.default_rng([5, i]), lam, mode)
+            except Exception as exc:  # the oracle may meet an impossible grid
+                with pytest.raises(type(exc)):
+                    sample(model, i % 2, table, stride=stride, rng=np.random.default_rng([5, i]),
+                           guidance_scale=lam, guidance_mode=mode)
+                continue
+            got = sample(model, i % 2, table, stride=stride, rng=np.random.default_rng([5, i]),
+                         guidance_scale=lam, guidance_mode=mode)
+            np.testing.assert_array_equal(got.data, ref.data)
