@@ -98,7 +98,7 @@ def _cmd_schedule_inspect(args) -> int:
 # -------------------------------------------------------------- transitions
 
 
-def _check_schedule_against_products(table, atol: float = 1e-12) -> float:
+def _check_schedule_against_products(table) -> float:
     """Max |closed form - explicit matrix product| over all (x0, t)."""
     worst = 0.0
     for t in range(table.T + 1):
@@ -108,7 +108,7 @@ def _check_schedule_against_products(table, atol: float = 1e-12) -> float:
             one = np.zeros(table.K + 1)
             one[x0] = 1.0
             worst = max(worst, float(np.max(np.abs(closed - product @ one))))
-    if worst > atol:
+    if worst > 1e-12:
         raise VqdiffError(
             f"closed-form marginals deviate from matrix products by {worst:.3e}"
         )
@@ -153,7 +153,6 @@ def _cmd_diffuse_sample(args) -> int:
                 denoiser,
                 args.cond,
                 table,
-                T=args.T,
                 stride=args.stride,
                 rng=rng,
                 guidance_scale=args.guidance_scale,
@@ -250,10 +249,8 @@ def _cmd_codec_report(args) -> int:
     X = load_features(args.features)
     model = load_codec(args.codec)
     mses = reconstruction_report(X, model)
-    depths = (
-        range(1, model.N_q + 1) if model.kind in ("RVQ", "GRVQ") else [model.N_q]
-    )
-    for depth, mse in zip(depths, mses):
+    # the report covers the deepest len(mses) depths, ending at every book
+    for depth, mse in enumerate(mses, start=model.N_q - len(mses) + 1):
         print(f"depth {depth}: mse={_fmt(mse)}")
     return 0
 
@@ -448,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="guidance_scale", type=float, default=0.0,
                    help="guidance scale")
     p.add_argument("--guidance-mode", choices=("log", "prob"), default="log")
-    p.add_argument("--T", type=int, default=None)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_diffuse_sample)

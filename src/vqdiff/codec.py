@@ -38,6 +38,20 @@ def _block_rows(width: int) -> int:
     return max(1, _CHUNK // width)
 
 
+def _check_structure(kind: str, G: int, R: int, Kp: int) -> None:
+    """The kind, group count, depth and book size every codec must satisfy."""
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    if G < 1 or R < 1 or Kp < 2:
+        raise ValueError("need G >= 1, R >= 1, Kp >= 2")
+    if kind == "VQ" and (G, R) != (1, 1):
+        raise ValueError("VQ requires G=1, R=1")
+    if kind == "RVQ" and G != 1:
+        raise ValueError("RVQ requires G=1")
+    if kind == "GVQ" and R != 1:
+        raise ValueError("GVQ requires R=1")
+
+
 @dataclass
 class CodecModel:
     """A fitted (or directly constructed) quantizer.
@@ -55,16 +69,7 @@ class CodecModel:
     inertia_traces: list | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.G < 1 or self.R < 1 or self.Kp < 2:
-            raise ValueError("need G >= 1, R >= 1, Kp >= 2")
-        if self.kind == "VQ" and (self.G, self.R) != (1, 1):
-            raise ValueError("VQ requires G=1, R=1")
-        if self.kind == "RVQ" and self.G != 1:
-            raise ValueError("RVQ requires G=1")
-        if self.kind == "GVQ" and self.R != 1:
-            raise ValueError("GVQ requires R=1")
+        _check_structure(self.kind, self.G, self.R, self.Kp)
         if len(self.codebooks) != self.G * self.R:
             raise ValueError(
                 f"expected {self.G * self.R} codebooks, got {len(self.codebooks)}"
@@ -176,17 +181,14 @@ class FitConfig:
     dropout: bool = False
 
 
-def _check_distinct(X: np.ndarray, k: int) -> None:
-    distinct = len(np.unique(X, axis=0))
-    if distinct < k:
-        raise FittingError(
-            f"need at least {k} distinct frames to fit {k} codes, got {distinct}"
-        )
-
-
 def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding; the same centroids and generator draws as picking
-    each next centroid with ``rng.choice(n, p=d2 / d2.sum())``."""
+    each next centroid with ``rng.choice(n, p=d2 / d2.sum())``.
+
+    Every centroid picked has a positive distance to the earlier ones, so
+    the distances sum to 0 after j centroids when the frames hold only j
+    distinct values, or when distinct frames' squared distances underflow.
+    """
     n, dims = X.shape
     centroids = np.empty((k, dims))
     centroids[0] = X[rng.integers(n)]
@@ -198,6 +200,11 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
         if j:
             total = d2.sum()
             if not 0.0 < total < np.inf:
+                distinct = len(np.unique(X, axis=0))
+                if distinct < k:
+                    raise FittingError(
+                        f"need at least {k} distinct frames to fit {k} codes, got {distinct}"
+                    )
                 raise FittingError(
                     f"k-means++ seeding: squared distances sum to {total}, "
                     "so the features overflow (or underflow) float64 distances"
@@ -248,7 +255,6 @@ def _lloyd_step(X: np.ndarray, centroids: np.ndarray):
 
 
 def _kmeans(X: np.ndarray, k: int, iters: int, rng: np.random.Generator):
-    _check_distinct(X, k)
     centroids = _kmeanspp_init(X, k, rng)
     trace = []
     for _ in range(iters):
@@ -284,7 +290,6 @@ def _fit_residual_chain_dropout(X, R, Kp, iters, rng):
         residual = X.copy()
         for r in range(depth):
             if books[r] is None:
-                _check_distinct(residual, Kp)
                 books[r] = _kmeanspp_init(residual, Kp, rng)
             new, inertia = _lloyd_step(residual, books[r])
             traces[r].append(inertia)
@@ -305,19 +310,12 @@ def fit_codebooks(features, config: FitConfig) -> CodecModel:
     random effective depth per iteration instead.
     """
     X = _as_features(features)
-    if config.kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {config.kind!r}")
+    _check_structure(config.kind, config.G, config.R, config.Kp)
     if config.dropout and config.kind != "RVQ":
         raise ValueError("quantizer dropout applies to RVQ fitting only")
     if config.iters < 1:
         raise ValueError("iters must be >= 1")
     G, R = config.G, config.R
-    if config.kind == "VQ":
-        G = R = 1
-    elif config.kind == "RVQ":
-        G = 1
-    elif config.kind == "GVQ":
-        R = 1
     if X.shape[1] % G != 0:
         raise ValueError(f"feature dim {X.shape[1]} not divisible by G={G}")
     dp = X.shape[1] // G

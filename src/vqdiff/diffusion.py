@@ -36,13 +36,12 @@ MAX_TABULAR_BYTES = 2**30
 _PREDICT_ATOL = 1e-9
 
 
-def _check_grid_table(grid: TokenGrid, table) -> None:
-    if grid.K != table.K:
-        raise ValueError(f"grid K={grid.K} does not match schedule K={table.K}")
-    if table.n_layers > 1 and grid.N_q != table.n_layers:
+def _check_shape(table, K: int, N_q: int, what: str = "grid") -> None:
+    if K != table.K:
+        raise ValueError(f"{what} K={K} does not match schedule K={table.K}")
+    if table.n_layers > 1 and N_q != table.n_layers:
         raise ValueError(
-            f"grid has {grid.N_q} codebook rows but the schedule defines "
-            f"{table.n_layers} layers"
+            f"{what} has {N_q} codebook rows but the schedule defines {table.n_layers} layers"
         )
 
 
@@ -69,21 +68,31 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rows(coeffs, n_rows: int) -> tuple[np.ndarray, ...]:
-    """Shared or per-layer coefficients as one read-only (n_rows,) array each, by grid row."""
-    out = np.empty((len(coeffs), n_rows))
-    for row, c in zip(out, coeffs):
-        row[:] = c  # a scalar or one value per layer, broadcast over the rows
-    out.flags.writeable = False
-    return tuple(out)
+def _coeff_rows(table, n_rows: int, segment: tuple[int, int] | None = None) -> tuple:
+    """Schedule coefficients by grid row, read-only and kept on the table.
 
+    Without ``segment``: alpha_bar, beta_bar and gamma_bar, (T+1, n_rows)
+    each.  With ``segment=(s, t)``: the (n_rows,) rows of the reverse kernel
+    from t to s, namely alpha_bar, beta_bar, gamma_bar at t, the same at s,
+    and the alpha, beta, gamma of ``table.segment(s, t)``.  A shared
+    schedule's value is repeated over the rows; a per-codebook one gives
+    each row its layer's.
+    """
 
-def _cum_rows(table, t: int, n_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cumulative coefficients per grid row, shape (n_rows,) each, cached on the table."""
-    return table.cached(
-        ("cum_rows", t, n_rows),
-        lambda: _rows((table.alpha_bar[t], table.beta_bar[t], table.gamma_bar[t]), n_rows),
-    )
+    def build():
+        ab, bb, gb = table.alpha_bar, table.beta_bar, table.gamma_bar
+        if segment is None:
+            lead, coeffs = (table.T + 1,), (ab, bb, gb)
+        else:
+            s, t = segment
+            lead, coeffs = (), (ab[t], bb[t], gb[t], ab[s], bb[s], gb[s], *table.segment(s, t))
+        out = np.empty((len(coeffs), *lead, n_rows))
+        for row, c in zip(out, coeffs):
+            row[...] = np.reshape(c, (*lead, -1))
+        out.flags.writeable = False
+        return tuple(out)
+
+    return table.cached((segment, n_rows), build)
 
 
 def corrupt(x0: TokenGrid, t: int, table, rng: np.random.Generator) -> TokenGrid:
@@ -92,7 +101,7 @@ def corrupt(x0: TokenGrid, t: int, table, rng: np.random.Generator) -> TokenGrid
     Step 0 is the identity by definition, which also sidesteps the
     per-codebook schedule's small t=0 mask offset.
     """
-    _check_grid_table(x0, table)
+    _check_shape(table, x0.K, x0.N_q)
     if x0.contains_mask():
         raise ValueError("corrupt requires a mask-free grid")
     if not 0 <= t <= table.T:
@@ -100,7 +109,7 @@ def corrupt(x0: TokenGrid, t: int, table, rng: np.random.Generator) -> TokenGrid
     if t == 0:
         return x0
     K = x0.K
-    ab, bb, gb = _cum_rows(table, t, x0.N_q)
+    ab, bb, _ = (a[t] for a in _coeff_rows(table, x0.N_q))
     keep_edge = ab[:, None]
     uni_edge = (ab + K * bb)[:, None]
     u = rng.random(x0.data.shape)
@@ -151,6 +160,16 @@ def _validated_predict(denoiser, x_t: TokenGrid, t: int, cond) -> np.ndarray:
     return p0 / p0.sum(axis=-1, keepdims=True)
 
 
+def _guidance_scale(guidance_scale: float, mode: str) -> float:
+    """The guidance scale as a float, once it and the mode are checked."""
+    lam = float(guidance_scale)
+    if lam < -1:
+        raise ValueError(f"guidance scale must be >= -1, got {lam}")
+    if mode not in ("log", "prob"):
+        raise ValueError(f"mode must be 'log' or 'prob', got {mode!r}")
+    return lam
+
+
 def cfg_combine(log_p_cond, log_p_uncond, guidance_scale: float, mode: str = "log") -> np.ndarray:
     """Blend conditional and unconditional predictions; returns probabilities.
 
@@ -159,11 +178,7 @@ def cfg_combine(log_p_cond, log_p_uncond, guidance_scale: float, mode: str = "lo
     literally and clamps negative mass to zero before renormalizing; the
     two agree only when the literal form stays nonnegative.
     """
-    lam = float(guidance_scale)
-    if lam < -1:
-        raise ValueError(f"guidance scale must be >= -1, got {lam}")
-    if mode not in ("log", "prob"):
-        raise ValueError(f"mode must be 'log' or 'prob', got {mode!r}")
+    lam = _guidance_scale(guidance_scale, mode)
     lp_c = np.asarray(log_p_cond, dtype=float)
     lp_u = np.asarray(log_p_uncond, dtype=float)
     if lp_c.shape != lp_u.shape:
@@ -174,7 +189,11 @@ def cfg_combine(log_p_cond, log_p_uncond, guidance_scale: float, mode: str = "lo
         for name, lp in (("log_p_cond", lp_c), ("log_p_uncond", lp_u)):
             if not np.all(np.abs(np.log(np.exp(lp).sum(axis=-1))) <= 1e-6):
                 raise ValueError(f"{name} is not a normalized log-distribution")
+    return _combine(lp_c, lp_u, lam, mode)
 
+
+def _combine(lp_c: np.ndarray, lp_u: np.ndarray, lam: float, mode: str) -> np.ndarray:
+    """``cfg_combine`` of normalized log-distributions, without re-checking them."""
     if mode == "prob":
         p = (1.0 + lam) * np.exp(lp_c) - lam * np.exp(lp_u)
         p = np.clip(p, 0.0, None)
@@ -206,36 +225,9 @@ def _predict_guided(denoiser, x_t, t, cond, guidance_scale, guidance_mode):
     if guidance_scale == 0 or cond is None:
         return p_c
     p_u = _validated_predict(denoiser, x_t, t, None)
+    lam = _guidance_scale(guidance_scale, guidance_mode)
     with np.errstate(divide="ignore"):
-        return cfg_combine(np.log(p_c), np.log(p_u), guidance_scale, mode=guidance_mode)
-
-
-@dataclass(frozen=True)
-class _KernelRows:
-    """Coefficients of the reverse kernel from step t to t_prev, (n_rows,) each."""
-
-    t: int
-    ab_t: np.ndarray
-    bb_t: np.ndarray
-    gb_t: np.ndarray
-    ab_s: np.ndarray
-    bb_s: np.ndarray
-    gb_s: np.ndarray
-    a_seg: np.ndarray
-    b_seg: np.ndarray
-    g_seg: np.ndarray
-
-
-def _kernel_rows(table, t: int, t_prev: int, n_rows: int) -> _KernelRows:
-    """The read-only coefficients of step t -> t_prev, built once per table."""
-
-    def build():
-        ab, bb, gb = table.alpha_bar, table.beta_bar, table.gamma_bar
-        seg = table.segment(t_prev, t)
-        coeffs = (ab[t], bb[t], gb[t], ab[t_prev], bb[t_prev], gb[t_prev], *seg)
-        return _KernelRows(t, *_rows(coeffs, n_rows))
-
-    return table.cached(("kernel_rows", t, t_prev, n_rows), build)
+        return _combine(np.log(p_c), np.log(p_u), lam, guidance_mode)
 
 
 class _StepKernel:
@@ -250,30 +242,30 @@ class _StepKernel:
     per position; Q itself is never formed.
     """
 
-    def __init__(self, data: np.ndarray, K: int, kr: _KernelRows):
-        self.K = K
+    def __init__(self, data: np.ndarray, table, t: int, t_prev: int):
+        K = self.K = table.K
+        rows = _coeff_rows(table, len(data), (t_prev, t))
+        ab_t, bb_t, gb_t, ab_s, bb_s, gb_s, a_seg, b_seg, g_seg = rows
         self.masked = data == K
         self.any_masked = bool(self.masked.any())
         if self.any_masked:
-            if np.any(kr.gb_t[np.nonzero(self.masked)[0]] == 0.0):
+            if np.any(gb_t[np.nonzero(self.masked)[0]] == 0.0):
                 raise InconsistencyError(
-                    f"grid contains mask tokens but step {kr.t} assigns them zero probability"
+                    f"grid contains mask tokens but step {t} assigns them zero probability"
                 )
-            coef_keep = (kr.g_seg / kr.gb_t)[:, None]  # per row, broadcast over frames
-            self.keep_b = (coef_keep * kr.bb_s[:, None])[..., None]
-            self.keep_a = (coef_keep * kr.ab_s[:, None])[..., None]
-            self.mask_prob = (kr.gb_s / kr.gb_t)[:, None]
+            coef_keep = (g_seg / gb_t)[:, None]  # per row, broadcast over frames
+            self.keep_b = (coef_keep * bb_s[:, None])[..., None]
+            self.keep_a = (coef_keep * ab_s[:, None])[..., None]
+            self.mask_prob = (gb_s / gb_t)[:, None]
         rr, cc = np.nonzero(~self.masked)
         self.rr, self.cc = rr, cc
         self.obs = data[rr, cc]
         self.at = np.arange(rr.size)
-        D = np.repeat(kr.bb_t[rr][:, None], K, axis=1)
-        D[self.at, self.obs] += kr.ab_t[rr]
+        D = np.repeat(bb_t[rr][:, None], K, axis=1)
+        D[self.at, self.obs] += ab_t[rr]
         self.D = D
         self.ok = D > 0
-        self.bb_s, self.ab_s, self.b_seg, self.a_seg = (
-            x[rr] for x in (kr.bb_s, kr.ab_s, kr.b_seg, kr.a_seg)
-        )
+        self.bb_s, self.ab_s, self.b_seg, self.a_seg = (x[rr] for x in (bb_s, ab_s, b_seg, a_seg))
 
     def _lead(self, base: np.ndarray) -> np.ndarray:
         """lead_k * base_k at the observed positions."""
@@ -332,18 +324,6 @@ class _StepKernel:
         return out, valid
 
 
-def _reverse_step_dists(x_t: TokenGrid, t: int, p0: np.ndarray, table, t_prev: int) -> np.ndarray:
-    """Per-position p(x_{t_prev} | x_t) as an (N_q, L, K+1) array.
-
-    Mixes the exact posterior q(x_s|x_t, x0=v) over the denoiser's clean
-    token distribution, evaluated with O(K) closed forms per position.
-    Clean-token candidates impossible under the forward process are
-    dropped and the remainder renormalized.
-    """
-    kr = _kernel_rows(table, t, t_prev, x_t.N_q)
-    return _StepKernel(x_t.data, x_t.K, kr).mix(p0)
-
-
 def _sample_categorical(dists: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Inverse-CDF draw along the last axis; dists sums to 1 there."""
     cdf = np.cumsum(dists, axis=-1)
@@ -356,6 +336,14 @@ def _sample_categorical(dists: np.ndarray, rng: np.random.Generator) -> np.ndarr
         last = n - 1 - np.argmax(dists[..., ::-1] > 0, axis=-1)
         idx = np.minimum(idx, last)
     return idx
+
+
+def _step(x_t, t, t_prev, denoiser, cond, table, guidance_scale, guidance_mode, rng):
+    """Draw x_{t_prev} from the posterior q(x_{t_prev} | x_t, x0=v) mixed over the
+    guided prediction of v; returns it and that prediction."""
+    p0 = _predict_guided(denoiser, x_t, t, cond, guidance_scale, guidance_mode)
+    dists = _StepKernel(x_t.data, table, t, t_prev).mix(p0)
+    return x_t.with_data(_sample_categorical(dists, rng)), p0
 
 
 def reverse_step(
@@ -371,7 +359,7 @@ def reverse_step(
     guidance_mode: str = "log",
 ) -> TokenGrid:
     """Sample x_{t_prev} from the reparameterized reverse kernel at step t."""
-    _check_grid_table(x_t, table)
+    _check_shape(table, x_t.K, x_t.N_q)
     if not 1 <= t <= table.T:
         raise ValueError(f"t must be in 1..{table.T}, got {t}")
     if t_prev is None:
@@ -380,13 +368,11 @@ def reverse_step(
         raise ValueError(f"t_prev must satisfy 0 <= t_prev < t, got {t_prev}")
     if rng is None:
         rng = np.random.default_rng()
-    p0 = _predict_guided(denoiser, x_t, t, cond, guidance_scale, guidance_mode)
-    dists = _reverse_step_dists(x_t, t, p0, table, t_prev)
-    return x_t.with_data(_sample_categorical(dists, rng))
+    return _step(x_t, t, t_prev, denoiser, cond, table, guidance_scale, guidance_mode, rng)[0]
 
 
 def _stationary_rows(table, n_rows: int, K: int) -> np.ndarray:
-    ab, bb, gb = _cum_rows(table, table.T, n_rows)
+    ab, bb, gb = (a[table.T] for a in _coeff_rows(table, n_rows))
     probs = np.repeat(bb[:, None], K + 1, axis=1)
     probs[:, K] = gb
     probs[:, :K] += (ab / K)[:, None]  # spread unconverged identity mass
@@ -397,48 +383,35 @@ def sample(
     denoiser: Denoiser,
     cond,
     table,
-    T: int | None = None,
+    *,
     stride: int = 1,
     rng: np.random.Generator | None = None,
     guidance_scale: float = 0.0,
     guidance_mode: str = "log",
 ) -> TokenGrid:
-    """Generate a mask-free grid by running the reverse process T -> 0.
+    """Generate a mask-free grid by running the reverse process table.T -> 0.
 
     Starts from the schedule's terminal distribution and applies guided
     reverse steps with the given stride.  Positions still masked after the
     final step are filled with the argmax of the last clean-token
     prediction.
     """
-    if T is None:
-        T = table.T
-    if T != table.T:
-        raise ValueError(f"T={T} does not match the schedule's T={table.T}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if rng is None:
         rng = np.random.default_rng()
     N_q, L = denoiser.grid_shape
     K = denoiser.K
-    if K != table.K:
-        raise ValueError(f"denoiser K={K} does not match schedule K={table.K}")
-    if table.n_layers > 1 and N_q != table.n_layers:
-        raise ValueError("denoiser grid shape does not match the schedule's layers")
+    _check_shape(table, K, N_q, "denoiser")
 
     init = _stationary_rows(table, N_q, K)
     data = _sample_categorical(np.repeat(init[:, None, :], L, axis=1), rng)
     x = TokenGrid(data=data, K=K, layout=denoiser.layout)
-
-    last_p0 = None
-    for t in range(T, 0, -stride):
-        s = max(0, t - stride)
-        p0 = _predict_guided(denoiser, x, t, cond, guidance_scale, guidance_mode)
-        dists = _reverse_step_dists(x, t, p0, table, s)
-        x = x.with_data(_sample_categorical(dists, rng))
-        last_p0 = p0
+    for t in range(table.T, 0, -stride):
+        x, p0 = _step(x, t, max(0, t - stride), denoiser, cond, table, guidance_scale,
+                      guidance_mode, rng)
     if x.contains_mask():
-        fill = last_p0.argmax(axis=-1)
-        x = x.with_data(np.where(x.data == K, fill, x.data))
+        x = x.with_data(np.where(x.data == K, p0.argmax(axis=-1), x.data))
     return x
 
 
@@ -473,7 +446,7 @@ def _prior_kl(x0: TokenGrid, table) -> float:
     """
     K = x0.K
     N_q, L = x0.data.shape
-    ab, bb, gb = _cum_rows(table, table.T, N_q)
+    ab, bb, gb = (a[table.T] for a in _coeff_rows(table, N_q))
     prior_rows = _stationary_rows(table, N_q, K)
     q = np.repeat(np.repeat(bb[:, None, None], L, axis=1), K + 1, axis=2)
     rows, cols = np.indices((N_q, L))
@@ -505,7 +478,7 @@ def vlb_loss(
     t=1 term plays the reconstruction role since the step-0 posterior is a
     point mass on x0.
     """
-    _check_grid_table(x0, table)
+    _check_shape(table, x0.K, x0.N_q)
     if x0.contains_mask():
         raise ValueError("vlb_loss requires a mask-free grid")
     if num_t_samples < 1:
@@ -521,7 +494,7 @@ def vlb_loss(
         t = int(rng.integers(1, T + 1))
         x_t = corrupt(x0, t, table, rng)
         p0 = _validated_predict(denoiser, x_t, t, cond)
-        kernel = _StepKernel(x_t.data, K, _kernel_rows(table, t, t - 1, x0.N_q))
+        kernel = _StepKernel(x_t.data, table, t, t - 1)
         model = kernel.mix(p0)
         post = kernel.mix(_onehot_p0(x0.data, K))
         kl = _kl_grids(post, model)
@@ -556,7 +529,7 @@ class BayesOracleDenoiser(Denoiser):
                 raise ValueError("support grids must share shape and K")
             if g.contains_mask():
                 raise ValueError("support grids must be mask-free")
-        _check_grid_table(first, table)
+        _check_shape(table, first.K, first.N_q)
         self.K = first.K
         self.grid_shape = (first.N_q, first.L)
         self.layout = first.layout
@@ -572,7 +545,7 @@ class BayesOracleDenoiser(Denoiser):
             raise ValueError(f"t must be in 0..{self._table.T}, got {t}")
         K = self.K
         N_q, L = self.grid_shape
-        ab, bb, gb = _cum_rows(self._table, t, N_q)
+        ab, bb, gb = (a[t] for a in _coeff_rows(self._table, N_q))
         data = x_t.data
         is_mask = data == K  # (N_q, L)
         match = self._support == data[None, :, :]  # (S, N_q, L)
@@ -626,7 +599,6 @@ class TrainConfig:
     epochs: int = 30
     lr: float = 1.0
     null_cond_prob: float = 0.1
-    shuffle: bool = True
 
 
 class TabularDenoiser(Denoiser):
@@ -739,7 +711,7 @@ def load_denoiser(path) -> TabularDenoiser:
     )
 
 
-def _kl_step(data: np.ndarray, x0: np.ndarray, p: np.ndarray, kr: _KernelRows):
+def _kl_step(data: np.ndarray, x0: np.ndarray, p: np.ndarray, table, t: int):
     """Mean per-position KL(q(x_s|x_t, x0) || p(x_s|x_t)) and its logit gradient.
 
     ``p`` is the (N_q, L, K) softmax prediction at x_t.  The gradient is
@@ -749,7 +721,7 @@ def _kl_step(data: np.ndarray, x0: np.ndarray, p: np.ndarray, kr: _KernelRows):
     the valid set and 0 off it, with ratio = post / mix.
     """
     K = p.shape[-1]
-    kernel = _StepKernel(data, K, kr)
+    kernel = _StepKernel(data, table, t, t - 1)
     mix = kernel.mix(p)
     post = kernel.mix(_onehot_p0(x0, K))
     support = post > 0
@@ -794,7 +766,7 @@ def train_denoiser(
             raise ValueError("dataset grids must share shape, K and layout")
         if g.contains_mask():
             raise ValueError("dataset grids must be mask-free")
-    _check_grid_table(first, table)
+    _check_shape(table, first.K, first.N_q)
     if not 0 <= config.null_cond_prob <= 1:
         raise ValueError("null_cond_prob must be in [0, 1]")
 
@@ -804,10 +776,9 @@ def train_denoiser(
 
     trace: list[float] = []
     n = len(pairs)
-    kernels = [None] + [_kernel_rows(table, t, t - 1, first.N_q) for t in range(1, table.T + 1)]
     rows, cols = den._positions
     for _ in range(config.epochs):
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        order = rng.permutation(n)
         epoch_losses = []
         for idx in order:
             grid, cond = pairs[idx]
@@ -816,7 +787,7 @@ def train_denoiser(
             t = int(rng.integers(1, table.T + 1))
             x_t = corrupt(grid, t, table, rng)
             p = den._probs_for(x_t.data, t, cond)
-            loss, g_w = _kl_step(x_t.data, grid.data, p, kernels[t])
+            loss, g_w = _kl_step(x_t.data, grid.data, p, table, t)
             epoch_losses.append(loss)
             den.weights[den._cond_row(cond), t, rows, cols, x_t.data] -= config.lr * g_w
         trace.append(float(np.mean(epoch_losses)))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ScheduleError
-from .tokens import LAYOUTS, _field, atomic_write_text
+from .tokens import LAYOUTS, _field, _load_object, atomic_write_text
 
 SIMPLEX_ATOL = 1e-12
 
@@ -130,10 +130,6 @@ class ScheduleTable:
         for name in _ARRAYS:
             object.__setattr__(self, name, _freeze(getattr(self, name)))
         self.validate()
-
-    @property
-    def mask_id(self) -> int:
-        return self.K
 
     def cached(self, key, build):
         """``build()``, computed on the first call with ``key`` and kept.
@@ -286,7 +282,7 @@ def improved_schedule(
     )
 
 
-def from_cumulative(alpha_bar, gamma_bar, K: int, kind: str = "custom") -> ScheduleTable:
+def from_cumulative(alpha_bar, gamma_bar, K: int) -> ScheduleTable:
     """Build a table from cumulative alpha_bar/gamma_bar arrays (length T+1)."""
     alpha_bar = np.asarray(alpha_bar, dtype=np.float64)
     gamma_bar = np.asarray(gamma_bar, dtype=np.float64)
@@ -297,7 +293,7 @@ def from_cumulative(alpha_bar, gamma_bar, K: int, kind: str = "custom") -> Sched
     T = len(alpha_bar) - 1
     beta_bar = (1.0 - alpha_bar - gamma_bar) / K
     alpha, beta, gamma = _derive_stepwise(alpha_bar, gamma_bar, K)
-    return ScheduleTable(T, K, alpha_bar, beta_bar, gamma_bar, alpha, beta, gamma, kind=kind)
+    return ScheduleTable(T, K, alpha_bar, beta_bar, gamma_bar, alpha, beta, gamma)
 
 
 def from_stepwise(alpha, beta, gamma, K: int) -> ScheduleTable:
@@ -344,32 +340,30 @@ def stepwise_from_cumulative(table: ScheduleTable) -> ScheduleTable:
     return replace(table, alpha=alpha, beta=beta, gamma=gamma)
 
 
-def _schedule_field(payload: dict, name: str, convert, default=None):
-    return _field(payload, name, convert, "schedule", ScheduleError, default)
-
-
 def schedule_from_json_dict(payload: dict) -> ScheduleTable:
-    if not isinstance(payload, dict):
-        raise ScheduleError("a schedule file must hold a JSON object")
-    kind = _schedule_field(payload, "kind", str, "linear")
-    T = _schedule_field(payload, "T", int)
-    K = _schedule_field(payload, "K", int)
+    kind = _field(payload, "kind", str, "schedule", ScheduleError, "linear")
+    T = _field(payload, "T", int, "schedule", ScheduleError)
+    K = _field(payload, "K", int, "schedule", ScheduleError)
     cum = {
-        name: _schedule_field(payload, name, lambda v: np.asarray(v, dtype=np.float64))
+        name: _field(
+            payload, name, lambda v: np.asarray(v, dtype=np.float64), "schedule", ScheduleError
+        )
         for name in ("alpha_bar", "beta_bar", "gamma_bar")
     }
     _check_shapes(T, cum)
     alpha_bar, beta_bar, gamma_bar = cum.values()
     stored = {}
     if kind == "improved":
-        N_q = _schedule_field(payload, "N_q", int)
+        N_q = _field(payload, "N_q", int, "schedule", ScheduleError)
         if alpha_bar.shape != (T + 1, N_q):
             raise ScheduleError(
                 f"N_q={N_q} needs alpha_bar of shape (T+1, N_q) = {(T + 1, N_q)}, "
                 f"got {alpha_bar.shape}"
             )
-        stored = {"L": _schedule_field(payload, "L", int),
-                  "layout": _schedule_field(payload, "layout", str, "concatenated")}
+        stored = {
+            "L": _field(payload, "L", int, "schedule", ScheduleError),
+            "layout": _field(payload, "layout", str, "schedule", ScheduleError, "concatenated"),
+        }
     alpha, beta, gamma = _derive_stepwise(alpha_bar, gamma_bar, K)
     return ScheduleTable(
         T, K, alpha_bar, beta_bar, gamma_bar, alpha, beta, gamma, kind=kind, **stored
@@ -377,8 +371,7 @@ def schedule_from_json_dict(payload: dict) -> ScheduleTable:
 
 
 def load_schedule(path) -> ScheduleTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return schedule_from_json_dict(json.load(fh))
+    return schedule_from_json_dict(_load_object(path, "schedule", ScheduleError))
 
 
 def save_schedule(path, table: ScheduleTable) -> None:

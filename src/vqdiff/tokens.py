@@ -111,14 +111,6 @@ class TokenGrid:
     def L(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def n_positions(self) -> int:
-        return self.data.size
-
-    @property
-    def mask_id(self) -> int:
-        return self.K
-
     def contains_mask(self) -> bool:
         return bool(np.any(self.data == self.K))
 

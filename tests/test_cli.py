@@ -410,6 +410,111 @@ class TestGoldenOutputs:
         assert golden_run(tmp_path, capsys, kind) == GOLDEN[kind]
 
 
+# The same kind of digests for `schedule inspect` and the codec commands,
+# recorded before the codec's distinct-frame check moved into k-means++.
+GOLDEN_SCHEDULE = {
+    "linear": {
+        "inspect.stdout": "e6d5889c227eac64ac9e771de045e09e58ae4a2276a8cf587d22743e94ca382b",
+        "inspect.sched.json": "04ade6b964cfbba08aaffe68f81d69a8e3afb7b76731b3462e98882b32c28ebd",
+    },
+    "improved": {
+        "inspect.stdout": "06be7167c1d6880aaa8de30c63925db63562276540407e491bcd0b5f9985ee3d",
+        "inspect.sched.json": "a374678c9a399881569807f128b9c9e3351202a09bb7cbaac030c7443e3ff66a",
+    },
+}
+
+DECODE_STDOUT = "1a3df0e32f0dbe4186155077657ea98fcb931361dd5e2ae1b4cee096d3ab1f36"
+GOLDEN_CODEC = {
+    "GRVQ": {
+        "fit.stdout": "0ad865f3fa0e24cf7132a6ae1967f3a1de8e27cd0d2ce859ec560e9384757138",
+        "fit.codec.json": "ec9fb215984230fdba9658c2ce74a1560cd67ae53be8e5f614cda0ea51d67524",
+        "encode.stdout": "48a70f4c69d9e3a7f002a8ff4efce61354e487e66adc8db7780715368f01cbf2",
+        "encode.tok.json": "47c194cfe87a3d8cbbee1660ad794ce32a24b69261cb702c9f403bd4934bc303",
+        "encode.recon.csv": "e86d17bff07d91844506cf470de7889460fd897340f2b16a1584e03f8263c09c",
+        "decode.stdout": DECODE_STDOUT,
+        "decode.dec.csv": "e86d17bff07d91844506cf470de7889460fd897340f2b16a1584e03f8263c09c",
+        "report.stdout": "dc02b51773b33c65592094bb64eda473984e789eacb3ecc2e5cefd4b7cc83809",
+    },
+    "GVQ": {
+        "fit.stdout": "fea81e7b5dee860ef1611d236cbbbe067b56709cad65cba76e9a0b398f81ff26",
+        "fit.codec.json": "8ffd865657e3a709280cfd9751498c8d6972e2a3bb679a6145887856f4491e34",
+        "encode.stdout": "8e3c149b8aaafc1b2a3a6e7b1cae8fa647f9df393c923f5afef7a748d02b1f60",
+        "encode.tok.json": "454481adcff0a76260589e91fd8aba9ab4587af9a255c9572fe0b6dab5b0b3d0",
+        "encode.recon.csv": "3975d72816e03cc150c0d92bb089f523cb7c4669fd40dac32c9327990261ab02",
+        "decode.stdout": DECODE_STDOUT,
+        "decode.dec.csv": "3975d72816e03cc150c0d92bb089f523cb7c4669fd40dac32c9327990261ab02",
+        "report.stdout": "fcef6d5d2e3fa7f2a8ff0e0a37d7d1a0f043e2f10a2ea9b6a31dfc0b9395ed8e",
+    },
+    "RVQ-dropout": {
+        "fit.stdout": "f7047ccec5246392c18c2c0ea9b5733aed8d670b51172d215cffb7088d8cb2ca",
+        "fit.codec.json": "e6d06c3e214b037173e2c37529163ae44d36dc50dbc68572f3bce5bb9e28f8b0",
+        "encode.stdout": "65f0973b487a0c64f7be4f37bdfb743ef47825f0db65f4db08601d894d3694ec",
+        "encode.tok.json": "212998ff466b54fbc7ef914caf416f2b16ffc7d3bb84e4065dc9915b8b4d9116",
+        "encode.recon.csv": "56ad9b7638fbbed827d1bc4266591a6a3aa570c5e78f32b3e6c4048e29e911a6",
+        "decode.stdout": DECODE_STDOUT,
+        "decode.dec.csv": "56ad9b7638fbbed827d1bc4266591a6a3aa570c5e78f32b3e6c4048e29e911a6",
+        "report.stdout": "08577da01a0701f7f0b984590e8042d156c816300f137c24daae19575422006f",
+    },
+}
+
+CODEC_FIT_ARGS = {
+    "GRVQ": ["--kind", "GRVQ", "--G", "2", "--R", "2"],
+    "GVQ": ["--kind", "GVQ", "--G", "2"],
+    "RVQ-dropout": ["--kind", "RVQ", "--R", "3", "--dropout"],
+}
+
+
+def digest_steps(tmp_path, capsys, steps):
+    """sha256 of each step's stdout and of each file it writes, by file name."""
+    digests = {}
+    for name, argv, outs in steps:
+        code, stdout, err = invoke(capsys, *argv)
+        assert code == 0, err
+        text = stdout.replace(str(tmp_path), "<tmp>")
+        digests[f"{name}.stdout"] = hashlib.sha256(text.encode()).hexdigest()
+        for out in outs:
+            digests[f"{name}.{out.name}"] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return digests
+
+
+def golden_schedule_run(tmp_path, capsys, kind):
+    out = tmp_path / "sched.json"
+    argv = ["schedule", "inspect", "--kind", kind, "--T", "6", "--K", "4", "--out", str(out)]
+    if kind == "improved":
+        argv += ["--n-q", "3", "--layout", "interleaved", "--L", "5"]
+    return digest_steps(tmp_path, capsys, [("inspect", argv, [out])])
+
+
+def golden_codec_run(tmp_path, capsys, kind):
+    rng = np.random.default_rng(83)
+    centers = rng.normal(size=(5, 4)) * 4.0
+    feats = tmp_path / "feats.csv"
+    write_csv(feats, np.repeat(centers, 24, axis=0) + rng.normal(size=(120, 4)) * 0.3)
+    codec, tokens = tmp_path / "codec.json", tmp_path / "tok.json"
+    recon, decoded = tmp_path / "recon.csv", tmp_path / "dec.csv"
+    features = ["--features", str(feats), "--codec", str(codec)]
+    steps = [
+        ("fit", ["codec", "fit", "--features", str(feats), *CODEC_FIT_ARGS[kind], "--Kp", "4",
+                 "--iters", "8", "--seed", "3", "--out", str(codec)], [codec]),
+        ("encode", ["codec", "encode", *features, "--out", str(tokens), "--recon", str(recon)],
+         [tokens, recon]),
+        ("decode", ["codec", "decode", "--tokens", str(tokens), "--codec", str(codec),
+                    "--out", str(decoded)], [decoded]),
+        ("report", ["codec", "report", *features], []),
+    ]
+    return digest_steps(tmp_path, capsys, steps)
+
+
+class TestGoldenScheduleAndCodecOutputs:
+    @pytest.mark.parametrize("kind", ["linear", "improved"])
+    def test_schedule_inspect_matches_recorded_digests(self, tmp_path, capsys, kind):
+        assert golden_schedule_run(tmp_path, capsys, kind) == GOLDEN_SCHEDULE[kind]
+
+    @pytest.mark.parametrize("kind", ["GRVQ", "GVQ", "RVQ-dropout"])
+    def test_codec_outputs_match_recorded_digests(self, tmp_path, capsys, kind):
+        assert golden_codec_run(tmp_path, capsys, kind) == GOLDEN_CODEC[kind]
+
+
 class TestCodecCommands:
     def test_fit_encode_report_decode(self, toy_setup, capsys, tmp_path):
         codec = tmp_path / "codec.json"
@@ -476,6 +581,17 @@ class TestCodecCommands:
         assert "1 grid" in err
         assert not out.exists()
 
+
+    def test_fit_rejects_groups_for_vq(self, toy_setup, capsys, tmp_path):
+        out = tmp_path / "codec.json"
+        code, stdout, err = invoke(
+            capsys, "codec", "fit", "--features", str(toy_setup["feats"]),
+            "--kind", "VQ", "--G", "2", "--Kp", "4", "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "G=1" in err
+        assert "Traceback" not in err and stdout == ""
+        assert not out.exists()
 
     def test_fit_overflow_is_exit_one(self, capsys, tmp_path):
         feats = tmp_path / "huge.csv"

@@ -465,6 +465,23 @@ class TestOverflowGuard:
             with pytest.raises(FittingError, match="overflow"):
                 fit_codebooks(X, FitConfig(kind=kind, Kp=4, R=R, iters=5, seed=0))
 
+    def test_distinct_frames_whose_distances_underflow_raise_naming_underflow(self):
+        # 20 distinct frames 1e-170 apart: every squared distance is below
+        # the smallest subnormal, so k-means++ sees a zero sum after one pick
+        X = np.arange(20.0)[:, None] * 1e-170
+        with pytest.raises(FittingError, match="underflow"):
+            fit_codebooks(X, FitConfig(kind="VQ", Kp=4, iters=5, seed=0))
+
+
+@pytest.mark.parametrize(
+    "kind, G, R, field",
+    [("VQ", 2, 3, "G"), ("VQ", 1, 3, "R"), ("RVQ", 2, 2, "G"), ("GVQ", 2, 2, "R")],
+)
+def test_fit_rejects_groups_or_depth_the_kind_forbids(kind, G, R, field):
+    X = np.random.default_rng(0).normal(size=(40, 4))
+    with pytest.raises(ValueError, match=f"{kind} requires.*{field}=1"):
+        fit_codebooks(X, FitConfig(kind=kind, Kp=2, G=G, R=R, iters=2, seed=0))
+
 
 class TestLoadCodecSchema:
     def write(self, tmp_path, payload):

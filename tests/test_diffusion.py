@@ -30,15 +30,18 @@ from vqdiff import (
     vlb_loss,
 )
 from vqdiff.diffusion import (
-    _kernel_rows,
     _kl_step,
-    _reverse_step_dists,
     _sample_categorical,
     _StepKernel,
     _validated_predict,
 )
 from vqdiff.schedules import random_schedule
 from vqdiff.transitions import build_transition_matrix, marginal_xt_given_x0, true_posterior
+
+
+def step_dists(x_t, t, p0, table, t_prev):
+    """Per-position p(x_{t_prev} | x_t) as an (N_q, L, K+1) array."""
+    return _StepKernel(x_t.data, table, t, t_prev).mix(p0)
 
 
 def grid1(tokens, K, layout="concatenated"):
@@ -172,9 +175,9 @@ class TestReverseStepDistribution:
                     expected = mixture_oracle(table, obs, t, s, p0)
                 except InconsistencyError:
                     with pytest.raises(InconsistencyError):
-                        _reverse_step_dists(g, t, p0[None, None, :], table, s)
+                        step_dists(g, t, p0[None, None, :], table, s)
                     continue
-                got = _reverse_step_dists(g, t, p0[None, None, :], table, s)
+                got = step_dists(g, t, p0[None, None, :], table, s)
                 np.testing.assert_allclose(got[0, 0], expected, atol=1e-12)
 
     def test_matches_enumeration_positional(self):
@@ -193,9 +196,9 @@ class TestReverseStepDistribution:
                     except InconsistencyError:
                         # a non-mask token at the fully absorbed endpoint
                         with pytest.raises(InconsistencyError):
-                            _reverse_step_dists(g, t, p0[:, None, :], table, s)
+                            step_dists(g, t, p0[:, None, :], table, s)
                         continue
-                    got = _reverse_step_dists(g, t, p0[:, None, :], table, s)
+                    got = step_dists(g, t, p0[:, None, :], table, s)
                     for layer in range(2):
                         np.testing.assert_allclose(got[layer, 0], expected[layer], atol=1e-12)
 
@@ -204,14 +207,14 @@ class TestReverseStepDistribution:
         table = random_schedule(rng, 10, 6)
         p0 = rng.dirichlet(np.ones(6), size=(2, 3))
         g = TokenGrid(data=rng.integers(0, 7, size=(2, 3)), K=6)
-        got = _reverse_step_dists(g, 7, p0, table, 3)
+        got = step_dists(g, 7, p0, table, 3)
         np.testing.assert_allclose(got.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_pure_mask_pins_observed_tokens(self):
         table = improved_schedule(10, 4, 1, L=2)
         p0 = np.full((1, 2, 4), 0.25)
         g = grid1([2, 4], 4)
-        got = _reverse_step_dists(g, 5, p0, table, 4)
+        got = step_dists(g, 5, p0, table, 4)
         np.testing.assert_allclose(got[0, 0], [0, 0, 1, 0, 0], atol=1e-12)
         assert got[0, 1, 4] > 0  # masked position may stay masked
 
@@ -249,7 +252,7 @@ class TestStepKernel:
         data = np.tile(np.arange(K + 1), (N_q, 1))
         rng = np.random.default_rng(5)
         for t in range(1, table.T + 1):
-            kernel = _StepKernel(data, K, _kernel_rows(table, t, t - 1, N_q))
+            kernel = _StepKernel(data, table, t, t - 1)
             r = rng.normal(size=(N_q, L, K + 1))
             p = rng.dirichlet(np.ones(K), size=(N_q, L))
             got_t, got_valid = kernel.mix_t(r)
@@ -274,7 +277,7 @@ class TestStepKernel:
     def test_mask_at_zero_mask_step_rejected(self):
         table = from_stepwise([0.7, 0.5], [0.1, 0.1], [0.0, 0.2], 3)  # no mask mass at t=1
         with pytest.raises(InconsistencyError):
-            _StepKernel(np.array([[3, 0]]), 3, _kernel_rows(table, 1, 0, 1))
+            _StepKernel(np.array([[3, 0]]), table, 1, 0)
 
 
 def softmax(w):
@@ -317,8 +320,7 @@ class TestTrainingGradient:
                 except InconsistencyError:
                     continue  # x_t impossible from x0 at this step
                 w = rng.normal(size=(1, 2, K))
-                kr = _kernel_rows(table, t, t - 1, 1)
-                loss, g_w = _kl_step(x_t, x0, softmax(w), kr)
+                loss, g_w = _kl_step(x_t, x0, softmax(w), table, t)
                 assert loss == pytest.approx(dense_step_kl(table, t, x_t, x0, w) / 2, rel=1e-12)
                 fd = np.zeros_like(w)
                 for idx in np.ndindex(w.shape):
@@ -352,7 +354,7 @@ class TestSharedScheduleBroadcast:
             a, b = (corrupt(x0, t, table, np.random.default_rng(t)) for table in tables)
             np.testing.assert_array_equal(a.data, b.data)
             for s in range(t):
-                da, db = (_reverse_step_dists(a, t, p0, table, s) for table in tables)
+                da, db = (step_dists(a, t, p0, table, s) for table in tables)
                 assert da.tobytes() == db.tobytes()
         den = FixedDenoiser(rng.dirichlet(np.ones(4)), (N_q, 7))
         va, vb = (
@@ -668,11 +670,15 @@ class TestSample:
         b = sample(den, None, table, rng=np.random.default_rng(33))
         np.testing.assert_array_equal(a.data, b.data)
 
-    def test_mismatched_T_rejected(self):
+    def test_T_and_positional_stride_rejected(self):
+        # a chain always runs the schedule's T steps; a positional fourth
+        # argument (once T) must not be taken as the stride
         table = linear_schedule(10, 4)
         den = FixedDenoiser([0.25] * 4, (1, 2))
-        with pytest.raises(ValueError):
-            sample(den, None, table, T=20)
+        with pytest.raises(TypeError):
+            sample(den, None, table, T=10)
+        with pytest.raises(TypeError):
+            sample(den, None, table, 2)
 
 
 class TestVlbLoss:
@@ -723,7 +729,7 @@ class TestVlbLoss:
                     continue
                 g = grid1([x_t], 3)
                 p0 = _validated_predict(den, g, t, None)
-                model = _reverse_step_dists(g, t, p0, table, t - 1)[0, 0]
+                model = step_dists(g, t, p0, table, t - 1)[0, 0]
                 post = mixture_oracle(table, x_t, t, t - 1, [0, 1, 0])
                 s = post > 0
                 kl = float(np.sum(post[s] * np.log(post[s] / model[s])))

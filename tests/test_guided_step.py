@@ -5,8 +5,6 @@ schedule, contract checks that skip no-op passes, a vectorised VLB prior)
 must reproduce the straightforward versions below bit for bit.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -24,11 +22,9 @@ from vqdiff import (
     train_denoiser,
 )
 from vqdiff.diffusion import (
-    _KernelRows,
-    _kernel_rows,
+    _coeff_rows,
     _logsumexp,
     _prior_kl,
-    _rows,
     _sample_categorical,
     _stationary_rows,
     _StepKernel,
@@ -82,10 +78,17 @@ def cfg_combine_reference(log_p_cond, log_p_uncond, lam, mode="log"):
     return np.exp(g - logsumexp(g, axis=-1, keepdims=True))
 
 
-def kernel_rows_reference(table, t, t_prev, n_rows):
-    ab, bb, gb = table.alpha_bar, table.beta_bar, table.gamma_bar
-    coeffs = (ab[t], bb[t], gb[t], ab[t_prev], bb[t_prev], gb[t_prev], *table.segment(t_prev, t))
-    return _KernelRows(t, *_rows(coeffs, n_rows))
+def coeff_rows_reference(table, n_rows, segment=None):
+    cum = (table.alpha_bar, table.beta_bar, table.gamma_bar)
+    if segment is None:
+        return [np.broadcast_to(a.reshape(table.T + 1, -1), (table.T + 1, n_rows)) for a in cum]
+    s, t = segment
+    coeffs = [a[t] for a in cum] + [a[s] for a in cum] + list(table.segment(s, t))
+    return [np.broadcast_to(c, (n_rows,)) for c in coeffs]
+
+
+def same_rows(got, expected) -> bool:
+    return len(got) == len(expected) and all(map(same_bits, got, expected))
 
 
 def sample_reference(denoiser, cond, table, stride, rng, lam, mode):
@@ -102,7 +105,7 @@ def sample_reference(denoiser, cond, table, stride, rng, lam, mode):
             p_u = validated_predict_reference(denoiser, x, t, None)
             with np.errstate(divide="ignore"):
                 p0 = cfg_combine_reference(np.log(p0), np.log(p_u), lam, mode)
-        kernel = _StepKernel(x.data, K, kernel_rows_reference(table, t, s, N_q))
+        kernel = _StepKernel(x.data, table, t, s)
         x = x.with_data(_sample_categorical(kernel.mix(p0), rng))
         last_p0 = p0
     if x.contains_mask():
@@ -278,6 +281,18 @@ def test_cfg_combine_matches_reference(name, mode, lam):
     assert same_bits(got, expected)
 
 
+@pytest.mark.parametrize("lam, mode", [(-1.5, "log"), (0.5, "sum")])
+def test_bad_guidance_raises_only_where_guidance_applies(lam, mode):
+    # the sampler's combine skips cfg_combine's normalisation re-check, not
+    # its checks of the scale and mode
+    table = linear_schedule(4, 3)
+    den = ArrayDenoiser(np.full((1, 2, 3), 1 / 3))
+    with pytest.raises(ValueError, match="guidance scale|mode"):
+        sample(den, 0, table, rng=np.random.default_rng(1), guidance_scale=lam, guidance_mode=mode)
+    sample(den, None, table, rng=np.random.default_rng(1), guidance_scale=lam, guidance_mode=mode)
+    sample(den, 0, table, rng=np.random.default_rng(1), guidance_mode=mode)
+
+
 # ------------------------------------------------------ cached kernel rows
 
 
@@ -292,34 +307,34 @@ def kernel_tables():
 @pytest.mark.parametrize("name", sorted(kernel_tables()))
 def test_cached_kernel_rows_equal_fresh_ones_and_are_read_only(name):
     table = kernel_tables()[name]
-    for t in range(1, table.T + 1):
-        for t_prev in range(t):  # every stride
-            kr = _kernel_rows(table, t, t_prev, 3)
-            fresh = kernel_rows_reference(table, t, t_prev, 3)
-            for f in dataclasses.fields(_KernelRows):
-                assert same_bits(getattr(kr, f.name), getattr(fresh, f.name))
-                if f.name != "t":
-                    assert not getattr(kr, f.name).flags.writeable
-            assert _kernel_rows(table, t, t_prev, 3) is kr
+    segments = [(t_prev, t) for t in range(1, table.T + 1) for t_prev in range(t)]  # every stride
+    for segment in [None, *segments]:
+        rows = _coeff_rows(table, 3, segment)
+        assert same_rows(rows, coeff_rows_reference(table, 3, segment))
+        assert not any(r.flags.writeable for r in rows)
+        assert _coeff_rows(table, 3, segment) is rows
     with pytest.raises(ValueError):
-        kr.ab_t[0] = 0.5
+        rows[0][0] = 0.5
 
 
 def test_kernel_rows_kept_per_step_pair_and_row_count():
     table = linear_schedule(9, 4)
-    a, b, c = _kernel_rows(table, 6, 5, 2), _kernel_rows(table, 6, 3, 2), _kernel_rows(table, 6, 5, 3)
+    a, b, c = (_coeff_rows(table, 2, (5, 6)), _coeff_rows(table, 2, (3, 6)),
+               _coeff_rows(table, 3, (5, 6)))
     assert len({id(a), id(b), id(c)}) == 3
-    assert not np.array_equal(a.gb_s, b.gb_s)
-    assert c.ab_t.shape == (3,)
+    assert not np.array_equal(a[5], b[5])  # gamma_bar at the earlier step
+    assert c[0].shape == (3,)
+    assert _coeff_rows(table, 2)[0].shape == (10, 2)
+    assert _coeff_rows(table, 3)[0].shape == (10, 3)
 
 
 def test_kernel_rows_kept_per_table():
     one, two = improved_schedule(9, 4, 3, L=2), improved_schedule(9, 4, 3, L=2)
-    kr_one, kr_two = _kernel_rows(one, 4, 2, 3), _kernel_rows(two, 4, 2, 3)
-    assert kr_one is not kr_two
-    for f in dataclasses.fields(_KernelRows):
-        assert same_bits(getattr(kr_one, f.name), getattr(kr_two, f.name))
-    assert _kernel_rows(stepwise_from_cumulative(one), 4, 2, 3) is not kr_one
+    for segment in (None, (2, 4)):
+        rows_one, rows_two = _coeff_rows(one, 3, segment), _coeff_rows(two, 3, segment)
+        assert rows_one is not rows_two
+        assert same_rows(rows_one, rows_two)
+        assert _coeff_rows(stepwise_from_cumulative(one), 3, segment) is not rows_one
 
 
 def test_kernel_rows_never_reach_a_later_table():
@@ -327,11 +342,10 @@ def test_kernel_rows_never_reach_a_later_table():
     # collected one whose id it reuses
     for seed in range(20):
         table = random_schedule(np.random.default_rng(seed), 5, 3)
-        kr = _kernel_rows(table, 3, 1, 2)
-        fresh = kernel_rows_reference(table, 3, 1, 2)
-        for f in dataclasses.fields(_KernelRows):
-            assert same_bits(getattr(kr, f.name), getattr(fresh, f.name))
-        del table, kr
+        for segment in (None, (1, 3)):
+            rows = _coeff_rows(table, 2, segment)
+            assert same_rows(rows, coeff_rows_reference(table, 2, segment))
+        del table, rows
 
 
 # --------------------------------------------------------------- VLB prior

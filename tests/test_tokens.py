@@ -30,7 +30,6 @@ class TestTokenGrid:
     def test_mask_detection(self):
         clean = TokenGrid(data=np.array([[0, 1], [2, 0]]), K=3)
         assert not clean.contains_mask()
-        assert clean.mask_id == 3
         masked = TokenGrid(data=np.array([[0, 3]]), K=3)
         assert masked.contains_mask()
 
