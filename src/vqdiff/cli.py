@@ -142,9 +142,16 @@ def _cmd_diffuse_corrupt(args) -> int:
     return 0
 
 
-def _cmd_diffuse_sample(args) -> int:
+def _load_schedule_and_denoiser(args):
     table = load_schedule(args.schedule)
     denoiser = load_denoiser(args.denoiser)
+    if denoiser.T != table.T:
+        raise ValueError(f"denoiser trained for T={denoiser.T}, schedule has T={table.T}")
+    return table, denoiser
+
+
+def _cmd_diffuse_sample(args) -> int:
+    table, denoiser = _load_schedule_and_denoiser(args)
     grids = []
     for chain in range(args.count):
         rng = np.random.default_rng([args.seed, chain])
@@ -186,8 +193,7 @@ def _cmd_diffuse_train(args) -> int:
 
 
 def _cmd_diffuse_vlb(args) -> int:
-    table = load_schedule(args.schedule)
-    denoiser = load_denoiser(args.denoiser)
+    table, denoiser = _load_schedule_and_denoiser(args)
     grids, labels = load_token_file(args.tokens)
     rng = np.random.default_rng(args.seed)
     values = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FittingError
-from .tokens import TokenGrid, _field, _load_object, atomic_write_text
+from .tokens import TokenGrid, _field, _integer, _load_object, atomic_write_text
 
 KINDS = ("VQ", "RVQ", "GVQ", "GRVQ")
 
@@ -344,15 +344,14 @@ def reconstruction_report(features, model: CodecModel) -> list[float]:
     """MSE at each usable depth: 1..N_q for residual kinds, full depth
     otherwise (the flat kinds have no partial decoding)."""
     X = _as_features(features)
-    if model.kind in ("VQ", "GVQ"):
-        depths = [model.N_q]
-    else:
-        depths = list(range(1, model.N_q + 1))
-    out = []
-    for depth in depths:
-        _, recon = quantize(X, model, active_books=depth)
-        out.append(float(np.mean((X - recon) ** 2)))
-    return out
+    grid, _ = quantize(X, model)
+    # a residual book never changes the tokens of the books before it, so
+    # the first d rows of the full-depth grid are the depth-d encoding
+    first = model.N_q if model.kind in ("VQ", "GVQ") else 1
+    return [
+        float(np.mean((X - dequantize(grid.with_data(grid.data[:d]), model)) ** 2))
+        for d in range(first, model.N_q + 1)
+    ]
 
 
 def model_to_json_dict(model: CodecModel) -> dict:
@@ -385,9 +384,9 @@ def load_codec(path) -> CodecModel:
     payload = _load_object(path, "codec")
     return CodecModel(
         kind=_field(payload, "kind", str, "codec"),
-        G=_field(payload, "G", int, "codec"),
-        R=_field(payload, "R", int, "codec"),
-        Kp=_field(payload, "Kp", int, "codec"),
+        G=_field(payload, "G", _integer, "codec"),
+        R=_field(payload, "R", _integer, "codec"),
+        Kp=_field(payload, "Kp", _integer, "codec"),
         codebooks=_field(payload, "codebooks", _as_books, "codec"),
     )
 

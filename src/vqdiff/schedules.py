@@ -1,37 +1,37 @@
 """Noise schedules for mask+uniform categorical diffusion.
 
 A schedule over ``T`` steps and a ``K``-token alphabet (plus mask id ``K``)
-is stored as cumulative coefficients ``alpha_bar`` (probability of still
-carrying the original token), ``beta_bar`` (per-category uniform mass) and
-``gamma_bar`` (mask mass), together with the stepwise coefficients
-``alpha``, ``beta``, ``gamma`` that generate them through the recurrences
+is stored as cumulative coefficients only: ``alpha_bar`` (probability of
+still carrying the original token), ``beta_bar`` (per-category uniform
+mass) and ``gamma_bar`` (mask mass), each indexed by step ``t in 0..T``.
+The kernel taking step ``s`` to step ``t`` stays in the mask+uniform family,
+and its coefficients follow from the cumulatives by the quotient rules
 
-    alpha_bar[t] = alpha_bar[t-1] * alpha[t]
-    1 - gamma_bar[t] = (1 - gamma_bar[t-1]) * (1 - gamma[t])
-    beta_bar[t] = (1 - alpha_bar[t] - gamma_bar[t]) / K
+    alpha = alpha_bar[t] / alpha_bar[s]
+    1 - gamma = (1 - gamma_bar[t]) / (1 - gamma_bar[s])
+    beta = (1 - alpha - gamma) / K
+
+(``ScheduleTable.segment``); the single step ``t-1 -> t`` is the case
+``s = t-1`` (``ScheduleTable.stepwise``).
 
 Two constructions are provided: a linear ramp shared by every position,
 and a per-codebook variant that masks later (residual) codebooks earlier
 so that reverse generation recovers coarse content first.
-
-All arrays are indexed by step ``t in 0..T``; index 0 of the stepwise
-arrays is an identity placeholder so that ``alpha[t]`` is the coefficient
-of the step taking ``t-1`` to ``t``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ScheduleError
-from .tokens import LAYOUTS, _field, _load_object, atomic_write_text
+from .tokens import LAYOUTS, _field, _integer, _load_object, atomic_write_text
 
 SIMPLEX_ATOL = 1e-12
 
-_ARRAYS = ("alpha_bar", "beta_bar", "gamma_bar", "alpha", "beta", "gamma")
+_ARRAYS = ("alpha_bar", "beta_bar", "gamma_bar")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -74,40 +74,15 @@ def _quotients(ab_s, gb_s, ab_t, gb_t):
     return alpha, gamma
 
 
-def _derive_stepwise(alpha_bar, gamma_bar, K):
-    """Invert the cumulative products into per-step coefficients.
-
-    Works on (T+1,) and (T+1, n_layers) arrays alike.  Degenerate steps
-    (alpha_bar already 0, or gamma_bar already 1) get alpha=0 / gamma=0
-    respectively; beta is the simplex residual over K.
-    """
-    ab_prev, ab = alpha_bar[:-1], alpha_bar[1:]
-    gb_prev, gb = gamma_bar[:-1], gamma_bar[1:]
-    for name, bad in (("alpha_bar increases", ab > ab_prev + SIMPLEX_ATOL),
-                      ("gamma_bar decreases", gb < gb_prev - SIMPLEX_ATOL)):
-        if np.any(bad):
-            raise ScheduleError(f"{name} at t={np.nonzero(bad)[0][0] + 1}")
-    alpha = np.ones_like(alpha_bar)
-    gamma = np.zeros_like(gamma_bar)
-    alpha[1:], gamma[1:] = _quotients(ab_prev, gb_prev, ab, gb)
-    beta = (1.0 - alpha - gamma) / K
-    if np.any(beta < -1e-9):
-        raise ScheduleError("cumulative tables imply a negative uniform mass")
-    beta = np.clip(beta, 0.0, None)
-    beta[np.abs(beta) < SIMPLEX_ATOL] = 0.0  # quotient noise; keep pure-mask steps exact
-    beta[0] = 0.0
-    return alpha, beta, gamma
-
-
 @dataclass(frozen=True)
 class ScheduleTable:
     """Mask+uniform schedule, shared by every grid row or one per codebook.
 
-    The six arrays all have shape (T+1,) for a schedule shared by every
-    codebook row, or (T+1, n_layers) for one column per codebook row.
-    ``alpha_bar``, ``beta_bar``, ``gamma_bar`` are cumulative (``t=0`` is
-    the identity, except for the ``improved`` kind); ``alpha``, ``beta``,
-    ``gamma`` are stepwise with index 0 unused (identity placeholder).
+    The cumulative arrays ``alpha_bar``, ``beta_bar``, ``gamma_bar`` all
+    have shape (T+1,) for a schedule shared by every codebook row, or
+    (T+1, n_layers) for one column per codebook row.  ``t=0`` is the
+    identity, except for the ``improved`` kind.  Per-step coefficients are
+    derived from them by ``segment``/``stepwise``.
     ``layout`` and ``L`` are carried for the file format; no computed number
     depends on them.  ``cached`` keeps values derived from the table alone,
     such as reverse-kernel coefficients, with this instance.
@@ -118,9 +93,6 @@ class ScheduleTable:
     alpha_bar: np.ndarray
     beta_bar: np.ndarray
     gamma_bar: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
     kind: str = "custom"
     layout: str = "concatenated"
     L: int = 0
@@ -151,10 +123,16 @@ class ScheduleTable:
         return _pick((self.alpha_bar, self.beta_bar, self.gamma_bar), t, layer)
 
     def stepwise(self, t: int, layer: int = 0):
-        """(alpha, beta, gamma) of ``layer`` for the single step ``t-1 -> t``; requires t >= 1."""
+        """(alpha, beta, gamma) of ``layer`` for the single step ``t-1 -> t``; requires t >= 1.
+
+        The values of ``segment(t - 1, t)``, except that a uniform mass
+        below ``SIMPLEX_ATOL`` is quotient noise and reads 0, so pure-mask
+        steps stay exactly pure.
+        """
         if not 1 <= t <= self.T:
             raise ValueError(f"step index must be in 1..{self.T}, got {t}")
-        return _pick((self.alpha, self.beta, self.gamma), t, layer)
+        alpha, beta, gamma = (c if c.ndim == 0 else c[layer] for c in self.segment(t - 1, t))
+        return alpha, (beta if beta >= SIMPLEX_ATOL else 0.0), gamma
 
     def segment(self, s: int, t: int):
         """(alpha, beta, gamma) of the composite kernel taking step s to step t > s.
@@ -195,13 +173,11 @@ class ScheduleTable:
         # later codebooks must never be less masked than earlier ones
         if np.any(np.diff(self.gamma_bar.reshape(self.T + 1, -1), axis=1) < -SIMPLEX_ATOL):
             raise ScheduleError("gamma_bar must be non-decreasing in the layer index")
-        # recurrence consistency between cumulative and stepwise views
-        rebuilt_ab = self.alpha_bar[:-1] * self.alpha[1:]
-        rebuilt_surv = (1.0 - self.gamma_bar[:-1]) * (1.0 - self.gamma[1:])
-        if np.max(np.abs(rebuilt_ab - self.alpha_bar[1:])) > SIMPLEX_ATOL:
-            raise ScheduleError("alpha recurrence violated")
-        if np.max(np.abs(rebuilt_surv - (1.0 - self.gamma_bar[1:]))) > SIMPLEX_ATOL:
-            raise ScheduleError("gamma recurrence violated")
+        alpha, gamma = _quotients(
+            self.alpha_bar[:-1], self.gamma_bar[:-1], self.alpha_bar[1:], self.gamma_bar[1:]
+        )
+        if np.any((1.0 - alpha - gamma) / self.K < -1e-9):
+            raise ScheduleError("cumulative tables imply a negative uniform mass")
 
     def to_json_dict(self) -> dict:
         return {
@@ -232,8 +208,7 @@ def linear_schedule(T: int, K: int) -> ScheduleTable:
     alpha_bar = 1.0 - frac
     gamma_bar = 0.9 * frac
     beta_bar = (1.0 - alpha_bar - gamma_bar) / K
-    alpha, beta, gamma = _derive_stepwise(alpha_bar, gamma_bar, K)
-    return ScheduleTable(T, K, alpha_bar, beta_bar, gamma_bar, alpha, beta, gamma, kind="linear")
+    return ScheduleTable(T, K, alpha_bar, beta_bar, gamma_bar, kind="linear")
 
 
 def improved_schedule(
@@ -275,10 +250,8 @@ def improved_schedule(
     beta_bar = np.zeros_like(alpha_bar_raw)  # the three-line construction leaves no uniform mass
     alpha_bar = np.clip(alpha_bar_raw, 0.0, 1.0)
     gamma_bar = 1.0 - alpha_bar - K * beta_bar
-    alpha, beta, gamma = _derive_stepwise(alpha_bar, gamma_bar, K)
     return ScheduleTable(
-        T, K, alpha_bar, beta_bar, gamma_bar, alpha, beta, gamma,
-        kind="improved", layout=layout, L=L,
+        T, K, alpha_bar, beta_bar, gamma_bar, kind="improved", layout=layout, L=L
     )
 
 
@@ -290,10 +263,8 @@ def from_cumulative(alpha_bar, gamma_bar, K: int) -> ScheduleTable:
         raise ValueError("alpha_bar and gamma_bar must be 1-D arrays of equal length >= 2")
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
-    T = len(alpha_bar) - 1
     beta_bar = (1.0 - alpha_bar - gamma_bar) / K
-    alpha, beta, gamma = _derive_stepwise(alpha_bar, gamma_bar, K)
-    return ScheduleTable(T, K, alpha_bar, beta_bar, gamma_bar, alpha, beta, gamma)
+    return ScheduleTable(len(alpha_bar) - 1, K, alpha_bar, beta_bar, gamma_bar)
 
 
 def from_stepwise(alpha, beta, gamma, K: int) -> ScheduleTable:
@@ -310,14 +281,10 @@ def from_stepwise(alpha, beta, gamma, K: int) -> ScheduleTable:
         raise ValueError("each step must satisfy alpha + K*beta + gamma = 1")
     if np.any(alpha < 0) or np.any(beta < 0) or np.any(gamma < 0):
         raise ValueError("stepwise coefficients must be nonnegative")
-    T = len(alpha)
-    alpha_full = np.concatenate([[1.0], alpha])
-    beta_full = np.concatenate([[0.0], beta])
-    gamma_full = np.concatenate([[0.0], gamma])
-    alpha_bar = np.cumprod(alpha_full)
-    gamma_bar = 1.0 - np.cumprod(1.0 - gamma_full)
+    alpha_bar = np.cumprod(np.concatenate([[1.0], alpha]))
+    gamma_bar = 1.0 - np.cumprod(np.concatenate([[1.0], 1.0 - gamma]))
     beta_bar = (1.0 - alpha_bar - gamma_bar) / K
-    return ScheduleTable(T, K, alpha_bar, beta_bar, gamma_bar, alpha_full, beta_full, gamma_full)
+    return ScheduleTable(len(alpha), K, alpha_bar, beta_bar, gamma_bar)
 
 
 def random_schedule(rng: np.random.Generator, T: int, K: int) -> ScheduleTable:
@@ -334,16 +301,10 @@ def random_schedule(rng: np.random.Generator, T: int, K: int) -> ScheduleTable:
     return from_stepwise(alpha, beta, gamma, K)
 
 
-def stepwise_from_cumulative(table: ScheduleTable) -> ScheduleTable:
-    """Recompute the stepwise coefficients of ``table`` from its cumulatives."""
-    alpha, beta, gamma = _derive_stepwise(table.alpha_bar, table.gamma_bar, table.K)
-    return replace(table, alpha=alpha, beta=beta, gamma=gamma)
-
-
 def schedule_from_json_dict(payload: dict) -> ScheduleTable:
     kind = _field(payload, "kind", str, "schedule", ScheduleError, "linear")
-    T = _field(payload, "T", int, "schedule", ScheduleError)
-    K = _field(payload, "K", int, "schedule", ScheduleError)
+    T = _field(payload, "T", _integer, "schedule", ScheduleError)
+    K = _field(payload, "K", _integer, "schedule", ScheduleError)
     cum = {
         name: _field(
             payload, name, lambda v: np.asarray(v, dtype=np.float64), "schedule", ScheduleError
@@ -354,20 +315,17 @@ def schedule_from_json_dict(payload: dict) -> ScheduleTable:
     alpha_bar, beta_bar, gamma_bar = cum.values()
     stored = {}
     if kind == "improved":
-        N_q = _field(payload, "N_q", int, "schedule", ScheduleError)
+        N_q = _field(payload, "N_q", _integer, "schedule", ScheduleError)
         if alpha_bar.shape != (T + 1, N_q):
             raise ScheduleError(
                 f"N_q={N_q} needs alpha_bar of shape (T+1, N_q) = {(T + 1, N_q)}, "
                 f"got {alpha_bar.shape}"
             )
         stored = {
-            "L": _field(payload, "L", int, "schedule", ScheduleError),
+            "L": _field(payload, "L", _integer, "schedule", ScheduleError),
             "layout": _field(payload, "layout", str, "schedule", ScheduleError, "concatenated"),
         }
-    alpha, beta, gamma = _derive_stepwise(alpha_bar, gamma_bar, K)
-    return ScheduleTable(
-        T, K, alpha_bar, beta_bar, gamma_bar, alpha, beta, gamma, kind=kind, **stored
-    )
+    return ScheduleTable(T, K, alpha_bar, beta_bar, gamma_bar, kind=kind, **stored)
 
 
 def load_schedule(path) -> ScheduleTable:

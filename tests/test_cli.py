@@ -77,6 +77,25 @@ class TestExitCodesAndErrors:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_negative_step_uniform_mass_is_exit_one(self, toy_setup, capsys, tmp_path):
+        # every cumulative is in [0, 1] and monotone, but the step 1 -> 2
+        # keeps every unmasked token (alpha=1) while masking half of them
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "T": 2, "K": 3, "kind": "linear",
+            "alpha_bar": [1.0, 0.5, 0.5], "beta_bar": [0.0, 0.5 / 3, 0.0],
+            "gamma_bar": [0.0, 0.0, 0.5],
+        }))
+        out = tmp_path / "never.json"
+        code, stdout, err = invoke(
+            capsys, "diffuse", "corrupt", "--tokens", str(toy_setup["tokens"]),
+            "--schedule", str(bad), "--t", "1", "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "negative uniform mass" in err
+        assert "Traceback" not in err and stdout == ""
+        assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         assert invoke(capsys, "--help")[0] == 0
         assert invoke(capsys, "diffuse", "--help")[0] == 0
@@ -314,6 +333,23 @@ class TestLoaderErrors:
         assert "Traceback" not in err and stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sample", "vlb"])
+    def test_denoiser_and_schedule_steps_must_agree(self, toy_setup, capsys, tmp_path, command):
+        den = self.trained(toy_setup, capsys)  # trained under T=6
+        sched = tmp_path / "short.json"
+        save_schedule(sched, linear_schedule(4, 3))
+        argv = ["diffuse", command, "--denoiser", str(den), "--schedule", str(sched)]
+        out = tmp_path / "never.json"
+        if command == "sample":
+            argv += ["--out", str(out)]
+        else:
+            argv += ["--tokens", str(toy_setup["tokens"])]
+        code, stdout, err = invoke(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:") and "T=6" in err and "T=4" in err
+        assert "Traceback" not in err and stdout == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", [
         "not-an-object", "missing-K", "missing-weights", "missing-cond_labels",
         "short-weights", "nested-weights", "float-T",
@@ -513,6 +549,26 @@ class TestGoldenScheduleAndCodecOutputs:
     @pytest.mark.parametrize("kind", ["GRVQ", "GVQ", "RVQ-dropout"])
     def test_codec_outputs_match_recorded_digests(self, tmp_path, capsys, kind):
         assert golden_codec_run(tmp_path, capsys, kind) == GOLDEN_CODEC[kind]
+
+
+# sha256 of the stdout of the two oracle commands.  They print their worst
+# deviations to four digits, so a change in the last bits of the step
+# matrices the oracles multiply shows here.
+GOLDEN_ORACLES = {
+    "transitions-check": "0ac8f6f1102e4a93644356716dab554b612152f92edbdf175523c1f83d64db17",
+    "selftest": "19ad16a248d4f609fffcc6d29aa59fbfad1986443226f8cf099790595b3c7642",
+}
+ORACLE_ARGS = {
+    "transitions-check": ["transitions", "check", "--K", "3", "--T", "5", "--seed", "0"],
+    "selftest": ["selftest", "--seed", "0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ORACLES))
+def test_oracle_commands_match_recorded_digests(capsys, name):
+    code, stdout, err = invoke(capsys, *ORACLE_ARGS[name])
+    assert code == 0, err
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_ORACLES[name]
 
 
 class TestCodecCommands:

@@ -266,6 +266,21 @@ class TestDepthReport:
         assert len(mses) == 6
         assert all(b <= a + 1e-12 for a, b in zip(mses, mses[1:]))
 
+    @pytest.mark.parametrize("kind,G,R", [("VQ", 1, 1), ("RVQ", 1, 4), ("GVQ", 2, 1),
+                                          ("GRVQ", 2, 3)])
+    def test_matches_per_depth_quantize(self, kind, G, R):
+        # the report scores depth d from the first d rows of one full-depth
+        # encoding; re-quantizing at every depth gives the same bytes
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(400, 6))
+        model = decaying_model(kind, G, R, Kp=16, d=6, seed=3, scale=0.5)
+        depths = [model.N_q] if kind in ("VQ", "GVQ") else range(1, model.N_q + 1)
+        expected = [
+            float(np.mean((X - quantize(X, model, active_books=d)[1]) ** 2)) for d in depths
+        ]
+        got = reconstruction_report(X, model)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+
     def test_flat_kinds_report_single_entry(self):
         rng = np.random.default_rng(13)
         X = rng.normal(size=(50, 4))
@@ -530,6 +545,14 @@ class TestLoadCodecSchema:
         payload = self.good_payload()
         payload["Kp"] = "many"
         with pytest.raises(ValueError, match="'Kp'"):
+            load_codec(self.write(tmp_path, payload))
+
+    @pytest.mark.parametrize("name,value", [("Kp", 2.7), ("G", True), ("R", "2")])
+    def test_integer_lookalike_named(self, tmp_path, name, value):
+        # int() would read 2.7 as 2, True as 1 and "2" as 2
+        payload = self.good_payload()
+        payload[name] = value
+        with pytest.raises(ValueError, match=f"'{name}'.*integer"):
             load_codec(self.write(tmp_path, payload))
 
 

@@ -340,10 +340,8 @@ class TestSharedScheduleBroadcast:
         N_q = 3
         wide = ScheduleTable(
             shared.T, shared.K,
-            *(np.tile(a[:, None], (1, N_q)) for a in (
-                shared.alpha_bar, shared.beta_bar, shared.gamma_bar,
-                shared.alpha, shared.beta, shared.gamma,
-            )),
+            *(np.tile(a[:, None], (1, N_q))
+              for a in (shared.alpha_bar, shared.beta_bar, shared.gamma_bar)),
             kind="linear",
         )
         rng = np.random.default_rng(31)
@@ -844,7 +842,8 @@ class TestEasyFirst:
         u = rng.random((n, T))
         first_mask = np.full((N_q, n), T + 1, dtype=float)
         for q in range(N_q):
-            gammas = table.gamma[1:, q]  # per-step mask probability, steps 1..T
+            # per-step mask probability, steps 1..T
+            gammas = np.array([table.stepwise(t, q)[2] for t in range(1, T + 1)])
             masked_at = u < gammas[None, :]
             has = masked_at.any(axis=1)
             first = np.argmax(masked_at, axis=1) + 1

@@ -11,7 +11,6 @@ from vqdiff import (
     improved_schedule,
     linear_schedule,
     load_schedule,
-    stepwise_from_cumulative,
 )
 from vqdiff.schedules import random_schedule, schedule_from_json_dict
 
@@ -87,7 +86,9 @@ class TestImprovedSchedule:
     def test_pure_mask_no_uniform_mass(self):
         table = improved_schedule(40, 8, 3)
         assert np.all(table.beta_bar == 0.0)
-        assert np.all(table.beta == 0.0)
+        for t in range(1, 41):
+            for q in range(3):
+                assert table.stepwise(t, q)[1] == 0.0
 
     def test_layer_ordering_later_masks_earlier(self):
         table = improved_schedule(60, 12, 5)
@@ -107,13 +108,20 @@ class TestImprovedSchedule:
             improved_schedule(10, 4, 3, layout="stacked", L=5)
 
 
+def stepwise_arrays(table):
+    """The (T, 3) array of ``stepwise(t)`` for t = 1..T (shared tables)."""
+    return np.array([table.stepwise(t) for t in range(1, table.T + 1)], dtype=float)
+
+
 class TestStepwiseCumulativeRoundTrip:
     def test_linear_round_trip(self):
+        # the steps of a linear table rebuild it through from_stepwise
         table = linear_schedule(50, 10)
-        rebuilt = stepwise_from_cumulative(table)
-        np.testing.assert_allclose(rebuilt.alpha, table.alpha, atol=1e-12)
-        np.testing.assert_allclose(rebuilt.beta, table.beta, atol=1e-12)
-        np.testing.assert_allclose(rebuilt.gamma, table.gamma, atol=1e-12)
+        steps = stepwise_arrays(table)
+        rebuilt = from_stepwise(*steps.T, 10)
+        for name in ("alpha_bar", "beta_bar", "gamma_bar"):
+            np.testing.assert_allclose(getattr(rebuilt, name), getattr(table, name), atol=1e-12)
+        np.testing.assert_allclose(stepwise_arrays(rebuilt), steps, atol=1e-12)
 
     def test_random_round_trip(self):
         rng = np.random.default_rng(20413)
@@ -122,9 +130,23 @@ class TestStepwiseCumulativeRoundTrip:
             K = int(rng.integers(2, 30))
             table = random_schedule(rng, T, K)
             again = from_cumulative(table.alpha_bar, table.gamma_bar, K)
-            np.testing.assert_allclose(again.alpha[1:], table.alpha[1:], atol=1e-9)
-            np.testing.assert_allclose(again.beta[1:], table.beta[1:], atol=1e-9)
-            np.testing.assert_allclose(again.gamma[1:], table.gamma[1:], atol=1e-9)
+            np.testing.assert_allclose(stepwise_arrays(again), stepwise_arrays(table), atol=1e-9)
+
+    def test_from_stepwise_steps_read_back(self):
+        # stepwise() of a from_stepwise table recovers the drawn steps, which
+        # checks the cumprod that builds its cumulatives
+        rng = np.random.default_rng(6151)
+        for _ in range(40):
+            T = int(rng.integers(1, 30))
+            K = int(rng.integers(2, 20))
+            alpha = rng.uniform(0.3, 1.0, size=T)
+            split = rng.uniform(0.0, 1.0, size=T)
+            gamma = (1.0 - alpha) * split
+            beta = (1.0 - alpha) * (1.0 - split) / K
+            table = from_stepwise(alpha, beta, gamma, K)
+            np.testing.assert_allclose(
+                stepwise_arrays(table), np.stack([alpha, beta, gamma], axis=1), rtol=0, atol=1e-12
+            )
 
     def test_non_monotone_rejected(self):
         with pytest.raises(ScheduleError):
@@ -199,6 +221,14 @@ class TestSerialization:
         payload = linear_schedule(6, 4).to_json_dict()
         del payload["gamma_bar"]
         with pytest.raises(ScheduleError, match="no 'gamma_bar' field"):
+            schedule_from_json_dict(payload)
+
+    @pytest.mark.parametrize("name,value", [("T", 6.9), ("K", True), ("N_q", "3"), ("L", 2.0)])
+    def test_non_integer_count_named(self, name, value):
+        # int() would read 6.9 as 6, True as 1 and "3" as 3
+        payload = improved_schedule(6, 4, 3, L=2).to_json_dict()
+        payload[name] = value
+        with pytest.raises(ScheduleError, match=f"'{name}'.*integer"):
             schedule_from_json_dict(payload)
 
     def test_nan_entry_rejected(self):

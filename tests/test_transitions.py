@@ -131,9 +131,9 @@ class TestTruePosterior:
         # rebuild with an identity first step
         from vqdiff import from_stepwise
 
-        alpha = table.alpha[1:].copy()
-        beta = table.beta[1:].copy()
-        gamma = table.gamma[1:].copy()
+        alpha, beta, gamma = (
+            np.array(c) for c in zip(*(table.stepwise(t) for t in range(1, 5)))
+        )
         alpha[0], beta[0], gamma[0] = 1.0, 0.0, 0.0
         table = from_stepwise(alpha, beta, gamma, 3)
         probs = true_posterior(x_t=2, x0=2, t=1, table=table)
