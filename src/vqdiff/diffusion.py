@@ -666,29 +666,51 @@ class TabularDenoiser(Denoiser):
             raise ValueError(f"t must be in 0..{self.T}, got {t}")
         return self._probs_for(x_t.data, t, cond)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "tabular",
-            "K": self.K,
-            "N_q": self.grid_shape[0],
-            "L": self.grid_shape[1],
-            "T": self.T,
-            "layout": self.layout,
-            "cond_labels": self.cond_labels,
-            "weights": self.weights.reshape(-1).tolist(),
-        }
-
 
 def save_denoiser(path, denoiser: TabularDenoiser) -> None:
-    atomic_write_text(path, json.dumps(denoiser.to_json_dict()))
+    """Write ``denoiser`` as the JSON object ``load_denoiser`` reads.
+
+    The bytes are those of ``json.dumps`` of the whole object, ``weights``
+    last.  Training updates only the rows of the observed tokens, so most
+    rows of K logits stay all zero: a run of such rows is written by
+    repeating one formatted row, and ``json.dumps`` formats only the runs
+    of touched rows.  A row counts as touched when any bit is set, so
+    ``-0.0`` keeps its own text.
+    """
+    header = json.dumps({
+        "kind": "tabular",
+        "K": denoiser.K,
+        "N_q": denoiser.grid_shape[0],
+        "L": denoiser.grid_shape[1],
+        "T": denoiser.T,
+        "layout": denoiser.layout,
+        "cond_labels": denoiser.cond_labels,
+    })
+    rows = denoiser.weights.reshape(-1, denoiser.K)
+    touched = rows.view(np.int64).any(axis=1)
+    edges = np.flatnonzero(touched[1:] != touched[:-1]) + 1
+    bounds = [0, *edges.tolist(), len(rows)]
+    zero_row = ", ".join(["0.0"] * denoiser.K)
+    pieces = []
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if touched[start]:
+            pieces.append(json.dumps(rows[start:stop].reshape(-1).tolist())[1:-1])
+        else:
+            pieces.append(", ".join([zero_row] * (stop - start)))
+    atomic_write_text(path, f'{header[:-1]}, "weights": [{", ".join(pieces)}]}}')
 
 
 def _flat_weights(value) -> np.ndarray:
     if not isinstance(value, list):
         raise TypeError(f"expected a list of numbers, got {type(value).__name__}")
-    weights = np.asarray(value, dtype=float)
+    weights = np.asarray(value)
     if weights.ndim != 1:
         raise ValueError("expected a flat list of numbers")
+    if weights.dtype.kind not in "iuf":
+        raise ValueError(f"expected numbers, got entries of NumPy dtype {weights.dtype}")
+    weights = weights.astype(float, copy=False)
+    if not np.isfinite(weights).all():
+        raise ValueError("entries must be finite numbers")
     return weights
 
 

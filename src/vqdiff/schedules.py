@@ -151,6 +151,8 @@ class ScheduleTable:
         return alpha, beta, gamma
 
     def validate(self) -> None:
+        if self.K < 2:  # before anything divides by K
+            raise ScheduleError(f"K must be >= 2, got {self.K}")
         _check_shapes(self.T, {name: getattr(self, name) for name in _ARRAYS})
         if self.layout not in LAYOUTS:
             raise ScheduleError(f"layout must be one of {LAYOUTS}")

@@ -21,7 +21,9 @@ def atomic_write_text(path, text: str) -> None:
     """Write ``text`` to ``path`` via a temp file in the same directory.
 
     The content is fully serialized before anything touches the target, so
-    a failure part-way never leaves a truncated file behind.
+    a failure part-way never leaves a truncated file behind.  The file gets
+    the mode ``open(path, "w")`` would create, ``0o666`` less the umask,
+    not the ``0o600`` of the temp file.
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
@@ -29,6 +31,9 @@ def atomic_write_text(path, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

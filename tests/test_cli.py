@@ -77,6 +77,23 @@ class TestExitCodesAndErrors:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("K", [1, 0])
+    def test_schedule_file_with_small_alphabet_is_exit_one(self, toy_setup, capsys, tmp_path, K):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "T": 2, "K": K, "kind": "linear", "alpha_bar": [1.0, 0.5, 0.0],
+            "beta_bar": [0.0, 0.0, 0.0], "gamma_bar": [0.0, 0.5, 1.0],
+        }))
+        out = tmp_path / "never.json"
+        code, stdout, err = invoke(
+            capsys, "diffuse", "corrupt", "--tokens", str(toy_setup["tokens"]),
+            "--schedule", str(bad), "--t", "1", "--out", str(out),
+        )
+        assert code == 1
+        assert err == f"error: K must be >= 2, got {K}\n"
+        assert stdout == ""
+        assert not out.exists()
+
     def test_negative_step_uniform_mass_is_exit_one(self, toy_setup, capsys, tmp_path):
         # every cumulative is in [0, 1] and monotone, but the step 1 -> 2
         # keeps every unmasked token (alpha=1) while masking half of them
@@ -298,6 +315,12 @@ def mutate_denoiser(payload, bad):
     if bad == "nested-weights":
         payload["weights"] = [payload["weights"]]
         return payload, "'weights'"
+    if bad == "string-weights":
+        payload["weights"][5] = "0.5"
+        return payload, "'weights'"
+    if bad in ("nan-weights", "inf-weights"):
+        payload["weights"][-1] = float(bad[:3])
+        return payload, "'weights'"
     assert bad == "float-T"
     payload["T"] = 6.5
     return payload, "'T'"
@@ -352,7 +375,8 @@ class TestLoaderErrors:
 
     @pytest.mark.parametrize("bad", [
         "not-an-object", "missing-K", "missing-weights", "missing-cond_labels",
-        "short-weights", "nested-weights", "float-T",
+        "short-weights", "nested-weights", "string-weights", "nan-weights", "inf-weights",
+        "float-T",
     ])
     def test_bad_denoiser_file(self, toy_setup, capsys, tmp_path, bad):
         den = self.trained(toy_setup, capsys)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import warnings
 
 import numpy as np
@@ -26,6 +27,7 @@ from vqdiff import (
     from_stepwise,
     reverse_step,
     sample,
+    save_denoiser,
     train_denoiser,
     vlb_loss,
 )
@@ -829,6 +831,117 @@ class TestTrainDenoiser:
                                 np.random.default_rng(0))
         with pytest.raises(ValueError):
             den.predict(grid1([3, 3], 3), 2, cond=99)
+
+
+def save_denoiser_reference(path, den):
+    """The serialiser ``save_denoiser`` replaced: one ``json.dumps`` of every entry."""
+    payload = {
+        "kind": "tabular",
+        "K": den.K,
+        "N_q": den.grid_shape[0],
+        "L": den.grid_shape[1],
+        "T": den.T,
+        "layout": den.layout,
+        "cond_labels": den.cond_labels,
+        "weights": den.weights.reshape(-1).tolist(),
+    }
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def pipeline_trained_denoiser():
+    """A two-class table trained at K=16, 4x32, improved T=20 for 320 SGD steps."""
+    K, N_q, L = 16, 4, 32
+    rng = np.random.default_rng(5)
+    protos = rng.integers(0, K, size=(2, N_q, L))
+    dataset = []
+    for label in (0, 1):
+        for _ in range(32):
+            noisy = rng.random((N_q, L)) < 0.2
+            data = np.where(noisy, rng.integers(0, K, size=(N_q, L)), protos[label])
+            dataset.append((TokenGrid(data=data, K=K), label))
+    den, _ = train_denoiser(dataset, improved_schedule(20, K, N_q, L=L),
+                            TrainConfig(epochs=5), np.random.default_rng(7))
+    return den
+
+
+DENOISER_TABLES = [
+    "all-zero", "dense", "negative-zero", "non-finite", "subnormal", "K=2",
+    "first-row-only", "last-row-only", "first-and-last-rows",
+]
+
+
+def denoiser_table(name):
+    """A small table, (2, 3, 1, 2, K + 1, K) or (3, ...) for K=2, with the named entries set."""
+    K = 2 if name == "K=2" else 3
+    den = TabularDenoiser(K, (1, 2), 2, [1, 4] if K == 2 else [0],
+                          layout="interleaved" if name == "last-row-only" else "concatenated")
+    rows = den.weights.reshape(-1, K)  # a view: one row of K logits per (label, t, q, l, token)
+    rng = np.random.default_rng(3)
+    if name == "dense":
+        rows[...] = rng.normal(size=rows.shape)
+    elif name == "negative-zero":
+        rows[7, 1] = -0.0
+    elif name == "non-finite":
+        rows[0, 0], rows[4, 2], rows[5, 0], rows[9, 1] = np.nan, np.inf, -np.inf, 1.5
+    elif name == "subnormal":
+        rows[2, 0], rows[2, 1], rows[11, 2] = 5e-324, -2.2250738585072e-309, 1e-310
+    elif name == "K=2":
+        rows[::3, 0] = rng.normal(size=len(rows[::3]))
+    elif name == "first-row-only":
+        rows[0, 2] = 0.25
+    elif name == "last-row-only":
+        rows[-1, 0] = -3.0
+    elif name == "first-and-last-rows":
+        rows[0, 0], rows[-1, 2] = 1.0, 2.0
+    else:
+        assert name == "all-zero"
+    return den
+
+
+class TestDenoiserFile:
+    """``save_denoiser`` writes the reference bytes and ``load_denoiser`` reads them back."""
+
+    def check_table(self, tmp_path, den):
+        fast, ref = tmp_path / "fast.json", tmp_path / "ref.json"
+        save_denoiser(fast, den)
+        save_denoiser_reference(ref, den)
+        assert fast.read_bytes() == ref.read_bytes()
+        return fast
+
+    def test_pipeline_trained_table(self, tmp_path):
+        den = pipeline_trained_denoiser()
+        touched = den.weights.reshape(-1, den.K).any(axis=1)
+        assert 0 < touched.mean() < 0.1  # mostly untouched rows
+        path = self.check_table(tmp_path, den)
+        loaded = load_denoiser(path)
+        assert loaded.weights.tobytes() == den.weights.tobytes()
+
+    @pytest.mark.parametrize("name", DENOISER_TABLES)
+    def test_table(self, tmp_path, name):
+        den = denoiser_table(name)
+        path = self.check_table(tmp_path, den)
+        if np.isfinite(den.weights).all():
+            loaded = load_denoiser(path)
+            assert loaded.weights.tobytes() == den.weights.tobytes()
+            assert (loaded.K, loaded.grid_shape, loaded.T, loaded.cond_labels, loaded.layout) == (
+                den.K, den.grid_shape, den.T, den.cond_labels, den.layout)
+        else:
+            with pytest.raises(ValueError, match="'weights'.*finite"):
+                load_denoiser(path)
+
+    @pytest.mark.parametrize("bad,message", [
+        ("0.5", "dtype"), (None, "dtype"),
+        (float("nan"), "finite"), (float("inf"), "finite"), (float("-inf"), "finite"),
+    ])
+    def test_bad_weight_entry_rejected(self, tmp_path, bad, message):
+        den = denoiser_table("all-zero")
+        path = tmp_path / "den.json"
+        save_denoiser(path, den)
+        payload = json.loads(path.read_text())
+        payload["weights"][4] = bad
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"denoiser field 'weights' is malformed.*{message}"):
+            load_denoiser(path)
 
 
 class TestEasyFirst:

@@ -237,6 +237,15 @@ class TestSerialization:
         with pytest.raises(ScheduleError, match="alpha_bar has entries outside"):
             schedule_from_json_dict(payload)
 
+    @pytest.mark.parametrize("K", [1, 0, -2])
+    def test_small_alphabet_rejected(self, K, recwarn):
+        # a valid pure-mask table whatever K is, so only the K check can refuse it
+        payload = {"T": 2, "K": K, "kind": "linear", "alpha_bar": [1.0, 0.5, 0.0],
+                   "beta_bar": [0.0, 0.0, 0.0], "gamma_bar": [0.0, 0.5, 1.0]}
+        with pytest.raises(ScheduleError, match=f"K must be >= 2, got {K}"):
+            schedule_from_json_dict(payload)
+        assert len(recwarn) == 0  # refused before any division by K
+
     def test_json_dict_invariants_checked(self):
         payload = linear_schedule(5, 4).to_json_dict()
         payload["alpha_bar"][3] = 0.99  # break monotonicity

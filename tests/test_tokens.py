@@ -1,6 +1,8 @@
 """Token grid validation and the JSON token file."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -84,6 +86,17 @@ class TestAtomicWrite:
         atomic_write_text(path, "second")
         assert path.read_text() == "second"
         assert list(tmp_path.iterdir()) == [path]  # no stray temp files
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
+                             ids=["umask-022", "umask-077", "umask-002"])
+    def test_file_gets_umask_mode(self, tmp_path, umask, mode):
+        path = tmp_path / "out.txt"
+        previous = os.umask(umask)
+        try:
+            atomic_write_text(path, "text")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
 
     def test_failure_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "out.txt"
