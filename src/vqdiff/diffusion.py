@@ -163,8 +163,8 @@ def _validated_predict(denoiser, x_t: TokenGrid, t: int, cond) -> np.ndarray:
 def _guidance_scale(guidance_scale: float, mode: str) -> float:
     """The guidance scale as a float, once it and the mode are checked."""
     lam = float(guidance_scale)
-    if lam < -1:
-        raise ValueError(f"guidance scale must be >= -1, got {lam}")
+    if not (math.isfinite(lam) and lam >= -1):
+        raise ValueError(f"guidance scale must be a finite number >= -1, got {lam}")
     if mode not in ("log", "prob"):
         raise ValueError(f"mode must be 'log' or 'prob', got {mode!r}")
     return lam
@@ -220,12 +220,12 @@ def _combine(lp_c: np.ndarray, lp_u: np.ndarray, lam: float, mode: str) -> np.nd
     return np.exp(g - _logsumexp(g))
 
 
-def _predict_guided(denoiser, x_t, t, cond, guidance_scale, guidance_mode):
+def _predict_guided(denoiser, x_t, t, cond, lam, guidance_mode):
+    """The guided prediction; ``lam`` and the mode are already checked."""
     p_c = _validated_predict(denoiser, x_t, t, cond)
-    if guidance_scale == 0 or cond is None:
+    if lam == 0 or cond is None:
         return p_c
     p_u = _validated_predict(denoiser, x_t, t, None)
-    lam = _guidance_scale(guidance_scale, guidance_mode)
     with np.errstate(divide="ignore"):
         return _combine(np.log(p_c), np.log(p_u), lam, guidance_mode)
 
@@ -338,10 +338,10 @@ def _sample_categorical(dists: np.ndarray, rng: np.random.Generator) -> np.ndarr
     return idx
 
 
-def _step(x_t, t, t_prev, denoiser, cond, table, guidance_scale, guidance_mode, rng):
+def _step(x_t, t, t_prev, denoiser, cond, table, lam, guidance_mode, rng):
     """Draw x_{t_prev} from the posterior q(x_{t_prev} | x_t, x0=v) mixed over the
     guided prediction of v; returns it and that prediction."""
-    p0 = _predict_guided(denoiser, x_t, t, cond, guidance_scale, guidance_mode)
+    p0 = _predict_guided(denoiser, x_t, t, cond, lam, guidance_mode)
     dists = _StepKernel(x_t.data, table, t, t_prev).mix(p0)
     return x_t.with_data(_sample_categorical(dists, rng)), p0
 
@@ -359,6 +359,7 @@ def reverse_step(
     guidance_mode: str = "log",
 ) -> TokenGrid:
     """Sample x_{t_prev} from the reparameterized reverse kernel at step t."""
+    lam = _guidance_scale(guidance_scale, guidance_mode)
     _check_shape(table, x_t.K, x_t.N_q)
     if not 1 <= t <= table.T:
         raise ValueError(f"t must be in 1..{table.T}, got {t}")
@@ -368,7 +369,7 @@ def reverse_step(
         raise ValueError(f"t_prev must satisfy 0 <= t_prev < t, got {t_prev}")
     if rng is None:
         rng = np.random.default_rng()
-    return _step(x_t, t, t_prev, denoiser, cond, table, guidance_scale, guidance_mode, rng)[0]
+    return _step(x_t, t, t_prev, denoiser, cond, table, lam, guidance_mode, rng)[0]
 
 
 def _stationary_rows(table, n_rows: int, K: int) -> np.ndarray:
@@ -398,6 +399,7 @@ def sample(
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
+    lam = _guidance_scale(guidance_scale, guidance_mode)
     if rng is None:
         rng = np.random.default_rng()
     N_q, L = denoiser.grid_shape
@@ -408,8 +410,7 @@ def sample(
     data = _sample_categorical(np.repeat(init[:, None, :], L, axis=1), rng)
     x = TokenGrid(data=data, K=K, layout=denoiser.layout)
     for t in range(table.T, 0, -stride):
-        x, p0 = _step(x, t, max(0, t - stride), denoiser, cond, table, guidance_scale,
-                      guidance_mode, rng)
+        x, p0 = _step(x, t, max(0, t - stride), denoiser, cond, table, lam, guidance_mode, rng)
     if x.contains_mask():
         x = x.with_data(np.where(x.data == K, p0.argmax(axis=-1), x.data))
     return x
@@ -670,14 +671,18 @@ class TabularDenoiser(Denoiser):
 def save_denoiser(path, denoiser: TabularDenoiser) -> None:
     """Write ``denoiser`` as the JSON object ``load_denoiser`` reads.
 
-    The bytes are those of ``json.dumps`` of the whole object, ``weights``
-    last.  Training updates only the rows of the observed tokens, so most
-    rows of K logits stay all zero: a run of such rows is written by
-    repeating one formatted row, and ``json.dumps`` formats only the runs
-    of touched rows.  A row counts as touched when any bit is set, so
-    ``-0.0`` keeps its own text.
+    Training updates only the rows of the observed tokens, so most rows of
+    K logits stay all zero.  ``rows`` lists, ascending, the rows of
+    ``weights.reshape(-1, K)`` with any bit set, and ``weights`` holds
+    their logits, flattened.  A row holding only ``-0.0`` counts as
+    touched, so the round trip is bit for bit.  Non-finite entries raise
+    ``ValueError`` before anything is written.
     """
-    header = json.dumps({
+    table = denoiser.weights.reshape(-1, denoiser.K)
+    if not np.isfinite(table).all():
+        raise ValueError("denoiser field 'weights' holds non-finite entries")
+    rows = np.flatnonzero(table.view(np.int64).any(axis=1))
+    atomic_write_text(path, json.dumps({
         "kind": "tabular",
         "K": denoiser.K,
         "N_q": denoiser.grid_shape[0],
@@ -685,24 +690,16 @@ def save_denoiser(path, denoiser: TabularDenoiser) -> None:
         "T": denoiser.T,
         "layout": denoiser.layout,
         "cond_labels": denoiser.cond_labels,
-    })
-    rows = denoiser.weights.reshape(-1, denoiser.K)
-    touched = rows.view(np.int64).any(axis=1)
-    edges = np.flatnonzero(touched[1:] != touched[:-1]) + 1
-    bounds = [0, *edges.tolist(), len(rows)]
-    zero_row = ", ".join(["0.0"] * denoiser.K)
-    pieces = []
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        if touched[start]:
-            pieces.append(json.dumps(rows[start:stop].reshape(-1).tolist())[1:-1])
-        else:
-            pieces.append(", ".join([zero_row] * (stop - start)))
-    atomic_write_text(path, f'{header[:-1]}, "weights": [{", ".join(pieces)}]}}')
+        "rows": rows.tolist(),
+        "weights": table[rows].reshape(-1).tolist(),
+    }))
 
 
 def _flat_weights(value) -> np.ndarray:
     if not isinstance(value, list):
         raise TypeError(f"expected a list of numbers, got {type(value).__name__}")
+    if bool in set(map(type, value)):  # NumPy would read true as 1.0
+        raise TypeError("expected numbers, got a boolean")
     weights = np.asarray(value)
     if weights.ndim != 1:
         raise ValueError("expected a flat list of numbers")
@@ -714,7 +711,17 @@ def _flat_weights(value) -> np.ndarray:
     return weights
 
 
+def _row_indices(value, n_rows: int) -> np.ndarray:
+    rows = np.asarray(_integers(value), dtype=np.int64)
+    if np.any(np.diff(rows) <= 0):
+        raise ValueError("row indices must be strictly increasing")
+    if rows.size and (rows[0] < 0 or rows[-1] >= n_rows):
+        raise ValueError(f"row indices must lie in [0, {n_rows})")
+    return rows
+
+
 def load_denoiser(path) -> TabularDenoiser:
+    """Read a file of ``save_denoiser``; without ``rows``, ``weights`` holds every row."""
     payload = _load_object(path, "denoiser")
     kind = _field(payload, "kind", str, "denoiser")
     if kind != "tabular":
@@ -723,14 +730,27 @@ def load_denoiser(path) -> TabularDenoiser:
     for name, low in (("K", 2), ("N_q", 1), ("L", 1), ("T", 1)):
         if fields[name] < low:
             raise ValueError(f"denoiser field {name!r} must be >= {low}, got {fields[name]}")
-    return TabularDenoiser(
-        K=fields["K"],
+    K = fields["K"]
+    den = TabularDenoiser(  # checks the table's size before allocating it
+        K=K,
         grid_shape=(fields["N_q"], fields["L"]),
         T=fields["T"],
         cond_labels=_field(payload, "cond_labels", _integers, "denoiser"),
         layout=_field(payload, "layout", _layout, "denoiser", default="concatenated"),
-        weights=_field(payload, "weights", _flat_weights, "denoiser"),
     )
+    table = den.weights.reshape(-1, K)
+    if "rows" in payload:
+        rows = _field(payload, "rows", lambda v: _row_indices(v, len(table)), "denoiser")
+    else:
+        rows = np.arange(len(table))
+    weights = _field(payload, "weights", _flat_weights, "denoiser")
+    if weights.size != rows.size * K:
+        raise ValueError(
+            f"denoiser field 'weights' holds {weights.size} values; "
+            f"{rows.size} rows of K={K} need {rows.size * K}"
+        )
+    table[rows] = weights.reshape(-1, K)
+    return den
 
 
 def _kl_step(data: np.ndarray, x0: np.ndarray, p: np.ndarray, table, t: int):
@@ -791,6 +811,8 @@ def train_denoiser(
     _check_shape(table, first.K, first.N_q)
     if not 0 <= config.null_cond_prob <= 1:
         raise ValueError("null_cond_prob must be in [0, 1]")
+    if not (math.isfinite(config.lr) and config.lr > 0):
+        raise ValueError(f"lr must be a finite number > 0, got {config.lr}")
 
     K = first.K
     labels = sorted({c for _, c in pairs if c is not None})

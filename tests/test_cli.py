@@ -113,6 +113,34 @@ class TestExitCodesAndErrors:
         assert "Traceback" not in err and stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0", "-1"])
+    def test_bad_learning_rate_is_exit_one(self, toy_setup, capsys, tmp_path, lr):
+        out = tmp_path / "never.json"
+        code, stdout, err = invoke(
+            capsys, "diffuse", "train", "--tokens", str(toy_setup["tokens"]),
+            "--schedule", str(toy_setup["sched"]), f"--lr={lr}", "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "lr" in err
+        assert "Traceback" not in err and stdout == ""
+        assert not out.exists()
+
+    def test_bad_guidance_scale_without_cond_is_exit_one(self, toy_setup, capsys, tmp_path):
+        den = tmp_path / "den.json"
+        assert invoke(
+            capsys, "diffuse", "train", "--tokens", str(toy_setup["tokens"]),
+            "--schedule", str(toy_setup["sched"]), "--epochs", "1", "--out", str(den),
+        )[0] == 0
+        out = tmp_path / "never.json"
+        code, stdout, err = invoke(
+            capsys, "diffuse", "sample", "--denoiser", str(den),
+            "--schedule", str(toy_setup["sched"]), "--lambda=-5", "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "guidance scale" in err
+        assert "Traceback" not in err and stdout == ""
+        assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         assert invoke(capsys, "--help")[0] == 0
         assert invoke(capsys, "diffuse", "--help")[0] == 0
@@ -301,6 +329,12 @@ def mutate_tokens(payload, bad):
     return payload, "labels"
 
 
+def denoiser_rows(payload):
+    """The number of K-logit rows in the table of a denoiser file."""
+    return ((len(payload["cond_labels"]) + 1) * (payload["T"] + 1)
+            * payload["N_q"] * payload["L"] * (payload["K"] + 1))
+
+
 def mutate_denoiser(payload, bad):
     """A broken denoiser file and the text its error must contain."""
     if bad == "not-an-object":
@@ -321,9 +355,29 @@ def mutate_denoiser(payload, bad):
     if bad in ("nan-weights", "inf-weights"):
         payload["weights"][-1] = float(bad[:3])
         return payload, "'weights'"
-    assert bad == "float-T"
-    payload["T"] = 6.5
-    return payload, "'T'"
+    if bad == "bool-weights":
+        payload["weights"][0] = True
+        return payload, "'weights'"
+    if bad == "float-T":
+        payload["T"] = 6.5
+        return payload, "'T'"
+    rows = payload["rows"]
+    if bad == "rows-not-a-list":
+        payload["rows"] = 3
+    elif bad == "float-rows":
+        rows[1] = float(rows[1])
+    elif bad == "bool-rows":
+        rows[0] = False
+    elif bad == "negative-rows":
+        rows[0] = -1
+    elif bad == "rows-out-of-range":
+        rows[-1] = denoiser_rows(payload)
+    elif bad == "unsorted-rows":
+        rows[0], rows[1] = rows[1], rows[0]
+    else:
+        assert bad == "duplicated-rows"
+        rows[1] = rows[0]
+    return payload, "'rows'"
 
 
 class TestLoaderErrors:
@@ -376,7 +430,8 @@ class TestLoaderErrors:
     @pytest.mark.parametrize("bad", [
         "not-an-object", "missing-K", "missing-weights", "missing-cond_labels",
         "short-weights", "nested-weights", "string-weights", "nan-weights", "inf-weights",
-        "float-T",
+        "bool-weights", "rows-not-a-list", "float-rows", "bool-rows", "negative-rows",
+        "rows-out-of-range", "unsorted-rows", "duplicated-rows", "float-T",
     ])
     def test_bad_denoiser_file(self, toy_setup, capsys, tmp_path, bad):
         den = self.trained(toy_setup, capsys)
@@ -395,12 +450,14 @@ class TestLoaderErrors:
 
 # sha256 of each stdout (with the temporary directory replaced by <tmp>) and
 # of each --out file of the run below, recorded before the guided reverse
-# step's fast path went in.  A change to the sampler, the VLB, training or the
-# file formats that alters a single output byte fails here.
+# step's fast path went in; the two train.out digests were recorded again
+# when the denoiser file began to keep only the touched rows.  A change to
+# the sampler, the VLB, training or the file formats that alters a single
+# output byte fails here.
 GOLDEN = {
     "linear": {
         "train.stdout": "325cfe83c21682cb83a7122527e560ed44e292f5cdcc6ef7ef8d1e0fadc4296f",
-        "train.out": "41596cb331741ffdcb7ae56a62e5f74d4938a938d1baab5ae64e96de6f379d76",
+        "train.out": "6bec64d1a1b13acec302313bd6fbd7400d6423f9f529109a43ea112408d7d76e",
         "sample-log.stdout": "1c0e5e074d1427a96648109e938f831fbe2ba5c5436cf3c3c3f410b69dd852f6",
         "sample-log.out": "96acd7b24dbe83c186f2dd0d9beadf6ed0364d1a2f0ae034af932035bb13fa59",
         "sample-prob.stdout": "f22e1fe3120b5e987b7f9a0993d3ca5db77e292e5e1191cad30644fb065a49c1",
@@ -411,7 +468,7 @@ GOLDEN = {
     },
     "improved": {
         "train.stdout": "3ae0794313105572eccb4474c2d55d219bc889cad5e32fda2c6d4214328013da",
-        "train.out": "54b4ef0a83bf6669a8d22bb33866ead6f1d653a4d45caf4b355e7ca3f4690825",
+        "train.out": "cec148f21051047d605c5760aed96deb507e1c604c2a6eb8ca8c8f662fa2f6e1",
         "sample-log.stdout": "1c0e5e074d1427a96648109e938f831fbe2ba5c5436cf3c3c3f410b69dd852f6",
         "sample-log.out": "5e094a6883b6082125f78fac66fdbc4db8f28b8768ecfc021f337f61abac5ad3",
         "sample-prob.stdout": "f22e1fe3120b5e987b7f9a0993d3ca5db77e292e5e1191cad30644fb065a49c1",
@@ -423,7 +480,26 @@ GOLDEN = {
 }
 
 
-def golden_run(tmp_path, capsys, kind):
+# sha256 of the golden run's denoiser file rewritten densely: the train.out
+# digests recorded before the denoiser file kept only the touched rows
+DENSE_TRAIN_OUT = {
+    "linear": "41596cb331741ffdcb7ae56a62e5f74d4938a938d1baab5ae64e96de6f379d76",
+    "improved": "54b4ef0a83bf6669a8d22bb33866ead6f1d653a4d45caf4b355e7ca3f4690825",
+}
+
+
+def rewrite_dense(path):
+    """Rewrite a denoiser file in the format before ``rows``: every row's logits."""
+    payload = json.loads(path.read_text())
+    K = payload["K"]
+    table = np.zeros((denoiser_rows(payload), K))
+    table[payload.pop("rows")] = np.reshape(payload["weights"], (-1, K))
+    payload["weights"] = table.reshape(-1).tolist()
+    path.write_text(json.dumps(payload))
+
+
+def golden_run(tmp_path, capsys, kind, dense=False):
+    """The digests of the run below; ``dense`` rewrites the trained denoiser densely."""
     sched = tmp_path / "sched.json"
     if kind == "linear":
         save_schedule(sched, linear_schedule(6, 4))
@@ -461,6 +537,9 @@ def golden_run(tmp_path, capsys, kind):
         digests[f"{name}.stdout"] = hashlib.sha256(text.encode()).hexdigest()
         if out is not None:
             digests[f"{name}.out"] = hashlib.sha256(out.read_bytes()).hexdigest()
+        if name == "train" and dense:
+            rewrite_dense(den)
+            digests["train.dense.out"] = hashlib.sha256(den.read_bytes()).hexdigest()
     return digests
 
 
@@ -468,6 +547,13 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize("kind", ["linear", "improved"])
     def test_diffuse_outputs_match_recorded_digests(self, tmp_path, capsys, kind):
         assert golden_run(tmp_path, capsys, kind) == GOLDEN[kind]
+
+    @pytest.mark.parametrize("kind", ["linear", "improved"])
+    def test_dense_denoiser_file_gives_recorded_digests(self, tmp_path, capsys, kind):
+        # a file written before the format kept only the touched rows
+        digests = golden_run(tmp_path, capsys, kind, dense=True)
+        assert digests.pop("train.dense.out") == DENSE_TRAIN_OUT[kind]
+        assert digests == GOLDEN[kind]
 
 
 # The same kind of digests for `schedule inspect` and the codec commands,

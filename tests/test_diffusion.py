@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import warnings
 
 import numpy as np
@@ -765,6 +766,11 @@ class TestTrainDenoiser:
         with pytest.raises(ValueError):
             train_denoiser([], linear_schedule(5, 3))
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match="lr"):
+            train_denoiser([grid1([0, 1], 3)], linear_schedule(5, 3), TrainConfig(lr=lr))
+
     def test_single_grid_reproduction(self):
         table = improved_schedule(5, 4, 1, L=3)
         x0 = grid1([2, 0, 3], 4)
@@ -834,7 +840,7 @@ class TestTrainDenoiser:
 
 
 def save_denoiser_reference(path, den):
-    """The serialiser ``save_denoiser`` replaced: one ``json.dumps`` of every entry."""
+    """The dense format written before ``rows``: one ``json.dumps`` of every entry."""
     payload = {
         "kind": "tabular",
         "K": den.K,
@@ -899,48 +905,98 @@ def denoiser_table(name):
 
 
 class TestDenoiserFile:
-    """``save_denoiser`` writes the reference bytes and ``load_denoiser`` reads them back."""
+    """``save_denoiser`` writes the touched rows; ``load_denoiser`` reads them and dense files."""
 
-    def check_table(self, tmp_path, den):
-        fast, ref = tmp_path / "fast.json", tmp_path / "ref.json"
-        save_denoiser(fast, den)
-        save_denoiser_reference(ref, den)
-        assert fast.read_bytes() == ref.read_bytes()
-        return fast
+    def check_round_trip(self, tmp_path, den):
+        path, dense = tmp_path / "den.json", tmp_path / "dense.json"
+        save_denoiser(path, den)
+        save_denoiser_reference(dense, den)
+        payload = json.loads(path.read_text())
+        rows = den.weights.reshape(-1, den.K)
+        touched = np.flatnonzero(rows.view(np.int64).any(axis=1))
+        assert payload["rows"] == touched.tolist()
+        assert len(payload["weights"]) == touched.size * den.K
+        for written in (path, dense):
+            loaded = load_denoiser(written)
+            assert loaded.weights.tobytes() == den.weights.tobytes()
+            assert (loaded.K, loaded.grid_shape, loaded.T, loaded.cond_labels, loaded.layout) == (
+                den.K, den.grid_shape, den.T, den.cond_labels, den.layout)
+        return payload
 
     def test_pipeline_trained_table(self, tmp_path):
         den = pipeline_trained_denoiser()
         touched = den.weights.reshape(-1, den.K).any(axis=1)
         assert 0 < touched.mean() < 0.1  # mostly untouched rows
-        path = self.check_table(tmp_path, den)
-        loaded = load_denoiser(path)
-        assert loaded.weights.tobytes() == den.weights.tobytes()
+        self.check_round_trip(tmp_path, den)
 
     @pytest.mark.parametrize("name", DENOISER_TABLES)
     def test_table(self, tmp_path, name):
         den = denoiser_table(name)
-        path = self.check_table(tmp_path, den)
         if np.isfinite(den.weights).all():
-            loaded = load_denoiser(path)
-            assert loaded.weights.tobytes() == den.weights.tobytes()
-            assert (loaded.K, loaded.grid_shape, loaded.T, loaded.cond_labels, loaded.layout) == (
-                den.K, den.grid_shape, den.T, den.cond_labels, den.layout)
-        else:
-            with pytest.raises(ValueError, match="'weights'.*finite"):
-                load_denoiser(path)
+            self.check_round_trip(tmp_path, den)
+            return
+        path = tmp_path / "den.json"
+        with pytest.raises(ValueError, match="'weights'.*finite"):
+            save_denoiser(path, den)
+        assert not path.exists()
+        save_denoiser_reference(path, den)
+        with pytest.raises(ValueError, match="'weights'.*finite"):
+            load_denoiser(path)
+
+    def test_negative_zero_row_written(self, tmp_path):
+        payload = self.check_round_trip(tmp_path, denoiser_table("negative-zero"))
+        assert payload["rows"] == [7]
+        assert [math.copysign(1.0, w) for w in payload["weights"]] == [1.0, -1.0, 1.0]
+
+    def test_all_zero_table_writes_no_rows(self, tmp_path):
+        payload = self.check_round_trip(tmp_path, denoiser_table("all-zero"))
+        assert payload["rows"] == [] and payload["weights"] == []
 
     @pytest.mark.parametrize("bad,message", [
-        ("0.5", "dtype"), (None, "dtype"),
+        ("0.5", "dtype"), (None, "dtype"), (True, "boolean"),
         (float("nan"), "finite"), (float("inf"), "finite"), (float("-inf"), "finite"),
     ])
     def test_bad_weight_entry_rejected(self, tmp_path, bad, message):
-        den = denoiser_table("all-zero")
+        den = denoiser_table("dense")
         path = tmp_path / "den.json"
         save_denoiser(path, den)
         payload = json.loads(path.read_text())
         payload["weights"][4] = bad
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=f"denoiser field 'weights' is malformed.*{message}"):
+            load_denoiser(path)
+
+    @pytest.mark.parametrize("bad,field", [
+        ("not-a-list", "rows"), ("float", "rows"), ("bool", "rows"), ("negative", "rows"),
+        ("out-of-range", "rows"), ("unsorted", "rows"), ("duplicated", "rows"),
+        ("short-weights", "weights"),
+    ])
+    def test_bad_rows_rejected(self, tmp_path, bad, field):
+        den = denoiser_table("K=2")  # every third row touched
+        n_rows = den.weights.size // den.K
+        path = tmp_path / "den.json"
+        save_denoiser(path, den)
+        payload = json.loads(path.read_text())
+        rows = payload["rows"]
+        assert rows[:3] == [0, 3, 6] and rows[-1] < n_rows - 1
+        if bad == "not-a-list":
+            payload["rows"] = 3
+        elif bad == "float":
+            rows[1] = 3.0
+        elif bad == "bool":
+            rows[0] = False
+        elif bad == "negative":
+            rows[0] = -1
+        elif bad == "out-of-range":
+            rows[-1] = n_rows
+        elif bad == "unsorted":
+            rows[1], rows[2] = rows[2], rows[1]
+        elif bad == "duplicated":
+            rows[1] = rows[0]
+        else:
+            payload["weights"].pop()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"denoiser field '{field}'"):
             load_denoiser(path)
 
 

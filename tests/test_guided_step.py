@@ -18,6 +18,7 @@ from vqdiff import (
     cfg_combine,
     improved_schedule,
     linear_schedule,
+    reverse_step,
     sample,
     train_denoiser,
 )
@@ -281,16 +282,22 @@ def test_cfg_combine_matches_reference(name, mode, lam):
     assert same_bits(got, expected)
 
 
-@pytest.mark.parametrize("lam, mode", [(-1.5, "log"), (0.5, "sum")])
-def test_bad_guidance_raises_only_where_guidance_applies(lam, mode):
-    # the sampler's combine skips cfg_combine's normalisation re-check, not
-    # its checks of the scale and mode
+@pytest.mark.parametrize("lam, mode", [
+    (-1.5, "log"), (0.5, "sum"), (0.0, "bogus"), (float("nan"), "log"), (float("inf"), "prob"),
+])
+@pytest.mark.parametrize("cond", [0, None])
+def test_bad_guidance_raises_whatever_cond(lam, mode, cond):
+    # the scale and mode are checked once on entry, also where no guidance
+    # applies: without a condition or at scale 0
     table = linear_schedule(4, 3)
     den = ArrayDenoiser(np.full((1, 2, 3), 1 / 3))
     with pytest.raises(ValueError, match="guidance scale|mode"):
-        sample(den, 0, table, rng=np.random.default_rng(1), guidance_scale=lam, guidance_mode=mode)
-    sample(den, None, table, rng=np.random.default_rng(1), guidance_scale=lam, guidance_mode=mode)
-    sample(den, 0, table, rng=np.random.default_rng(1), guidance_mode=mode)
+        sample(den, cond, table, rng=np.random.default_rng(1), guidance_scale=lam,
+               guidance_mode=mode)
+    x_t = TokenGrid(np.array([[3, 1]]), K=3)
+    with pytest.raises(ValueError, match="guidance scale|mode"):
+        reverse_step(x_t, 2, den, cond, table, lam, np.random.default_rng(1), guidance_mode=mode)
+    sample(den, cond, table, rng=np.random.default_rng(1))
 
 
 # ------------------------------------------------------ cached kernel rows
