@@ -88,7 +88,7 @@ def _cmd_schedule_inspect(args) -> int:
     else:
         if args.n_q is None:
             raise ValueError("--n-q is required for the improved schedule")
-        table = improved_schedule(args.T, args.K, args.n_q, layout=args.layout, L=args.L)
+        table = improved_schedule(args.T, args.K, args.n_q)
     print(format_table(table))
     if args.out:
         save_schedule(args.out, table)
@@ -415,8 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--n-q", type=int, default=None, help="codebook count (improved)")
-    p.add_argument("--layout", choices=("concatenated", "interleaved"), default="concatenated")
-    p.add_argument("--L", type=int, default=1, help="frames per codebook row")
     p.add_argument("--out", default=None, help="also write the schedule as JSON")
     p.set_defaults(func=_cmd_schedule_inspect)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, InconsistencyError, SizeGuardError
-from .tokens import TokenGrid, _field, _integer, _integers, _layout, _load_object, atomic_write_text
+from .tokens import TokenGrid, _field, _integer, _integers, _load_object, atomic_write_text
 
 NULL_COND = None
 
@@ -132,7 +132,7 @@ class Denoiser(ABC):
 
     K: int
     grid_shape: tuple[int, int]
-    layout: str = "concatenated"
+    layout = "concatenated"  # unused; perfbench/harness.py:145 reads it
 
     @abstractmethod
     def predict(self, x_t: TokenGrid, t: int, cond=None) -> np.ndarray:
@@ -408,7 +408,7 @@ def sample(
 
     init = _stationary_rows(table, N_q, K)
     data = _sample_categorical(np.repeat(init[:, None, :], L, axis=1), rng)
-    x = TokenGrid(data=data, K=K, layout=denoiser.layout)
+    x = TokenGrid(data=data, K=K)
     for t in range(table.T, 0, -stride):
         x, p0 = _step(x, t, max(0, t - stride), denoiser, cond, table, lam, guidance_mode, rng)
     if x.contains_mask():
@@ -533,7 +533,6 @@ class BayesOracleDenoiser(Denoiser):
         _check_shape(table, first.K, first.N_q)
         self.K = first.K
         self.grid_shape = (first.N_q, first.L)
-        self.layout = first.layout
         self._table = table
         self._support = np.stack([g.data for g in grids])  # (S, N_q, L)
         with np.errstate(divide="ignore"):
@@ -611,12 +610,13 @@ class TabularDenoiser(Denoiser):
     context models are an extension point, not provided here.
     """
 
-    def __init__(self, K, grid_shape, T, cond_labels, layout="concatenated", weights=None):
+    def __init__(self, K, grid_shape, T, cond_labels, weights=None):
         self.K = int(K)
         self.grid_shape = (int(grid_shape[0]), int(grid_shape[1]))
         self.T = int(T)
-        self.layout = layout
         self.cond_labels = sorted(int(c) for c in cond_labels)
+        if len(set(self.cond_labels)) != len(self.cond_labels):
+            raise ValueError(f"cond_labels repeat a label: {self.cond_labels}")
         self._cond_index = {c: i + 1 for i, c in enumerate(self.cond_labels)}
         self._positions = np.indices(self.grid_shape)
         self._positions.flags.writeable = False
@@ -688,7 +688,6 @@ def save_denoiser(path, denoiser: TabularDenoiser) -> None:
         "N_q": denoiser.grid_shape[0],
         "L": denoiser.grid_shape[1],
         "T": denoiser.T,
-        "layout": denoiser.layout,
         "cond_labels": denoiser.cond_labels,
         "rows": rows.tolist(),
         "weights": table[rows].reshape(-1).tolist(),
@@ -711,10 +710,15 @@ def _flat_weights(value) -> np.ndarray:
     return weights
 
 
+def _increasing(value) -> np.ndarray:
+    values = np.asarray(_integers(value), dtype=np.int64)
+    if np.any(np.diff(values) <= 0):
+        raise ValueError("entries must be strictly increasing")
+    return values
+
+
 def _row_indices(value, n_rows: int) -> np.ndarray:
-    rows = np.asarray(_integers(value), dtype=np.int64)
-    if np.any(np.diff(rows) <= 0):
-        raise ValueError("row indices must be strictly increasing")
+    rows = _increasing(value)
     if rows.size and (rows[0] < 0 or rows[-1] >= n_rows):
         raise ValueError(f"row indices must lie in [0, {n_rows})")
     return rows
@@ -735,8 +739,7 @@ def load_denoiser(path) -> TabularDenoiser:
         K=K,
         grid_shape=(fields["N_q"], fields["L"]),
         T=fields["T"],
-        cond_labels=_field(payload, "cond_labels", _integers, "denoiser"),
-        layout=_field(payload, "layout", _layout, "denoiser", default="concatenated"),
+        cond_labels=_field(payload, "cond_labels", _increasing, "denoiser"),
     )
     table = den.weights.reshape(-1, K)
     if "rows" in payload:
@@ -804,19 +807,21 @@ def train_denoiser(
     pairs = [(item, None) if isinstance(item, TokenGrid) else tuple(item) for item in dataset]
     first = pairs[0][0]
     for g, _ in pairs:
-        if (g.N_q, g.L, g.K, g.layout) != (first.N_q, first.L, first.K, first.layout):
-            raise ValueError("dataset grids must share shape, K and layout")
+        if (g.N_q, g.L, g.K) != (first.N_q, first.L, first.K):
+            raise ValueError("dataset grids must share shape and K")
         if g.contains_mask():
             raise ValueError("dataset grids must be mask-free")
     _check_shape(table, first.K, first.N_q)
     if not 0 <= config.null_cond_prob <= 1:
         raise ValueError("null_cond_prob must be in [0, 1]")
+    if isinstance(config.epochs, bool) or not isinstance(config.epochs, int) or config.epochs < 1:
+        raise ValueError(f"epochs must be an integer >= 1, got {config.epochs!r}")
     if not (math.isfinite(config.lr) and config.lr > 0):
         raise ValueError(f"lr must be a finite number > 0, got {config.lr}")
 
     K = first.K
     labels = sorted({c for _, c in pairs if c is not None})
-    den = TabularDenoiser(K, (first.N_q, first.L), table.T, labels, layout=first.layout)
+    den = TabularDenoiser(K, (first.N_q, first.L), table.T, labels)
 
     trace: list[float] = []
     n = len(pairs)

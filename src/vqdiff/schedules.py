@@ -27,11 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ScheduleError
-from .tokens import LAYOUTS, _field, _integer, _load_object, atomic_write_text
+from .tokens import _field, _integer, _load_object, atomic_write_text
 
 SIMPLEX_ATOL = 1e-12
 
 _ARRAYS = ("alpha_bar", "beta_bar", "gamma_bar")
+_KINDS = ("linear", "improved", "custom")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -82,9 +83,8 @@ class ScheduleTable:
     have shape (T+1,) for a schedule shared by every codebook row, or
     (T+1, n_layers) for one column per codebook row.  ``t=0`` is the
     identity, except for the ``improved`` kind.  Per-step coefficients are
-    derived from them by ``segment``/``stepwise``.
-    ``layout`` and ``L`` are carried for the file format; no computed number
-    depends on them.  ``cached`` keeps values derived from the table alone,
+    derived from them by ``segment``/``stepwise``.  ``kind`` is ``linear``,
+    ``improved`` or ``custom``.  ``cached`` keeps values derived from the table alone,
     such as reverse-kernel coefficients, with this instance.
     """
 
@@ -94,8 +94,6 @@ class ScheduleTable:
     beta_bar: np.ndarray
     gamma_bar: np.ndarray
     kind: str = "custom"
-    layout: str = "concatenated"
-    L: int = 0
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -151,11 +149,11 @@ class ScheduleTable:
         return alpha, beta, gamma
 
     def validate(self) -> None:
+        if self.kind not in _KINDS:
+            raise ScheduleError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if self.K < 2:  # before anything divides by K
             raise ScheduleError(f"K must be >= 2, got {self.K}")
         _check_shapes(self.T, {name: getattr(self, name) for name in _ARRAYS})
-        if self.layout not in LAYOUTS:
-            raise ScheduleError(f"layout must be one of {LAYOUTS}")
         for name in ("alpha_bar", "beta_bar", "gamma_bar"):
             _check_unit_interval(name, getattr(self, name))
         closure = self.alpha_bar + self.K * self.beta_bar + self.gamma_bar
@@ -185,10 +183,8 @@ class ScheduleTable:
         return {
             "T": self.T,
             "K": self.K,
-            "kind": self.kind if self.kind in ("linear", "improved") else "linear",
+            "kind": self.kind,
             "N_q": self.n_layers,
-            "layout": self.layout,
-            "L": self.L,
             "alpha_bar": self.alpha_bar.tolist(),
             "gamma_bar": self.gamma_bar.tolist(),
             "beta_bar": self.beta_bar.tolist(),
@@ -213,13 +209,8 @@ def linear_schedule(T: int, K: int) -> ScheduleTable:
     return ScheduleTable(T, K, alpha_bar, beta_bar, gamma_bar, kind="linear")
 
 
-def improved_schedule(
-    T: int,
-    K: int,
-    N_q: int,
-    layout: str = "concatenated",
-    L: int = 1,
-) -> ScheduleTable:
+# ``L`` is checked but unused: perfbench/wl_pipeline.py:116 passes it
+def improved_schedule(T: int, K: int, N_q: int, *, L: int = 1) -> ScheduleTable:
     """Per-codebook schedule that masks later (residual) layers earlier.
 
     Layer ``q`` of ``N_q`` uses
@@ -242,8 +233,6 @@ def improved_schedule(
         raise ValueError(f"N_q must be >= 1, got {N_q}")
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
-    if layout not in LAYOUTS:
-        raise ValueError(f"layout must be one of {LAYOUTS}, got {layout!r}")
 
     t = (np.arange(T + 1) / T)[:, None]
     q = np.arange(N_q)[None, :]
@@ -252,9 +241,7 @@ def improved_schedule(
     beta_bar = np.zeros_like(alpha_bar_raw)  # the three-line construction leaves no uniform mass
     alpha_bar = np.clip(alpha_bar_raw, 0.0, 1.0)
     gamma_bar = 1.0 - alpha_bar - K * beta_bar
-    return ScheduleTable(
-        T, K, alpha_bar, beta_bar, gamma_bar, kind="improved", layout=layout, L=L
-    )
+    return ScheduleTable(T, K, alpha_bar, beta_bar, gamma_bar, kind="improved")
 
 
 def from_cumulative(alpha_bar, gamma_bar, K: int) -> ScheduleTable:
@@ -315,7 +302,6 @@ def schedule_from_json_dict(payload: dict) -> ScheduleTable:
     }
     _check_shapes(T, cum)
     alpha_bar, beta_bar, gamma_bar = cum.values()
-    stored = {}
     if kind == "improved":
         N_q = _field(payload, "N_q", _integer, "schedule", ScheduleError)
         if alpha_bar.shape != (T + 1, N_q):
@@ -323,11 +309,7 @@ def schedule_from_json_dict(payload: dict) -> ScheduleTable:
                 f"N_q={N_q} needs alpha_bar of shape (T+1, N_q) = {(T + 1, N_q)}, "
                 f"got {alpha_bar.shape}"
             )
-        stored = {
-            "L": _field(payload, "L", _integer, "schedule", ScheduleError),
-            "layout": _field(payload, "layout", str, "schedule", ScheduleError, "concatenated"),
-        }
-    return ScheduleTable(T, K, alpha_bar, beta_bar, gamma_bar, kind=kind, **stored)
+    return ScheduleTable(T, K, alpha_bar, beta_bar, gamma_bar, kind=kind)
 
 
 def load_schedule(path) -> ScheduleTable:
@@ -344,7 +326,7 @@ def format_table(table: ScheduleTable) -> str:
     head = f"kind={table.kind} T={table.T} K={table.K}"
     cols = f"{'alpha_bar':>12} {'K*beta_bar':>12} {'gamma_bar':>12}"
     if per_layer:
-        head += f" N_q={table.n_layers} layout={table.layout} L={table.L}"
+        head += f" N_q={table.n_layers}"
         cols = f"{'layer':>5} {cols}"
     lines = [head, f"{'t':>5} {cols}"]
     for t in range(table.T + 1):

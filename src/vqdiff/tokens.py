@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-LAYOUTS = ("concatenated", "interleaved")
-
 
 def atomic_write_text(path, text: str) -> None:
     """Write ``text`` to ``path`` via a temp file in the same directory.
@@ -61,7 +59,7 @@ def _field(payload: dict, name: str, convert, what: str, error=ValueError, defau
         raise error(f"{what} file has no {name!r} field")
     try:
         return convert(payload.get(name, default))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{what} field {name!r} is malformed: {exc}") from None
 
 
@@ -69,12 +67,6 @@ def _integer(value) -> int:
     """A JSON integer as ``int``; floats, strings and booleans are rejected."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _layout(value) -> str:
-    if value not in LAYOUTS:
-        raise ValueError(f"expected one of {LAYOUTS}, got {value!r}")
     return value
 
 
@@ -90,7 +82,6 @@ class TokenGrid:
 
     data: np.ndarray
     K: int
-    layout: str = "concatenated"
 
     def __post_init__(self):
         data = np.asarray(self.data)
@@ -103,8 +94,6 @@ class TokenGrid:
             raise ValueError(f"K must be >= 2, got {self.K}")
         if np.any(data < 0) or np.any(data > self.K):
             raise ValueError(f"token values must lie in 0..{self.K} (K = mask)")
-        if self.layout not in LAYOUTS:
-            raise ValueError(f"unknown layout {self.layout!r}")
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
@@ -120,7 +109,7 @@ class TokenGrid:
         return bool(np.any(self.data == self.K))
 
     def with_data(self, data: np.ndarray) -> "TokenGrid":
-        return TokenGrid(data=data, K=self.K, layout=self.layout)
+        return TokenGrid(data=data, K=self.K)
 
 
 def token_file_dict(grids: list[TokenGrid], labels: list[int] | None = None) -> dict:
@@ -128,15 +117,14 @@ def token_file_dict(grids: list[TokenGrid], labels: list[int] | None = None) -> 
         raise ValueError("token file needs at least one grid")
     first = grids[0]
     for g in grids:
-        if (g.N_q, g.L, g.K, g.layout) != (first.N_q, first.L, first.K, first.layout):
-            raise ValueError("all grids in a token file must share shape, K and layout")
+        if (g.N_q, g.L, g.K) != (first.N_q, first.L, first.K):
+            raise ValueError("all grids in a token file must share shape and K")
     if labels is not None and len(labels) != len(grids):
         raise ValueError("labels must match the number of grids")
     payload = {
         "K": first.K,
         "N_q": first.N_q,
         "L": first.L,
-        "layout": first.layout,
         "grids": [g.data.tolist() for g in grids],
     }
     if labels is not None:
@@ -166,7 +154,6 @@ def load_token_file(path) -> tuple[list[TokenGrid], list[int] | None]:
     K = _field(payload, "K", _integer, "token")
     if K < 2:
         raise ValueError(f"token field 'K' must be >= 2, got {K}")
-    layout = _field(payload, "layout", _layout, "token", default="concatenated")
     arrays = _field(payload, "grids", _grid_array, "token")
     labels = None
     if payload.get("labels") is not None:
@@ -176,7 +163,7 @@ def load_token_file(path) -> tuple[list[TokenGrid], list[int] | None]:
     grids = []
     for i, a in enumerate(arrays):
         try:
-            grids.append(TokenGrid(data=a, K=K, layout=layout))
-        except ValueError as exc:  # K and layout are valid, so the tokens are not
+            grids.append(TokenGrid(data=a, K=K))
+        except ValueError as exc:  # K is valid, so the tokens are not
             raise ValueError(f"token field 'grids' is malformed: grid {i}: {exc}") from None
     return grids, labels

@@ -50,6 +50,25 @@ class TestExitCodesAndErrors:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("flag", ["--layout", "--L"])
+    def test_removed_schedule_flag_is_usage_error(self, capsys, flag):
+        code, _, err = invoke(capsys, "schedule", "inspect", "--kind", "improved", "--T", "6",
+                              "--K", "4", "--n-q", "3", flag, "5")
+        assert code == 2
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("epochs", ["0", "-2"])
+    def test_bad_epochs_is_exit_one(self, toy_setup, capsys, tmp_path, epochs):
+        out = tmp_path / "never.json"
+        code, stdout, err = invoke(
+            capsys, "diffuse", "train", "--tokens", str(toy_setup["tokens"]),
+            "--schedule", str(toy_setup["sched"]), "--epochs", epochs, "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "epochs" in err
+        assert "Traceback" not in err and stdout == ""
+        assert not out.exists()
+
     def test_domain_error_is_exit_one(self, capsys, tmp_path):
         code, _, err = invoke(
             capsys, "diffuse", "vlb",
@@ -361,6 +380,10 @@ def mutate_denoiser(payload, bad):
     if bad == "float-T":
         payload["T"] = 6.5
         return payload, "'T'"
+    if bad in ("repeated-labels", "unsorted-labels"):
+        assert payload["cond_labels"] == [0, 1]
+        payload["cond_labels"] = [1, 1] if bad == "repeated-labels" else [1, 0]
+        return payload, "'cond_labels'"
     rows = payload["rows"]
     if bad == "rows-not-a-list":
         payload["rows"] = 3
@@ -432,6 +455,7 @@ class TestLoaderErrors:
         "short-weights", "nested-weights", "string-weights", "nan-weights", "inf-weights",
         "bool-weights", "rows-not-a-list", "float-rows", "bool-rows", "negative-rows",
         "rows-out-of-range", "unsorted-rows", "duplicated-rows", "float-T",
+        "repeated-labels", "unsorted-labels",
     ])
     def test_bad_denoiser_file(self, toy_setup, capsys, tmp_path, bad):
         den = self.trained(toy_setup, capsys)
@@ -451,37 +475,39 @@ class TestLoaderErrors:
 # sha256 of each stdout (with the temporary directory replaced by <tmp>) and
 # of each --out file of the run below, recorded before the guided reverse
 # step's fast path went in; the two train.out digests were recorded again
-# when the denoiser file began to keep only the touched rows.  A change to
+# when the denoiser file began to keep only the touched rows, and every
+# .out digest again when the files stopped writing "layout".  A change to
 # the sampler, the VLB, training or the file formats that alters a single
 # output byte fails here.
 GOLDEN = {
     "linear": {
         "train.stdout": "325cfe83c21682cb83a7122527e560ed44e292f5cdcc6ef7ef8d1e0fadc4296f",
-        "train.out": "6bec64d1a1b13acec302313bd6fbd7400d6423f9f529109a43ea112408d7d76e",
+        "train.out": "5a7ef549f29375a5dbc2d04ef3a5dd55af3ebe62029b3644ac22e0fd8ba8a2a6",
         "sample-log.stdout": "1c0e5e074d1427a96648109e938f831fbe2ba5c5436cf3c3c3f410b69dd852f6",
-        "sample-log.out": "96acd7b24dbe83c186f2dd0d9beadf6ed0364d1a2f0ae034af932035bb13fa59",
+        "sample-log.out": "40f909a267ecf1b3d70d8100c16a8a1e9531b65267d9d5c1bffc29070578386c",
         "sample-prob.stdout": "f22e1fe3120b5e987b7f9a0993d3ca5db77e292e5e1191cad30644fb065a49c1",
-        "sample-prob.out": "cae7bebc71f6252efc6c37f903b17705771038ef310c3019bd3dc54b04b106c5",
+        "sample-prob.out": "8952c2e76906e8b06b81184e0e079ebc54b4fd166a3bdb8a458327f86e4dfc39",
         "sample-unguided.stdout": "16c38e961fe321f0b5749e8bc0cd0625b7839d82120e937910c2f13f3e1ee4bb",
-        "sample-unguided.out": "058d930cd20308c8250c9176d55b814aafe043f4bdc301629c6cecb1b78f74b5",
+        "sample-unguided.out": "2adf19e22059e4fb7e8617b97fdef5edc75d3712f1f9ca16aeb2845cd44358a1",
         "vlb.stdout": "ce7bbc5bf7249e42ad514579ff6bb1363ba19ba41d8390570de21a7369045f14",
     },
     "improved": {
         "train.stdout": "3ae0794313105572eccb4474c2d55d219bc889cad5e32fda2c6d4214328013da",
-        "train.out": "cec148f21051047d605c5760aed96deb507e1c604c2a6eb8ca8c8f662fa2f6e1",
+        "train.out": "9e08168d29a2a72e61825eccd2e74dd502dd75a69f71acb0da845fa98754ace5",
         "sample-log.stdout": "1c0e5e074d1427a96648109e938f831fbe2ba5c5436cf3c3c3f410b69dd852f6",
-        "sample-log.out": "5e094a6883b6082125f78fac66fdbc4db8f28b8768ecfc021f337f61abac5ad3",
+        "sample-log.out": "b0fc52e5ae59fd2104949dff7ceeed089de834de31979fe887b3f2618efd2db8",
         "sample-prob.stdout": "f22e1fe3120b5e987b7f9a0993d3ca5db77e292e5e1191cad30644fb065a49c1",
-        "sample-prob.out": "9f737abe340d1254560b6c543b1b749530d96813496ad542a1766f7ef2ad883a",
+        "sample-prob.out": "f263f1b7b45bad1617e99823d23188258572e1d17509af7b9d9df60a8ec1d270",
         "sample-unguided.stdout": "16c38e961fe321f0b5749e8bc0cd0625b7839d82120e937910c2f13f3e1ee4bb",
-        "sample-unguided.out": "a2ed8f207e37c284e4919c6c543570988c816348f34dc5791c575d9e5a09809a",
+        "sample-unguided.out": "5404508d9407d1c6c51bc58820cbea5f64d7d5e329c3221280b243bbb01ead53",
         "vlb.stdout": "309e5634b0d871eb8872aa54e6526cf3099a6d5c1294d880ae0bcae4d5c4e151",
     },
 }
 
 
-# sha256 of the golden run's denoiser file rewritten densely: the train.out
-# digests recorded before the denoiser file kept only the touched rows
+# sha256 of the golden run's denoiser file rewritten densely and with
+# "layout": the train.out digests recorded before the denoiser file kept
+# only the touched rows
 DENSE_TRAIN_OUT = {
     "linear": "41596cb331741ffdcb7ae56a62e5f74d4938a938d1baab5ae64e96de6f379d76",
     "improved": "54b4ef0a83bf6669a8d22bb33866ead6f1d653a4d45caf4b355e7ca3f4690825",
@@ -489,13 +515,16 @@ DENSE_TRAIN_OUT = {
 
 
 def rewrite_dense(path):
-    """Rewrite a denoiser file in the format before ``rows``: every row's logits."""
+    """Rewrite a denoiser file as written before ``rows``: every row, and ``layout``."""
     payload = json.loads(path.read_text())
     K = payload["K"]
     table = np.zeros((denoiser_rows(payload), K))
     table[payload.pop("rows")] = np.reshape(payload["weights"], (-1, K))
-    payload["weights"] = table.reshape(-1).tolist()
-    path.write_text(json.dumps(payload))
+    old = {key: payload[key] for key in ("kind", "K", "N_q", "L", "T")}
+    old["layout"] = "concatenated"
+    old["cond_labels"] = payload["cond_labels"]
+    old["weights"] = table.reshape(-1).tolist()
+    path.write_text(json.dumps(old))
 
 
 def golden_run(tmp_path, capsys, kind, dense=False):
@@ -504,7 +533,7 @@ def golden_run(tmp_path, capsys, kind, dense=False):
     if kind == "linear":
         save_schedule(sched, linear_schedule(6, 4))
     else:
-        save_schedule(sched, improved_schedule(6, 4, 2, L=3))
+        save_schedule(sched, improved_schedule(6, 4, 2))
     rng = np.random.default_rng(71)
     protos = rng.integers(0, 4, size=(2, 2, 3))
     grids, labels = [], []
@@ -557,15 +586,17 @@ class TestGoldenOutputs:
 
 
 # The same kind of digests for `schedule inspect` and the codec commands,
-# recorded before the codec's distinct-frame check moved into k-means++.
+# recorded before the codec's distinct-frame check moved into k-means++;
+# the schedule files, the improved listing and the token files were
+# recorded again when "layout" and the schedule's "L" were dropped.
 GOLDEN_SCHEDULE = {
     "linear": {
         "inspect.stdout": "e6d5889c227eac64ac9e771de045e09e58ae4a2276a8cf587d22743e94ca382b",
-        "inspect.sched.json": "04ade6b964cfbba08aaffe68f81d69a8e3afb7b76731b3462e98882b32c28ebd",
+        "inspect.sched.json": "fb58ae034d4ce585b3627a144b8fe4a3a99c2b031af098381604152b7e659fd0",
     },
     "improved": {
-        "inspect.stdout": "06be7167c1d6880aaa8de30c63925db63562276540407e491bcd0b5f9985ee3d",
-        "inspect.sched.json": "a374678c9a399881569807f128b9c9e3351202a09bb7cbaac030c7443e3ff66a",
+        "inspect.stdout": "0c8b3144771ba92e22323914eb53eb2c219d05399969d1937fa998cc355cef14",
+        "inspect.sched.json": "d90db7500418321cb9986ce6be66685628028c657c560320fd51cb786fafd39b",
     },
 }
 
@@ -575,7 +606,7 @@ GOLDEN_CODEC = {
         "fit.stdout": "0ad865f3fa0e24cf7132a6ae1967f3a1de8e27cd0d2ce859ec560e9384757138",
         "fit.codec.json": "ec9fb215984230fdba9658c2ce74a1560cd67ae53be8e5f614cda0ea51d67524",
         "encode.stdout": "48a70f4c69d9e3a7f002a8ff4efce61354e487e66adc8db7780715368f01cbf2",
-        "encode.tok.json": "47c194cfe87a3d8cbbee1660ad794ce32a24b69261cb702c9f403bd4934bc303",
+        "encode.tok.json": "2d786588cdf8220b3cc318dc679b3ad25a4213906f332f84e9b98b309cd50b60",
         "encode.recon.csv": "e86d17bff07d91844506cf470de7889460fd897340f2b16a1584e03f8263c09c",
         "decode.stdout": DECODE_STDOUT,
         "decode.dec.csv": "e86d17bff07d91844506cf470de7889460fd897340f2b16a1584e03f8263c09c",
@@ -585,7 +616,7 @@ GOLDEN_CODEC = {
         "fit.stdout": "fea81e7b5dee860ef1611d236cbbbe067b56709cad65cba76e9a0b398f81ff26",
         "fit.codec.json": "8ffd865657e3a709280cfd9751498c8d6972e2a3bb679a6145887856f4491e34",
         "encode.stdout": "8e3c149b8aaafc1b2a3a6e7b1cae8fa647f9df393c923f5afef7a748d02b1f60",
-        "encode.tok.json": "454481adcff0a76260589e91fd8aba9ab4587af9a255c9572fe0b6dab5b0b3d0",
+        "encode.tok.json": "ad59bc1fccfb587c71b2645994642f3102302983c7ecd1f4588dce0c01e9894f",
         "encode.recon.csv": "3975d72816e03cc150c0d92bb089f523cb7c4669fd40dac32c9327990261ab02",
         "decode.stdout": DECODE_STDOUT,
         "decode.dec.csv": "3975d72816e03cc150c0d92bb089f523cb7c4669fd40dac32c9327990261ab02",
@@ -595,7 +626,7 @@ GOLDEN_CODEC = {
         "fit.stdout": "f7047ccec5246392c18c2c0ea9b5733aed8d670b51172d215cffb7088d8cb2ca",
         "fit.codec.json": "e6d06c3e214b037173e2c37529163ae44d36dc50dbc68572f3bce5bb9e28f8b0",
         "encode.stdout": "65f0973b487a0c64f7be4f37bdfb743ef47825f0db65f4db08601d894d3694ec",
-        "encode.tok.json": "212998ff466b54fbc7ef914caf416f2b16ffc7d3bb84e4065dc9915b8b4d9116",
+        "encode.tok.json": "5e6681fe5995291d89bb69275bf2f398e6f85976af13fac4746c33fd20c75b17",
         "encode.recon.csv": "56ad9b7638fbbed827d1bc4266591a6a3aa570c5e78f32b3e6c4048e29e911a6",
         "decode.stdout": DECODE_STDOUT,
         "decode.dec.csv": "56ad9b7638fbbed827d1bc4266591a6a3aa570c5e78f32b3e6c4048e29e911a6",
@@ -627,7 +658,7 @@ def golden_schedule_run(tmp_path, capsys, kind):
     out = tmp_path / "sched.json"
     argv = ["schedule", "inspect", "--kind", kind, "--T", "6", "--K", "4", "--out", str(out)]
     if kind == "improved":
-        argv += ["--n-q", "3", "--layout", "interleaved", "--L", "5"]
+        argv += ["--n-q", "3"]
     return digest_steps(tmp_path, capsys, [("inspect", argv, [out])])
 
 

@@ -47,8 +47,8 @@ def step_dists(x_t, t, p0, table, t_prev):
     return _StepKernel(x_t.data, table, t, t_prev).mix(p0)
 
 
-def grid1(tokens, K, layout="concatenated"):
-    return TokenGrid(data=np.asarray([tokens], dtype=np.int64), K=K, layout=layout)
+def grid1(tokens, K):
+    return TokenGrid(data=np.asarray([tokens], dtype=np.int64), K=K)
 
 
 class PointMassDenoiser(Denoiser):
@@ -57,7 +57,6 @@ class PointMassDenoiser(Denoiser):
     def __init__(self, target: TokenGrid):
         self.K = target.K
         self.grid_shape = (target.N_q, target.L)
-        self.layout = target.layout
         self._target = target
 
     def predict(self, x_t, t, cond=None):
@@ -70,11 +69,10 @@ class PointMassDenoiser(Denoiser):
 class FixedDenoiser(Denoiser):
     """Returns the same per-position distribution everywhere."""
 
-    def __init__(self, probs, grid_shape, layout="concatenated"):
+    def __init__(self, probs, grid_shape):
         self._probs = np.asarray(probs, dtype=float)
         self.K = self._probs.shape[-1]
         self.grid_shape = grid_shape
-        self.layout = layout
 
     def predict(self, x_t, t, cond=None):
         return np.broadcast_to(
@@ -90,7 +88,7 @@ class TestCorrupt:
         assert corrupt(g, 0, table, rng) is g
 
     def test_pure_mask_endpoint(self):
-        table = improved_schedule(10, 4, 1, L=5)
+        table = improved_schedule(10, 4, 1)
         g = grid1([0, 1, 2, 3, 1], 4)
         out = corrupt(g, 10, table, np.random.default_rng(3))
         assert np.all(out.data == 4)
@@ -117,7 +115,7 @@ class TestCorrupt:
 
     def test_layerwise_coefficients_respected(self):
         # layer 2 of the per-codebook schedule masks faster than layer 0
-        table = improved_schedule(10, 6, 3, L=400)
+        table = improved_schedule(10, 6, 3)
         g = TokenGrid(data=np.ones((3, 400), dtype=np.int64), K=6)
         out = corrupt(g, 5, table, np.random.default_rng(9))
         frac = (out.data == 6).mean(axis=1)
@@ -185,7 +183,7 @@ class TestReverseStepDistribution:
 
     def test_matches_enumeration_positional(self):
         rng = np.random.default_rng(77)
-        table = improved_schedule(8, 4, 2, layout="concatenated", L=1)
+        table = improved_schedule(8, 4, 2)
         for t in range(1, 9):
             for s in range(t):
                 for obs in (0, 2, 4):
@@ -214,7 +212,7 @@ class TestReverseStepDistribution:
         np.testing.assert_allclose(got.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_pure_mask_pins_observed_tokens(self):
-        table = improved_schedule(10, 4, 1, L=2)
+        table = improved_schedule(10, 4, 1)
         p0 = np.full((1, 2, 4), 0.25)
         g = grid1([2, 4], 4)
         got = step_dists(g, 5, p0, table, 4)
@@ -241,7 +239,7 @@ def kernel_tables():
     return [
         (linear_schedule(5, 3), 1),
         (random_schedule(rng, 6, 4), 1),
-        (improved_schedule(5, 3, 2, L=4), 2),
+        (improved_schedule(5, 3, 2), 2),
     ]
 
 
@@ -305,7 +303,7 @@ def dense_step_kl(table, t, x_t, x0, w):
 class TestTrainingGradient:
     @pytest.mark.parametrize(
         "table",
-        [random_schedule(np.random.default_rng(9), 4, 3), improved_schedule(4, 3, 1, L=2)],
+        [random_schedule(np.random.default_rng(9), 4, 3), improved_schedule(4, 3, 1)],
         ids=["random", "improved"],
     )
     def test_matches_central_finite_difference(self, table):
@@ -529,14 +527,14 @@ def all_grids(K, L):
 
 class TestBayesOracle:
     def test_symmetric_masked_position(self):
-        table = improved_schedule(10, 2, 1, L=1)
+        table = improved_schedule(10, 2, 1)
         grids = [grid1([0], 2), grid1([1], 2)]
         den = bayes_oracle_denoiser(grids, [0.5, 0.5], table)
         p = den.predict(grid1([2], 2), 5)
         np.testing.assert_allclose(p[0, 0], [0.5, 0.5], atol=1e-12)
 
     def test_unambiguous_evidence(self):
-        table = improved_schedule(10, 3, 1, L=2)
+        table = improved_schedule(10, 3, 1)
         grids = [grid1([0, 1], 3), grid1([2, 2], 3)]
         den = bayes_oracle_denoiser(grids, [0.5, 0.5], table)
         # first position observed as 0: only the first support grid fits
@@ -582,7 +580,7 @@ class TestBayesOracle:
             bayes_oracle_denoiser(grids, np.full(10_001, 1 / 10_001), table)
 
     def test_impossible_observation(self):
-        table = improved_schedule(10, 4, 1, L=1)  # pure mask: no uniform jitter
+        table = improved_schedule(10, 4, 1)  # pure mask: no uniform jitter
         den = bayes_oracle_denoiser([grid1([1], 4)], [1.0], table)
         with pytest.raises(InconsistencyError):
             den.predict(grid1([2], 4), 5)
@@ -656,7 +654,7 @@ class TestSample:
 
     def test_improved_schedule_cleanup(self):
         # per-codebook schedule can leave masks at t=0; cleanup must remove them
-        table = improved_schedule(10, 4, 2, L=3)
+        table = improved_schedule(10, 4, 2)
         a = TokenGrid(data=np.array([[0, 1, 2], [3, 2, 1]], dtype=np.int64), K=4)
         den = bayes_oracle_denoiser([a], [1.0], table)
         for i in range(50):
@@ -748,7 +746,7 @@ class TestVlbLoss:
         assert abs(est - exact) < 3 * sigma + 1e-12
 
     def test_infinite_loss_on_zero_support(self):
-        table = improved_schedule(10, 3, 1, L=1)
+        table = improved_schedule(10, 3, 1)
         x0 = grid1([0], 3)
         den = FixedDenoiser([0.0, 1.0, 0.0], (1, 1))
         with warnings.catch_warnings(record=True) as caught:
@@ -771,8 +769,13 @@ class TestTrainDenoiser:
         with pytest.raises(ValueError, match="lr"):
             train_denoiser([grid1([0, 1], 3)], linear_schedule(5, 3), TrainConfig(lr=lr))
 
+    @pytest.mark.parametrize("epochs", [0, -2, 1.5, 2.0, True, "3", None])
+    def test_bad_epochs_rejected(self, epochs):
+        with pytest.raises(ValueError, match="epochs must be an integer >= 1"):
+            train_denoiser([grid1([0, 1], 3)], linear_schedule(5, 3), TrainConfig(epochs=epochs))
+
     def test_single_grid_reproduction(self):
-        table = improved_schedule(5, 4, 1, L=3)
+        table = improved_schedule(5, 4, 1)
         x0 = grid1([2, 0, 3], 4)
         cfg = TrainConfig(epochs=400, lr=2.0)
         den, trace = train_denoiser([x0] * 40, table, cfg, np.random.default_rng(11))
@@ -825,6 +828,11 @@ class TestTrainDenoiser:
         with pytest.raises(SizeGuardError):
             load_denoiser(path)
 
+    def test_repeated_condition_labels_rejected(self):
+        with pytest.raises(ValueError, match="cond_labels repeat a label"):
+            TabularDenoiser(3, (1, 2), 2, [0, 0, 0])
+        assert TabularDenoiser(3, (1, 2), 2, [4, 1]).cond_labels == [1, 4]
+
     def test_moderate_table_allowed(self):
         # K=16, 4x32 grids, T=20, two labels: 17.5 MB
         den = TabularDenoiser(16, (4, 32), 20, cond_labels=[0, 1])
@@ -847,7 +855,7 @@ def save_denoiser_reference(path, den):
         "N_q": den.grid_shape[0],
         "L": den.grid_shape[1],
         "T": den.T,
-        "layout": den.layout,
+        "layout": "concatenated",
         "cond_labels": den.cond_labels,
         "weights": den.weights.reshape(-1).tolist(),
     }
@@ -865,7 +873,7 @@ def pipeline_trained_denoiser():
             noisy = rng.random((N_q, L)) < 0.2
             data = np.where(noisy, rng.integers(0, K, size=(N_q, L)), protos[label])
             dataset.append((TokenGrid(data=data, K=K), label))
-    den, _ = train_denoiser(dataset, improved_schedule(20, K, N_q, L=L),
+    den, _ = train_denoiser(dataset, improved_schedule(20, K, N_q),
                             TrainConfig(epochs=5), np.random.default_rng(7))
     return den
 
@@ -879,8 +887,7 @@ DENOISER_TABLES = [
 def denoiser_table(name):
     """A small table, (2, 3, 1, 2, K + 1, K) or (3, ...) for K=2, with the named entries set."""
     K = 2 if name == "K=2" else 3
-    den = TabularDenoiser(K, (1, 2), 2, [1, 4] if K == 2 else [0],
-                          layout="interleaved" if name == "last-row-only" else "concatenated")
+    den = TabularDenoiser(K, (1, 2), 2, [1, 4] if K == 2 else [0])
     rows = den.weights.reshape(-1, K)  # a view: one row of K logits per (label, t, q, l, token)
     rng = np.random.default_rng(3)
     if name == "dense":
@@ -919,8 +926,8 @@ class TestDenoiserFile:
         for written in (path, dense):
             loaded = load_denoiser(written)
             assert loaded.weights.tobytes() == den.weights.tobytes()
-            assert (loaded.K, loaded.grid_shape, loaded.T, loaded.cond_labels, loaded.layout) == (
-                den.K, den.grid_shape, den.T, den.cond_labels, den.layout)
+            assert (loaded.K, loaded.grid_shape, loaded.T, loaded.cond_labels) == (
+                den.K, den.grid_shape, den.T, den.cond_labels)
         return payload
 
     def test_pipeline_trained_table(self, tmp_path):
@@ -968,8 +975,8 @@ class TestDenoiserFile:
 
     @pytest.mark.parametrize("bad,field", [
         ("not-a-list", "rows"), ("float", "rows"), ("bool", "rows"), ("negative", "rows"),
-        ("out-of-range", "rows"), ("unsorted", "rows"), ("duplicated", "rows"),
-        ("short-weights", "weights"),
+        ("out-of-range", "rows"), ("huge", "rows"), ("unsorted", "rows"),
+        ("duplicated", "rows"), ("short-weights", "weights"),
     ])
     def test_bad_rows_rejected(self, tmp_path, bad, field):
         den = denoiser_table("K=2")  # every third row touched
@@ -989,6 +996,8 @@ class TestDenoiserFile:
             rows[0] = -1
         elif bad == "out-of-range":
             rows[-1] = n_rows
+        elif bad == "huge":  # past int64: NumPy raises OverflowError
+            rows[-1] = 2**70
         elif bad == "unsorted":
             rows[1], rows[2] = rows[2], rows[1]
         elif bad == "duplicated":
@@ -1005,7 +1014,7 @@ class TestEasyFirst:
         # shared uniform draws couple the layers so the per-trajectory
         # first-mask time is monotone by construction wherever thresholds are
         T, K, N_q = 10, 8, 4
-        table = improved_schedule(T, K, N_q, L=1)
+        table = improved_schedule(T, K, N_q)
         n = 10_000
         rng = np.random.default_rng(1234)
         u = rng.random((n, T))
@@ -1021,3 +1030,45 @@ class TestEasyFirst:
         means = first_mask.mean(axis=1)
         assert np.all(np.diff(means) <= 0)
         assert means[0] > means[-1]
+
+    @pytest.mark.parametrize("labels", [[2, 1], [1, 1]], ids=["unsorted", "repeated"])
+    def test_condition_labels_must_increase(self, tmp_path, labels):
+        # a file listing [2, 1] used to load as [1, 2], swapping the two labels' rows
+        path = tmp_path / "den.json"
+        save_denoiser(path, TabularDenoiser(3, (1, 2), 2, [1, 2]))
+        payload = json.loads(path.read_text())
+        payload["cond_labels"] = labels
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="denoiser field 'cond_labels'.*increasing"):
+            load_denoiser(path)
+
+    def test_file_keys(self, tmp_path):
+        path = tmp_path / "den.json"
+        save_denoiser(path, denoiser_table("dense"))
+        assert list(json.loads(path.read_text())) == [
+            "kind", "K", "N_q", "L", "T", "cond_labels", "rows", "weights"]
+
+    @pytest.mark.parametrize("layout", ["concatenated", "interleaved"])
+    def test_old_layout_key_ignored(self, tmp_path, layout):
+        # files written before the layout key was dropped still load
+        den = denoiser_table("K=2")
+        path = tmp_path / "den.json"
+        save_denoiser(path, den)
+        payload = json.loads(path.read_text())
+        old = {key: payload[key] for key in ("kind", "K", "N_q", "L", "T")}
+        old["layout"] = layout
+        old.update({key: payload[key] for key in ("cond_labels", "rows", "weights")})
+        path.write_text(json.dumps(old))
+        loaded = load_denoiser(path)
+        assert (loaded.K, loaded.grid_shape, loaded.T, loaded.cond_labels) == (
+            den.K, den.grid_shape, den.T, den.cond_labels)
+        assert loaded.weights.tobytes() == den.weights.tobytes()
+
+
+def test_denoisers_keep_layout_attribute_for_benchmark(tmp_path):
+    # perfbench/harness.py reads .layout; nothing in vqdiff does
+    path = tmp_path / "den.json"
+    save_denoiser(path, denoiser_table("dense"))
+    grid = TokenGrid(data=np.array([[0, 1]]), K=3)
+    oracle = bayes_oracle_denoiser([grid], [1.0], linear_schedule(4, 3))
+    assert load_denoiser(path).layout == oracle.layout == "concatenated"

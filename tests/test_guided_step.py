@@ -96,8 +96,7 @@ def sample_reference(denoiser, cond, table, stride, rng, lam, mode):
     N_q, L = denoiser.grid_shape
     K = denoiser.K
     init = _stationary_rows(table, N_q, K)
-    x = TokenGrid(_sample_categorical(np.repeat(init[:, None, :], L, axis=1), rng), K,
-                  layout=denoiser.layout)
+    x = TokenGrid(_sample_categorical(np.repeat(init[:, None, :], L, axis=1), rng), K)
     last_p0 = None
     for t in range(table.T, 0, -stride):
         s = max(0, t - stride)
@@ -306,7 +305,7 @@ def test_bad_guidance_raises_whatever_cond(lam, mode, cond):
 def kernel_tables():
     return {
         "linear": linear_schedule(9, 4),
-        "improved": improved_schedule(9, 4, 3, L=2),
+        "improved": improved_schedule(9, 4, 3),
         "random": random_schedule(np.random.default_rng(3), 9, 4),
     }
 
@@ -336,7 +335,7 @@ def test_kernel_rows_kept_per_step_pair_and_row_count():
 
 
 def test_kernel_rows_kept_per_table():
-    one, two = improved_schedule(9, 4, 3, L=2), improved_schedule(9, 4, 3, L=2)
+    one, two = improved_schedule(9, 4, 3), improved_schedule(9, 4, 3)
     for segment in (None, (2, 4)):
         rows_one, rows_two = _coeff_rows(one, 3, segment), _coeff_rows(two, 3, segment)
         assert rows_one is not rows_two

@@ -15,6 +15,12 @@ from vqdiff import (
 from vqdiff.schedules import random_schedule, schedule_from_json_dict
 
 
+def assert_same_table(a, b):
+    assert (a.T, a.K, a.kind, a.n_layers) == (b.T, b.K, b.kind, b.n_layers)
+    for name in ("alpha_bar", "beta_bar", "gamma_bar"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
 class TestLinearSchedule:
     def test_endpoint_values(self):
         table = linear_schedule(100, 10)
@@ -65,7 +71,7 @@ class TestLinearSchedule:
 class TestImprovedSchedule:
     def test_spot_value_midway(self):
         # layer 2 of 4 at t=50 of 100: 1 - 0.5 - exp(0.25)/200
-        table = improved_schedule(100, 10, 4, layout="concatenated", L=8)
+        table = improved_schedule(100, 10, 4)
         ab, bb, gb = table.cumulative(50, layer=2)
         expected = 1.0 - 0.5 - np.exp(2 / 8) / 200.0
         assert ab == pytest.approx(expected, abs=1e-12)
@@ -103,9 +109,12 @@ class TestImprovedSchedule:
         assert ab0 < 1.0
         assert gb0 == pytest.approx(np.exp(0.0) / 200.0, abs=1e-12)
 
-    def test_bad_layout(self):
-        with pytest.raises(ValueError):
-            improved_schedule(10, 4, 3, layout="stacked", L=5)
+    def test_benchmark_L_checked_but_unused(self):
+        # perfbench/wl_pipeline.py passes L=; no number depends on it
+        table = improved_schedule(20, 16, 4, L=32)
+        assert_same_table(table, improved_schedule(20, 16, 4))
+        with pytest.raises(ValueError, match="L must be >= 1"):
+            improved_schedule(20, 16, 4, L=0)
 
 
 def stepwise_arrays(table):
@@ -196,14 +205,46 @@ class TestSerialization:
         np.testing.assert_allclose(loaded.gamma_bar, table.gamma_bar, atol=1e-15)
 
     def test_improved_json_round_trip(self, tmp_path):
-        table = improved_schedule(20, 6, 3, layout="interleaved", L=4)
+        table = improved_schedule(20, 6, 3)
         path = tmp_path / "sched.json"
         path.write_text(json.dumps(table.to_json_dict()))
         loaded = load_schedule(path)
         assert isinstance(loaded, ScheduleTable)
-        assert loaded.layout == "interleaved"
-        assert loaded.n_layers == 3 and loaded.L == 4
+        assert loaded.kind == "improved" and loaded.n_layers == 3
         np.testing.assert_allclose(loaded.alpha_bar, table.alpha_bar, atol=1e-15)
+
+    def test_file_keys(self):
+        payload = improved_schedule(6, 4, 3).to_json_dict()
+        assert list(payload) == ["T", "K", "kind", "N_q", "alpha_bar", "gamma_bar", "beta_bar"]
+
+    @pytest.mark.parametrize("kind", ["linear", "improved"])
+    def test_old_file_keys_ignored(self, kind):
+        # files written before layout and L were dropped carry both keys
+        table = linear_schedule(6, 4) if kind == "linear" else improved_schedule(6, 4, 3)
+        payload = table.to_json_dict()
+        old = {key: payload[key] for key in ("T", "K", "kind", "N_q")}
+        old.update({"layout": "interleaved", "L": 5 if kind == "improved" else 0})
+        old.update({key: payload[key] for key in ("alpha_bar", "gamma_bar", "beta_bar")})
+        assert_same_table(schedule_from_json_dict(old), table)
+
+    @pytest.mark.parametrize("kind", ["linear", "improved", "custom"])
+    def test_kind_round_trip(self, kind):
+        table = {
+            "linear": linear_schedule(5, 3),
+            "improved": improved_schedule(5, 3, 2),
+            "custom": random_schedule(np.random.default_rng(4), 5, 3),
+        }[kind]
+        assert table.kind == kind
+        assert_same_table(schedule_from_json_dict(table.to_json_dict()), table)
+
+    def test_unknown_kind_rejected(self):
+        payload = linear_schedule(5, 3).to_json_dict()
+        payload["kind"] = "bogus"
+        with pytest.raises(ScheduleError, match="kind must be one of.*'bogus'"):
+            schedule_from_json_dict(payload)
+        table = linear_schedule(5, 3)
+        with pytest.raises(ScheduleError, match="kind"):
+            ScheduleTable(5, 3, table.alpha_bar, table.beta_bar, table.gamma_bar, kind="bogus")
 
     def test_improved_n_q_must_match_columns(self):
         payload = improved_schedule(6, 4, 3).to_json_dict()
@@ -223,10 +264,10 @@ class TestSerialization:
         with pytest.raises(ScheduleError, match="no 'gamma_bar' field"):
             schedule_from_json_dict(payload)
 
-    @pytest.mark.parametrize("name,value", [("T", 6.9), ("K", True), ("N_q", "3"), ("L", 2.0)])
+    @pytest.mark.parametrize("name,value", [("T", 6.9), ("K", True), ("N_q", "3")])
     def test_non_integer_count_named(self, name, value):
         # int() would read 6.9 as 6, True as 1 and "3" as 3
-        payload = improved_schedule(6, 4, 3, L=2).to_json_dict()
+        payload = improved_schedule(6, 4, 3).to_json_dict()
         payload[name] = value
         with pytest.raises(ScheduleError, match=f"'{name}'.*integer"):
             schedule_from_json_dict(payload)

@@ -26,8 +26,6 @@ class TestTokenGrid:
             TokenGrid(data=np.array([[3]]), K=2)
         with pytest.raises(ValueError, match="K must be"):
             TokenGrid(data=np.array([[0]]), K=1)
-        with pytest.raises(ValueError, match="layout"):
-            TokenGrid(data=np.array([[0]]), K=2, layout="rowwise")
 
     def test_mask_detection(self):
         clean = TokenGrid(data=np.array([[0, 1], [2, 0]]), K=3)
@@ -75,8 +73,20 @@ class TestTokenFile:
         path = tmp_path / "tokens.json"
         save_token_file(path, [TokenGrid(data=np.array([[0, 1]]), K=2)], labels=[4])
         payload = json.loads(path.read_text())
-        assert set(payload) == {"K", "N_q", "L", "layout", "grids", "labels"}
+        assert set(payload) == {"K", "N_q", "L", "grids", "labels"}
         assert payload["grids"] == [[[0, 1]]]
+
+    @pytest.mark.parametrize("layout", ["concatenated", "interleaved"])
+    def test_old_layout_key_ignored(self, tmp_path, layout):
+        # files written before the layout key was dropped still load
+        grid = TokenGrid(data=np.array([[0, 2], [1, 3]]), K=3)
+        old = {"K": 3, "N_q": 2, "L": 2, "layout": layout, "grids": [grid.data.tolist()] * 2,
+               "labels": [1, 7]}
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(old, indent=2))
+        back, labels = load_token_file(path)
+        assert labels == [1, 7]
+        assert [(g.K, g.data.tobytes()) for g in back] == [(3, grid.data.tobytes())] * 2
 
 
 class TestAtomicWrite:

@@ -71,7 +71,7 @@ class TestMarginal:
         np.testing.assert_allclose(probs[:512], 0.1 / 512, atol=1e-15)
 
     def test_positional_table_uses_owning_layer(self):
-        table = improved_schedule(50, 8, 4, layout="concatenated", L=6)
+        table = improved_schedule(50, 8, 4)
         probs = marginal_xt_given_x0(3, 20, table, layer=2)
         ab, bb, gb = table.cumulative(20, layer=2)
         assert probs[3] == pytest.approx(ab + bb, abs=1e-15)
@@ -189,7 +189,7 @@ class TestBruteForce:
         # for per-codebook tables the chain of step matrices reproduces the
         # segment coefficients from 0 (not the raw cumulative, which carries
         # the t=0 offset)
-        table = improved_schedule(12, 5, 3, layout="interleaved", L=4)
+        table = improved_schedule(12, 5, 3)
         for layer in range(3):
             for t in (1, 4, 12):
                 prod = brute_force_cumulative(t, table, layer=layer)
