@@ -79,11 +79,18 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
+
+
 # ---------------------------------------------------------------- schedule
 
 
-def _cmd_schedule_inspect(args) -> int:
+def _cmd_schedule_inspect(args) -> None:
     if args.kind == "linear":
+        if args.n_q is not None:
+            raise ValueError("--n-q applies only to the improved schedule")
         table = linear_schedule(args.T, args.K)
     else:
         if args.n_q is None:
@@ -92,7 +99,6 @@ def _cmd_schedule_inspect(args) -> int:
     print(format_table(table))
     if args.out:
         save_schedule(args.out, table)
-    return 0
 
 
 # -------------------------------------------------------------- transitions
@@ -115,7 +121,8 @@ def _check_schedule_against_products(table) -> float:
     return worst
 
 
-def _cmd_transitions_check(args) -> int:
+def _cmd_transitions_check(args) -> None:
+    _at_least("--schedules", args.schedules, 0)
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for i in range(args.schedules):
@@ -126,20 +133,18 @@ def _cmd_transitions_check(args) -> int:
         f"transitions check: {args.schedules} random + 1 linear schedule(s) "
         f"(K={args.K}, T={args.T}) max |closed-form - product| = {worst:.3e} PASS"
     )
-    return 0
 
 
 # ------------------------------------------------------------------ diffuse
 
 
-def _cmd_diffuse_corrupt(args) -> int:
+def _cmd_diffuse_corrupt(args) -> None:
     table = load_schedule(args.schedule)
     grids, labels = load_token_file(args.tokens)
     rng = np.random.default_rng(args.seed)
     noisy = [corrupt(g, args.t, table, rng) for g in grids]
     save_token_file(args.out, noisy, labels)
     print(f"corrupted {len(noisy)} grid(s) at t={args.t} -> {args.out}")
-    return 0
 
 
 def _load_schedule_and_denoiser(args):
@@ -150,7 +155,8 @@ def _load_schedule_and_denoiser(args):
     return table, denoiser
 
 
-def _cmd_diffuse_sample(args) -> int:
+def _cmd_diffuse_sample(args) -> None:
+    _at_least("--count", args.count, 1)
     table, denoiser = _load_schedule_and_denoiser(args)
     grids = []
     for chain in range(args.count):
@@ -169,10 +175,9 @@ def _cmd_diffuse_sample(args) -> int:
     labels = None if args.cond is None else [args.cond] * len(grids)
     save_token_file(args.out, grids, labels)
     print(f"sampled {len(grids)} grid(s) -> {args.out}")
-    return 0
 
 
-def _cmd_diffuse_train(args) -> int:
+def _cmd_diffuse_train(args) -> None:
     table = load_schedule(args.schedule)
     grids, labels = load_token_file(args.tokens)
     if labels is None:
@@ -189,10 +194,10 @@ def _cmd_diffuse_train(args) -> int:
     for i, loss in enumerate(trace, start=1):
         print(f"epoch {i}: kl={_fmt(loss)}")
     print(f"trained denoiser on {len(dataset)} grid(s) -> {args.out}")
-    return 0
 
 
-def _cmd_diffuse_vlb(args) -> int:
+def _cmd_diffuse_vlb(args) -> None:
+    _at_least("--samples", args.samples, 1)
     table, denoiser = _load_schedule_and_denoiser(args)
     grids, labels = load_token_file(args.tokens)
     rng = np.random.default_rng(args.seed)
@@ -203,13 +208,12 @@ def _cmd_diffuse_vlb(args) -> int:
         values.append(value)
         print(f"grid {i}: vlb={_fmt(value)}")
     print(f"mean vlb={_fmt(np.mean(values))}")
-    return 0
 
 
 # -------------------------------------------------------------------- codec
 
 
-def _cmd_codec_fit(args) -> int:
+def _cmd_codec_fit(args) -> None:
     X = load_features(args.features)
     config = FitConfig(
         kind=args.kind,
@@ -225,10 +229,9 @@ def _cmd_codec_fit(args) -> int:
     finals = ", ".join(f"{tr[-1]:.6g}" for tr in model.inertia_traces)
     print(f"fitted {model.kind} ({model.N_q} book(s) of {model.Kp}) -> {args.out}")
     print(f"final inertia per book: {finals}")
-    return 0
 
 
-def _cmd_codec_encode(args) -> int:
+def _cmd_codec_encode(args) -> None:
     X = load_features(args.features)
     model = load_codec(args.codec)
     grid, recon = quantize(X, model, active_books=args.active)
@@ -237,10 +240,9 @@ def _cmd_codec_encode(args) -> int:
         save_features(args.recon, recon)
     mse = float(np.mean((X - recon) ** 2))
     print(f"encoded {X.shape[0]} frame(s) with {grid.N_q} book(s); mse={_fmt(mse)}")
-    return 0
 
 
-def _cmd_codec_decode(args) -> int:
+def _cmd_codec_decode(args) -> None:
     model = load_codec(args.codec)
     grids, _ = load_token_file(args.tokens)
     if len(grids) != 1:
@@ -248,64 +250,56 @@ def _cmd_codec_decode(args) -> int:
     recon = dequantize(grids[0], model)
     save_features(args.out, recon)
     print(f"decoded {recon.shape[0]} frame(s) -> {args.out}")
-    return 0
 
 
-def _cmd_codec_report(args) -> int:
+def _cmd_codec_report(args) -> None:
     X = load_features(args.features)
     model = load_codec(args.codec)
     mses = reconstruction_report(X, model)
     # the report covers the deepest len(mses) depths, ending at every book
     for depth, mse in enumerate(mses, start=model.N_q - len(mses) + 1):
         print(f"depth {depth}: mse={_fmt(mse)}")
-    return 0
 
 
 # ------------------------------------------------------------------ metrics
 
 
-def _cmd_metrics_mcd(args) -> int:
+def _cmd_metrics_mcd(args) -> None:
     value = mcd(load_features(args.ref), load_features(args.syn), scale_db=args.scale_db)
     print(f"mcd={_fmt(value)}")
-    return 0
 
 
-def _cmd_metrics_ssim(args) -> int:
+def _cmd_metrics_ssim(args) -> None:
     value = ssim(load_features(args.ref), load_features(args.syn), window=args.window)
     print(f"ssim={_fmt(value)}")
-    return 0
 
 
-def _cmd_metrics_pitch(args) -> int:
+def _cmd_metrics_pitch(args) -> None:
     result = pitch_errors(
         load_pitch_track(args.ref), load_pitch_track(args.syn), gpe_threshold=args.threshold
     )
     gpe = "none" if result["gpe"] is None else _fmt(result["gpe"])
     print(f"gpe={gpe} vde={_fmt(result['vde'])} ffe={_fmt(result['ffe'])}")
-    return 0
 
 
 # ---------------------------------------------------------------------- aux
 
 
-def _cmd_aux_infonce(args) -> int:
+def _cmd_aux_infonce(args) -> None:
     print(f"infonce={_fmt(info_nce(load_features(args.input), temperature=args.tau))}")
-    return 0
 
 
-def _cmd_aux_rank_loss(args) -> int:
+def _cmd_aux_rank_loss(args) -> None:
     value = contrastive_ranking_loss(load_features(args.input), margin=args.margin)
     print(f"rank_loss={_fmt(value)}")
-    return 0
 
 
-def _cmd_aux_recall(args) -> int:
+def _cmd_aux_recall(args) -> None:
     value = recall_at_k(load_features(args.input), args.k)
     print(f"recall@{args.k}={_fmt(value)}")
-    return 0
 
 
-def _cmd_aux_club(args) -> int:
+def _cmd_aux_club(args) -> None:
     data = load_features(args.input)
     dim_x = args.dim_x if args.dim_x is not None else data.shape[1] // 2
     if not 1 <= dim_x < data.shape[1]:
@@ -314,7 +308,6 @@ def _cmd_aux_club(args) -> int:
             f"blocks, got {dim_x}"
         )
     print(f"club_mi={_fmt(club_mi(data[:, :dim_x], data[:, dim_x:]))}")
-    return 0
 
 
 # ----------------------------------------------------------------- selftest
@@ -386,7 +379,7 @@ def _selftest_bayes_recovery(rng) -> str:
     return f"Bayes recovery over {n} chains: TV = {tv:.4f} < 0.1"
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args) -> None:
     rng = np.random.default_rng(args.seed)
     suites = [
         ("transitions", _selftest_transitions),
@@ -396,10 +389,37 @@ def _cmd_selftest(args) -> int:
     for name, fn in suites:
         detail = fn(rng)
         print(f"{name}: PASS ({detail})")
-    return 0
 
 
 # ------------------------------------------------------------------ parser
+
+
+# Flags that several commands share, each defined once as (flag, add_argument options).
+_T = ("--T", dict(type=int, required=True))
+_K = ("--K", dict(type=int, required=True))
+_SEED = ("--seed", dict(type=int, default=0))
+_OUT = ("--out", dict(required=True))
+_TOKENS = ("--tokens", dict(required=True))
+_SCHEDULE = ("--schedule", dict(required=True))
+_DENOISER = ("--denoiser", dict(required=True))
+_FEATURES = ("--features", dict(required=True))
+_CODEC = ("--codec", dict(required=True))
+_REF = ("--ref", dict(required=True))
+_SYN = ("--syn", dict(required=True))
+_SIMILARITY = ("--input", dict(required=True, help="similarity matrix CSV"))
+
+
+def _group(sub, name: str, help: str):
+    """Add the command group ``name``; returns the action its subcommands join."""
+    return sub.add_parser(name, help=help).add_subparsers(dest="subcommand", required=True)
+
+
+def _command(sub, name: str, help: str, func, *flags) -> None:
+    """Add the subcommand ``name``, run by ``func``, with ``flags`` in --help order."""
+    p = sub.add_parser(name, help=help)
+    for flag, options in flags:
+        p.add_argument(flag, **options)
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,157 +427,73 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"vqdiff {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    # schedule
-    p_sched = sub.add_parser("schedule", help="noise schedule tools")
-    sched_sub = p_sched.add_subparsers(dest="subcommand", required=True)
-    p = sched_sub.add_parser("inspect", help="print a schedule table")
-    p.add_argument("--kind", choices=("linear", "improved"), default="linear")
-    p.add_argument("--T", type=int, required=True)
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--n-q", type=int, default=None, help="codebook count (improved)")
-    p.add_argument("--out", default=None, help="also write the schedule as JSON")
-    p.set_defaults(func=_cmd_schedule_inspect)
+    group = _group(sub, "schedule", "noise schedule tools")
+    _command(group, "inspect", "print a schedule table", _cmd_schedule_inspect,
+             ("--kind", dict(choices=("linear", "improved"), default="linear")), _T, _K,
+             ("--n-q", dict(type=int, default=None, help="codebook count (improved)")),
+             ("--out", dict(default=None, help="also write the schedule as JSON")))
 
-    # transitions
-    p_trans = sub.add_parser("transitions", help="transition-matrix oracles")
-    trans_sub = p_trans.add_subparsers(dest="subcommand", required=True)
-    p = trans_sub.add_parser("check", help="closed form vs explicit matrix products")
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--T", type=int, required=True)
-    p.add_argument("--schedules", type=int, default=5, help="random schedules to draw")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_transitions_check)
+    group = _group(sub, "transitions", "transition-matrix oracles")
+    _command(group, "check", "closed form vs explicit matrix products", _cmd_transitions_check,
+             _K, _T, ("--schedules", dict(type=int, default=5, help="random schedules to draw")),
+             _SEED)
 
-    # diffuse
-    p_diff = sub.add_parser("diffuse", help="forward corruption and reverse sampling")
-    diff_sub = p_diff.add_subparsers(dest="subcommand", required=True)
+    group = _group(sub, "diffuse", "forward corruption and reverse sampling")
+    _command(group, "corrupt", "apply the forward process at step t", _cmd_diffuse_corrupt,
+             _TOKENS, _SCHEDULE, ("--t", dict(type=int, required=True)), _SEED, _OUT)
+    _command(group, "sample", "run the reverse process", _cmd_diffuse_sample,
+             _DENOISER, _SCHEDULE, ("--count", dict(type=int, default=1)), _SEED,
+             ("--cond", dict(type=int, default=None, help="condition label")),
+             ("--lambda", dict(dest="guidance_scale", type=float, default=0.0,
+                               help="guidance scale")),
+             ("--guidance-mode", dict(choices=("log", "prob"), default="log")),
+             ("--stride", dict(type=int, default=1)), _OUT)
+    _command(group, "train", "fit the tabular denoiser", _cmd_diffuse_train,
+             _TOKENS, _SCHEDULE, ("--epochs", dict(type=int, default=30)),
+             ("--lr", dict(type=float, default=1.0)),
+             ("--null-cond-prob", dict(type=float, default=0.1)), _SEED, _OUT)
+    _command(group, "vlb", "variational bound of grids under a denoiser", _cmd_diffuse_vlb,
+             _DENOISER, _TOKENS, _SCHEDULE,
+             ("--samples", dict(type=int, default=8, help="t draws per grid")), _SEED)
 
-    p = diff_sub.add_parser("corrupt", help="apply the forward process at step t")
-    p.add_argument("--tokens", required=True)
-    p.add_argument("--schedule", required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_diffuse_corrupt)
+    group = _group(sub, "codec", "vector-quantization codecs")
+    _command(group, "fit", "fit codebooks with Lloyd's algorithm", _cmd_codec_fit,
+             _FEATURES, ("--kind", dict(choices=("VQ", "RVQ", "GVQ", "GRVQ"), required=True)),
+             ("--Kp", dict(type=int, required=True, help="codes per book")),
+             ("--G", dict(type=int, default=1, help="groups")),
+             ("--R", dict(type=int, default=1, help="residual depth")),
+             ("--iters", dict(type=int, default=50)), _SEED,
+             ("--dropout", dict(action="store_true", help="variable-depth fitting (RVQ)")), _OUT)
+    _command(group, "encode", "quantize features to tokens", _cmd_codec_encode,
+             _FEATURES, _CODEC,
+             ("--active", dict(type=int, default=None, help="books to use (RVQ/GRVQ)")), _OUT,
+             ("--recon", dict(default=None, help="also write the reconstruction CSV")))
+    _command(group, "decode", "reconstruct features from tokens", _cmd_codec_decode,
+             _TOKENS, _CODEC, _OUT)
+    _command(group, "report", "per-depth reconstruction error", _cmd_codec_report,
+             _FEATURES, _CODEC)
 
-    p = diff_sub.add_parser("sample", help="run the reverse process")
-    p.add_argument("--denoiser", required=True)
-    p.add_argument("--schedule", required=True)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cond", type=int, default=None, help="condition label")
-    p.add_argument("--lambda", dest="guidance_scale", type=float, default=0.0,
-                   help="guidance scale")
-    p.add_argument("--guidance-mode", choices=("log", "prob"), default="log")
-    p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_diffuse_sample)
+    group = _group(sub, "metrics", "objective evaluation metrics")
+    _command(group, "mcd", "mel-cepstral distortion", _cmd_metrics_mcd,
+             _REF, _SYN, ("--scale-db", dict(action="store_true")))
+    _command(group, "ssim", "structural similarity", _cmd_metrics_ssim,
+             _REF, _SYN, ("--window", dict(type=int, default=DEFAULT_SSIM_WINDOW)))
+    _command(group, "pitch", "GPE/VDE/FFE pitch errors", _cmd_metrics_pitch,
+             _REF, _SYN, ("--threshold", dict(type=float, default=DEFAULT_GPE_THRESHOLD)))
 
-    p = diff_sub.add_parser("train", help="fit the tabular denoiser")
-    p.add_argument("--tokens", required=True)
-    p.add_argument("--schedule", required=True)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--lr", type=float, default=1.0)
-    p.add_argument("--null-cond-prob", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_diffuse_train)
+    group = _group(sub, "aux", "contrastive losses and MI diagnostics")
+    _command(group, "infonce", "symmetric InfoNCE loss", _cmd_aux_infonce,
+             _SIMILARITY, ("--tau", dict(type=float, default=1.0)))
+    _command(group, "rank-loss", "bidirectional margin ranking loss", _cmd_aux_rank_loss,
+             _SIMILARITY, ("--margin", dict(type=float, default=0.2)))
+    _command(group, "recall", "retrieval recall at rank k", _cmd_aux_recall,
+             _SIMILARITY, ("--k", dict(type=int, default=1)))
+    _command(group, "club", "CLUB mutual-information upper bound", _cmd_aux_club,
+             ("--input", dict(required=True, help="CSV of x columns then y columns")),
+             ("--dim-x", dict(type=int, default=None,
+                              help="columns belonging to x (default: half)")))
 
-    p = diff_sub.add_parser("vlb", help="variational bound of grids under a denoiser")
-    p.add_argument("--denoiser", required=True)
-    p.add_argument("--tokens", required=True)
-    p.add_argument("--schedule", required=True)
-    p.add_argument("--samples", type=int, default=8, help="t draws per grid")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_diffuse_vlb)
-
-    # codec
-    p_codec = sub.add_parser("codec", help="vector-quantization codecs")
-    codec_sub = p_codec.add_subparsers(dest="subcommand", required=True)
-
-    p = codec_sub.add_parser("fit", help="fit codebooks with Lloyd's algorithm")
-    p.add_argument("--features", required=True)
-    p.add_argument("--kind", choices=("VQ", "RVQ", "GVQ", "GRVQ"), required=True)
-    p.add_argument("--Kp", type=int, required=True, help="codes per book")
-    p.add_argument("--G", type=int, default=1, help="groups")
-    p.add_argument("--R", type=int, default=1, help="residual depth")
-    p.add_argument("--iters", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dropout", action="store_true", help="variable-depth fitting (RVQ)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_codec_fit)
-
-    p = codec_sub.add_parser("encode", help="quantize features to tokens")
-    p.add_argument("--features", required=True)
-    p.add_argument("--codec", required=True)
-    p.add_argument("--active", type=int, default=None, help="books to use (RVQ/GRVQ)")
-    p.add_argument("--out", required=True)
-    p.add_argument("--recon", default=None, help="also write the reconstruction CSV")
-    p.set_defaults(func=_cmd_codec_encode)
-
-    p = codec_sub.add_parser("decode", help="reconstruct features from tokens")
-    p.add_argument("--tokens", required=True)
-    p.add_argument("--codec", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_codec_decode)
-
-    p = codec_sub.add_parser("report", help="per-depth reconstruction error")
-    p.add_argument("--features", required=True)
-    p.add_argument("--codec", required=True)
-    p.set_defaults(func=_cmd_codec_report)
-
-    # metrics
-    p_met = sub.add_parser("metrics", help="objective evaluation metrics")
-    met_sub = p_met.add_subparsers(dest="subcommand", required=True)
-
-    p = met_sub.add_parser("mcd", help="mel-cepstral distortion")
-    p.add_argument("--ref", required=True)
-    p.add_argument("--syn", required=True)
-    p.add_argument("--scale-db", action="store_true")
-    p.set_defaults(func=_cmd_metrics_mcd)
-
-    p = met_sub.add_parser("ssim", help="structural similarity")
-    p.add_argument("--ref", required=True)
-    p.add_argument("--syn", required=True)
-    p.add_argument("--window", type=int, default=DEFAULT_SSIM_WINDOW)
-    p.set_defaults(func=_cmd_metrics_ssim)
-
-    p = met_sub.add_parser("pitch", help="GPE/VDE/FFE pitch errors")
-    p.add_argument("--ref", required=True)
-    p.add_argument("--syn", required=True)
-    p.add_argument("--threshold", type=float, default=DEFAULT_GPE_THRESHOLD)
-    p.set_defaults(func=_cmd_metrics_pitch)
-
-    # aux
-    p_aux = sub.add_parser("aux", help="contrastive losses and MI diagnostics")
-    aux_sub = p_aux.add_subparsers(dest="subcommand", required=True)
-
-    p = aux_sub.add_parser("infonce", help="symmetric InfoNCE loss")
-    p.add_argument("--input", required=True, help="similarity matrix CSV")
-    p.add_argument("--tau", type=float, default=1.0)
-    p.set_defaults(func=_cmd_aux_infonce)
-
-    p = aux_sub.add_parser("rank-loss", help="bidirectional margin ranking loss")
-    p.add_argument("--input", required=True, help="similarity matrix CSV")
-    p.add_argument("--margin", type=float, default=0.2)
-    p.set_defaults(func=_cmd_aux_rank_loss)
-
-    p = aux_sub.add_parser("recall", help="retrieval recall at rank k")
-    p.add_argument("--input", required=True, help="similarity matrix CSV")
-    p.add_argument("--k", type=int, default=1)
-    p.set_defaults(func=_cmd_aux_recall)
-
-    p = aux_sub.add_parser("club", help="CLUB mutual-information upper bound")
-    p.add_argument("--input", required=True, help="CSV of x columns then y columns")
-    p.add_argument("--dim-x", type=int, default=None,
-                   help="columns belonging to x (default: half)")
-    p.set_defaults(func=_cmd_aux_club)
-
-    # selftest
-    p = sub.add_parser("selftest", help="run the brute-force oracle suites")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_selftest)
-
+    _command(sub, "selftest", "run the brute-force oracle suites", _cmd_selftest, _SEED)
     return parser
 
 
@@ -570,10 +506,11 @@ def run(argv=None) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     try:
-        return args.func(args)
+        args.func(args)
     except (VqdiffError, ValueError, OSError) as exc:  # JSON decode errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

@@ -16,6 +16,7 @@ residual chains.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -392,7 +393,12 @@ def load_codec(path) -> CodecModel:
 
 
 def load_features(path) -> np.ndarray:
-    X = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+    with warnings.catch_warnings():
+        # NumPy warns about a file without data rows; the error below says it
+        warnings.simplefilter("ignore", UserWarning)
+        X = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+    if X.size == 0:
+        raise ValueError(f"no feature frames in {path}")
     return _as_features(X)
 
 

@@ -146,28 +146,33 @@ def pitch_errors(
 
 
 def load_pitch_track(path) -> PitchTrack:
-    """Read a frame,f0,voiced CSV (header optional, frames in order)."""
-    rows = []
+    """Read a frame,f0,voiced CSV: rows in any frame order, frames finite
+    integers, ``voiced`` exactly 0 or 1, and at most the first non-blank
+    line a header."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"expected 3 columns (frame,f0,voiced): {line!r}")
-            try:
-                rows.append((int(float(parts[0])), float(parts[1]), int(float(parts[2]))))
-            except ValueError:
-                if rows:
-                    raise ValueError(f"unparseable pitch row: {line!r}") from None
+        lines = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
+    rows = []
+    for i, (number, line) in enumerate(lines):
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ValueError(f"expected 3 columns (frame,f0,voiced): {line!r}")
+        try:
+            frame, f0, voiced = (float(part) for part in parts)
+        except ValueError:
+            if i == 0:
                 continue  # header line
+            raise ValueError(f"unparseable pitch row {number}: {line!r}") from None
+        if not (math.isfinite(frame) and frame.is_integer()) or voiced not in (0.0, 1.0):
+            raise ValueError(
+                f"pitch row {number} needs a finite integer frame and voiced 0 or 1: {line!r}"
+            )
+        rows.append((int(frame), f0, voiced == 1.0))
     if not rows:
         raise ValueError(f"no pitch frames in {path}")
     rows.sort(key=lambda r: r[0])
     return PitchTrack(
         f0=np.array([r[1] for r in rows]),
-        voiced=np.array([bool(r[2]) for r in rows]),
+        voiced=np.array([r[2] for r in rows]),
     )
 
 

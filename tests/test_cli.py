@@ -69,6 +69,27 @@ class TestExitCodesAndErrors:
         assert "Traceback" not in err and stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["diffuse", "sample", "--count", "0"], "--count must be >= 1, got 0"),
+        (["diffuse", "sample", "--count", "-3"], "--count must be >= 1, got -3"),
+        (["diffuse", "vlb", "--samples", "0"], "--samples must be >= 1, got 0"),
+        (["transitions", "check", "--K", "3", "--T", "4", "--schedules", "-1"],
+         "--schedules must be >= 0, got -1"),
+    ])
+    def test_bad_count_flag_is_exit_one(self, capsys, tmp_path, argv, message):
+        # no input file exists: the flag is checked before any is read
+        missing = str(tmp_path / "missing.json")
+        out = tmp_path / "never.json"
+        files = {
+            "sample": ["--denoiser", missing, "--schedule", missing, "--out", str(out)],
+            "vlb": ["--denoiser", missing, "--tokens", missing, "--schedule", missing],
+            "check": [],
+        }
+        code, stdout, err = invoke(capsys, *argv, *files[argv[1]])
+        assert code == 1
+        assert err == f"error: {message}\n" and stdout == ""
+        assert not out.exists()
+
     def test_domain_error_is_exit_one(self, capsys, tmp_path):
         code, _, err = invoke(
             capsys, "diffuse", "vlb",
@@ -187,6 +208,16 @@ class TestScheduleCommand:
         assert code == 1
         assert "error:" in err and "--n-q" in err
 
+    def test_linear_rejects_layer_count(self, capsys, tmp_path):
+        out = tmp_path / "never.json"
+        code, stdout, err = invoke(
+            capsys, "schedule", "inspect", "--kind", "linear", "--T", "10", "--K", "4",
+            "--n-q", "4", "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "--n-q" in err
+        assert stdout == "" and not out.exists()
+
 
 class TestTransitionsCommand:
     def test_check_passes(self, capsys):
@@ -195,6 +226,13 @@ class TestTransitionsCommand:
         )
         assert code == 0
         assert "PASS" in out
+
+    def test_zero_random_schedules_checks_the_linear_one(self, capsys):
+        code, out, _ = invoke(
+            capsys, "transitions", "check", "--K", "3", "--T", "5", "--schedules", "0"
+        )
+        assert code == 0
+        assert out.startswith("transitions check: 0 random + 1 linear") and "PASS" in out
 
 
 class TestDiffuseCommands:
@@ -712,6 +750,46 @@ def test_oracle_commands_match_recorded_digests(capsys, name):
     assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_ORACLES[name]
 
 
+# Every node of the parser: the root, the six command groups and the 18
+# subcommands.
+PARSER_NODES = [
+    (),
+    ("schedule",), ("schedule", "inspect"),
+    ("transitions",), ("transitions", "check"),
+    ("diffuse",), ("diffuse", "corrupt"), ("diffuse", "sample"), ("diffuse", "train"),
+    ("diffuse", "vlb"),
+    ("codec",), ("codec", "fit"), ("codec", "encode"), ("codec", "decode"), ("codec", "report"),
+    ("metrics",), ("metrics", "mcd"), ("metrics", "ssim"), ("metrics", "pitch"),
+    ("aux",), ("aux", "infonce"), ("aux", "rank-loss"), ("aux", "recall"), ("aux", "club"),
+    ("selftest",),
+]
+
+# sha256 over all nodes of the --help stdout, and of the exit code and
+# stderr with no arguments and with an unknown flag, at an 80-column
+# terminal under Python 3.11's argparse.  Recorded before the parser was
+# rewritten to define each shared flag once: any change to a flag's name,
+# order, default, help or required-ness, or to a command's help, fails here.
+GOLDEN_CLI_SURFACE = {
+    "help": "9551dd2c9360e734c5d1f8118680a58164c635db4f2a651416da78e2420439dd",
+    "no-args": "4e0e12f873742186f58f4dc1b486f554e6ec4625049e896a775e78981175f1d6",
+    "unknown-flag": "fe5f79f36beae8d721b5f22b1ba3036ab92f3fe788b4eb50f869bbdfc1169844",
+}
+
+
+def test_cli_surface_matches_recorded_digests(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = {name: [] for name in GOLDEN_CLI_SURFACE}
+    for node in PARSER_NODES:
+        for name, extra in (("help", ["--help"]), ("no-args", []),
+                            ("unknown-flag", ["--no-such-flag"])):
+            code, stdout, err = invoke(capsys, *node, *extra)
+            shown = stdout if name == "help" else err
+            texts[name].append(f"$ vqdiff {' '.join([*node, *extra])}\nexit {code}\n{shown}")
+    digests = {name: hashlib.sha256("".join(parts).encode()).hexdigest()
+               for name, parts in texts.items()}
+    assert digests == GOLDEN_CLI_SURFACE
+
+
 class TestCodecCommands:
     def test_fit_encode_report_decode(self, toy_setup, capsys, tmp_path):
         codec = tmp_path / "codec.json"
@@ -866,6 +944,25 @@ class TestMetricsCommands:
         code, out, _ = invoke(capsys, "metrics", "pitch", "--ref", str(a), "--syn", str(b))
         assert code == 0
         assert "gpe=none" in out and "vde=1.0" in out
+
+    @pytest.mark.parametrize("rows", ["0,100,1\ninf,120,1\n", "0,100,inf\n1,120,1\n"])
+    def test_pitch_infinite_frame_or_voiced_is_exit_one(self, capsys, tmp_path, rows):
+        bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+        bad.write_text(rows)
+        good.write_text("0,100,1\n1,120,1\n")
+        code, stdout, err = invoke(capsys, "metrics", "pitch", "--ref", str(bad), "--syn", str(good))
+        assert code == 1
+        assert err.startswith("error: pitch row") and "inf" in err
+        assert "Traceback" not in err and stdout == ""
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_empty_features_file_is_one_error_line(self, capsys, tmp_path, recwarn, text):
+        empty = tmp_path / "empty.csv"
+        empty.write_text(text)
+        code, stdout, err = invoke(capsys, "metrics", "mcd", "--ref", str(empty), "--syn", str(empty))
+        assert code == 1
+        assert err == f"error: no feature frames in {empty}\n" and stdout == ""
+        assert len(recwarn) == 0
 
 
 class TestAuxCommands:

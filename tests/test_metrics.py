@@ -184,6 +184,30 @@ class TestPitchCsv:
         back = load_pitch_track(path)
         np.testing.assert_array_equal(back.f0, [100.0, 0.0, 300.0])
 
+    @pytest.mark.parametrize("text, row", [
+        ("0,100,1\ninf,120,1\n", 2),                 # infinite frame
+        ("0,100,inf\n1,120,1\n", 1),                 # a bad first row is no header
+        ("frame,f0,voiced\n0,nan,1\n1,0,0\n", None),  # checked by PitchTrack
+        ("frame,f0,voiced\n0,100,1\n1.5,100,1\n", 3),  # fractional frame
+        ("frame,f0,voiced\n0,100,2\n", 2),
+        ("frame,f0,voiced\n0,100,-1\n", 2),
+        ("frame,f0,voiced\n0,100,0.5\n", 2),
+        ("frame,f0,voiced\nframe,f0,voiced\n0,100,1\n", 2),  # a second header
+    ])
+    def test_bad_row_rejected(self, tmp_path, text, row):
+        path = tmp_path / "pitch.csv"
+        path.write_text(text)
+        match = "f0 must be finite" if row is None else f"pitch row {row}"
+        with pytest.raises(ValueError, match=match):
+            load_pitch_track(path)
+
+    def test_integral_float_frame_and_voiced_accepted(self, tmp_path):
+        path = tmp_path / "pitch.csv"
+        path.write_text("\n1.0,0,0.0\n0,100,1.0\n")
+        back = load_pitch_track(path)
+        np.testing.assert_array_equal(back.f0, [100.0, 0.0])
+        np.testing.assert_array_equal(back.voiced, [True, False])
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "pitch.csv"
         path.write_text("frame,f0,voiced\n")
