@@ -157,6 +157,7 @@ def _load_schedule_and_denoiser(args):
 
 def _cmd_diffuse_sample(args) -> None:
     _at_least("--count", args.count, 1)
+    _at_least("--stride", args.stride, 1)
     table, denoiser = _load_schedule_and_denoiser(args)
     grids = []
     for chain in range(args.count):
@@ -214,6 +215,7 @@ def _cmd_diffuse_vlb(args) -> None:
 
 
 def _cmd_codec_fit(args) -> None:
+    _at_least("--iters", args.iters, 1)
     X = load_features(args.features)
     config = FitConfig(
         kind=args.kind,
@@ -270,6 +272,7 @@ def _cmd_metrics_mcd(args) -> None:
 
 
 def _cmd_metrics_ssim(args) -> None:
+    _at_least("--window", args.window, 1)
     value = ssim(load_features(args.ref), load_features(args.syn), window=args.window)
     print(f"ssim={_fmt(value)}")
 
@@ -295,6 +298,7 @@ def _cmd_aux_rank_loss(args) -> None:
 
 
 def _cmd_aux_recall(args) -> None:
+    _at_least("--k", args.k, 1)
     value = recall_at_k(load_features(args.input), args.k)
     print(f"recall@{args.k}={_fmt(value)}")
 

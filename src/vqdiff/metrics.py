@@ -23,6 +23,9 @@ MCD_DB_FACTOR = 10.0 * math.sqrt(2.0) / math.log(10.0)
 DEFAULT_GPE_THRESHOLD = 0.2
 DEFAULT_SSIM_WINDOW = 7
 
+# window values per row block of ``ssim``: about 2 MiB per float64 temporary
+_SSIM_BLOCK_VALUES = 1 << 18
+
 
 def _as_matrix(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
@@ -76,16 +79,25 @@ def ssim(ref, syn, window: int = DEFAULT_SSIM_WINDOW, constants=None) -> float:
         if c1 < 0 or c2 < 0:
             raise ValueError("SSIM constants must be nonnegative")
 
-    wa = np.lib.stride_tricks.sliding_window_view(a, (window, window))
-    wb = np.lib.stride_tricks.sliding_window_view(b, (window, window))
-    mu_a = wa.mean(axis=(-2, -1))
-    mu_b = wb.mean(axis=(-2, -1))
-    var_a = (wa**2).mean(axis=(-2, -1)) - mu_a**2
-    var_b = (wb**2).mean(axis=(-2, -1)) - mu_b**2
-    cov = (wa * wb).mean(axis=(-2, -1)) - mu_a * mu_b
-    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-    den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
-    return float((num / den).mean())
+    # C order fixes the summation order of the window means and of the final
+    # mean, so the result does not depend on the inputs' memory layout
+    wa = np.lib.stride_tricks.sliding_window_view(np.ascontiguousarray(a), (window, window))
+    wb = np.lib.stride_tricks.sliding_window_view(np.ascontiguousarray(b), (window, window))
+    # each output row is computed on its own, so row blocks bound the
+    # window-product temporaries without changing a single bit of the map
+    ssim_map = np.empty(wa.shape[:2])
+    step = max(1, _SSIM_BLOCK_VALUES // (wa.shape[1] * window * window))
+    for i in range(0, ssim_map.shape[0], step):
+        ba, bb = wa[i : i + step], wb[i : i + step]
+        mu_a = ba.mean(axis=(-2, -1))
+        mu_b = bb.mean(axis=(-2, -1))
+        var_a = (ba**2).mean(axis=(-2, -1)) - mu_a**2
+        var_b = (bb**2).mean(axis=(-2, -1)) - mu_b**2
+        cov = (ba * bb).mean(axis=(-2, -1)) - mu_a * mu_b
+        num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+        den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
+        ssim_map[i : i + step] = num / den
+    return float(ssim_map.mean())
 
 
 @dataclass(frozen=True)
@@ -146,9 +158,9 @@ def pitch_errors(
 
 
 def load_pitch_track(path) -> PitchTrack:
-    """Read a frame,f0,voiced CSV: rows in any frame order, frames finite
-    integers, ``voiced`` exactly 0 or 1, and at most the first non-blank
-    line a header."""
+    """Read a frame,f0,voiced CSV: rows in any frame order, frames the
+    integers 0..n-1 once each, ``voiced`` exactly 0 or 1, and at most the
+    first non-blank line a header."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
     rows = []
@@ -170,6 +182,14 @@ def load_pitch_track(path) -> PitchTrack:
     if not rows:
         raise ValueError(f"no pitch frames in {path}")
     rows.sort(key=lambda r: r[0])
+    # tracks are compared by position, so a repeated or missing frame
+    # would silently pair frames that do not belong together
+    for expected, (frame, _, _) in enumerate(rows):
+        if frame != expected:
+            raise ValueError(
+                f"pitch frames must be 0..{len(rows) - 1} with no repeat or gap: "
+                f"got frame {frame} where frame {expected} belongs"
+            )
     return PitchTrack(
         f0=np.array([r[1] for r in rows]),
         voiced=np.array([r[2] for r in rows]),

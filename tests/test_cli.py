@@ -75,6 +75,11 @@ class TestExitCodesAndErrors:
         (["diffuse", "vlb", "--samples", "0"], "--samples must be >= 1, got 0"),
         (["transitions", "check", "--K", "3", "--T", "4", "--schedules", "-1"],
          "--schedules must be >= 0, got -1"),
+        (["diffuse", "sample", "--stride", "0"], "--stride must be >= 1, got 0"),
+        (["codec", "fit", "--kind", "RVQ", "--Kp", "4", "--iters", "0"],
+         "--iters must be >= 1, got 0"),
+        (["aux", "recall", "--k", "0"], "--k must be >= 1, got 0"),
+        (["metrics", "ssim", "--window", "0"], "--window must be >= 1, got 0"),
     ])
     def test_bad_count_flag_is_exit_one(self, capsys, tmp_path, argv, message):
         # no input file exists: the flag is checked before any is read
@@ -84,6 +89,9 @@ class TestExitCodesAndErrors:
             "sample": ["--denoiser", missing, "--schedule", missing, "--out", str(out)],
             "vlb": ["--denoiser", missing, "--tokens", missing, "--schedule", missing],
             "check": [],
+            "fit": ["--features", missing, "--out", str(out)],
+            "recall": ["--input", missing],
+            "ssim": ["--ref", missing, "--syn", missing],
         }
         code, stdout, err = invoke(capsys, *argv, *files[argv[1]])
         assert code == 1
@@ -954,6 +962,17 @@ class TestMetricsCommands:
         assert code == 1
         assert err.startswith("error: pitch row") and "inf" in err
         assert "Traceback" not in err and stdout == ""
+
+    def test_pitch_frames_not_shared_is_exit_one(self, capsys, tmp_path):
+        ref, syn = tmp_path / "ref.csv", tmp_path / "syn.csv"
+        ref.write_text("frame,f0,voiced\n0,100,1\n1,200,1\n2,300,1\n")
+        syn.write_text("frame,f0,voiced\n0,100,1\n0,200,1\n7,300,1\n")
+        code, stdout, err = invoke(capsys, "metrics", "pitch", "--ref", str(ref), "--syn", str(syn))
+        assert code == 1 and stdout == ""
+        assert err == (
+            "error: pitch frames must be 0..2 with no repeat or gap: "
+            "got frame 0 where frame 1 belongs\n"
+        )
 
     @pytest.mark.parametrize("text", ["", "\n\n"])
     def test_empty_features_file_is_one_error_line(self, capsys, tmp_path, recwarn, text):

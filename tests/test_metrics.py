@@ -1,10 +1,13 @@
 """Metric hand cases and invariants."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from vqdiff import metrics
 from vqdiff.metrics import (
     MCD_DB_FACTOR,
     PitchTrack,
@@ -18,6 +21,59 @@ from vqdiff.metrics import (
 
 def track(voiced, f0):
     return PitchTrack(f0=np.asarray(f0, dtype=float), voiced=np.asarray(voiced, dtype=bool))
+
+
+def _ssim_reference(ref, syn, window, constants=None):
+    """``ssim`` in one pass over the whole sliding-window view, as it was
+    written before row blocking: the blocked form must equal it bit for bit."""
+    a = np.asarray(ref, dtype=float)
+    b = np.asarray(syn, dtype=float)
+    if constants is None:
+        data_range = float(a.max() - a.min()) or 1.0
+        constants = ((0.01 * data_range) ** 2, (0.03 * data_range) ** 2)
+    c1, c2 = constants
+    wa = np.lib.stride_tricks.sliding_window_view(a, (window, window))
+    wb = np.lib.stride_tricks.sliding_window_view(b, (window, window))
+    mu_a = wa.mean(axis=(-2, -1))
+    mu_b = wb.mean(axis=(-2, -1))
+    var_a = (wa**2).mean(axis=(-2, -1)) - mu_a**2
+    var_b = (wb**2).mean(axis=(-2, -1)) - mu_b**2
+    cov = (wa * wb).mean(axis=(-2, -1)) - mu_a * mu_b
+    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+    den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
+    return float((num / den).mean())
+
+
+def _ssim_brute_force(ref, syn, window, constants=None):
+    """Independent SSIM: a plain loop over windows that forms each window's
+    mean, variance and covariance from explicit (centred) sums."""
+    a = [[float(v) for v in row] for row in ref]
+    b = [[float(v) for v in row] for row in syn]
+    if constants is None:
+        values = [v for row in a for v in row]
+        data_range = (max(values) - min(values)) or 1.0
+        constants = ((0.01 * data_range) ** 2, (0.03 * data_range) ** 2)
+    c1, c2 = constants
+    n = window * window
+    scores = []
+    for i in range(len(a) - window + 1):
+        for j in range(len(a[0]) - window + 1):
+            xs = [a[i + di][j + dj] for di in range(window) for dj in range(window)]
+            ys = [b[i + di][j + dj] for di in range(window) for dj in range(window)]
+            mx, my = sum(xs) / n, sum(ys) / n
+            vx = sum((x - mx) ** 2 for x in xs) / n
+            vy = sum((y - my) ** 2 for y in ys) / n
+            cxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / n
+            scores.append(
+                (2 * mx * my + c1) * (2 * cxy + c2) / ((mx * mx + my * my + c1) * (vx + vy + c2))
+            )
+    return sum(scores) / len(scores)
+
+
+def ssim_pair(shape, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=shape) * 2.0 + 0.5
+    return a, a + rng.normal(size=shape)
 
 
 class TestMcd:
@@ -103,6 +159,75 @@ class TestSsim:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             ssim(np.zeros((4, 4)), np.zeros((5, 4)))
+
+
+class TestSsimBlocked:
+    @pytest.mark.parametrize("shape, window", [
+        ((7, 19), 7),    # one output row
+        ((23, 5), 5),    # one output column
+        ((6, 6), 6),     # one window
+        ((13, 9), 1),
+        ((13, 9), 9),    # window = min(shape)
+        ((40, 32), 7),
+        ((300, 32), 7),
+        ((64, 41), 12),  # windows past the 8-wide unrolled sums
+    ])
+    @pytest.mark.parametrize("constants", [None, (0.05, 0.4)])
+    def test_equals_unblocked_reference(self, shape, window, constants):
+        a, b = ssim_pair(shape, seed=shape[0] * 100 + window)
+        assert ssim(a, b, window=window, constants=constants) == _ssim_reference(
+            a, b, window, constants
+        )
+
+    @pytest.mark.parametrize("shape, window", [((30, 11), 3), ((40, 17), 7), ((10, 4), 1)])
+    @pytest.mark.parametrize("block_values, block_rows", [
+        (1, None), (7, None), (None, 2), (None, 3), (None, 7),
+    ])
+    def test_block_edges(self, monkeypatch, shape, window, block_values, block_rows):
+        # 1 and 7 window values give one-row blocks; block_rows sets blocks of
+        # that many rows, and 3 leaves a one-row last block in each shape
+        if block_rows is not None:
+            block_values = block_rows * (shape[1] - window + 1) * window * window
+        assert block_rows != 3 or (shape[0] - window + 1) % 3 == 1
+        monkeypatch.setattr(metrics, "_SSIM_BLOCK_VALUES", block_values)
+        a, b = ssim_pair(shape, seed=window)
+        for constants in (None, (0.05, 0.4)):
+            assert ssim(a, b, window=window, constants=constants) == _ssim_reference(
+                a, b, window, constants
+            )
+
+    def test_memory_layout_does_not_change_the_value(self):
+        a, b = ssim_pair((300, 32), seed=3)
+        want = _ssim_reference(a, b, 7)
+        for fa, fb in [
+            (np.asfortranarray(a), np.asfortranarray(b)),
+            (a[::-1].copy()[::-1], b[::-1].copy()[::-1]),
+            (np.repeat(a, 2, axis=1)[:, ::2], np.repeat(b, 2, axis=1)[:, ::2]),
+        ]:
+            assert ssim(fa, fb) == want
+
+    @pytest.mark.parametrize("shape", [(6, 5), (7, 7), (9, 6), (12, 10)])
+    @pytest.mark.parametrize("window", [1, 2, 3, 5])
+    @pytest.mark.parametrize("constants", [None, (0.05, 0.4), (1e-4, 9e-4)])
+    def test_matches_brute_force_oracle(self, shape, window, constants):
+        a, b = ssim_pair(shape, seed=shape[0] * 10 + window)
+        got = ssim(a, b, window=window, constants=constants)
+        assert got == pytest.approx(_ssim_brute_force(a, b, window, constants), abs=1e-12)
+
+    def test_peak_memory_does_not_grow_with_input(self):
+        a, b = ssim_pair((4096, 32), seed=8)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            ssim(a, b, window=7)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        # the unblocked form peaked at 43.8 MiB here, the blocked one at 3.2 MiB
+        assert peak < 8 * 2**20
 
 
 class TestPitchErrors:
@@ -207,6 +332,21 @@ class TestPitchCsv:
         back = load_pitch_track(path)
         np.testing.assert_array_equal(back.f0, [100.0, 0.0])
         np.testing.assert_array_equal(back.voiced, [True, False])
+
+    @pytest.mark.parametrize("frames, bad, expected", [
+        ([0, 0, 7], 0, 1),   # a repeat
+        ([0, 2], 2, 1),      # a gap
+        ([1, 2, 3], 1, 0),   # not starting at 0
+        ([-1, 0], -1, 0),
+        ([2, 0, 1, 1], 1, 2),
+    ])
+    def test_frames_must_run_from_zero_once_each(self, tmp_path, frames, bad, expected):
+        path = tmp_path / "pitch.csv"
+        path.write_text("frame,f0,voiced\n" + "".join(f"{f},100,1\n" for f in frames))
+        n = len(frames) - 1
+        match = f"must be 0..{n} with no repeat or gap: got frame {bad} where frame {expected} belongs"
+        with pytest.raises(ValueError, match=re.escape(match)):
+            load_pitch_track(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "pitch.csv"
