@@ -215,6 +215,9 @@ def _cmd_diffuse_vlb(args) -> None:
 
 
 def _cmd_codec_fit(args) -> None:
+    _at_least("--Kp", args.Kp, 2)
+    _at_least("--G", args.G, 1)
+    _at_least("--R", args.R, 1)
     _at_least("--iters", args.iters, 1)
     X = load_features(args.features)
     config = FitConfig(
@@ -234,6 +237,8 @@ def _cmd_codec_fit(args) -> None:
 
 
 def _cmd_codec_encode(args) -> None:
+    if args.active is not None:
+        _at_least("--active", args.active, 1)
     X = load_features(args.features)
     model = load_codec(args.codec)
     grid, recon = quantize(X, model, active_books=args.active)

@@ -27,12 +27,17 @@ from .tokens import TokenGrid, _field, _integer, _load_object, atomic_write_text
 KINDS = ("VQ", "RVQ", "GVQ", "GRVQ")
 
 # Float64 entries of working array per block of frames (1 MiB): the
-# distance block of `_nearest` (rows x Kp) or the frame differences of
-# `_kmeanspp_init` (rows x dims), together with the frames they are
-# computed from, then stay in a core's L2 cache (2 MiB on the x86_64
-# machine measured) across the several passes over them, where whole-array
-# temporaries go out to memory on every pass.
+# distance block of `_nearest` (rows x Kp), together with the frames it is
+# computed from, then stays in a core's L2 cache (2 MiB on the x86_64
+# machine measured) across the several passes over it, where whole-array
+# temporaries go out to memory on every pass.  `_kmeanspp_init` gathers
+# the frames it recomputes exactly into one buffer of this size (rows x
+# dims), so no pass over the frames needs a whole-array temporary.
 _CHUNK = 1 << 17
+
+# Values formatted per block of `save_features` text: the block's floats,
+# reprs and joined text stay a few MiB however many frames there are.
+_CSV_BLOCK_VALUES = 1 << 16
 
 
 def _block_rows(width: int) -> int:
@@ -189,6 +194,30 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     Every centroid picked has a positive distance to the earlier ones, so
     the distances sum to 0 after j centroids when the frames hold only j
     distinct values, or when distinct frames' squared distances underflow.
+
+    Each new centroid c is screened before any exact distance is taken.
+    One matrix-vector product gives, per frame x, the lower bound
+
+        lower = x2 - 2 x.c + c2 - slack*(x2 + c2) - floor
+
+    with x2 = |x|^2 and c2 = |c|^2 as computed.  Only frames whose bound is
+    not finite, or is below their d2, get the exact ``((x - c)**2).sum()``
+    and the ``min``; any other frame's exact value is at least its d2 and
+    would leave d2 as it is, so d2 keeps every bit, and the draws with it.
+
+    The bound holds in floating point.  Take m = dims, u = eps/2 and
+    gamma = (m + 4) u / (1 - (m + 4) u).  Computed in any order, x2, c2
+    and x.c are within m u / (1 - m u) of |x|^2, |c|^2 and |x||c|, and
+    the adds that combine them cost u each, so x2 - 2 x.c + c2 is within
+    gamma (|x| + |c|)^2 of |x - c|^2.  The exact expression sums m
+    non-negative terms, each a rounded square of a rounded difference, so
+    it is at least (1 - gamma) |x - c|^2, again within gamma (|x| + |c|)^2.
+    As (|x| + |c|)^2 <= 2 (|x|^2 + |c|^2), slack = 8 (m + 8) eps, four
+    times the 4 gamma needed, covers both with the rounding of the slack
+    term itself.  Every product that underflows can be off by one
+    smallest subnormal beyond this, and there are fewer than 4 m + 4 of
+    them, so floor = 8 (m + 8) smallest subnormals.  An overflow anywhere
+    leaves ``lower`` inf or NaN, and those frames are recomputed.
     """
     n, dims = X.shape
     centroids = np.empty((k, dims))
@@ -196,7 +225,12 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     d2 = np.full(n, np.inf)
     rows = _block_rows(dims)
     diff = np.empty((min(rows, n), dims))
-    row_d2 = np.empty(len(diff))
+    slack = 8 * (dims + 8) * np.finfo(float).eps
+    lower = np.empty(n)
+    skip = np.empty(n, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x2 = np.einsum("ij,ij->i", X, X)
+        x2 -= slack * x2 + 8 * (dims + 8) * np.finfo(float).smallest_subnormal
     for j in range(k):
         if j:
             total = d2.sum()
@@ -214,15 +248,26 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
             cdf = np.cumsum(d2 / total)
             cdf /= cdf[-1]
             centroids[j] = X[cdf.searchsorted(rng.random(), side="right")]
-        # d2 = min(d2, |x - c_j|^2), a block of frames at a time; an
-        # overflow to inf is caught by the check on the sum above
+        c = centroids[j]
+        with np.errstate(over="ignore", invalid="ignore"):
+            c2 = c @ c
+            np.matmul(X, c, out=lower)
+            lower *= -2.0
+            lower += x2
+            lower += c2 - slack * c2
+        np.isfinite(lower, out=skip)
+        skip &= lower >= d2
+        redo = np.flatnonzero(~skip)
+        # d2 = min(d2, |x - c_j|^2) where it can drop, a block of frames at
+        # a time; an overflow to inf is caught by the check on the sum above
         with np.errstate(over="ignore"):
-            for lo in range(0, n, rows):
-                m = min(rows, n - lo)
-                np.subtract(X[lo : lo + m], centroids[j], out=diff[:m])
-                np.multiply(diff[:m], diff[:m], out=diff[:m])
-                diff[:m].sum(axis=1, out=row_d2[:m])
-                np.minimum(d2[lo : lo + m], row_d2[:m], out=d2[lo : lo + m])
+            for lo in range(0, len(redo), rows):
+                idx = redo[lo : lo + rows]
+                block = diff[: len(idx)]
+                np.take(X, idx, axis=0, out=block)
+                np.subtract(block, c, out=block)
+                np.multiply(block, block, out=block)
+                d2[idx] = np.minimum(d2[idx], block.sum(axis=1))
     return centroids
 
 
@@ -403,6 +448,11 @@ def load_features(path) -> np.ndarray:
 
 
 def save_features(path, features) -> None:
+    """One CSV line of ``repr`` values per frame, formatted and written
+    ``_CSV_BLOCK_VALUES`` values at a time."""
     X = _as_features(features)
-    rows = "\n".join(",".join(repr(v) for v in row) for row in X.tolist())
-    atomic_write_text(path, rows + "\n")
+    rows = max(1, _CSV_BLOCK_VALUES // X.shape[1])
+    atomic_write_text(path, (
+        "".join(",".join(map(repr, row)) + "\n" for row in X[lo : lo + rows].tolist())
+        for lo in range(0, len(X), rows)
+    ))

@@ -15,20 +15,22 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file in the same directory.
+def atomic_write_text(path, text) -> None:
+    """Write ``text``, a string or an iterable of strings written in turn,
+    to ``path`` via a temp file in the same directory.
 
-    The content is fully serialized before anything touches the target, so
-    a failure part-way never leaves a truncated file behind.  The file gets
-    the mode ``open(path, "w")`` would create, ``0o666`` less the umask,
-    not the ``0o600`` of the temp file.
+    The content is fully written to the temp file before anything touches
+    the target, so a failure part-way never leaves a truncated file behind.
+    The file gets the mode ``open(path, "w")`` would create, ``0o666``
+    less the umask, not the ``0o600`` of the temp file.
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for chunk in [text] if isinstance(text, str) else text:
+                fh.write(chunk)
         umask = os.umask(0)  # reading the umask means setting it
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)

@@ -98,6 +98,25 @@ class TestExitCodesAndErrors:
         assert err == f"error: {message}\n" and stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "--kind", "RVQ", "--Kp", "1"], "--Kp must be >= 2, got 1"),
+        (["fit", "--kind", "GVQ", "--Kp", "4", "--G", "0"], "--G must be >= 1, got 0"),
+        (["fit", "--kind", "RVQ", "--Kp", "4", "--R", "-1"], "--R must be >= 1, got -1"),
+        (["encode", "--active", "0"], "--active must be >= 1, got 0"),
+    ])
+    def test_bad_codec_flag_is_exit_one(self, capsys, tmp_path, argv, message):
+        # no input file exists: the flag is checked before any is read
+        missing = str(tmp_path / "missing.json")
+        out = tmp_path / "never.json"
+        files = {
+            "fit": ["--features", missing, "--out", str(out)],
+            "encode": ["--features", missing, "--codec", missing, "--out", str(out)],
+        }
+        code, stdout, err = invoke(capsys, "codec", *argv, *files[argv[0]])
+        assert code == 1
+        assert err == f"error: {message}\n" and stdout == ""
+        assert not out.exists()
+
     def test_domain_error_is_exit_one(self, capsys, tmp_path):
         code, _, err = invoke(
             capsys, "diffuse", "vlb",

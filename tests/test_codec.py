@@ -2,6 +2,7 @@
 splits, Lloyd fitting, and file round trips."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -471,6 +472,111 @@ class TestFastPathOracles:
             got = _kmeanspp_init(X, 2, FixedDraws([u]))
             ref = kmeanspp_reference(X, 2, FixedDraws([u]))
             assert got[1, 0] == ref[1, 0] == want
+
+
+def clustered_frames(rng, n, d, clusters):
+    centres = rng.normal(size=(clusters, d)) * 3.0
+    return centres[rng.integers(clusters, size=n)] + rng.normal(size=(n, d))
+
+
+def near_duplicate_frames(rng):
+    # 50 points, each repeated 20 times 1e-9 apart along the first axis
+    X = np.repeat(rng.normal(size=(50, 8)), 20, axis=0)
+    X[:, 0] += 1e-9 * np.tile(np.arange(20), 50)
+    return X
+
+
+def subnormal_grid_frames(rng):
+    grid = np.unique(rng.integers(-12, 13, size=(300, 4)), axis=0)
+    return grid.astype(float) * 2.0**-538
+
+
+# Inputs where the screen's bound is loose, tight or not finite; each
+# frame set is distinct, so the reference's draw is defined throughout.
+SCREEN_CASES = {
+    "clustered-2000x16": (lambda rng: clustered_frames(rng, 2000, 16, 40), 64),
+    "offset-1e6": (lambda rng: 1e6 + rng.normal(size=(600, 6)), 50),
+    "near-duplicates-1e-9": (near_duplicate_frames, 80),
+    "column-scales-1e-8-to-1e8": (lambda rng: rng.normal(size=(800, 9)) * np.logspace(-8, 8, 9), 60),
+    "scale-1e-150": (lambda rng: 1e-150 * rng.normal(size=(500, 5)), 40),
+    # squares of multiples of 2**-538 are subnormal and round to quarter
+    # steps of the smallest one, so the bound rests on its absolute floor
+    "subnormal-squares": (subnormal_grid_frames, 80),
+}
+
+
+class TestScreenedSeeding:
+    """``_kmeanspp_init`` skips the exact distance of frames its bound rules
+    out; the centroids and the generator state must still match the plain
+    ``rng.choice`` reference bit for bit."""
+
+    @staticmethod
+    def assert_matches_reference(X, k, seed):
+        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _kmeanspp_init(X, k, rng_new)
+        np.testing.assert_array_equal(got, kmeanspp_reference(X, k, rng_ref))
+        assert rng_new.random() == rng_ref.random()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", sorted(SCREEN_CASES))
+    def test_matches_reference(self, name, seed):
+        make, k = SCREEN_CASES[name]
+        X = make(np.random.default_rng(46))
+        assert len(np.unique(X, axis=0)) == len(X)
+        self.assert_matches_reference(X, k, seed)
+
+    def test_group_column_slice_matches_reference(self):
+        wide = clustered_frames(np.random.default_rng(47), 1500, 12, 30)
+        cols = wide[:, 4:8]
+        assert not cols.flags.c_contiguous
+        self.assert_matches_reference(cols, 48, 3)
+
+    def test_overflowing_norms_fall_back_to_exact_distances(self):
+        # |x|^2 overflows for every frame but no difference does, so every
+        # bound is inf or NaN and each pass takes the exact path, silently
+        X = 1e155 * (1.0 + 1e-3 * np.random.default_rng(48).normal(size=(400, 6)))
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.einsum("ij,ij->i", X, X)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_matches_reference(X, 30, 5)
+
+    def test_fit_matches_reference_assembly(self):
+        # RVQ with Kp=32 and R=2 built from the reference seeding, Lloyd
+        # step and assignment, in the order `_fit_residual_chain` runs them
+        X = clustered_frames(np.random.default_rng(49), 2000, 16, 40)
+        model = fit_codebooks(X, FitConfig(kind="RVQ", Kp=32, R=2, iters=6, seed=9))
+        rng = np.random.default_rng(9)
+        residual = X.copy()
+        for r in range(2):
+            centroids = kmeanspp_reference(residual, 32, rng)
+            trace = []
+            for _ in range(6):
+                new, inertia = lloyd_step_reference(residual, centroids)
+                trace.append(inertia)
+                if np.array_equal(new, centroids):
+                    break
+                centroids = new
+            np.testing.assert_array_equal(model.codebooks[r], centroids)
+            assert model.inertia_traces[r] == trace
+            residual = residual - centroids[nearest_reference(residual, centroids)]
+
+
+class TestSaveFeaturesBlocks:
+    @staticmethod
+    def one_string(X):
+        return "\n".join(",".join(repr(v) for v in row) for row in X.tolist()) + "\n"
+
+    # 3 columns: 6 values are 2-row blocks, 9 values 3-row blocks (7 rows
+    # end on a one-row block), 2 values one row each, 1000 one block
+    @pytest.mark.parametrize("values", [1, 2, 6, 9, 1000])
+    def test_blocks_write_the_one_string_bytes(self, tmp_path, monkeypatch, values):
+        monkeypatch.setattr("vqdiff.codec._CSV_BLOCK_VALUES", values)
+        X = np.random.default_rng(50).normal(size=(7, 3)) * np.array([1e-300, 1.0, 1e300])
+        path = tmp_path / "feats.csv"
+        save_features(path, X)
+        assert path.read_bytes() == self.one_string(X).encode()
+        np.testing.assert_array_equal(load_features(path), X)
 
 
 class TestOverflowGuard:

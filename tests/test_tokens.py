@@ -117,6 +117,6 @@ class TestAtomicWrite:
                 raise RuntimeError("boom")
 
         with pytest.raises(TypeError):
-            atomic_write_text(path, Exploding())  # not a str: write() rejects it
+            atomic_write_text(path, Exploding())  # neither a str nor an iterable of str
         assert path.read_text() == "keep"
         assert list(tmp_path.iterdir()) == [path]
