@@ -8,6 +8,7 @@ candidate; the diagonal holds matched pairs.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -29,9 +30,12 @@ def info_nce(sim, temperature: float = 1.0) -> float:
     """Symmetric cross-entropy against the diagonal: the row-wise
     (query -> candidates) and column-wise directions averaged."""
     s = _as_similarity(sim)
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    z = s / temperature
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ValueError(f"temperature must be a finite number > 0, got {temperature}")
+    with np.errstate(over="ignore"):
+        z = s / temperature
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"temperature {temperature} makes similarity / temperature overflow")
     diag = np.diag(z)
     row_loss = (logsumexp(z, axis=1) - diag).mean()
     col_loss = (logsumexp(z, axis=0) - diag).mean()
@@ -43,8 +47,8 @@ def contrastive_ranking_loss(sim, margin: float) -> float:
     each negative must sit at least ``margin`` below both matched
     diagonals."""
     s = _as_similarity(sim)
-    if margin < 0:
-        raise ValueError(f"margin must be nonnegative, got {margin}")
+    if not (math.isfinite(margin) and margin >= 0):
+        raise ValueError(f"margin must be a finite number >= 0, got {margin}")
     n = s.shape[0]
     if n == 1:
         return 0.0

@@ -155,24 +155,19 @@ def _load_schedule_and_denoiser(args):
     return table, denoiser
 
 
+def _chains(denoiser, cond, table, seed: int, count: int, **options) -> list:
+    """``count`` sampled grids.  Chain i draws only from its own generator, seeded
+    with (seed, i), so it does not depend on ``count``."""
+    return [sample(denoiser, cond, table, rng=np.random.default_rng([seed, i]), **options)
+            for i in range(count)]
+
+
 def _cmd_diffuse_sample(args) -> None:
     _at_least("--count", args.count, 1)
     _at_least("--stride", args.stride, 1)
     table, denoiser = _load_schedule_and_denoiser(args)
-    grids = []
-    for chain in range(args.count):
-        rng = np.random.default_rng([args.seed, chain])
-        grids.append(
-            sample(
-                denoiser,
-                args.cond,
-                table,
-                stride=args.stride,
-                rng=rng,
-                guidance_scale=args.guidance_scale,
-                guidance_mode=args.guidance_mode,
-            )
-        )
+    grids = _chains(denoiser, args.cond, table, args.seed, args.count, stride=args.stride,
+                    guidance_scale=args.guidance_scale, guidance_mode=args.guidance_mode)
     labels = None if args.cond is None else [args.cond] * len(grids)
     save_token_file(args.out, grids, labels)
     print(f"sampled {len(grids)} grid(s) -> {args.out}")
@@ -368,10 +363,8 @@ def _selftest_bayes_recovery(rng) -> str:
     probs = [0.7, 0.3]
     denoiser = bayes_oracle_denoiser(support, probs, table)
     n = 3000
-    base = int(rng.integers(2**32))
     counts = {0: 0, 1: 0, "other": 0}
-    for i in range(n):
-        out = sample(denoiser, None, table, rng=np.random.default_rng([base, i]))
+    for out in _chains(denoiser, None, table, int(rng.integers(2**32)), n):
         for j, g in enumerate(support):
             if np.array_equal(out.data, g.data):
                 counts[j] += 1

@@ -26,14 +26,25 @@ import numpy as np
 from .errors import ContractError, InconsistencyError, SizeGuardError
 from .tokens import TokenGrid, _field, _integer, _integers, _load_object, atomic_write_text
 
-NULL_COND = None
-
 MAX_ORACLE_SUPPORT = 10_000
 
 # float64 weights of one TabularDenoiser (condition x step x position x token)
 MAX_TABULAR_BYTES = 2**30
 
 _PREDICT_ATOL = 1e-9
+
+
+def _clean_grids(grids, what: str) -> TokenGrid:
+    """The first of ``grids``: there is one, and all share shape and K and hold no mask."""
+    if len(grids) == 0:
+        raise ValueError(f"empty {what}")
+    first = grids[0]
+    for g in grids:
+        if (g.N_q, g.L, g.K) != (first.N_q, first.L, first.K):
+            raise ValueError(f"{what} grids must share shape and K")
+        if g.contains_mask():
+            raise ValueError(f"{what} grids must be mask-free")
+    return first
 
 
 def _check_shape(table, K: int, N_q: int, what: str = "grid") -> None:
@@ -355,21 +366,16 @@ def reverse_step(
     guidance_scale: float = 0.0,
     rng: np.random.Generator | None = None,
     *,
-    t_prev: int | None = None,
     guidance_mode: str = "log",
 ) -> TokenGrid:
-    """Sample x_{t_prev} from the reparameterized reverse kernel at step t."""
+    """Sample x_{t-1} from the reparameterized reverse kernel at step t."""
     lam = _guidance_scale(guidance_scale, guidance_mode)
     _check_shape(table, x_t.K, x_t.N_q)
     if not 1 <= t <= table.T:
         raise ValueError(f"t must be in 1..{table.T}, got {t}")
-    if t_prev is None:
-        t_prev = t - 1
-    if not 0 <= t_prev < t:
-        raise ValueError(f"t_prev must satisfy 0 <= t_prev < t, got {t_prev}")
     if rng is None:
         rng = np.random.default_rng()
-    return _step(x_t, t, t_prev, denoiser, cond, table, lam, guidance_mode, rng)[0]
+    return _step(x_t, t, t - 1, denoiser, cond, table, lam, guidance_mode, rng)[0]
 
 
 def _stationary_rows(table, n_rows: int, K: int) -> np.ndarray:
@@ -416,27 +422,21 @@ def sample(
     return x
 
 
-def _onehot_p0(data: np.ndarray, K: int) -> np.ndarray:
-    out = np.zeros(data.shape + (K,))
-    idx = np.indices(data.shape)
-    out[idx[0], idx[1], data] = 1.0
-    return out
+def _kl_terms(data: np.ndarray, x0: np.ndarray, p: np.ndarray, table, t: int):
+    """KL(q(x_{t-1}|x_t, x0) || p(x_{t-1}|x_t)) at one x_t, term by term.
 
-
-def _kl_grids(post: np.ndarray, model: np.ndarray) -> float:
-    """Sum over positions of KL(post || model); inf if support is violated."""
+    ``p`` is the (N_q, L, K) prediction at x_t and mix = Q·p the model
+    kernel.  Returns the kernel, mix, the support of post = q(x_{t-1}|x_t,
+    x0), ratio = post / mix (1 stands in for a zero mix) and the terms
+    post·log(ratio), which are 0 off the support.
+    """
+    kernel = _StepKernel(data, table, t, t - 1)
+    mix = kernel.mix(p)
+    post = kernel.mix(np.eye(p.shape[-1])[x0])  # x0 as one-hot predictions
     support = post > 0
-    if np.any(model[support] == 0.0):
-        warnings.warn(
-            "model assigns zero probability to an outcome the true posterior "
-            "supports; likelihood bound is infinite",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return float("inf")
-    ratio = np.ones_like(post)
-    ratio[support] = post[support] / model[support]
-    return float(np.sum(post[support] * np.log(ratio[support])))
+    ratio = post / np.where(mix > 0, mix, 1.0)
+    terms = post * np.log(ratio, out=np.zeros_like(ratio), where=support)
+    return kernel, mix, support, ratio, terms
 
 
 def _prior_kl(x0: TokenGrid, table) -> float:
@@ -487,22 +487,24 @@ def vlb_loss(
     if rng is None:
         rng = np.random.default_rng()
     T = table.T
-    K = x0.K
 
     prior = _prior_kl(x0, table)
-    terms = []
+    kls = []
     for _ in range(num_t_samples):
         t = int(rng.integers(1, T + 1))
         x_t = corrupt(x0, t, table, rng)
         p0 = _validated_predict(denoiser, x_t, t, cond)
-        kernel = _StepKernel(x_t.data, table, t, t - 1)
-        model = kernel.mix(p0)
-        post = kernel.mix(_onehot_p0(x0.data, K))
-        kl = _kl_grids(post, model)
-        if kl == float("inf"):
+        _, mix, support, _, terms = _kl_terms(x_t.data, x0.data, p0, table, t)
+        if np.any(mix[support] == 0.0):
+            warnings.warn(
+                "model assigns zero probability to an outcome the true posterior "
+                "supports; likelihood bound is infinite",
+                RuntimeWarning,
+                stacklevel=2,
+            )
             return float("inf")
-        terms.append(kl)
-    return prior + T * float(np.mean(terms))
+        kls.append(float(np.sum(terms[support])))
+    return prior + T * float(np.mean(kls))
 
 
 class BayesOracleDenoiser(Denoiser):
@@ -513,23 +515,16 @@ class BayesOracleDenoiser(Denoiser):
     """
 
     def __init__(self, grids: list[TokenGrid], probs, table):
-        if len(grids) == 0:
-            raise ValueError("empty support")
         if len(grids) > MAX_ORACLE_SUPPORT:
             raise SizeGuardError(
                 f"oracle support limited to {MAX_ORACLE_SUPPORT} grids, got {len(grids)}"
             )
+        first = _clean_grids(grids, "support")
         probs = np.asarray(probs, dtype=float)
         if probs.shape != (len(grids),):
             raise ValueError("probs must be one weight per support grid")
         if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
             raise ValueError("probs must be a probability vector")
-        first = grids[0]
-        for g in grids:
-            if (g.N_q, g.L, g.K) != (first.N_q, first.L, first.K):
-                raise ValueError("support grids must share shape and K")
-            if g.contains_mask():
-                raise ValueError("support grids must be mask-free")
         _check_shape(table, first.K, first.N_q)
         self.K = first.K
         self.grid_shape = (first.N_q, first.L)
@@ -575,8 +570,7 @@ def bayes_oracle_denoiser(grids, probs, table) -> BayesOracleDenoiser:
 
 def empirical_bayes_denoiser(grids: list[TokenGrid], table) -> BayesOracleDenoiser:
     """Bayes oracle over the empirical distribution of a dataset."""
-    if not grids:
-        raise ValueError("empty dataset")
+    _clean_grids(grids, "dataset")  # before grids of other shapes can share bytes
     seen: dict[bytes, int] = {}
     unique = []
     counts = []
@@ -765,17 +759,11 @@ def _kl_step(data: np.ndarray, x0: np.ndarray, p: np.ndarray, table, t: int):
     clean tokens and M its mass, so dKL/dp_v = (1 - (Qᵀ·ratio)_v) / M on
     the valid set and 0 off it, with ratio = post / mix.
     """
-    K = p.shape[-1]
-    kernel = _StepKernel(data, table, t, t - 1)
-    mix = kernel.mix(p)
-    post = kernel.mix(_onehot_p0(x0, K))
-    support = post > 0
-    ratio = post / np.where(mix > 0, mix, 1.0)  # 0 off the support
-    log_ratio = np.log(ratio, out=np.zeros_like(ratio), where=support)
+    kernel, _, _, ratio, terms = _kl_terms(data, x0, p, table, t)  # ratio is 0 off the support
     inner, valid = kernel.mix_t(ratio)
     M = np.where(valid, p, 0.0).sum(axis=-1, keepdims=True)
     g_p = (valid - inner) / M  # inner is 0 off the valid set
-    loss = float(np.sum(post * log_ratio)) / data.size
+    loss = float(np.sum(terms)) / data.size
     return loss, p * (g_p - (p * g_p).sum(axis=-1, keepdims=True))
 
 
@@ -802,15 +790,8 @@ def train_denoiser(
         config = TrainConfig()
     if rng is None:
         rng = np.random.default_rng()
-    if not dataset:
-        raise ValueError("empty dataset")
     pairs = [(item, None) if isinstance(item, TokenGrid) else tuple(item) for item in dataset]
-    first = pairs[0][0]
-    for g, _ in pairs:
-        if (g.N_q, g.L, g.K) != (first.N_q, first.L, first.K):
-            raise ValueError("dataset grids must share shape and K")
-        if g.contains_mask():
-            raise ValueError("dataset grids must be mask-free")
+    first = _clean_grids([g for g, _ in pairs], "dataset")
     _check_shape(table, first.K, first.N_q)
     if not 0 <= config.null_cond_prob <= 1:
         raise ValueError("null_cond_prob must be in [0, 1]")

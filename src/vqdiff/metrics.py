@@ -137,8 +137,8 @@ def pitch_errors(
         raise TypeError("ref and syn must be PitchTrack instances")
     if len(ref) != len(syn):
         raise ValueError(f"length mismatch: ref {len(ref)} vs syn {len(syn)}")
-    if gpe_threshold <= 0:
-        raise ValueError("gpe_threshold must be positive")
+    if not (math.isfinite(gpe_threshold) and gpe_threshold > 0):
+        raise ValueError(f"gpe_threshold must be a finite number > 0, got {gpe_threshold}")
     n = len(ref)
     mismatches = int(np.count_nonzero(ref.voiced != syn.voiced))
     both = ref.voiced & syn.voiced

@@ -42,6 +42,18 @@ class TestInfoNce:
             sim = rng.normal(size=(6, 6))
             assert info_nce(sim, temperature=0.7) >= 0.0
 
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf, -1.0, 1e-320])
+    def test_temperature_must_be_finite_positive_and_keep_the_scale_finite(
+        self, recwarn, temperature
+    ):
+        with pytest.raises(ValueError, match="temperature"):
+            info_nce(np.array([[1.0, 0.5], [0.5, 1.0]]), temperature=temperature)
+        assert len(recwarn) == 0
+
+    def test_tiny_temperature_accepted_while_the_scale_stays_finite(self):
+        got = info_nce(np.zeros((3, 3)), temperature=1e-320)
+        assert got == pytest.approx(math.log(3), abs=1e-12)
+
 
 class TestRankingLoss:
     def test_satisfied_margins(self):
@@ -66,6 +78,11 @@ class TestRankingLoss:
     def test_negative_margin_rejected(self):
         with pytest.raises(ValueError, match="margin"):
             contrastive_ranking_loss(np.eye(2), margin=-0.1)
+
+    @pytest.mark.parametrize("margin", [math.nan, math.inf])
+    def test_non_finite_margin_rejected(self, margin):
+        with pytest.raises(ValueError, match="margin"):
+            contrastive_ranking_loss(np.eye(2), margin=margin)
 
 
 class TestRecallAtK:

@@ -972,6 +972,18 @@ class TestMetricsCommands:
         assert code == 0
         assert "gpe=none" in out and "vde=1.0" in out
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "0"])
+    def test_pitch_bad_threshold_is_exit_one(self, capsys, tmp_path, recwarn, threshold):
+        ref, syn = tmp_path / "ref.csv", tmp_path / "syn.csv"
+        ref.write_text("frame,f0,voiced\n0,100,1\n1,100,1\n")
+        syn.write_text("frame,f0,voiced\n0,100,1\n1,200,1\n")  # gpe 0.5 at 0.2
+        code, out, err = invoke(capsys, "metrics", "pitch", "--ref", str(ref), "--syn", str(syn),
+                                "--threshold", threshold)
+        assert code == 1 and out == ""
+        assert err.startswith("error: gpe_threshold ")
+        assert all(line.startswith("error: ") for line in err.splitlines())
+        assert len(recwarn) == 0
+
     @pytest.mark.parametrize("rows", ["0,100,1\ninf,120,1\n", "0,100,inf\n1,120,1\n"])
     def test_pitch_infinite_frame_or_voiced_is_exit_one(self, capsys, tmp_path, rows):
         bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
@@ -1022,6 +1034,22 @@ class TestAuxCommands:
         )
         assert code == 0
         assert float(out.split("rank_loss=")[1]) >= 0.0
+
+    @pytest.mark.parametrize("argv, name", [
+        (["infonce", "--tau", "nan"], "temperature"),
+        (["infonce", "--tau", "1e-320"], "temperature"),
+        (["infonce", "--tau", "inf"], "temperature"),
+        (["rank-loss", "--margin", "nan"], "margin"),
+        (["rank-loss", "--margin", "inf"], "margin"),
+    ], ids=["tau-nan", "tau-1e-320", "tau-inf", "margin-nan", "margin-inf"])
+    def test_bad_float_flag_is_exit_one(self, capsys, tmp_path, recwarn, argv, name):
+        sim = tmp_path / "sim.csv"
+        write_csv(sim, [[1.0, 0.5], [0.5, 1.0]])
+        code, out, err = invoke(capsys, "aux", *argv, "--input", str(sim))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {name} ")
+        assert all(line.startswith("error: ") for line in err.splitlines())
+        assert len(recwarn) == 0
 
     def test_club_runs_and_validates_split(self, capsys, tmp_path):
         data = tmp_path / "xy.csv"

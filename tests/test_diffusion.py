@@ -34,6 +34,7 @@ from vqdiff import (
 )
 from vqdiff.diffusion import (
     _kl_step,
+    _prior_kl,
     _sample_categorical,
     _StepKernel,
     _validated_predict,
@@ -754,6 +755,129 @@ class TestVlbLoss:
             loss = vlb_loss(den, x0, None, table, np.random.default_rng(4), num_t_samples=50)
         assert loss == float("inf")
         assert any("zero probability" in str(w.message) for w in caught)
+
+    def test_zero_support_warning_points_at_the_caller(self):
+        table = improved_schedule(10, 3, 1)
+        den = FixedDenoiser([0.0, 1.0, 0.0], (1, 1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            vlb_loss(den, grid1([0], 3), None, table, np.random.default_rng(4), num_t_samples=50)
+        [warning] = [w for w in caught if "zero probability" in str(w.message)]
+        assert warning.category is RuntimeWarning
+        assert warning.filename == __file__
+
+
+def onehot_reference(data, K):
+    out = np.zeros(data.shape + (K,))
+    idx = np.indices(data.shape)
+    out[idx[0], idx[1], data] = 1.0
+    return out
+
+
+def kl_grids_reference(post, model):
+    """The VLB's per-step KL as the library computed it before one helper served
+    the VLB and training: a sum over the support of post only."""
+    support = post > 0
+    if np.any(model[support] == 0.0):
+        return float("inf")
+    ratio = np.ones_like(post)
+    ratio[support] = post[support] / model[support]
+    return float(np.sum(post[support] * np.log(ratio[support])))
+
+
+def kl_step_loss_reference(data, x0, p, table, t):
+    """``_kl_step``'s loss as the library computed it: a sum over every state."""
+    kernel = _StepKernel(data, table, t, t - 1)
+    mix = kernel.mix(p)
+    post = kernel.mix(onehot_reference(x0, p.shape[-1]))
+    support = post > 0
+    ratio = post / np.where(mix > 0, mix, 1.0)
+    log_ratio = np.log(ratio, out=np.zeros_like(ratio), where=support)
+    return float(np.sum(post * log_ratio)) / data.size
+
+
+def vlb_reference(denoiser, x0, cond, table, rng, num_t_samples):
+    prior = _prior_kl(x0, table)
+    kls = []
+    for _ in range(num_t_samples):
+        t = int(rng.integers(1, table.T + 1))
+        x_t = corrupt(x0, t, table, rng)
+        p0 = _validated_predict(denoiser, x_t, t, cond)
+        kernel = _StepKernel(x_t.data, table, t, t - 1)
+        kl = kl_grids_reference(kernel.mix(onehot_reference(x0.data, x0.K)), kernel.mix(p0))
+        if kl == float("inf"):
+            return kl
+        kls.append(kl)
+    return prior + table.T * float(np.mean(kls))
+
+
+class TestOneStepKl:
+    """The VLB and training take the step KL from one helper, bit for bit as before."""
+
+    @pytest.mark.parametrize(
+        "table, shape",
+        [
+            (linear_schedule(6, 4), (2, 3)),
+            (improved_schedule(6, 4, 2), (2, 3)),
+            (random_schedule(np.random.default_rng(5), 6, 4), (2, 3)),
+            (improved_schedule(20, 16, 4), (4, 32)),
+            (linear_schedule(20, 16), (4, 32)),
+        ],
+        ids=["linear-K4", "improved-K4", "random-K4", "improved-K16", "linear-K16"],
+    )
+    def test_vlb_and_training_loss_equal_references(self, table, shape):
+        rng = np.random.default_rng(41)
+        K = table.K
+        den = TabularDenoiser(K, shape, table.T, [],
+                              weights=rng.normal(scale=3.0, size=(1, table.T + 1, *shape, K + 1, K)))
+        for step in range(50):
+            x0 = TokenGrid(data=rng.integers(0, K, size=shape), K=K)
+            got = vlb_loss(den, x0, None, table, np.random.default_rng(step), num_t_samples=1)
+            assert got == vlb_reference(den, x0, None, table, np.random.default_rng(step), 1)
+            t = int(rng.integers(1, table.T + 1))
+            x_t = corrupt(x0, t, table, rng).data
+            p = den._probs_for(x_t, t, None)
+            loss, _ = _kl_step(x_t, x0.data, p, table, t)
+            assert loss == kl_step_loss_reference(x_t, x0.data, p, table, t)
+        got = vlb_loss(den, x0, None, table, np.random.default_rng(99), num_t_samples=8)
+        assert got == vlb_reference(den, x0, None, table, np.random.default_rng(99), 8)
+
+
+class TestCleanGrids:
+    """The oracle, its empirical form and training refuse the same bad grid sets."""
+
+    @staticmethod
+    def oracle(grids):
+        return BayesOracleDenoiser(grids, np.full(len(grids), 1 / max(len(grids), 1)),
+                                   linear_schedule(4, 3))
+
+    @staticmethod
+    def train(grids):
+        return train_denoiser(grids, linear_schedule(4, 3), TrainConfig(epochs=1))
+
+    @staticmethod
+    def empirical(grids):
+        return empirical_bayes_denoiser(grids, linear_schedule(4, 3))
+
+    @pytest.mark.parametrize("build, what", [("oracle", "support"), ("train", "dataset"),
+                                             ("empirical", "dataset")])
+    @pytest.mark.parametrize("grids, message", [
+        ([], "empty {}"),
+        ([grid1([0, 1], 3), grid1([0], 3)], "{} grids must share shape and K"),
+        ([grid1([0, 1], 3), grid1([0, 1], 4)], "{} grids must share shape and K"),
+        ([grid1([0, 1], 3), grid1([0, 3], 3)], "{} grids must be mask-free"),
+    ], ids=["empty", "shape", "K", "mask"])
+    def test_message(self, build, what, grids, message):
+        with pytest.raises(ValueError) as info:
+            getattr(self, build)(grids)
+        assert str(info.value) == message.format(what)
+
+    def test_empirical_grids_of_other_shapes_sharing_bytes(self):
+        wide = grid1([0, 1, 2, 0], 3)
+        square = TokenGrid(data=np.array([[0, 1], [2, 0]]), K=3)
+        assert wide.data.tobytes() == square.data.tobytes()
+        with pytest.raises(ValueError, match="^dataset grids must share shape and K$"):
+            self.empirical([wide, square])
 
 
 class TestTrainDenoiser:

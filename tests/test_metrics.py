@@ -292,6 +292,11 @@ class TestPitchErrors:
         with pytest.raises(ValueError, match="threshold"):
             pitch_errors(track([1], [100.0]), track([1], [100.0]), gpe_threshold=0.0)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -0.2])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        with pytest.raises(ValueError, match="gpe_threshold"):
+            pitch_errors(track([1], [100.0]), track([1], [150.0]), gpe_threshold=threshold)
+
 
 class TestPitchCsv:
     def test_round_trip(self, tmp_path):
