@@ -26,6 +26,13 @@ def _as_similarity(sim) -> np.ndarray:
     return s
 
 
+def _finite_loss(value, what: str) -> float:
+    """``value`` as a float; raises when the similarities overflowed it."""
+    if not np.isfinite(value):
+        raise ValueError(f"similarity matrix is too large: the {what} leaves the float range")
+    return float(value)
+
+
 def info_nce(sim, temperature: float = 1.0) -> float:
     """Symmetric cross-entropy against the diagonal: the row-wise
     (query -> candidates) and column-wise directions averaged."""
@@ -37,9 +44,10 @@ def info_nce(sim, temperature: float = 1.0) -> float:
     if not np.all(np.isfinite(z)):
         raise ValueError(f"temperature {temperature} makes similarity / temperature overflow")
     diag = np.diag(z)
-    row_loss = (logsumexp(z, axis=1) - diag).mean()
-    col_loss = (logsumexp(z, axis=0) - diag).mean()
-    return float(0.5 * (row_loss + col_loss))
+    with np.errstate(over="ignore"):
+        row_loss = (logsumexp(z, axis=1) - diag).mean()
+        col_loss = (logsumexp(z, axis=0) - diag).mean()
+        return _finite_loss(0.5 * (row_loss + col_loss), "InfoNCE loss")
 
 
 def contrastive_ranking_loss(sim, margin: float) -> float:
@@ -53,10 +61,13 @@ def contrastive_ranking_loss(sim, margin: float) -> float:
     if n == 1:
         return 0.0
     diag = np.diag(s)
-    h_query = np.maximum(0.0, margin - diag[:, None] + s)
-    h_candidate = np.maximum(0.0, margin - diag[None, :] + s)
     off = ~np.eye(n, dtype=bool)
-    return float((h_query[off] + h_candidate[off]).mean())
+    # a hinge term that overflows to -inf is still exactly 0; one at +inf
+    # makes the loss infinite, and that is refused below
+    with np.errstate(over="ignore"):
+        h_query = np.maximum(0.0, margin - diag[:, None] + s)
+        h_candidate = np.maximum(0.0, margin - diag[None, :] + s)
+        return _finite_loss((h_query[off] + h_candidate[off]).mean(), "ranking loss")
 
 
 def recall_at_k(sim, k: int) -> float:

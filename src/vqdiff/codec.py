@@ -166,12 +166,20 @@ def dequantize(tokens: TokenGrid, model: CodecModel) -> np.ndarray:
         raise ValueError(f"grid has {tokens.N_q} rows, model has {model.N_q} books")
     if tokens.contains_mask():
         raise ValueError("cannot decode a grid containing mask tokens")
+    *_, out = _partial_decodes(tokens, model)
+    return out
+
+
+def _partial_decodes(tokens: TokenGrid, model: CodecModel):
+    """The reconstruction from the first 0, 1, ..., N_q books of ``tokens``,
+    each yielded in turn as the same buffer, updated in place."""
     dp = model.dp
     out = np.zeros((tokens.L, model.d))
+    yield out
     for b in range(tokens.N_q):
         g = b % model.G
         out[:, g * dp : (g + 1) * dp] += model.codebooks[b][tokens.data[b]]
-    return out
+        yield out
 
 
 @dataclass
@@ -392,11 +400,13 @@ def reconstruction_report(features, model: CodecModel) -> list[float]:
     X = _as_features(features)
     grid, _ = quantize(X, model)
     # a residual book never changes the tokens of the books before it, so
-    # the first d rows of the full-depth grid are the depth-d encoding
+    # the first d rows of the full-depth grid are the depth-d encoding, and
+    # one decode passes through every depth's reconstruction
     first = model.N_q if model.kind in ("VQ", "GVQ") else 1
     return [
-        float(np.mean((X - dequantize(grid.with_data(grid.data[:d]), model)) ** 2))
-        for d in range(first, model.N_q + 1)
+        float(np.mean((X - recon) ** 2))
+        for depth, recon in enumerate(_partial_decodes(grid, model))
+        if depth >= first
     ]
 
 

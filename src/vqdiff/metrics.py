@@ -23,7 +23,8 @@ MCD_DB_FACTOR = 10.0 * math.sqrt(2.0) / math.log(10.0)
 DEFAULT_GPE_THRESHOLD = 0.2
 DEFAULT_SSIM_WINDOW = 7
 
-# window values per row block of ``ssim``: about 2 MiB per float64 temporary
+# window values per row block of ``ssim`` (one output row at least); no
+# float64 temporary of a block holds more values than its windows do
 _SSIM_BLOCK_VALUES = 1 << 18
 
 
@@ -50,6 +51,21 @@ def mcd(ref, syn, scale_db: bool = False) -> float:
     per_frame = np.sqrt(((a - b) ** 2).sum(axis=1))
     value = float(per_frame.mean())
     return value * MCD_DB_FACTOR if scale_db else value
+
+
+def _window_sums(f: np.ndarray, window: int) -> np.ndarray:
+    """Sum of ``f`` over every ``window`` x ``window`` patch, as a running sum:
+    ``window`` shifted column slices, then ``window`` shifted row slices of
+    that, each added in order."""
+    cols = f.shape[1] - window + 1
+    rows = f.shape[0] - window + 1
+    col_sums = f[:, :cols].copy()
+    for j in range(1, window):
+        col_sums += f[:, j : j + cols]
+    sums = col_sums[:rows].copy()
+    for i in range(1, window):
+        sums += col_sums[i : i + rows]
+    return sums
 
 
 def ssim(ref, syn, window: int = DEFAULT_SSIM_WINDOW, constants=None) -> float:
@@ -79,21 +95,31 @@ def ssim(ref, syn, window: int = DEFAULT_SSIM_WINDOW, constants=None) -> float:
         if c1 < 0 or c2 < 0:
             raise ValueError("SSIM constants must be nonnegative")
 
-    # C order fixes the summation order of the window means and of the final
-    # mean, so the result does not depend on the inputs' memory layout
-    wa = np.lib.stride_tricks.sliding_window_view(np.ascontiguousarray(a), (window, window))
-    wb = np.lib.stride_tricks.sliding_window_view(np.ascontiguousarray(b), (window, window))
-    # each output row is computed on its own, so row blocks bound the
-    # window-product temporaries without changing a single bit of the map
-    ssim_map = np.empty(wa.shape[:2])
-    step = max(1, _SSIM_BLOCK_VALUES // (wa.shape[1] * window * window))
+    # C order fixes the summation order of the reference mean and of the
+    # final mean, so the result does not depend on the inputs' memory layout
+    a = np.ascontiguousarray(a)
+    b = np.ascontiguousarray(b)
+    # centring both inputs on the reference mean keeps E[x^2] - mu^2 from
+    # cancelling when the data sit far from zero; variance and covariance do
+    # not change under the shift, and it is added back for the luminance term
+    shift = a.mean()
+    n = window * window
+    ssim_map = np.empty((a.shape[0] - window + 1, a.shape[1] - window + 1))
+    # each output row is computed on its own from its window's input rows,
+    # so blocks of rows with a window - 1 halo bound every temporary and
+    # leave every bit of the map unchanged
+    step = max(1, _SSIM_BLOCK_VALUES // (ssim_map.shape[1] * n))
     for i in range(0, ssim_map.shape[0], step):
-        ba, bb = wa[i : i + step], wb[i : i + step]
-        mu_a = ba.mean(axis=(-2, -1))
-        mu_b = bb.mean(axis=(-2, -1))
-        var_a = (ba**2).mean(axis=(-2, -1)) - mu_a**2
-        var_b = (bb**2).mean(axis=(-2, -1)) - mu_b**2
-        cov = (ba * bb).mean(axis=(-2, -1)) - mu_a * mu_b
+        x = a[i : i + step + window - 1] - shift
+        y = b[i : i + step + window - 1] - shift
+        mu_x, mu_y, xx, yy, xy = (
+            _window_sums(f, window) / n for f in (x, y, x * x, y * y, x * y)
+        )
+        var_a = xx - mu_x**2
+        var_b = yy - mu_y**2
+        cov = xy - mu_x * mu_y
+        mu_a = mu_x + shift
+        mu_b = mu_y + shift
         num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
         den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
         ssim_map[i : i + step] = num / den

@@ -114,7 +114,9 @@ class TokenGrid:
         return TokenGrid(data=data, K=self.K)
 
 
-def token_file_dict(grids: list[TokenGrid], labels: list[int] | None = None) -> dict:
+def _token_labels(grids: list[TokenGrid], labels: list[int] | None) -> list[int] | None:
+    """The labels of a token file as ints, after checking the grids and labels
+    can be stored together."""
     if not grids:
         raise ValueError("token file needs at least one grid")
     first = grids[0]
@@ -123,6 +125,12 @@ def token_file_dict(grids: list[TokenGrid], labels: list[int] | None = None) -> 
             raise ValueError("all grids in a token file must share shape and K")
     if labels is not None and len(labels) != len(grids):
         raise ValueError("labels must match the number of grids")
+    return None if labels is None else [int(x) for x in labels]
+
+
+def token_file_dict(grids: list[TokenGrid], labels: list[int] | None = None) -> dict:
+    labels = _token_labels(grids, labels)
+    first = grids[0]
     payload = {
         "K": first.K,
         "N_q": first.N_q,
@@ -130,12 +138,39 @@ def token_file_dict(grids: list[TokenGrid], labels: list[int] | None = None) -> 
         "grids": [g.data.tolist() for g in grids],
     }
     if labels is not None:
-        payload["labels"] = [int(x) for x in labels]
+        payload["labels"] = labels
     return payload
 
 
+def _indented(items, depth: int) -> str:
+    """``json.dumps(..., indent=2)`` of a list nested ``depth`` levels deep,
+    given its items already formatted."""
+    items = list(items)
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * depth
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * (depth - 1) + "]"
+
+
 def save_token_file(path, grids: list[TokenGrid], labels: list[int] | None = None) -> None:
-    atomic_write_text(path, json.dumps(token_file_dict(grids, labels), indent=2))
+    """Write exactly ``json.dumps(token_file_dict(grids, labels), indent=2)``,
+    formatted one grid at a time: with ``indent`` set, ``json`` runs its
+    pure-Python encoder over every integer."""
+    labels = _token_labels(grids, labels)
+    first = grids[0]
+    header = json.dumps({"K": first.K, "N_q": first.N_q, "L": first.L}, indent=2)
+
+    def chunks():
+        yield header[:-2] + ',\n  "grids": ['  # the header without its "\n}"
+        for n, g in enumerate(grids):
+            rows = (_indented(map(str, row), 4) for row in g.data.tolist())
+            yield ("," if n else "") + "\n    " + _indented(rows, 3)
+        yield "\n  ]"
+        if labels is not None:
+            yield ',\n  "labels": ' + _indented(map(str, labels), 2)
+        yield "\n}"
+
+    atomic_write_text(path, chunks())
 
 
 def _grid_array(value) -> np.ndarray:

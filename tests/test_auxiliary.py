@@ -55,6 +55,27 @@ class TestInfoNce:
         assert got == pytest.approx(math.log(3), abs=1e-12)
 
 
+HUGE = np.array([[-1e308, 1e308], [1e308, -1e308]])
+
+
+@pytest.mark.parametrize("loss", [
+    lambda s: info_nce(s, temperature=1.0),
+    lambda s: contrastive_ranking_loss(s, margin=0.2),
+], ids=["infonce", "rank-loss"])
+class TestOverflowingSimilarities:
+    def test_overflow_is_refused_naming_the_similarities(self, recwarn, loss):
+        with pytest.raises(ValueError, match="similarity matrix .* leaves the float range"):
+            loss(HUGE)
+        assert len(recwarn) == 0
+
+    def test_terms_that_overflow_to_zero_are_kept(self, recwarn, loss):
+        # every off-diagonal hinge, and every shifted off-diagonal term inside
+        # logsumexp, overflows to -inf: exactly 0, as the true values are
+        sim = np.array([[1e308, -1e308], [-1e308, 1e308]])
+        assert loss(sim) == 0.0
+        assert len(recwarn) == 0
+
+
 class TestRankingLoss:
     def test_satisfied_margins(self):
         sim = np.array([[1.0, 0.1, 0.2], [0.0, 1.0, 0.3], [0.1, 0.2, 1.0]])

@@ -1051,6 +1051,17 @@ class TestAuxCommands:
         assert all(line.startswith("error: ") for line in err.splitlines())
         assert len(recwarn) == 0
 
+    @pytest.mark.parametrize("argv", [["infonce", "--tau", "1"], ["rank-loss"]],
+                             ids=["infonce", "rank-loss"])
+    def test_overflowing_similarities_are_exit_one(self, capsys, tmp_path, recwarn, argv):
+        sim = tmp_path / "sim.csv"
+        write_csv(sim, [[-1e308, 1e308], [1e308, -1e308]])
+        code, out, err = invoke(capsys, "aux", *argv, "--input", str(sim))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: similarity matrix ")
+        assert len(recwarn) == 0
+
     def test_club_runs_and_validates_split(self, capsys, tmp_path):
         data = tmp_path / "xy.csv"
         write_csv(data, np.random.default_rng(1).normal(size=(400, 2)))

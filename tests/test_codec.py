@@ -248,7 +248,40 @@ class TestRoundTrips:
         np.testing.assert_array_equal(load_features(path), X)
 
 
+def report_reference(X, model):
+    """``reconstruction_report`` as it was before the one-pass decode: one
+    full ``dequantize`` of the first d rows per depth d."""
+    grid, _ = quantize(X, model)
+    first = model.N_q if model.kind in ("VQ", "GVQ") else 1
+    return [
+        float(np.mean((X - dequantize(grid.with_data(grid.data[:d]), model)) ** 2))
+        for d in range(first, model.N_q + 1)
+    ]
+
+
 class TestDepthReport:
+    @pytest.mark.parametrize("kind,G,R", [("VQ", 1, 1), ("RVQ", 1, 4), ("GVQ", 3, 1),
+                                          ("GRVQ", 2, 3)])
+    def test_equals_per_depth_dequantize(self, kind, G, R):
+        rng = np.random.default_rng(15)
+        X = rng.normal(size=(500, 6)) * 3.0 + 1.0
+        decaying = decaying_model(kind, G, R, Kp=16, d=6, seed=4, scale=0.5)
+        fitted = fit_codebooks(X, FitConfig(kind=kind, Kp=8, G=G, R=R, iters=5, seed=2))
+        for model in (decaying, fitted):
+            got = reconstruction_report(X, model)
+            assert np.array(got).tobytes() == np.array(report_reference(X, model)).tobytes()
+
+    def test_truncated_chain_equals_per_depth_dequantize(self):
+        rng = np.random.default_rng(16)
+        X = rng.normal(size=(400, 4))
+        full = fit_codebooks(X, FitConfig(kind="RVQ", Kp=8, R=4, iters=5, seed=1))
+        for R in (1, 2, 3):
+            model = CodecModel(kind="RVQ", G=1, R=R, Kp=8, codebooks=full.codebooks[:R])
+            got = reconstruction_report(X, model)
+            assert len(got) == R
+            assert got == report_reference(X, model)
+            assert got == reconstruction_report(X, full)[:R]
+
     def test_rvq_mse_non_increasing(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(300, 4))

@@ -23,15 +23,46 @@ def track(voiced, f0):
     return PitchTrack(f0=np.asarray(f0, dtype=float), voiced=np.asarray(voiced, dtype=bool))
 
 
+def _default_constants(ref, constants):
+    if constants is None:
+        data_range = float(np.max(ref) - np.min(ref)) or 1.0
+        constants = ((0.01 * data_range) ** 2, (0.03 * data_range) ** 2)
+    return constants
+
+
+def _ssim_separable(ref, syn, window, constants=None):
+    """``ssim``'s arithmetic in one block over the whole array: inputs centred
+    on the reference mean, window sums as running sums over columns, then
+    rows. The row-blocked form must equal it bit for bit."""
+    a = np.ascontiguousarray(ref, dtype=float)
+    b = np.ascontiguousarray(syn, dtype=float)
+    c1, c2 = _default_constants(a, constants)
+    shift = a.mean()
+    x, y = a - shift, b - shift
+
+    def window_means(f):
+        cols, rows = f.shape[1] - window + 1, f.shape[0] - window + 1
+        across = f[:, :cols].copy()
+        for j in range(1, window):
+            across += f[:, j : j + cols]
+        sums = across[:rows].copy()
+        for i in range(1, window):
+            sums += across[i : i + rows]
+        return sums / (window * window)
+
+    mu_x, mu_y, xx, yy, xy = (window_means(f) for f in (x, y, x * x, y * y, x * y))
+    mu_a, mu_b = mu_x + shift, mu_y + shift
+    num = (2.0 * mu_a * mu_b + c1) * (2.0 * (xy - mu_x * mu_y) + c2)
+    den = (mu_a**2 + mu_b**2 + c1) * ((xx - mu_x**2) + (yy - mu_y**2) + c2)
+    return float((num / den).mean())
+
+
 def _ssim_reference(ref, syn, window, constants=None):
     """``ssim`` in one pass over the whole sliding-window view, as it was
-    written before row blocking: the blocked form must equal it bit for bit."""
+    written before the separable form: one-pass window means, uncentred."""
     a = np.asarray(ref, dtype=float)
     b = np.asarray(syn, dtype=float)
-    if constants is None:
-        data_range = float(a.max() - a.min()) or 1.0
-        constants = ((0.01 * data_range) ** 2, (0.03 * data_range) ** 2)
-    c1, c2 = constants
+    c1, c2 = _default_constants(a, constants)
     wa = np.lib.stride_tricks.sliding_window_view(a, (window, window))
     wb = np.lib.stride_tricks.sliding_window_view(b, (window, window))
     mu_a = wa.mean(axis=(-2, -1))
@@ -68,6 +99,13 @@ def _ssim_brute_force(ref, syn, window, constants=None):
                 (2 * mx * my + c1) * (2 * cxy + c2) / ((mx * mx + my * my + c1) * (vx + vy + c2))
             )
     return sum(scores) / len(scores)
+
+
+def assert_same_ssim(got, ref, syn, window, constants=None):
+    """``got`` is the separable form's value bit for bit, and within rounding
+    of the one-pass form."""
+    assert got == _ssim_separable(ref, syn, window, constants)
+    assert abs(got - _ssim_reference(ref, syn, window, constants)) <= 1e-13
 
 
 def ssim_pair(shape, seed):
@@ -175,9 +213,7 @@ class TestSsimBlocked:
     @pytest.mark.parametrize("constants", [None, (0.05, 0.4)])
     def test_equals_unblocked_reference(self, shape, window, constants):
         a, b = ssim_pair(shape, seed=shape[0] * 100 + window)
-        assert ssim(a, b, window=window, constants=constants) == _ssim_reference(
-            a, b, window, constants
-        )
+        assert_same_ssim(ssim(a, b, window=window, constants=constants), a, b, window, constants)
 
     @pytest.mark.parametrize("shape, window", [((30, 11), 3), ((40, 17), 7), ((10, 4), 1)])
     @pytest.mark.parametrize("block_values, block_rows", [
@@ -192,25 +228,35 @@ class TestSsimBlocked:
         monkeypatch.setattr(metrics, "_SSIM_BLOCK_VALUES", block_values)
         a, b = ssim_pair(shape, seed=window)
         for constants in (None, (0.05, 0.4)):
-            assert ssim(a, b, window=window, constants=constants) == _ssim_reference(
-                a, b, window, constants
+            assert_same_ssim(
+                ssim(a, b, window=window, constants=constants), a, b, window, constants
             )
 
     def test_memory_layout_does_not_change_the_value(self):
         a, b = ssim_pair((300, 32), seed=3)
-        want = _ssim_reference(a, b, 7)
         for fa, fb in [
             (np.asfortranarray(a), np.asfortranarray(b)),
             (a[::-1].copy()[::-1], b[::-1].copy()[::-1]),
             (np.repeat(a, 2, axis=1)[:, ::2], np.repeat(b, 2, axis=1)[:, ::2]),
         ]:
-            assert ssim(fa, fb) == want
+            assert_same_ssim(ssim(fa, fb), a, b, 7)
 
     @pytest.mark.parametrize("shape", [(6, 5), (7, 7), (9, 6), (12, 10)])
     @pytest.mark.parametrize("window", [1, 2, 3, 5])
     @pytest.mark.parametrize("constants", [None, (0.05, 0.4), (1e-4, 9e-4)])
     def test_matches_brute_force_oracle(self, shape, window, constants):
         a, b = ssim_pair(shape, seed=shape[0] * 10 + window)
+        got = ssim(a, b, window=window, constants=constants)
+        assert got == pytest.approx(_ssim_brute_force(a, b, window, constants), abs=1e-12)
+
+    @pytest.mark.parametrize("shape, window, seed", [((12, 10), 3, 1), ((16, 16), 5, 2), ((9, 7), 2, 3)])
+    @pytest.mark.parametrize("constants", [None, (0.05, 0.4)])
+    def test_offset_inputs_do_not_cancel(self, shape, window, seed, constants):
+        # unit noise on a 1e6 offset: the uncentred one-pass form
+        # (_ssim_reference) was 1.3e-6 to 5.3e-5 away from the oracle here
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=shape) + 1e6
+        b = a + rng.normal(size=shape)
         got = ssim(a, b, window=window, constants=constants)
         assert got == pytest.approx(_ssim_brute_force(a, b, window, constants), abs=1e-12)
 

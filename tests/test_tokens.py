@@ -7,6 +7,7 @@ import stat
 import numpy as np
 import pytest
 
+from vqdiff import tokens
 from vqdiff.tokens import (
     TokenGrid,
     atomic_write_text,
@@ -87,6 +88,68 @@ class TestTokenFile:
         back, labels = load_token_file(path)
         assert labels == [1, 7]
         assert [(g.K, g.data.tobytes()) for g in back] == [(3, grid.data.tobytes())] * 2
+
+
+def random_grids(n, N_q, L, K, seed=0, mask=False):
+    rng = np.random.default_rng(seed)
+    return [TokenGrid(data=rng.integers(0, K + 1 if mask else K, size=(N_q, L)), K=K)
+            for _ in range(n)]
+
+
+class TestTokenFileBytes:
+    """``save_token_file`` writes exactly the bytes of the ``json`` encoder."""
+
+    @pytest.mark.parametrize("grids, labels", [
+        (random_grids(1, 1, 1, 2), None),
+        (random_grids(3, 1, 1, 5, seed=1), [0, -1, 2]),
+        (random_grids(4, 2, 7, 3, seed=2, mask=True), [1, 1, 0, 1]),
+        ([TokenGrid(data=np.full((3, 4), 6), K=6)], [0]),
+        (random_grids(2, 4, 9, 2, seed=3), [-5, -7]),
+        (random_grids(2, 3, 33, 1024, seed=4, mask=True), None),
+        (random_grids(1, 4, 512, 256, seed=5), None),
+        (random_grids(64, 4, 32, 16, seed=6, mask=True), list(range(-32, 32))),
+        (random_grids(64, 1, 3, 2, seed=7), None),
+        (random_grids(2, 2, 2, 4, seed=8), [10**20, True]),
+        ([TokenGrid(data=np.zeros((0, 3), dtype=int), K=2)], [3]),
+        ([TokenGrid(data=np.zeros((2, 0), dtype=int), K=2)] * 2, None),
+    ], ids=["1x1", "1x1-three-grids-negative-labels", "mask", "all-mask", "K2-negative-labels",
+            "K1024-mask", "one-long-grid", "64-grids-labels", "64-grids", "wide-labels",
+            "no-rows", "no-frames"])
+    def test_bytes_equal_json_dumps_indent_2(self, tmp_path, grids, labels):
+        path = tmp_path / "tokens.json"
+        save_token_file(path, grids, labels)
+        want = json.dumps(token_file_dict(grids, labels), indent=2).encode("utf-8")
+        assert path.read_bytes() == want
+
+    @pytest.mark.parametrize("existing", [None, "keep"])
+    def test_failure_part_way_leaves_no_file(self, tmp_path, monkeypatch, existing):
+        real = tokens._indented
+        grids_formatted = []
+
+        def fail_on_second_grid(items, depth):
+            if depth == 3:  # one whole grid
+                if grids_formatted:
+                    raise RuntimeError("disk full")
+                grids_formatted.append(depth)
+            return real(items, depth)
+
+        monkeypatch.setattr(tokens, "_indented", fail_on_second_grid)
+        path = tmp_path / "tokens.json"
+        if existing is not None:
+            path.write_text(existing)
+        with pytest.raises(RuntimeError, match="disk full"):
+            save_token_file(path, random_grids(2, 2, 3, 4))
+        assert grids_formatted  # the first grid was formatted and written
+        if existing is None:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert list(tmp_path.iterdir()) == [path] and path.read_text() == existing
+
+    def test_bad_labels_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "tokens.json"
+        with pytest.raises(ValueError):
+            save_token_file(path, random_grids(1, 1, 2, 3), labels=["x"])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAtomicWrite:
