@@ -117,6 +117,9 @@ def club_mi(x, y) -> float:
             f"dim_x={dim_x}, got {n}"
         )
 
+    # centring keeps the fit and the cross term from cancelling on offset data
+    xm = xm - xm.mean(axis=0)
+    ym = ym - ym.mean(axis=0)
     design = np.hstack([xm, np.ones((n, 1))])
     coef, *_ = np.linalg.lstsq(design, ym, rcond=None)
     mu = design @ coef

@@ -398,30 +398,30 @@ def reconstruction_report(features, model: CodecModel) -> list[float]:
     """MSE at each usable depth: 1..N_q for residual kinds, full depth
     otherwise (the flat kinds have no partial decoding)."""
     X = _as_features(features)
-    grid, _ = quantize(X, model)
-    # a residual book never changes the tokens of the books before it, so
-    # the first d rows of the full-depth grid are the depth-d encoding, and
-    # one decode passes through every depth's reconstruction
     first = model.N_q if model.kind in ("VQ", "GVQ") else 1
-    return [
-        float(np.mean((X - recon) ** 2))
-        for depth, recon in enumerate(_partial_decodes(grid, model))
-        if depth >= first
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        grid, _ = quantize(X, model)
+        # a residual book never changes the tokens of the books before it, so
+        # the first d rows of the full-depth grid are the depth-d encoding, and
+        # one decode passes through every depth's reconstruction
+        mses = [
+            float(np.mean((X - recon) ** 2))
+            for depth, recon in enumerate(_partial_decodes(grid, model))
+            if depth >= first
+        ]
+    if not np.all(np.isfinite(mses)):
+        raise ValueError("features are too large: the reconstruction error leaves the float range")
+    return mses
 
 
-def model_to_json_dict(model: CodecModel) -> dict:
-    return {
+def save_codec(path, model: CodecModel) -> None:
+    atomic_write_text(path, json.dumps({
         "kind": model.kind,
         "G": model.G,
         "R": model.R,
         "Kp": model.Kp,
         "codebooks": [b.tolist() for b in model.codebooks],
-    }
-
-
-def save_codec(path, model: CodecModel) -> None:
-    atomic_write_text(path, json.dumps(model_to_json_dict(model)))
+    }))
 
 
 def _as_books(value) -> list:

@@ -33,6 +33,8 @@ MAX_TABULAR_BYTES = 2**30
 
 _PREDICT_ATOL = 1e-9
 
+_TRAIN_BLOCK_VALUES = 2**20  # float64 values per (steps x positions x (K+1)) training array
+
 
 def _clean_grids(grids, what: str) -> TokenGrid:
     """The first of ``grids``: there is one, and all share shape and K and hold no mask."""
@@ -250,12 +252,17 @@ class _StepKernel:
     Q[k, v] = lead_k (bb_s + delta_kv ab_s) / D_v with
     lead_k = b_seg + delta_kc a_seg and D_v = bb_t + delta_vc ab_t, the mask
     row is 0, and v is valid where D_v > 0.  Both products below cost O(K)
-    per position; Q itself is never formed.
+    per position; Q itself is never formed.  ``t`` and ``t_prev`` may be
+    arrays, one step pair per grid of grids stacked along the row axis.
     """
 
-    def __init__(self, data: np.ndarray, table, t: int, t_prev: int):
+    def __init__(self, data: np.ndarray, table, t, t_prev):
         K = self.K = table.K
-        rows = _coeff_rows(table, len(data), (t_prev, t))
+        if isinstance(t, np.ndarray):  # a stack of grids, one step pair each
+            segs = zip(t_prev.tolist(), t.tolist())
+            rows = np.hstack([np.array(_coeff_rows(table, len(data) // t.size, s)) for s in segs])
+        else:
+            rows = _coeff_rows(table, len(data), (t_prev, t))
         ab_t, bb_t, gb_t, ab_s, bb_s, gb_s, a_seg, b_seg, g_seg = rows
         self.masked = data == K
         self.any_masked = bool(self.masked.any())
@@ -264,12 +271,12 @@ class _StepKernel:
                 raise InconsistencyError(
                     f"grid contains mask tokens but step {t} assigns them zero probability"
                 )
-            coef_keep = (g_seg / gb_t)[:, None]  # per row, broadcast over frames
-            self.keep_b = (coef_keep * bb_s[:, None])[..., None]
-            self.keep_a = (coef_keep * ab_s[:, None])[..., None]
-            self.mask_prob = (gb_s / gb_t)[:, None]
-        rr, cc = np.nonzero(~self.masked)
-        self.rr, self.cc = rr, cc
+            with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only in unmasked rows
+                coef_keep = (g_seg / gb_t)[:, None]  # per row, broadcast over frames
+                self.keep_b = (coef_keep * bb_s[:, None])[..., None]
+                self.keep_a = (coef_keep * ab_s[:, None])[..., None]
+                self.mask_prob = (gb_s / gb_t)[:, None]
+        self.rr, self.cc = rr, cc = np.nonzero(~self.masked)
         self.obs = data[rr, cc]
         self.at = np.arange(rr.size)
         D = np.repeat(bb_t[rr][:, None], K, axis=1)
@@ -422,13 +429,13 @@ def sample(
     return x
 
 
-def _kl_terms(data: np.ndarray, x0: np.ndarray, p: np.ndarray, table, t: int):
+def _kl_terms(data: np.ndarray, x0: np.ndarray, p: np.ndarray, table, t):
     """KL(q(x_{t-1}|x_t, x0) || p(x_{t-1}|x_t)) at one x_t, term by term.
 
     ``p`` is the (N_q, L, K) prediction at x_t and mix = Q·p the model
     kernel.  Returns the kernel, mix, the support of post = q(x_{t-1}|x_t,
     x0), ratio = post / mix (1 stands in for a zero mix) and the terms
-    post·log(ratio), which are 0 off the support.
+    post·log(ratio), which are 0 off the support.  ``t`` may be an array, as in ``_StepKernel``.
     """
     kernel = _StepKernel(data, table, t, t - 1)
     mix = kernel.mix(p)
@@ -571,19 +578,11 @@ def bayes_oracle_denoiser(grids, probs, table) -> BayesOracleDenoiser:
 def empirical_bayes_denoiser(grids: list[TokenGrid], table) -> BayesOracleDenoiser:
     """Bayes oracle over the empirical distribution of a dataset."""
     _clean_grids(grids, "dataset")  # before grids of other shapes can share bytes
-    seen: dict[bytes, int] = {}
-    unique = []
-    counts = []
+    counts: dict[bytes, list] = {}  # first grid with these bytes, and its count
     for g in grids:
-        key = g.data.tobytes()
-        if key in seen:
-            counts[seen[key]] += 1
-        else:
-            seen[key] = len(unique)
-            unique.append(g)
-            counts.append(1)
-    probs = np.asarray(counts, dtype=float)
-    return BayesOracleDenoiser(unique, probs / probs.sum(), table)
+        counts.setdefault(g.data.tobytes(), [g, 0])[1] += 1
+    probs = np.array([c for _, c in counts.values()], dtype=float)
+    return BayesOracleDenoiser([g for g, _ in counts.values()], probs / probs.sum(), table)
 
 
 @dataclass
@@ -593,6 +592,11 @@ class TrainConfig:
     epochs: int = 30
     lr: float = 1.0
     null_cond_prob: float = 0.1
+
+
+def _softmax(w: np.ndarray) -> np.ndarray:
+    e = np.exp(w - w.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class TabularDenoiser(Denoiser):
@@ -649,10 +653,7 @@ class TabularDenoiser(Denoiser):
 
     def _probs_for(self, data: np.ndarray, t: int, cond) -> np.ndarray:
         iq, il = self._positions
-        w = self.weights[self._cond_row(cond), t, iq, il, data]  # (N_q, L, K)
-        w = w - w.max(axis=-1, keepdims=True)
-        e = np.exp(w)
-        return e / e.sum(axis=-1, keepdims=True)
+        return _softmax(self.weights[self._cond_row(cond), t, iq, il, data])  # (N_q, L, K)
 
     def predict(self, x_t: TokenGrid, t: int, cond=None) -> np.ndarray:
         if (x_t.N_q, x_t.L) != self.grid_shape or x_t.K != self.K:
@@ -750,20 +751,22 @@ def load_denoiser(path) -> TabularDenoiser:
     return den
 
 
-def _kl_step(data: np.ndarray, x0: np.ndarray, p: np.ndarray, table, t: int):
+def _kl_step(data: np.ndarray, x0: np.ndarray, p: np.ndarray, table, t):
     """Mean per-position KL(q(x_s|x_t, x0) || p(x_s|x_t)) and its logit gradient.
 
     ``p`` is the (N_q, L, K) softmax prediction at x_t.  The gradient is
     that of the KL summed over positions, with respect to each position's
     logits.  The model kernel is Q·p_eff / M, where p_eff is p on the valid
     clean tokens and M its mass, so dKL/dp_v = (1 - (Qᵀ·ratio)_v) / M on
-    the valid set and 0 off it, with ratio = post / mix.
+    the valid set and 0 off it, with ratio = post / mix.  With an array
+    ``t`` (grids stacked along the row axis) the loss is an array, one per grid.
     """
     kernel, _, _, ratio, terms = _kl_terms(data, x0, p, table, t)  # ratio is 0 off the support
     inner, valid = kernel.mix_t(ratio)
     M = np.where(valid, p, 0.0).sum(axis=-1, keepdims=True)
     g_p = (valid - inner) / M  # inner is 0 off the valid set
-    loss = float(np.sum(terms)) / data.size
+    loss = terms.reshape(np.size(t), -1).sum(axis=1) / (data.size // np.size(t))
+    loss = loss if np.ndim(t) else float(loss[0])
     return loss, p * (g_p - (p * g_p).sum(axis=-1, keepdims=True))
 
 
@@ -785,6 +788,10 @@ def train_denoiser(
     ``null_cond_prob`` the condition is replaced by the null label, which
     trains the guidance reference for free.  Returns the denoiser and the
     mean per-epoch loss trace.
+
+    No draw depends on the weights, so the draws come first, in step order;
+    then each greedy run of steps touching no weight row twice is one batched
+    step, which reads only rows it writes: the bits of one-at-a-time SGD.
     """
     if config is None:
         config = TrainConfig()
@@ -800,25 +807,49 @@ def train_denoiser(
     if not (math.isfinite(config.lr) and config.lr > 0):
         raise ValueError(f"lr must be a finite number > 0, got {config.lr}")
 
-    K = first.K
+    K, T, N_q, L = first.K, table.T, first.N_q, first.L
     labels = sorted({c for _, c in pairs if c is not None})
-    den = TabularDenoiser(K, (first.N_q, first.L), table.T, labels)
+    den = TabularDenoiser(K, (N_q, L), T, labels)
 
     trace: list[float] = []
     n = len(pairs)
-    rows, cols = den._positions
+    table_rows = den.weights.reshape(-1, K)  # one row per (cond, t, q, l, observed token)
+    pos = np.arange(N_q * L) * (K + 1)  # first row of each position within one (cond, t)
+    ab, bb, _ = _coeff_rows(table, N_q)
+    keep, uni = ab[..., None], (ab + K * bb)[..., None]  # corrupt's zone edges by step
+    cap = max(1, _TRAIN_BLOCK_VALUES // (N_q * L * (K + 1)))  # steps per block
     for _ in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_losses = []
-        for idx in order:
-            grid, cond = pairs[idx]
-            if cond is not None and rng.random() < config.null_cond_prob:
-                cond = None
-            t = int(rng.integers(1, table.T + 1))
-            x_t = corrupt(grid, t, table, rng)
-            p = den._probs_for(x_t.data, t, cond)
-            loss, g_w = _kl_step(x_t.data, grid.data, p, table, t)
-            epoch_losses.append(loss)
-            den.weights[den._cond_row(cond), t, rows, cols, x_t.data] -= config.lr * g_w
-        trace.append(float(np.mean(epoch_losses)))
+        order, losses = rng.permutation(n), []
+        for block in np.array_split(order, -(-n // cap)):  # blocks bound every array below
+            m = len(block)
+            crow, ts, u, draws = np.empty(m, int), np.empty(m, int), np.empty((m, N_q, L)), []
+            for i, idx in enumerate(block.tolist()):  # every draw, in one-at-a-time order
+                cond = pairs[idx][1]
+                if cond is not None and rng.random() < config.null_cond_prob:
+                    cond = None
+                crow[i] = den._cond_row(cond)
+                t = ts[i] = int(rng.integers(1, T + 1))
+                u[i] = rng.random((N_q, L))
+                n_uni = np.count_nonzero((u[i] >= keep[t]) & (u[i] < uni[t]))
+                if n_uni:
+                    draws.append(rng.integers(0, K, size=n_uni))
+            x0 = np.stack([pairs[idx][0].data for idx in block.tolist()])
+            x_t = x0.copy()  # corrupt, for the whole block at once
+            x_t[(u >= keep[ts]) & (u < uni[ts])] = np.concatenate([np.empty(0, int), *draws])
+            x_t[u >= uni[ts]] = K
+            ids = (crow * (T + 1) + ts)[:, None] * (N_q * L * (K + 1)) + pos + x_t.reshape(m, -1)
+            starts, touched = [0], set()
+            for i, step_rows in enumerate(ids.tolist()):  # greedy runs touching no row twice
+                if not touched.isdisjoint(step_rows):
+                    starts.append(i)
+                    touched = set()
+                touched.update(step_rows)
+            for a, b in zip(starts, starts[1:] + [m]):  # each step reads only rows it writes
+                at = ids[a:b].reshape(-1)
+                p = _softmax(table_rows[at])
+                loss, g_w = _kl_step(x_t[a:b].reshape(-1, L), x0[a:b].reshape(-1, L),
+                                     p.reshape(-1, L, K), table, ts[a:b])
+                losses.append(loss)
+                table_rows[at] -= config.lr * g_w.reshape(p.shape)
+        trace.append(float(np.mean(np.concatenate(losses))))
     return den, trace

@@ -48,9 +48,11 @@ def mcd(ref, syn, scale_db: bool = False) -> float:
     b = _as_matrix(syn, "syn")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: ref {a.shape} vs syn {b.shape}")
-    per_frame = np.sqrt(((a - b) ** 2).sum(axis=1))
-    value = float(per_frame.mean())
-    return value * MCD_DB_FACTOR if scale_db else value
+    with np.errstate(over="ignore"):  # inf, refused below
+        value = np.sqrt(((a - b) ** 2).sum(axis=1)).mean() * (MCD_DB_FACTOR if scale_db else 1.0)
+    if not np.isfinite(value):
+        raise ValueError("ref and syn take the MCD out of the float range")
+    return float(value)
 
 
 def _window_sums(f: np.ndarray, window: int) -> np.ndarray:
@@ -84,46 +86,50 @@ def ssim(ref, syn, window: int = DEFAULT_SSIM_WINDOW, constants=None) -> float:
         raise ValueError(
             f"window must be in 1..{min(a.shape)} for shape {a.shape}, got {window}"
         )
-    if constants is None:
-        data_range = float(a.max() - a.min())
-        if data_range == 0.0:
-            data_range = 1.0
-        c1 = (0.01 * data_range) ** 2
-        c2 = (0.03 * data_range) ** 2
-    else:
+    if constants is not None:
         c1, c2 = (float(c) for c in constants)
         if c1 < 0 or c2 < 0:
             raise ValueError("SSIM constants must be nonnegative")
+    try:  # an overflow anywhere, even one that leaves the mean finite, is refused
+        with np.errstate(over="raise"):
+            if constants is None:
+                data_range = float(a.max() - a.min())
+                if data_range == 0.0:
+                    data_range = 1.0
+                c1 = (0.01 * data_range) ** 2
+                c2 = (0.03 * data_range) ** 2
 
-    # C order fixes the summation order of the reference mean and of the
-    # final mean, so the result does not depend on the inputs' memory layout
-    a = np.ascontiguousarray(a)
-    b = np.ascontiguousarray(b)
-    # centring both inputs on the reference mean keeps E[x^2] - mu^2 from
-    # cancelling when the data sit far from zero; variance and covariance do
-    # not change under the shift, and it is added back for the luminance term
-    shift = a.mean()
-    n = window * window
-    ssim_map = np.empty((a.shape[0] - window + 1, a.shape[1] - window + 1))
-    # each output row is computed on its own from its window's input rows,
-    # so blocks of rows with a window - 1 halo bound every temporary and
-    # leave every bit of the map unchanged
-    step = max(1, _SSIM_BLOCK_VALUES // (ssim_map.shape[1] * n))
-    for i in range(0, ssim_map.shape[0], step):
-        x = a[i : i + step + window - 1] - shift
-        y = b[i : i + step + window - 1] - shift
-        mu_x, mu_y, xx, yy, xy = (
-            _window_sums(f, window) / n for f in (x, y, x * x, y * y, x * y)
-        )
-        var_a = xx - mu_x**2
-        var_b = yy - mu_y**2
-        cov = xy - mu_x * mu_y
-        mu_a = mu_x + shift
-        mu_b = mu_y + shift
-        num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-        den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
-        ssim_map[i : i + step] = num / den
-    return float(ssim_map.mean())
+            # C order fixes the summation order of the reference mean and of the
+            # final mean, so the result does not depend on the inputs' memory layout
+            a = np.ascontiguousarray(a)
+            b = np.ascontiguousarray(b)
+            # centring both inputs on the reference mean keeps E[x^2] - mu^2 from
+            # cancelling when the data sit far from zero; variance and covariance do
+            # not change under the shift, and it is added back for the luminance term
+            shift = a.mean()
+            n = window * window
+            ssim_map = np.empty((a.shape[0] - window + 1, a.shape[1] - window + 1))
+            # each output row is computed on its own from its window's input rows,
+            # so blocks of rows with a window - 1 halo bound every temporary and
+            # leave every bit of the map unchanged
+            step = max(1, _SSIM_BLOCK_VALUES // (ssim_map.shape[1] * n))
+            for i in range(0, ssim_map.shape[0], step):
+                x = a[i : i + step + window - 1] - shift
+                y = b[i : i + step + window - 1] - shift
+                mu_x, mu_y, xx, yy, xy = (
+                    _window_sums(f, window) / n for f in (x, y, x * x, y * y, x * y)
+                )
+                var_a = xx - mu_x**2
+                var_b = yy - mu_y**2
+                cov = xy - mu_x * mu_y
+                mu_a = mu_x + shift
+                mu_b = mu_y + shift
+                num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+                den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
+                ssim_map[i : i + step] = num / den
+            return float(ssim_map.mean())
+    except (FloatingPointError, OverflowError):
+        raise ValueError("ref and syn take the SSIM out of the float range") from None
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,29 @@ class TestClubMi:
         # bound is E_indep[(y-rho*x)^2]/(2*sigma^2) - 1/2 = rho^2/(1-rho^2)
         assert est == pytest.approx(rho**2 / (1.0 - rho**2), abs=0.3)
 
+    @pytest.mark.parametrize("a, b, c, d", [
+        (1.0, 0.0, 1.0, 1e8),
+        (1.0, 1e7, 1.0, 0.0),
+        (-3.0, 1e8, 0.5, -1e8),
+        (2.0**-30, 5.0, 2.0**40, 1e3),
+    ], ids=["y-offset", "x-offset", "both", "scales"])
+    def test_affine_invariance(self, a, b, c, d):
+        # jointly Gaussian, rho = 0.6: the fit and the cross term are taken on
+        # centred data, so offsets far from zero do not cancel the bound away
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=4000)
+        y = 0.6 * x + 0.8 * rng.normal(size=4000)
+        base = club_mi(x, y)
+        assert base == pytest.approx(0.6**2 / (1 - 0.6**2), abs=0.3)
+        assert club_mi(a * x + b, c * y + d) == pytest.approx(base, rel=1e-6)
+
+    def test_multivariate_affine_invariance(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(2000, 3))
+        y = x @ rng.normal(size=(3, 2)) + 0.5 * rng.normal(size=(2000, 2))
+        shifted = club_mi(x * [1.0, -2.0, 1e3] + 1e8, y * [3.0, 1e-3] - 1e7)
+        assert shifted == pytest.approx(club_mi(x, y), rel=1e-6)
+
     def test_perfect_dependence_large_finite(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=500)

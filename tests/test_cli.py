@@ -3,10 +3,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vqdiff
 from vqdiff.cli import run
 from vqdiff.schedules import improved_schedule, linear_schedule, load_schedule, save_schedule
 from vqdiff.tokens import TokenGrid, load_token_file, save_token_file
@@ -854,6 +859,19 @@ class TestCodecCommands:
         b = np.loadtxt(decoded, delimiter=",")
         np.testing.assert_array_equal(a, b)
 
+    def test_report_refuses_overflowing_features(self, toy_setup, capsys, tmp_path, recwarn):
+        codec = tmp_path / "codec.json"
+        invoke(capsys, "codec", "fit", "--features", str(toy_setup["feats"]), "--kind", "RVQ",
+               "--Kp", "4", "--R", "2", "--iters", "5", "--seed", "1", "--out", str(codec))
+        huge = tmp_path / "huge.csv"
+        write_csv(huge, np.loadtxt(toy_setup["feats"], delimiter=",") * 1e200)
+        code, out, err = invoke(capsys, "codec", "report", "--features", str(huge),
+                                "--codec", str(codec))
+        assert code == 1 and out == ""
+        assert err == ("error: features are too large: "
+                       "the reconstruction error leaves the float range\n")
+        assert len(recwarn) == 0
+
     def test_fit_deterministic(self, toy_setup, capsys, tmp_path):
         args = [
             "codec", "fit", "--features", str(toy_setup["feats"]),
@@ -954,6 +972,24 @@ class TestMetricsCommands:
         )
         assert code == 0
         assert float(out.split("ssim=")[1]) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("argv, scale", [
+        (["ssim", "--window", "1"], 1e160),
+        (["ssim", "--window", "3"], 1e160),
+        (["mcd"], 1e200),
+    ], ids=["ssim-window-1", "ssim", "mcd"])
+    def test_overflow_is_one_error_line(self, capsys, tmp_path, recwarn, argv, scale):
+        rng = np.random.default_rng(4)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        ref = rng.choice([-1.0, 1.0], size=(6, 6))
+        write_csv(a, ref * scale)
+        write_csv(b, (ref + 0.5 * rng.normal(size=ref.shape)) * scale)
+        code, out, err = invoke(capsys, "metrics", argv[0], "--ref", str(a), "--syn", str(b),
+                                *argv[1:])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ref and syn take the ")
+        assert len(err.splitlines()) == 1
+        assert len(recwarn) == 0
 
     def test_pitch_self_comparison(self, capsys, tmp_path):
         track = tmp_path / "p.csv"
@@ -1073,6 +1109,31 @@ class TestAuxCommands:
         )
         assert code == 1
         assert "error:" in err
+
+
+class TestThreadCountDeterminism:
+    """``codec fit`` and ``codec encode`` write the same bytes at any BLAS thread count."""
+
+    def test_codec_files_equal_across_openblas_threads(self, tmp_path):
+        rng = np.random.default_rng(12)
+        centers = rng.normal(size=(48, 16)) * 4.0
+        feats = tmp_path / "feats.csv"
+        write_csv(feats, centers[rng.integers(0, 48, size=3000)] + rng.normal(size=(3000, 16)))
+        src = str(Path(vqdiff.__file__).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2", "4"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            codec, tokens = tmp_path / f"codec-{threads}.json", tmp_path / f"tok-{threads}.json"
+            for argv in (["fit", "--features", str(feats), "--kind", "RVQ", "--Kp", "64",
+                          "--R", "2", "--iters", "6", "--seed", "3", "--out", str(codec)],
+                         ["encode", "--features", str(feats), "--codec", str(codec),
+                          "--out", str(tokens)]):
+                done = subprocess.run([sys.executable, "-m", "vqdiff.cli", "codec", *argv],
+                                      env=env, capture_output=True, text=True, timeout=300)
+                assert done.returncode == 0, done.stderr
+            digests.add(tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (codec, tokens)))
+        assert len(digests) == 1
 
 
 class TestSelftest:

@@ -32,6 +32,7 @@ from vqdiff import (
     train_denoiser,
     vlb_loss,
 )
+from vqdiff import diffusion
 from vqdiff.diffusion import (
     _kl_step,
     _prior_kl,
@@ -969,6 +970,121 @@ class TestTrainDenoiser:
                                 np.random.default_rng(0))
         with pytest.raises(ValueError):
             den.predict(grid1([3, 3], 3), 2, cond=99)
+
+
+def train_denoiser_reference(dataset, table, config, rng):
+    """The one-step-at-a-time SGD loop, as ``train_denoiser`` ran it before
+    its steps were batched into row-disjoint runs."""
+    pairs = [(item, None) if isinstance(item, TokenGrid) else tuple(item) for item in dataset]
+    first = pairs[0][0]
+    K = first.K
+    labels = sorted({c for _, c in pairs if c is not None})
+    den = TabularDenoiser(K, (first.N_q, first.L), table.T, labels)
+
+    trace: list[float] = []
+    n = len(pairs)
+    rows, cols = den._positions
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        epoch_losses = []
+        for idx in order:
+            grid, cond = pairs[idx]
+            if cond is not None and rng.random() < config.null_cond_prob:
+                cond = None
+            t = int(rng.integers(1, table.T + 1))
+            x_t = corrupt(grid, t, table, rng)
+            p = den._probs_for(x_t.data, t, cond)
+            loss, g_w = _kl_step(x_t.data, grid.data, p, table, t)
+            epoch_losses.append(loss)
+            den.weights[den._cond_row(cond), t, rows, cols, x_t.data] -= config.lr * g_w
+        trace.append(float(np.mean(epoch_losses)))
+    return den, trace
+
+
+def training_dataset(seed, n, K, shape, labelled):
+    rng = np.random.default_rng(seed)
+    protos = rng.integers(0, K, size=(2, *shape))
+    dataset = []
+    for i in range(n):
+        label = i % 2
+        noisy = rng.random(shape) < 0.25
+        grid = TokenGrid(data=np.where(noisy, rng.integers(0, K, size=shape), protos[label]), K=K)
+        dataset.append((grid, label) if labelled else grid)
+    return dataset
+
+
+class TestBlockedTraining:
+    """Training in row-disjoint runs gives the bits of one-at-a-time SGD."""
+
+    @staticmethod
+    def assert_same_training(dataset, table, config, seed):
+        den, trace = train_denoiser(dataset, table, config, np.random.default_rng(seed))
+        ref, ref_trace = train_denoiser_reference(dataset, table, config,
+                                                  np.random.default_rng(seed))
+        assert den.weights.tobytes() == ref.weights.tobytes()
+        assert np.asarray(trace).tobytes() == np.asarray(ref_trace).tobytes()
+        assert np.any(den.weights != 0.0)
+
+    @pytest.mark.parametrize("null_cond_prob", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("labelled", [True, False], ids=["labelled", "unlabelled"])
+    @pytest.mark.parametrize("table", [linear_schedule(6, 4), improved_schedule(6, 4, 2)],
+                             ids=["linear", "improved"])
+    def test_equals_one_step_at_a_time(self, table, labelled, null_cond_prob):
+        dataset = training_dataset(3, 24, 4, (2, 3), labelled)
+        config = TrainConfig(epochs=4, lr=1.5, null_cond_prob=null_cond_prob)
+        self.assert_same_training(dataset, table, config, 17)
+
+    def test_one_grid_dataset(self):
+        # every step touches the rows of one grid, so nearly every run is one step
+        dataset = [(grid1([2, 0, 3], 4), 1)] * 30
+        self.assert_same_training(dataset, improved_schedule(5, 4, 1), TrainConfig(epochs=5), 11)
+
+    def test_pipeline_shape(self):
+        dataset = training_dataset(5, 64, 16, (4, 32), True)
+        self.assert_same_training(dataset, improved_schedule(20, 16, 4), TrainConfig(epochs=2), 7)
+
+    def test_short_runs_give_the_same_bits(self, monkeypatch):
+        # blocks of two steps of (2 x 3) positions x 5 tokens end runs early
+        monkeypatch.setattr(diffusion, "_TRAIN_BLOCK_VALUES", 2 * 2 * 3 * 5)
+        dataset = training_dataset(4, 24, 4, (2, 3), True)
+        self.assert_same_training(dataset, linear_schedule(6, 4), TrainConfig(epochs=3), 5)
+
+    @pytest.mark.parametrize("table", [linear_schedule(6, 4), improved_schedule(6, 4, 2),
+                                       random_schedule(np.random.default_rng(2), 6, 4)],
+                             ids=["linear", "improved", "random"])
+    def test_stacked_step_equals_its_grids(self, table):
+        rng = np.random.default_rng(23)
+        K, N_q, L, B = 4, 2, 3, 5
+        t = rng.integers(1, table.T + 1, size=B)
+        x0 = rng.integers(0, K, size=(B * N_q, L))
+        data = np.concatenate([corrupt(TokenGrid(data=x0[i * N_q:(i + 1) * N_q], K=K), int(t[i]),
+                                       table, rng).data for i in range(B)])
+        p = rng.dirichlet(np.ones(K), size=(B * N_q, L))
+        loss, g = _kl_step(data, x0, p, table, t)
+        assert loss.shape == (B,)
+        for i in range(B):
+            rows = slice(i * N_q, (i + 1) * N_q)
+            one_loss, one_g = _kl_step(data[rows], x0[rows], p[rows], table, int(t[i]))
+            assert loss[i] == one_loss
+            assert g[rows].tobytes() == one_g.tobytes()
+
+    def test_mask_at_zero_mask_step_in_a_stack_raises(self):
+        table = from_stepwise([0.7, 0.5], [0.1, 0.1], [0.0, 0.2], 3)  # no mask mass at t=1
+        data = np.array([[3, 0], [1, 2], [0, 3]])  # three 1 x 2 grids; the last is masked at t=1
+        with pytest.raises(InconsistencyError, match=r"step \[2 1 1\] assigns them zero"):
+            _StepKernel(data, table, np.array([2, 1, 1]), np.array([1, 0, 0]))
+        _StepKernel(data[:1], table, np.array([2]), np.array([1]))  # the step-2 grid alone is fine
+
+    def test_zero_valid_mass_in_a_stack_raises(self):
+        # pure-mask steps: at an observed token only that token is a valid clean value
+        table = improved_schedule(4, 3, 1)
+        data = np.array([[0, 3], [1, 2]])
+        x0 = np.array([[0, 1], [1, 2]])
+        p = np.full((2, 2, 3), 1 / 3)
+        p[1, 1] = [0.5, 0.5, 0.0]  # grid 2 gives its observed token 2 no mass
+        _kl_step(data[:1], x0[:1], p[:1], table, np.array([2]))
+        with pytest.raises(InconsistencyError, match="zero probability to every clean token"):
+            _kl_step(data, x0, p, table, np.array([2, 3]))
 
 
 def save_denoiser_reference(path, den):
