@@ -21,6 +21,7 @@ from . import __version__
 from .auxiliary import club_mi, contrastive_ranking_loss, info_nce, recall_at_k
 from .codec import (
     FitConfig,
+    _mse,
     dequantize,
     fit_codebooks,
     load_codec,
@@ -237,10 +238,10 @@ def _cmd_codec_encode(args) -> None:
     X = load_features(args.features)
     model = load_codec(args.codec)
     grid, recon = quantize(X, model, active_books=args.active)
+    mse = _mse(X, recon)
     save_token_file(args.out, [grid])
     if args.recon:
         save_features(args.recon, recon)
-    mse = float(np.mean((X - recon) ** 2))
     print(f"encoded {X.shape[0]} frame(s) with {grid.N_q} book(s); mse={_fmt(mse)}")
 
 

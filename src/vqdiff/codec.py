@@ -39,6 +39,8 @@ _CHUNK = 1 << 17
 # reprs and joined text stay a few MiB however many frames there are.
 _CSV_BLOCK_VALUES = 1 << 16
 
+_TOO_LARGE = "features are too large: the reconstruction error leaves the float range"
+
 
 def _block_rows(width: int) -> int:
     return max(1, _CHUNK // width)
@@ -112,15 +114,23 @@ def _as_features(features) -> np.ndarray:
 
 
 def _nearest(X: np.ndarray, book: np.ndarray) -> np.ndarray:
-    """Index of the closest code per frame; ties go to the lowest index."""
+    """Index of the closest code per frame; ties go to the lowest index.
+    A squared norm out of the float range raises ``ValueError``."""
     out = np.empty(len(X), dtype=np.int64)
-    c2 = (book**2).sum(axis=1)
+    with np.errstate(over="ignore"):
+        c2 = (book**2).sum(axis=1)
+    if not np.isfinite(c2).all():
+        raise ValueError("codebook is too large: a squared code norm leaves the float range")
     rows = _block_rows(len(book))
     for lo in range(0, len(X), rows):
         block = X[lo : lo + rows]
+        with np.errstate(over="ignore"):
+            x2 = (block**2).sum(axis=1)
+        if not np.isfinite(x2).all():
+            raise ValueError(_TOO_LARGE)
         # (|x|^2 - 2 x.c) + |c|^2, in this order, in one buffer
         d2 = (2.0 * block) @ book.T
-        np.subtract((block**2).sum(axis=1)[:, None], d2, out=d2)
+        np.subtract(x2[:, None], d2, out=d2)
         d2 += c2
         np.argmin(d2, axis=1, out=out[lo : lo + rows])
     return out
@@ -399,19 +409,21 @@ def reconstruction_report(features, model: CodecModel) -> list[float]:
     otherwise (the flat kinds have no partial decoding)."""
     X = _as_features(features)
     first = model.N_q if model.kind in ("VQ", "GVQ") else 1
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        grid, _ = quantize(X, model)
-        # a residual book never changes the tokens of the books before it, so
-        # the first d rows of the full-depth grid are the depth-d encoding, and
-        # one decode passes through every depth's reconstruction
-        mses = [
-            float(np.mean((X - recon) ** 2))
-            for depth, recon in enumerate(_partial_decodes(grid, model))
-            if depth >= first
-        ]
-    if not np.all(np.isfinite(mses)):
-        raise ValueError("features are too large: the reconstruction error leaves the float range")
-    return mses
+    grid, _ = quantize(X, model)
+    # a residual book never changes the tokens of the books before it, so
+    # the first d rows of the full-depth grid are the depth-d encoding, and
+    # one decode passes through every depth's reconstruction
+    decodes = enumerate(_partial_decodes(grid, model))
+    return [_mse(X, recon) for depth, recon in decodes if depth >= first]
+
+
+def _mse(X: np.ndarray, recon: np.ndarray) -> float:
+    """Mean squared reconstruction error; ``ValueError`` if it leaves the float range."""
+    with np.errstate(over="ignore"):
+        mse = float(np.mean((X - recon) ** 2))
+    if not np.isfinite(mse):
+        raise ValueError(_TOO_LARGE)
+    return mse
 
 
 def save_codec(path, model: CodecModel) -> None:

@@ -15,6 +15,7 @@ classifier-free training and as the guidance reference.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -672,12 +673,18 @@ def save_denoiser(path, denoiser: TabularDenoiser) -> None:
     their logits, flattened.  A row holding only ``-0.0`` counts as
     touched, so the round trip is bit for bit.  Non-finite entries raise
     ``ValueError`` before anything is written.
+
+    The bytes are those of ``json.dumps`` of that object, but each distinct
+    logit is formatted once: a trained table holds few distinct values.
     """
     table = denoiser.weights.reshape(-1, denoiser.K)
-    if not np.isfinite(table).all():
-        raise ValueError("denoiser field 'weights' holds non-finite entries")
     rows = np.flatnonzero(table.view(np.int64).any(axis=1))
-    atomic_write_text(path, json.dumps({
+    touched = table[rows]
+    if not np.isfinite(touched).all():  # every other entry is +0.0
+        raise ValueError("denoiser field 'weights' holds non-finite entries")
+    patterns, index = np.unique(touched.view(np.int64), return_inverse=True)
+    reprs = np.array(list(map(repr, patterns.view(float).tolist())), dtype=object)
+    head = json.dumps({
         "kind": "tabular",
         "K": denoiser.K,
         "N_q": denoiser.grid_shape[0],
@@ -685,8 +692,9 @@ def save_denoiser(path, denoiser: TabularDenoiser) -> None:
         "T": denoiser.T,
         "cond_labels": denoiser.cond_labels,
         "rows": rows.tolist(),
-        "weights": table[rows].reshape(-1).tolist(),
-    }))
+    })
+    weights = ", ".join(reprs[index.reshape(-1)].tolist())
+    atomic_write_text(path, (head[:-1], ', "weights": [', weights, "]}"))
 
 
 def _flat_weights(value) -> np.ndarray:
@@ -721,7 +729,8 @@ def _row_indices(value, n_rows: int) -> np.ndarray:
 
 def load_denoiser(path) -> TabularDenoiser:
     """Read a file of ``save_denoiser``; without ``rows``, ``weights`` holds every row."""
-    payload = _load_object(path, "denoiser")
+    # a trained table holds few distinct logits: parse each literal once
+    payload = _load_object(path, "denoiser", parse_float=functools.lru_cache(maxsize=None)(float))
     kind = _field(payload, "kind", str, "denoiser")
     if kind != "tabular":
         raise ValueError(f"unsupported denoiser kind {kind!r}")

@@ -23,6 +23,10 @@ MCD_DB_FACTOR = 10.0 * math.sqrt(2.0) / math.log(10.0)
 DEFAULT_GPE_THRESHOLD = 0.2
 DEFAULT_SSIM_WINDOW = 7
 
+# inputs whose largest magnitude is below this are scaled up by a power of two:
+# SSIM multiplies four input-sized factors, which would reach the subnormal range
+_TINY = 2.0**-128
+
 # window values per row block of ``ssim`` (one output row at least); no
 # float64 temporary of a block holds more values than its windows do
 _SSIM_BLOCK_VALUES = 1 << 18
@@ -37,22 +41,32 @@ def _as_matrix(x, name: str) -> np.ndarray:
     return arr
 
 
+def _tiny_exponent(a: np.ndarray, b: np.ndarray) -> int:
+    """The exact power-of-two scale that brings the largest magnitude in ``a``
+    and ``b`` into [0.5, 1) when it is positive and below ``_TINY``; else 0."""
+    largest = max(a.max(), -a.min(), b.max(), -b.min())
+    return -math.frexp(largest)[1] if 0.0 < largest < _TINY else 0
+
+
 def mcd(ref, syn, scale_db: bool = False) -> float:
     """Frame-averaged Euclidean distance over cepstral coefficients.
 
     Computed in the plain unscaled form; ``scale_db`` applies the
     conventional 10*sqrt(2)/ln(10) factor for comparison with tools that
-    report dB.
+    report dB.  Tiny inputs are scaled up by a power of two, and the result back.
     """
     a = _as_matrix(ref, "ref")
     b = _as_matrix(syn, "syn")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: ref {a.shape} vs syn {b.shape}")
+    exponent = _tiny_exponent(a, b)
+    if exponent:
+        a, b = np.ldexp(a, exponent), np.ldexp(b, exponent)
     with np.errstate(over="ignore"):  # inf, refused below
         value = np.sqrt(((a - b) ** 2).sum(axis=1)).mean() * (MCD_DB_FACTOR if scale_db else 1.0)
     if not np.isfinite(value):
         raise ValueError("ref and syn take the MCD out of the float range")
-    return float(value)
+    return math.ldexp(float(value), -exponent)
 
 
 def _window_sums(f: np.ndarray, window: int) -> np.ndarray:
@@ -76,6 +90,9 @@ def ssim(ref, syn, window: int = DEFAULT_SSIM_WINDOW, constants=None) -> float:
     ``constants`` defaults to C1=(0.01*L)^2, C2=(0.03*L)^2 with L the
     dynamic range (max - min) of the reference; a constant reference has
     zero range, so L falls back to 1 to keep the constants positive.
+    The default constants scale with that range, so tiny inputs are
+    scaled up by a power of two, which leaves SSIM unchanged; with explicit
+    ``constants`` they raise ``ValueError``.
     """
     a = _as_matrix(ref, "ref")
     b = _as_matrix(syn, "syn")
@@ -90,6 +107,11 @@ def ssim(ref, syn, window: int = DEFAULT_SSIM_WINDOW, constants=None) -> float:
         c1, c2 = (float(c) for c in constants)
         if c1 < 0 or c2 < 0:
             raise ValueError("SSIM constants must be nonnegative")
+    exponent = _tiny_exponent(a, b)
+    if exponent and constants is not None:
+        raise ValueError(f"ref and syn are below {_TINY:g}, too small for explicit SSIM constants")
+    if exponent and a.max() > a.min():  # a constant reference keeps L = 1, unscaled
+        a, b = np.ldexp(a, exponent), np.ldexp(b, exponent)
     try:  # an overflow anywhere, even one that leaves the mean finite, is refused
         with np.errstate(over="raise"):
             if constants is None:

@@ -41,10 +41,10 @@ def atomic_write_text(path, text) -> None:
         raise
 
 
-def _load_object(path, what: str, error=ValueError) -> dict:
+def _load_object(path, what: str, error=ValueError, parse_float=None) -> dict:
     """The JSON object stored at ``path``; raises ``error`` for any other JSON value."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        payload = json.load(fh, parse_float=parse_float)
     if not isinstance(payload, dict):
         raise error(f"a {what} file must hold a JSON object")
     return payload
@@ -75,7 +75,9 @@ def _integer(value) -> int:
 def _integers(value) -> list[int]:
     if not isinstance(value, list):
         raise TypeError(f"expected a list of integers, got {type(value).__name__}")
-    return [_integer(v) for v in value]
+    if set(map(type, value)) <= {int}:
+        return value
+    return [_integer(v) for v in value]  # raises, naming the first bad entry
 
 
 @dataclass(frozen=True)
@@ -154,16 +156,19 @@ def _indented(items, depth: int) -> str:
 
 def save_token_file(path, grids: list[TokenGrid], labels: list[int] | None = None) -> None:
     """Write exactly ``json.dumps(token_file_dict(grids, labels), indent=2)``,
-    formatted one grid at a time: with ``indent`` set, ``json`` runs its
-    pure-Python encoder over every integer."""
+    formatting each distinct token value once: with ``indent`` set, ``json``
+    runs its pure-Python encoder over every integer."""
     labels = _token_labels(grids, labels)
     first = grids[0]
     header = json.dumps({"K": first.K, "N_q": first.N_q, "L": first.L}, indent=2)
+    values, index = np.unique(np.stack([g.data for g in grids]), return_inverse=True)
+    strings = np.array(list(map(str, values.tolist())), dtype=object)
+    text = strings[index.reshape(len(grids), first.N_q, first.L)].tolist()
 
     def chunks():
         yield header[:-2] + ',\n  "grids": ['  # the header without its "\n}"
-        for n, g in enumerate(grids):
-            rows = (_indented(map(str, row), 4) for row in g.data.tolist())
+        for n, rows in enumerate(text):
+            rows = (_indented(row, 4) for row in rows)
             yield ("," if n else "") + "\n    " + _indented(rows, 3)
         yield "\n  ]"
         if labels is not None:

@@ -872,6 +872,20 @@ class TestCodecCommands:
                        "the reconstruction error leaves the float range\n")
         assert len(recwarn) == 0
 
+    def test_encode_refuses_overflowing_features(self, toy_setup, capsys, tmp_path, recwarn):
+        codec = tmp_path / "codec.json"
+        invoke(capsys, "codec", "fit", "--features", str(toy_setup["feats"]), "--kind", "RVQ",
+               "--Kp", "4", "--R", "2", "--iters", "5", "--seed", "1", "--out", str(codec))
+        huge = tmp_path / "huge.csv"
+        write_csv(huge, np.loadtxt(toy_setup["feats"], delimiter=",") * 1e200)
+        tokens = tmp_path / "tok.json"
+        code, out, err = invoke(capsys, "codec", "encode", "--features", str(huge),
+                                "--codec", str(codec), "--out", str(tokens))
+        assert code == 1 and out == ""
+        assert err.startswith("error: features are too large") and len(err.splitlines()) == 1
+        assert len(recwarn) == 0
+        assert not tokens.exists()
+
     def test_fit_deterministic(self, toy_setup, capsys, tmp_path):
         args = [
             "codec", "fit", "--features", str(toy_setup["feats"]),
@@ -989,6 +1003,24 @@ class TestMetricsCommands:
         assert code == 1 and out == ""
         assert err.startswith("error: ref and syn take the ")
         assert len(err.splitlines()) == 1
+        assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("argv", [["ssim", "--window", "3"], ["mcd"]], ids=["ssim", "mcd"])
+    def test_tiny_input_is_finite(self, capsys, tmp_path, recwarn, argv):
+        rng = np.random.default_rng(5)
+        ref = rng.normal(size=(40, 8))
+        syn = ref + 0.3 * rng.normal(size=ref.shape)
+        values = []
+        for scale in (1.0, 1e-200):
+            a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+            write_csv(a, ref * scale)
+            write_csv(b, syn * scale)
+            code, out, _ = invoke(capsys, "metrics", argv[0], "--ref", str(a), "--syn", str(b),
+                                  *argv[1:])
+            assert code == 0
+            values.append(float(out.split("=")[1]))
+        unit = 1.0 if argv[0] == "ssim" else 1e-200  # SSIM has no scale, MCD scales with the input
+        assert math.isfinite(values[1]) and values[1] == pytest.approx(values[0] * unit, rel=1e-12)
         assert len(recwarn) == 0
 
     def test_pitch_self_comparison(self, capsys, tmp_path):

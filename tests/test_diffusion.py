@@ -1118,9 +1118,29 @@ def pipeline_trained_denoiser():
     return den
 
 
+def save_denoiser_sparse_reference(den) -> bytes:
+    """The bytes ``save_denoiser`` writes: one ``json.dumps`` of the touched rows,
+    a row being touched when any entry is nonzero or ``-0.0``."""
+    table = den.weights.reshape(-1, den.K).tolist()
+    rows = [i for i, row in enumerate(table)
+            if any(w != 0.0 or math.copysign(1.0, w) < 0 for w in row)]
+    payload = {
+        "kind": "tabular",
+        "K": den.K,
+        "N_q": den.grid_shape[0],
+        "L": den.grid_shape[1],
+        "T": den.T,
+        "cond_labels": den.cond_labels,
+        "rows": rows,
+        "weights": [w for i in rows for w in table[i]],
+    }
+    return json.dumps(payload).encode("utf-8")
+
+
 DENOISER_TABLES = [
     "all-zero", "dense", "negative-zero", "non-finite", "subnormal", "K=2",
     "first-row-only", "last-row-only", "first-and-last-rows",
+    "all-distinct", "one-value", "signed-zeros", "subnormals",
 ]
 
 
@@ -1146,6 +1166,16 @@ def denoiser_table(name):
         rows[-1, 0] = -3.0
     elif name == "first-and-last-rows":
         rows[0, 0], rows[-1, 2] = 1.0, 2.0
+    elif name == "all-distinct":
+        rows[...] = rng.normal(size=rows.shape) * np.logspace(-300, 300, rows.size).reshape(rows.shape)
+    elif name == "one-value":
+        rows[...] = -0.1
+    elif name == "signed-zeros":
+        rows[5] = [0.0, -0.0, 0.0]
+        rows[6] = [-0.0, 0.5, 0.0]
+    elif name == "subnormals":
+        rows[1::2] = rng.choice([5e-324, -5e-324, 1e-310, -2.2250738585072e-309, 0.0],
+                                size=rows[1::2].shape)
     else:
         assert name == "all-zero"
     return den
@@ -1163,6 +1193,8 @@ class TestDenoiserFile:
         touched = np.flatnonzero(rows.view(np.int64).any(axis=1))
         assert payload["rows"] == touched.tolist()
         assert len(payload["weights"]) == touched.size * den.K
+        # the weights parsed by plain json.loads, before any check of load_denoiser
+        assert np.array(payload["weights"], dtype=float).tobytes() == rows[touched].tobytes()
         for written in (path, dense):
             loaded = load_denoiser(written)
             assert loaded.weights.tobytes() == den.weights.tobytes()
@@ -1174,13 +1206,16 @@ class TestDenoiserFile:
         den = pipeline_trained_denoiser()
         touched = den.weights.reshape(-1, den.K).any(axis=1)
         assert 0 < touched.mean() < 0.1  # mostly untouched rows
-        self.check_round_trip(tmp_path, den)
+        payload = self.check_round_trip(tmp_path, den)
+        assert len(set(payload["weights"])) < len(payload["weights"]) / 10  # few distinct values
+        assert (tmp_path / "den.json").read_bytes() == save_denoiser_sparse_reference(den)
 
     @pytest.mark.parametrize("name", DENOISER_TABLES)
     def test_table(self, tmp_path, name):
         den = denoiser_table(name)
         if np.isfinite(den.weights).all():
             self.check_round_trip(tmp_path, den)
+            assert (tmp_path / "den.json").read_bytes() == save_denoiser_sparse_reference(den)
             return
         path = tmp_path / "den.json"
         with pytest.raises(ValueError, match="'weights'.*finite"):

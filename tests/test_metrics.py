@@ -276,6 +276,36 @@ class TestSsimBlocked:
         assert peak < 8 * 2**20
 
 
+class TestTinyInputs:
+    """Inputs too small to square are scaled up by a power of two, exactly."""
+
+    SCALE = 2.0**-600
+
+    @pytest.mark.parametrize("window", [1, 3, 7])
+    def test_ssim_does_not_change(self, recwarn, window):
+        a, b = ssim_pair((30, 12), seed=window)
+        assert ssim(a * self.SCALE, b * self.SCALE, window) == ssim(a, b, window)
+        assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("scale_db", [False, True])
+    def test_mcd_scales_back(self, recwarn, scale_db):
+        a, b = ssim_pair((30, 12), seed=9)
+        assert mcd(a * self.SCALE, b * self.SCALE, scale_db) == self.SCALE * mcd(a, b, scale_db)
+        assert len(recwarn) == 0
+
+    def test_ssim_with_explicit_constants_is_refused(self):
+        a, b = ssim_pair((9, 9), seed=1)
+        with pytest.raises(ValueError, match="ref and syn are below .* explicit SSIM constants"):
+            ssim(a * self.SCALE, b * self.SCALE, 3, constants=(1e-4, 9e-4))
+
+    def test_constant_reference_keeps_unit_range(self, recwarn):
+        # L = 1 does not scale with the inputs, so they are not scaled either
+        a = np.full((5, 5), 1e-200)
+        b = a + 1e-200 * np.random.default_rng(6).normal(size=a.shape)
+        assert ssim(a, b, window=3) == pytest.approx(1.0, abs=1e-12)
+        assert len(recwarn) == 0
+
+
 class TestPitchErrors:
     def test_identical_tracks(self):
         t = track([1, 0, 1], [100.0, 0.0, 220.0])

@@ -112,9 +112,11 @@ class TestTokenFileBytes:
         (random_grids(2, 2, 2, 4, seed=8), [10**20, True]),
         ([TokenGrid(data=np.zeros((0, 3), dtype=int), K=2)], [3]),
         ([TokenGrid(data=np.zeros((2, 0), dtype=int), K=2)] * 2, None),
+        # a table of K strings would need gigabytes; the file holds three values
+        ([TokenGrid(data=np.array([[10**9, 0, 10**9 - 1], [0, 0, 10**9]]), K=10**9)] * 3, None),
     ], ids=["1x1", "1x1-three-grids-negative-labels", "mask", "all-mask", "K2-negative-labels",
             "K1024-mask", "one-long-grid", "64-grids-labels", "64-grids", "wide-labels",
-            "no-rows", "no-frames"])
+            "no-rows", "no-frames", "K1e9-three-values"])
     def test_bytes_equal_json_dumps_indent_2(self, tmp_path, grids, labels):
         path = tmp_path / "tokens.json"
         save_token_file(path, grids, labels)
