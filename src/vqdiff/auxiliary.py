@@ -16,6 +16,11 @@ from scipy.special import logsumexp
 
 CLUB_VARIANCE_FLOOR = 1e-8
 
+# club_mi does not depend on the scale of x or of y, so an input whose largest
+# magnitude lies outside this range is scaled into [0.5, 1) by a power of two:
+# its squares then neither overflow nor underflow
+_CLUB_RANGE = (2.0**-128, 2.0**128)
+
 
 def _as_similarity(sim) -> np.ndarray:
     s = np.asarray(sim, dtype=float)
@@ -88,6 +93,17 @@ def recall_at_k(sim, k: int) -> float:
     return float((position < k).mean() * 100.0)
 
 
+def _in_range(v: np.ndarray) -> np.ndarray:
+    """``v`` times the exact power of two that brings its largest magnitude
+    into [0.5, 1), when that magnitude is positive and outside ``_CLUB_RANGE``;
+    otherwise ``v`` itself."""
+    largest = np.abs(v).max()
+    low, high = _CLUB_RANGE
+    if largest > 0.0 and not low <= largest <= high:
+        return np.ldexp(v, -math.frexp(largest)[1])
+    return v
+
+
 def club_mi(x, y) -> float:
     """Contrastive log-ratio upper bound on I(x; y) in nats.
 
@@ -96,7 +112,9 @@ def club_mi(x, y) -> float:
     E[log q(y_i|x_i)] - (1/n^2) sum_ij log q(y_j|x_i).  Exact for
     jointly Gaussian data; an approximation otherwise.  Zero residual
     variances are floored at 1e-8 with a warning, so perfectly dependent
-    inputs give a large finite value.
+    inputs give a large finite value.  An input whose largest magnitude
+    lies outside [2^-128, 2^128] is scaled into [0.5, 1) by an exact power
+    of two, which leaves the bound unchanged up to rounding.
     """
     xm = np.asarray(x, dtype=float)
     ym = np.asarray(y, dtype=float)
@@ -117,9 +135,12 @@ def club_mi(x, y) -> float:
             f"dim_x={dim_x}, got {n}"
         )
 
-    # centring keeps the fit and the cross term from cancelling on offset data
-    xm = xm - xm.mean(axis=0)
-    ym = ym - ym.mean(axis=0)
+    # centring keeps the fit and the cross term from cancelling on offset data;
+    # scaling before it centres subnormal input off the subnormal grid, and
+    # scaling after it brings a spread far below the offset into range
+    xm, ym = _in_range(xm), _in_range(ym)
+    xm = _in_range(xm - xm.mean(axis=0))
+    ym = _in_range(ym - ym.mean(axis=0))
     design = np.hstack([xm, np.ones((n, 1))])
     coef, *_ = np.linalg.lstsq(design, ym, rcond=None)
     mu = design @ coef

@@ -59,6 +59,20 @@ def _check_shape(table, K: int, N_q: int, what: str = "grid") -> None:
         )
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1, keepdims=True)``, taken over a transposed contiguous copy.
+
+    Reducing the short last axis of many rows runs NumPy's reduction loop
+    once per row; over the copy with that axis first, each of its K entries
+    is one elementwise ``maximum`` across all rows, and the copy costs less
+    than the per-row loops it saves.  A maximum does no rounding, so the
+    values are the same, NaN included; only the sign of a zero maximum may
+    differ (see the callers for why that changes no result).
+    """
+    rows = a.reshape(-1, a.shape[-1])
+    return np.ascontiguousarray(rows.T).max(axis=0).reshape(*a.shape[:-1], 1)
+
+
 def _logsumexp(a: np.ndarray) -> np.ndarray:
     """log(sum(exp(a))) over the last axis, keeping that axis (length 1).
 
@@ -69,16 +83,22 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     those of SciPy 1.17 bit for bit, so the sampler's bits no longer depend
     on the installed SciPy version; ``transitions.py`` and ``auxiliary.py``
     still use SciPy.
+
+    The maximum comes from ``_row_max``: a zero maximum of either sign
+    shifts every entry to the same value up to the sign of a zero, so the
+    ``exp`` and the sum are the same, and adding it to log1p(s/m) + log(m),
+    which is >= 0, gives the same result.  The sums stay on the last axis,
+    where NumPy adds 8 or more entries pairwise; summing the transposed copy
+    would add them in sequence and change the bits.
     """
-    a_max = a.max(axis=-1, keepdims=True)
+    a_max = _row_max(a)
     at_max = a == a_max
     m = at_max.sum(axis=-1, keepdims=True, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=-1, keepdims=True)
         out = np.log1p(s / m) + np.log(m) + a_max  # s = 0 stays 0: m >= 1 unless max is NaN
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out = np.where(bad, np.log(np.exp(a).sum(axis=-1, keepdims=True)), out)
+        if not np.isfinite(out).all():
+            out = np.where(np.isfinite(out), out, np.log(np.exp(a).sum(axis=-1, keepdims=True)))
     return out
 
 
@@ -107,6 +127,34 @@ def _coeff_rows(table, n_rows: int, segment: tuple[int, int] | None = None) -> t
         return tuple(out)
 
     return table.cached((segment, n_rows), build)
+
+
+def _kernel_rows(table, n_rows: int, segment: tuple[int, int]) -> tuple:
+    """What ``_StepKernel`` reads of the reverse kernel from t to s, kept on the table.
+
+    A read-only (11, n_rows) array, from the rows of ``_coeff_rows(table,
+    n_rows, segment)``: the coefficients of a masked position,
+    (g_seg/gb_t)·bb_s, (g_seg/gb_t)·ab_s, 1 and 1; those of an observed
+    one in the same roles, bb_s, ab_s, b_seg and bb_t; then bb_t + ab_t,
+    a_seg and gb_s/gb_t.  Also the indices of the rows where gb_t = 0: the
+    quotients are not finite there, and those rows may hold no mask token.
+    """
+
+    def build():
+        ab_t, bb_t, gb_t, ab_s, bb_s, gb_s, a_seg, b_seg, g_seg = _coeff_rows(
+            table, n_rows, segment)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coef_keep = g_seg / gb_t
+            mask_prob = gb_s / gb_t
+        one = np.ones(n_rows)
+        rows = np.array([coef_keep * bb_s, coef_keep * ab_s, one, one,
+                         bb_s, ab_s, b_seg, bb_t,
+                         bb_t + ab_t, a_seg, mask_prob])
+        zero = np.flatnonzero(gb_t == 0.0)
+        rows.flags.writeable = zero.flags.writeable = False
+        return rows, zero
+
+    return table.cached(("kernel", segment, n_rows), build)
 
 
 def corrupt(x0: TokenGrid, t: int, table, rng: np.random.Generator) -> TokenGrid:
@@ -153,11 +201,21 @@ class Denoiser(ABC):
         raise NotImplementedError
 
 
-def _validated_predict(denoiser, x_t: TokenGrid, t: int, cond) -> np.ndarray:
-    p0 = np.asarray(denoiser.predict(x_t, t, cond), dtype=float)
+def _validated_predict(denoiser, x_t: TokenGrid, t: int, *conds) -> np.ndarray:
+    """The predictions at x_t under each label of ``conds``, checked against
+    the contract and renormalised, stacked along a new first axis; with one
+    label, that prediction alone.
+
+    Every prediction is requested before the first is checked.  The checks
+    then run once over the stack, and a bad prediction raises the
+    ``ContractError`` it would raise alone.
+    """
     expected = (x_t.N_q, x_t.L, x_t.K)
-    if p0.shape != expected:
-        raise ContractError(f"denoiser returned shape {p0.shape}, expected {expected}")
+    preds = [np.asarray(denoiser.predict(x_t, t, cond), dtype=float) for cond in conds]
+    for p0 in preds:
+        if p0.shape != expected:
+            raise ContractError(f"denoiser returned shape {p0.shape}, expected {expected}")
+    p0 = preds[0] if len(preds) == 1 else np.stack(preds)
     lo, hi = p0.min(), p0.max()  # NaN reaches both, -inf the first, +inf the second
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ContractError("denoiser returned non-finite probabilities")
@@ -236,12 +294,11 @@ def _combine(lp_c: np.ndarray, lp_u: np.ndarray, lam: float, mode: str) -> np.nd
 
 def _predict_guided(denoiser, x_t, t, cond, lam, guidance_mode):
     """The guided prediction; ``lam`` and the mode are already checked."""
-    p_c = _validated_predict(denoiser, x_t, t, cond)
     if lam == 0 or cond is None:
-        return p_c
-    p_u = _validated_predict(denoiser, x_t, t, None)
+        return _validated_predict(denoiser, x_t, t, cond)
     with np.errstate(divide="ignore"):
-        return _combine(np.log(p_c), np.log(p_u), lam, guidance_mode)
+        lp_c, lp_u = np.log(_validated_predict(denoiser, x_t, t, cond, None))
+    return _combine(lp_c, lp_u, lam, guidance_mode)
 
 
 class _StepKernel:
@@ -255,67 +312,62 @@ class _StepKernel:
     row is 0, and v is valid where D_v > 0.  Both products below cost O(K)
     per position; Q itself is never formed.  ``t`` and ``t_prev`` may be
     arrays, one step pair per grid of grids stacked along the row axis.
+
+    Both cases run as one sequence of whole-grid operations on per-position
+    coefficients.  A masked position takes its own case's coefficients and,
+    where the observed case multiplies or divides by a value its own case
+    lacks, a factor of exactly 1; so each position keeps its case's bits.
     """
 
     def __init__(self, data: np.ndarray, table, t, t_prev):
         K = self.K = table.K
         if isinstance(t, np.ndarray):  # a stack of grids, one step pair each
-            segs = zip(t_prev.tolist(), t.tolist())
-            rows = np.hstack([np.array(_coeff_rows(table, len(data) // t.size, s)) for s in segs])
+            n = len(data) // t.size
+            parts = [_kernel_rows(table, n, s) for s in zip(t_prev.tolist(), t.tolist())]
+            rows = np.hstack([r for r, _ in parts])
+            zero = np.concatenate([z + i * n for i, (_, z) in enumerate(parts)])
         else:
-            rows = _coeff_rows(table, len(data), (t_prev, t))
-        ab_t, bb_t, gb_t, ab_s, bb_s, gb_s, a_seg, b_seg, g_seg = rows
+            rows, zero = _kernel_rows(table, len(data), (t_prev, t))
         self.masked = data == K
-        self.any_masked = bool(self.masked.any())
-        if self.any_masked:
-            if np.any(gb_t[np.nonzero(self.masked)[0]] == 0.0):
-                raise InconsistencyError(
-                    f"grid contains mask tokens but step {t} assigns them zero probability"
-                )
-            with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only in unmasked rows
-                coef_keep = (g_seg / gb_t)[:, None]  # per row, broadcast over frames
-                self.keep_b = (coef_keep * bb_s[:, None])[..., None]
-                self.keep_a = (coef_keep * ab_s[:, None])[..., None]
-                self.mask_prob = (gb_s / gb_t)[:, None]
-        self.rr, self.cc = rr, cc = np.nonzero(~self.masked)
-        self.obs = data[rr, cc]
-        self.at = np.arange(rr.size)
-        D = np.repeat(bb_t[rr][:, None], K, axis=1)
-        D[self.at, self.obs] += ab_t[rr]
-        self.D = D
-        self.ok = D > 0
-        self.bb_s, self.ab_s, self.b_seg, self.a_seg = (x[rr] for x in (bb_s, ab_s, b_seg, a_seg))
+        if zero.size and self.masked[zero].any():
+            raise InconsistencyError(
+                f"grid contains mask tokens but step {t} assigns them zero probability"
+            )
+        per_row = rows[:, :, None, None]  # broadcast over frames and tokens
+        self.at_masked = m = self.masked[..., None]
+        # each position takes its own case's coefficients: the sum over the
+        # real tokens and each token's own entry are multiplied by the first
+        # two, lead_k by the third, and the fourth is D_v off the observed token
+        self.sum_coef, self.own_coef, self.lead_b, d_base = np.where(m, per_row[:4], per_row[4:8])
+        d_obs, self.mask_prob = per_row[8], per_row[10]
+        at_obs = data[..., None] == np.arange(K)  # the observed token; none at a mask
+        self.obs = np.flatnonzero(at_obs)  # flat indices: faster than index triples
+        self.lead_a = rows[9][self.obs // at_obs[0].size]  # a_seg of each one's row
+        self.D = np.where(at_obs, d_obs, d_base)
+        self.valid = self.D > 0
 
     def _lead(self, base: np.ndarray) -> np.ndarray:
-        """lead_k * base_k at the observed positions."""
-        vals = self.b_seg[:, None] * base
-        vals[self.at, self.obs] += self.a_seg * base[self.at, self.obs]
+        """lead_k * base_k at the observed positions; base itself at a mask."""
+        vals = self.lead_b * base
+        vals.reshape(-1)[self.obs] += self.lead_a * base.reshape(-1)[self.obs]
         return vals
 
     def mix(self, p0: np.ndarray) -> np.ndarray:
         """Q·p0 per position as (N_q, L, K+1), renormalized over the valid v."""
         K = self.K
-        N_q, L = self.masked.shape
-        out = np.zeros((N_q, L, K + 1))
-        if self.any_masked:
-            base = self.keep_b + self.keep_a * p0
-            out[..., :K] = np.where(self.masked[..., None], base, 0.0)
-            out[..., K] = np.where(self.masked, np.broadcast_to(self.mask_prob, (N_q, L)), 0.0)
-
-        if self.rr.size:
-            p = p0[self.rr, self.cc]
-            M = np.where(self.ok, p, 0.0).sum(axis=1)
-            if np.any(M <= 0.0):
-                raise InconsistencyError(
-                    "denoiser assigns zero probability to every clean token "
-                    "consistent with an observed token"
-                )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                W = np.where(self.ok, p / self.D, 0.0)
-            S = W.sum(axis=1)
-            vals = self._lead(self.bb_s[:, None] * S[:, None] + self.ab_s[:, None] * W)
-            vals /= M[:, None]
-            out[self.rr, self.cc, :K] = vals
+        M = np.where(self.valid, p0, 0.0).sum(axis=-1, keepdims=True)
+        if (M <= 0.0).any():  # a masked position's M is its whole mass
+            raise InconsistencyError(
+                "denoiser assigns zero probability to every clean token "
+                "consistent with an observed token"
+            )
+        out = np.empty(self.masked.shape + (K + 1,))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            W = np.where(self.valid, p0 / self.D, 0.0)
+            S = np.where(self.at_masked, 1.0, W.sum(axis=-1, keepdims=True))
+            vals = self._lead(self.sum_coef * S + self.own_coef * W)
+            np.divide(vals, np.where(self.at_masked, 1.0, M), out=out[..., :K])
+        out[..., K] = np.where(self.masked, self.mask_prob[..., 0], 0.0)
         return out
 
     def mix_t(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -326,21 +378,11 @@ class _StepKernel:
         (bb_s sum(rl) + ab_s rl_v) / D_v.
         """
         K = self.K
-        out = np.zeros(self.masked.shape + (K,))
-        valid = np.ones(out.shape, dtype=bool)
-        if self.any_masked:
-            rk = r[..., :K]
-            vals = self.keep_b * rk.sum(axis=-1, keepdims=True) + self.keep_a * rk
-            vals += self.mask_prob[..., None] * r[..., K:]
-            out = np.where(self.masked[..., None], vals, 0.0)
-
-        if self.rr.size:
-            rl = self._lead(r[self.rr, self.cc, :K])
-            num = self.bb_s[:, None] * rl.sum(axis=1, keepdims=True) + self.ab_s[:, None] * rl
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out[self.rr, self.cc] = np.where(self.ok, num / self.D, 0.0)
-            valid[self.rr, self.cc] = self.ok
-        return out, valid
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rl = self._lead(r[..., :K])
+            num = self.sum_coef * rl.sum(axis=-1, keepdims=True) + self.own_coef * rl
+            np.add(num, self.mask_prob * r[..., K:], out=num, where=self.at_masked)
+            return np.where(self.valid, num / self.D, 0.0), self.valid
 
 
 def _sample_categorical(dists: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -596,8 +638,21 @@ class TrainConfig:
 
 
 def _softmax(w: np.ndarray) -> np.ndarray:
-    e = np.exp(w - w.max(axis=-1, keepdims=True))
+    """Softmax over the last axis, shifted by the row maximum of ``_row_max``.
+
+    Either sign of a zero maximum gives the same ``exp``; the sum stays on
+    the last axis, so its pairwise order is the one ``w.sum(axis=-1)`` uses.
+    """
+    e = np.exp(w - _row_max(w))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _label(cond) -> int:
+    """A condition label as ``int``; a bool, a float (NaN included) or any
+    other non-integer raises ``ValueError`` naming it."""
+    if isinstance(cond, bool) or not isinstance(cond, (int, np.integer)):
+        raise ValueError(f"condition label {cond!r} is not an integer")
+    return int(cond)
 
 
 class TabularDenoiser(Denoiser):
@@ -613,7 +668,7 @@ class TabularDenoiser(Denoiser):
         self.K = int(K)
         self.grid_shape = (int(grid_shape[0]), int(grid_shape[1]))
         self.T = int(T)
-        self.cond_labels = sorted(int(c) for c in cond_labels)
+        self.cond_labels = sorted(map(_label, cond_labels))
         if len(set(self.cond_labels)) != len(self.cond_labels):
             raise ValueError(f"cond_labels repeat a label: {self.cond_labels}")
         self._cond_index = {c: i + 1 for i, c in enumerate(self.cond_labels)}
@@ -647,10 +702,10 @@ class TabularDenoiser(Denoiser):
     def _cond_row(self, cond) -> int:
         if cond is None:
             return 0
-        cond = int(cond)
-        if cond not in self._cond_index:
+        row = self._cond_index.get(_label(cond))
+        if row is None:
             raise ValueError(f"unknown condition label {cond}")
-        return self._cond_index[cond]
+        return row
 
     def _probs_for(self, data: np.ndarray, t: int, cond) -> np.ndarray:
         iq, il = self._positions

@@ -96,7 +96,7 @@ class TokenGrid:
         data = data.astype(np.int64)
         if self.K < 2:
             raise ValueError(f"K must be >= 2, got {self.K}")
-        if np.any(data < 0) or np.any(data > self.K):
+        if data.size and (data.min() < 0 or data.max() > self.K):
             raise ValueError(f"token values must lie in 0..{self.K} (K = mask)")
         data.flags.writeable = False
         object.__setattr__(self, "data", data)

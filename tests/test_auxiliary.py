@@ -1,6 +1,7 @@
 """Contrastive losses, retrieval recall, and the CLUB MI bound."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -230,3 +231,50 @@ class TestClubMi:
     def test_misaligned_samples(self):
         with pytest.raises(ValueError, match="aligned"):
             club_mi(np.zeros((30, 1)), np.zeros((29, 1)))
+
+
+def club_brute_force(x, y):
+    """CLUB as its definition reads: the fitted linear-Gaussian conditional's
+    mean log q(y_i|x_i) less the mean of log q(y_j|x_i) over all n^2 pairs."""
+    x = np.reshape(x, (len(x), -1))
+    y = np.reshape(y, (len(y), -1))
+    n = len(x)
+    design = np.hstack([x, np.ones((n, 1))])
+    mean = design @ np.linalg.lstsq(design, y, rcond=None)[0]
+    var = ((y - mean) ** 2).mean(axis=0)
+
+    def log_q(rows, i):  # log q(y_j | x_i) for every j in rows
+        return -0.5 * (((y[rows] - mean[i]) ** 2 / var) + np.log(2 * math.pi * var)).sum(axis=-1)
+
+    matched = sum(float(log_q([i], i)[0]) for i in range(n)) / n
+    every_pair = sum(math.fsum(log_q(slice(None), i)) for i in range(n)) / (n * n)
+    return matched - every_pair
+
+
+class TestClubOracle:
+    @pytest.mark.parametrize("seed, rho", [(1, 0.6), (2, 0.9), (3, 0.3)])
+    def test_matches_the_double_sum(self, seed, rho):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=200)
+        y = rho * x + math.sqrt(1 - rho**2) * rng.normal(size=200) + 3.0
+        assert club_mi(x, y) == pytest.approx(club_brute_force(x, y), rel=1e-9)
+
+    def test_matches_the_double_sum_multivariate(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(240, 3))
+        y = x @ rng.normal(size=(3, 2)) + rng.normal(size=(240, 2)) - 5.0
+        assert club_mi(x, y) == pytest.approx(club_brute_force(x, y), rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-160, 1e-200, 1e-310])
+    @pytest.mark.parametrize("which", ["x", "y", "both"])
+    def test_scale_outside_the_float_range(self, scale, which):
+        # the bound does not depend on the scale of x or y; scaled by a power
+        # of two into range, neither input's squares overflow or underflow
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=400)
+        y = 0.6 * x + 0.8 * rng.normal(size=400)
+        sx, sy = (scale if which in ("x", "both") else 1.0), (scale if which != "x" else 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = club_mi(x * sx, y * sy)
+        assert got == pytest.approx(club_brute_force(x, y), rel=1e-9)

@@ -1142,6 +1142,20 @@ class TestAuxCommands:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_club_outside_the_float_range(self, capsys, tmp_path, recwarn, scale):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=400)
+        data = tmp_path / "xy.csv"
+        write_csv(data, np.column_stack([x, 0.6 * x + 0.8 * rng.normal(size=400)]) * scale)
+        code, out, err = invoke(capsys, "aux", "club", "--input", str(data))
+        if code == 0:
+            assert math.isfinite(float(out.split("club_mi=")[1])) and err == ""
+        else:
+            assert code == 1 and out == "" and len(err.splitlines()) == 1
+            assert err.startswith("error:")
+        assert len(recwarn) == 0
+
 
 class TestThreadCountDeterminism:
     """``codec fit`` and ``codec encode`` write the same bytes at any BLAS thread count."""
@@ -1166,6 +1180,73 @@ class TestThreadCountDeterminism:
                 assert done.returncode == 0, done.stderr
             digests.add(tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (codec, tokens)))
         assert len(digests) == 1
+
+
+def avx512_dispatch_targets() -> list[str]:
+    """NumPy's AVX-512 dispatch targets that this host runs, by name."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return []
+    return [f for f in __cpu_dispatch__
+            if (f == "X86_V4" or f.startswith("AVX512")) and __cpu_features__.get(f)]
+
+
+# Runs the golden diffuse and codec commands in one process and prints their
+# digests and the state of the AVX-512 targets as JSON.
+DISPATCH_SCRIPT = """
+import contextlib, io, json, sys, tempfile, types
+from pathlib import Path
+from numpy._core._multiarray_umath import __cpu_features__
+import test_cli
+
+class Captured:
+    def __init__(self):
+        self.out, self.err = io.StringIO(), io.StringIO()
+
+    def readouterr(self):
+        out, err = self.out.getvalue(), self.err.getvalue()
+        for stream in (self.out, self.err):
+            stream.seek(0)
+            stream.truncate()
+        return types.SimpleNamespace(out=out, err=err)
+
+runs = [(test_cli.golden_run, kind) for kind in test_cli.GOLDEN]
+runs += [(test_cli.golden_codec_run, kind) for kind in test_cli.GOLDEN_CODEC]
+captured, digests = Captured(), {}
+with contextlib.redirect_stdout(captured.out), contextlib.redirect_stderr(captured.err):
+    for golden, kind in runs:
+        with tempfile.TemporaryDirectory() as tmp:
+            digests[kind] = golden(Path(tmp), captured, kind)
+features = {f: bool(__cpu_features__.get(f)) for f in sys.argv[1:]}
+print(json.dumps({"digests": digests, "features": features}))
+"""
+
+
+class TestCpuDispatch:
+    """What README's Determinism section says holds across NumPy's CPU dispatch."""
+
+    def test_golden_outputs_without_avx512_kernels(self, tmp_path):
+        targets = avx512_dispatch_targets()
+        if not targets:
+            pytest.skip("this host runs none of NumPy's AVX-512 kernels")
+        src = str(Path(vqdiff.__file__).resolve().parents[1])
+        tests = str(Path(__file__).resolve().parent)
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets),
+               "PYTHONPATH": os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", DISPATCH_SCRIPT, *targets], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert not any(result["features"].values())  # the kernels really were off
+        digests = result["digests"]
+        for kind, golden in GOLDEN.items():
+            # the trained weights may take other last bits from exp, log and
+            # log1p; the printed losses, sampled tokens and VLB may not
+            assert digests[kind].keys() == golden.keys()
+            assert {k for k in golden if digests[kind][k] != golden[k]} <= {"train.out"}
+        for kind, golden in GOLDEN_CODEC.items():
+            assert digests[kind] == golden
 
 
 class TestSelftest:

@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -1340,6 +1342,41 @@ class TestEasyFirst:
         assert loaded.weights.tobytes() == den.weights.tobytes()
 
 
+class TestConditionLabels:
+    """A label that is not an integer is refused, never truncated to one."""
+
+    @pytest.fixture()
+    def den(self):
+        den = TabularDenoiser(3, (1, 2), 2, [0, 1])
+        den.weights[1, :, :, :, :, 0] = 4.0  # label 0 favours token 0
+        den.weights[2, :, :, :, :, 2] = 4.0  # label 1 favours token 2
+        return den
+
+    @pytest.mark.parametrize("label", [1.7, 0.9, 1.0, np.float64(1.0), float("nan"), True,
+                                       np.bool_(False), "1"], ids=repr)
+    def test_non_integer_label_is_refused_by_name(self, den, label):
+        with pytest.raises(ValueError, match=re.escape(f"condition label {label!r} is not an")):
+            den._cond_row(label)
+        with pytest.raises(ValueError, match="is not an integer"):
+            sample(den, label, linear_schedule(2, 3), rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="is not an integer"):
+            TabularDenoiser(3, (1, 2), 2, [0, label])
+
+    @pytest.mark.parametrize("label", [1, np.int64(1), np.uint8(1)], ids=repr)
+    def test_integer_labels_are_taken(self, den, label):
+        assert den._cond_row(label) == 2
+        got = sample(den, label, linear_schedule(2, 3), rng=np.random.default_rng(0))
+        np.testing.assert_array_equal(
+            got.data, sample(den, 1, linear_schedule(2, 3), rng=np.random.default_rng(0)).data)
+        assert TabularDenoiser(3, (1, 2), 2, [0, label]).cond_labels == [0, 1]
+
+    def test_float_labels_in_a_dataset_are_refused(self):
+        dataset = [(grid1([0, 1], 3), 0), (grid1([1, 2], 3), 1.5)]
+        with pytest.raises(ValueError, match="condition label 1.5 is not an integer"):
+            train_denoiser(dataset, linear_schedule(2, 3), TrainConfig(epochs=1),
+                           np.random.default_rng(0))
+
+
 def test_denoisers_keep_layout_attribute_for_benchmark(tmp_path):
     # perfbench/harness.py reads .layout; nothing in vqdiff does
     path = tmp_path / "den.json"
@@ -1347,3 +1384,54 @@ def test_denoisers_keep_layout_attribute_for_benchmark(tmp_path):
     grid = TokenGrid(data=np.array([[0, 1]]), K=3)
     oracle = bayes_oracle_denoiser([grid], [1.0], linear_schedule(4, 3))
     assert load_denoiser(path).layout == oracle.layout == "concatenated"
+
+
+# sha256 of a short training run, its sampled chains and its VLB values at the
+# benchmark's shape (K=16, 4x32, T=20), recorded before the guided reverse step
+# was made cheaper.  At K >= 8 NumPy sums the K axis pairwise, so this shape
+# catches a change of summation order that the K=4 CLI golden run cannot.
+# Like the CLI's train.out digests they hold per CPU dispatch: without NumPy's
+# AVX-512 kernels the weights, and the VLB bits computed from them, differ.
+PIPELINE_GOLDEN = {
+    "improved": {
+        "weights": "5eb0c8038d460aae294b18b5544dd9d2fa19117a9e2451b0d4ec5f2bffc56457",
+        "guided-log": "f0c3e41712b0addf710fdb6725ea97ac7117c2aa350631f2afca975fe45111bc",
+        "guided-prob": "f1151ec22b13c3c799cfce079a450c38944732dd1ba5d0c85752d6e0a579a3ce",
+        "unguided": "e285ae2de2537b26b0837d442c3c57e536a0b89181a7fc14e1d0af39083c9028",
+        "vlb": "a03c6425276b8731f26ed2070284f2d25bf562f0764cc9e244fe73706d1035aa",
+    },
+    "linear": {
+        "weights": "6cc076bf7c6ed002aa47174b56f98f4c581aceeda7013fa919aaf535cc2bd6bf",
+        "guided-log": "17ff7a52574d348178ddddda9fd7958f9b49b57053ca788cd73451aa3287ef02",
+        "guided-prob": "c9424d44f9d44b859a418441ecdc1035653e458225ca97f7d2f5fe76c21dbfad",
+        "unguided": "dbe393b709e4273d2c84f7958b8bb7a3f01d004baca5d84ed7d12bc4cbcced26",
+        "vlb": "4c830ed4b07ac3648be93675ae463a0217922e7b93e7396b666b22ef005dd814",
+    },
+}
+
+PIPELINE_CHAINS = {  # (cond, guidance scale, mode, stride)
+    "guided-log": (1, 0.5, "log", 1),
+    "guided-prob": (0, 1.5, "prob", 3),
+    "unguided": (None, 0.0, "log", 1),
+}
+
+
+def pipeline_golden_run(kind):
+    K, N_q, L, T = 16, 4, 32, 20
+    table = improved_schedule(T, K, N_q) if kind == "improved" else linear_schedule(T, K)
+    dataset = training_dataset(31, 32, K, (N_q, L), True)
+    den, _ = train_denoiser(dataset, table, TrainConfig(epochs=2), np.random.default_rng(32))
+    digests = {"weights": hashlib.sha256(den.weights.tobytes()).hexdigest()}
+    for name, (cond, lam, mode, stride) in PIPELINE_CHAINS.items():
+        chains = [sample(den, cond, table, stride=stride, rng=np.random.default_rng([33, i]),
+                         guidance_scale=lam, guidance_mode=mode).data for i in range(8)]
+        digests[name] = hashlib.sha256(np.stack(chains).tobytes()).hexdigest()
+    rng = np.random.default_rng(34)
+    vlbs = [vlb_loss(den, g, c, table, rng, num_t_samples=4) for g, c in dataset[:6]]
+    digests["vlb"] = hashlib.sha256(np.array(vlbs).tobytes()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("kind", ["improved", "linear"])
+def test_pipeline_shape_matches_recorded_digests(kind):
+    assert pipeline_golden_run(kind) == PIPELINE_GOLDEN[kind]

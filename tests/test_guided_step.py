@@ -252,6 +252,55 @@ def test_validated_predict_rejects_what_the_reference_rejects(bad, message):
             check(den, x, 1, None)
 
 
+class PairDenoiser(Denoiser):
+    """Returns one fixed array for a label and another for the null label."""
+
+    def __init__(self, cond_probs, null_probs):
+        self.probs = {0: cond_probs, None: null_probs}
+        self.K = cond_probs.shape[-1]
+        self.grid_shape = cond_probs.shape[:2]
+
+    def predict(self, x_t, t, cond=None):
+        return self.probs[cond]
+
+
+@pytest.mark.parametrize("cond_name", sorted(predict_inputs()))
+@pytest.mark.parametrize("null_name", ["positive", "signed-zeros", "transposed-view"])
+def test_validated_pair_matches_each_prediction_checked_alone(cond_name, null_name):
+    # the guided pair is checked and renormalised in one pass over a stack;
+    # each half keeps the bits it gets when checked alone
+    inputs = predict_inputs()
+    den = PairDenoiser(inputs[cond_name], inputs[null_name])
+    x = TokenGrid(np.zeros((2, 3), dtype=np.int64), K=5)
+    got = _validated_predict(den, x, 1, 0, None)
+    expected = np.stack([validated_predict_reference(den, x, 1, cond) for cond in (0, None)])
+    assert same_bits(got, expected)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, "non-finite"), (np.inf, "non-finite"), (-1e-6, "negative"), (0.5, "sum to 1"),
+])
+@pytest.mark.parametrize("bad_half", ["cond", "null"])
+def test_validated_pair_rejects_either_bad_half(bad, message, bad_half):
+    good = np.full((1, 2, 4), 0.25)
+    wrong = good.copy()
+    wrong[0, 1, 2] = bad
+    den = PairDenoiser(*((wrong, good) if bad_half == "cond" else (good, wrong)))
+    x = TokenGrid(np.zeros((1, 2), dtype=np.int64), K=4)
+    with pytest.raises(ContractError, match=message):
+        _validated_predict(den, x, 1, 0, None)
+
+
+@pytest.mark.parametrize("bad_half", ["cond", "null"])
+def test_validated_pair_rejects_either_bad_shape(bad_half):
+    good = np.full((1, 2, 4), 0.25)
+    wrong = np.full((2, 1, 4), 0.25)
+    den = PairDenoiser(*((wrong, good) if bad_half == "cond" else (good, wrong)))
+    x = TokenGrid(np.zeros((1, 2), dtype=np.int64), K=4)
+    with pytest.raises(ContractError, match=r"shape \(2, 1, 4\), expected \(1, 2, 4\)"):
+        _validated_predict(den, x, 1, 0, None)
+
+
 def combine_inputs():
     rng = np.random.default_rng(29)
     p_c = rng.dirichlet(np.ones(5), size=(3, 4))
