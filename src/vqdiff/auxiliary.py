@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 from scipy.special import logsumexp
 
-CLUB_VARIANCE_FLOOR = 1e-8
+CLUB_VARIANCE_FLOOR = 1e-8  # relative to the variance of each y column
 
 # club_mi does not depend on the scale of x or of y, so an input whose largest
 # magnitude lies outside this range is scaled into [0.5, 1) by a power of two:
@@ -110,11 +110,13 @@ def club_mi(x, y) -> float:
     Fits a linear-Gaussian variational conditional q(y|x) (least-squares
     mean, diagonal residual covariance) and returns
     E[log q(y_i|x_i)] - (1/n^2) sum_ij log q(y_j|x_i).  Exact for
-    jointly Gaussian data; an approximation otherwise.  Zero residual
-    variances are floored at 1e-8 with a warning, so perfectly dependent
-    inputs give a large finite value.  An input whose largest magnitude
-    lies outside [2^-128, 2^128] is scaled into [0.5, 1) by an exact power
-    of two, which leaves the bound unchanged up to rounding.
+    jointly Gaussian data; an approximation otherwise.  A residual variance
+    below 1e-8 times the variance of its y column is floored there with a
+    warning, so perfectly dependent inputs give a large finite value.  A
+    constant y column carries no information and adds 0 (all constant: 0.0).
+    An input whose largest magnitude lies outside [2^-128, 2^128] is scaled
+    into [0.5, 1) by an exact power of two, which leaves the bound unchanged
+    up to rounding.
     """
     xm = np.asarray(x, dtype=float)
     ym = np.asarray(y, dtype=float)
@@ -134,6 +136,9 @@ def club_mi(x, y) -> float:
             f"need at least {10 * (dim_x + 1)} samples to fit q(y|x) with "
             f"dim_x={dim_x}, got {n}"
         )
+    ym = ym[:, (ym != ym[0]).any(axis=0)]
+    if ym.shape[1] == 0:
+        return 0.0
 
     # centring keeps the fit and the cross term from cancelling on offset data;
     # scaling before it centres subnormal input off the subnormal grid, and
@@ -146,15 +151,16 @@ def club_mi(x, y) -> float:
     mu = design @ coef
     resid = ym - mu
     var = (resid**2).mean(axis=0)
-    if np.any(var < CLUB_VARIANCE_FLOOR):
+    floor = CLUB_VARIANCE_FLOOR * (ym**2).mean(axis=0)  # ym is centred
+    if np.any(var < floor):
         warnings.warn(
             "zero (or near-zero) residual variance in q(y|x); flooring at "
-            f"{CLUB_VARIANCE_FLOOR} — the estimate is a large finite "
-            "stand-in for a divergent bound",
+            f"{CLUB_VARIANCE_FLOOR} times the variance of y — the estimate is "
+            "a large finite stand-in for a divergent bound",
             RuntimeWarning,
             stacklevel=2,
         )
-        var = np.maximum(var, CLUB_VARIANCE_FLOOR)
+        var = np.maximum(var, floor)
 
     # log-variance terms are shared by both expectations and cancel
     positive = -0.5 * (resid**2 / var).sum(axis=1).mean()

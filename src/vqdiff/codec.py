@@ -383,6 +383,9 @@ def fit_codebooks(features, config: FitConfig) -> CodecModel:
     if X.shape[1] % G != 0:
         raise ValueError(f"feature dim {X.shape[1]} not divisible by G={G}")
     dp = X.shape[1] // G
+    if config.Kp > len(X):  # refused before any (Kp, dp) codebook is allocated
+        distinct, Kp = len(np.unique(X, axis=0)), config.Kp
+        raise FittingError(f"need at least {Kp} distinct frames to fit {Kp} codes, got {distinct}")
     rng = np.random.default_rng(config.seed)
 
     group_books: list[list] = [[] for _ in range(G)]

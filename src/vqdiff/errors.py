@@ -26,4 +26,4 @@ class FittingError(VqdiffError):
 
 
 class SizeGuardError(VqdiffError):
-    """A brute-force oracle was invoked beyond its intended problem size."""
+    """A brute-force oracle, a table or a schedule was asked for beyond its intended size."""

@@ -26,13 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ScheduleError
+from .errors import ScheduleError, SizeGuardError
 from .tokens import _field, _integer, _load_object, atomic_write_text
 
 SIMPLEX_ATOL = 1e-12
 
 _ARRAYS = ("alpha_bar", "beta_bar", "gamma_bar")
 _KINDS = ("linear", "improved", "custom")
+_MAX_SCHEDULE_BYTES = 2**28  # float64 cumulative arrays of one constructed schedule
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -55,6 +56,17 @@ def _check_shapes(T: int, arrays: dict) -> None:
     for name, a in arrays.items():
         if a.shape != shape:
             raise ScheduleError(f"{name} must have the shape of alpha_bar, {shape}")
+
+
+def _check_args(T: int, K: int, N_q: int = 1) -> None:
+    """T, K and N_q of a schedule to construct, and the size of its arrays, before allocating."""
+    for name, value, low in (("T", T, 1), ("K", K, 2), ("N_q", N_q, 1)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+    n_bytes = 3 * 8 * (T + 1) * N_q
+    if n_bytes > _MAX_SCHEDULE_BYTES:
+        raise SizeGuardError(f"a schedule with T={T} and N_q={N_q} needs {n_bytes} bytes of "
+                             f"cumulative arrays, above the {_MAX_SCHEDULE_BYTES}-byte limit")
 
 
 def _pick(arrays, t: int, layer: int) -> tuple:
@@ -198,10 +210,7 @@ def linear_schedule(T: int, K: int) -> ScheduleTable:
     K*beta_bar = 0.1*t/T and alpha_bar = 1 - t/T, so the process ends in
     the fixed distribution (0.1/K, ..., 0.1/K, 0.9).
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    if K < 2:
-        raise ValueError(f"K must be >= 2, got {K}")
+    _check_args(T, K)
     frac = np.arange(T + 1) / T
     alpha_bar = 1.0 - frac
     gamma_bar = 0.9 * frac
@@ -225,12 +234,7 @@ def improved_schedule(T: int, K: int, N_q: int, *, L: int = 1) -> ScheduleTable:
     small amount of mask mass already; forward corruption at t=0 is
     defined as the identity regardless (see ``diffusion.corrupt``).
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    if K < 2:
-        raise ValueError(f"K must be >= 2, got {K}")
-    if N_q < 1:
-        raise ValueError(f"N_q must be >= 1, got {N_q}")
+    _check_args(T, K, N_q)
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
 
@@ -282,6 +286,7 @@ def random_schedule(rng: np.random.Generator, T: int, K: int) -> ScheduleTable:
     Draws alpha ~ U[0.5, 1) for all T steps, then the split of the rest
     between mask and uniform mass; the oracle checks use it.
     """
+    _check_args(T, K)
     alpha = rng.uniform(0.5, 1.0, size=T)
     rest = 1.0 - alpha
     split = rng.uniform(0.0, 1.0, size=T)

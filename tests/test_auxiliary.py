@@ -207,6 +207,30 @@ class TestClubMi:
         shifted = club_mi(x * [1.0, -2.0, 1e3] + 1e8, y * [3.0, 1e-3] - 1e7)
         assert shifted == pytest.approx(club_mi(x, y), rel=1e-6)
 
+    def test_small_spread_is_not_floored(self):
+        # the variance floor is relative to each y column's own variance, so a
+        # small in-range spread is fitted, not floored, and scaling y changes
+        # the bound by rounding only: not at all for a power of two
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=4000)
+        y = 0.6 * x + 0.8 * rng.normal(size=4000)
+        base = club_mi(x, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert club_mi(x, 2.0**-20 * y) == pytest.approx(base, rel=1e-12)
+            assert club_mi(x, 1e-6 * y) == pytest.approx(base, rel=1e-9)
+
+    def test_constant_y_column_adds_nothing(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=400)
+        y = 0.6 * x + 0.8 * rng.normal(size=400)
+        constant = np.full(400, 7.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert club_mi(x, np.column_stack([constant, y])) == club_mi(x, y)
+            assert club_mi(x, constant) == 0.0
+            assert club_mi(1e8 + 0.0 * x, constant) == 0.0
+
     def test_perfect_dependence_large_finite(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=500)

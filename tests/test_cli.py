@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -120,6 +121,30 @@ class TestExitCodesAndErrors:
         code, stdout, err = invoke(capsys, "codec", *argv, *files[argv[0]])
         assert code == 1
         assert err == f"error: {message}\n" and stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (["schedule", "inspect", "--T", "1000000000000", "--K", "4"],
+         "T=1000000000000 and N_q=1"),
+        (["schedule", "inspect", "--kind", "improved", "--T", "4", "--K", "4",
+          "--n-q", "1000000000000"], "T=4 and N_q=1000000000000"),
+        (["transitions", "check", "--T", "1000000000000", "--K", "4"],
+         "T=1000000000000 and N_q=1"),
+    ], ids=["linear", "improved", "transitions"])
+    def test_huge_schedule_is_refused_before_allocating(self, capsys, argv, named):
+        code, stdout, err = invoke(capsys, *argv)
+        assert code == 1 and stdout == ""
+        assert err.startswith(f"error: a schedule with {named} needs ")
+        assert len(err.splitlines()) == 1
+
+    def test_more_codes_than_frames_is_refused_before_allocating(self, capsys, tmp_path):
+        feats, out = tmp_path / "feats.csv", tmp_path / "never.json"
+        write_csv(feats, np.random.default_rng(3).normal(size=(50, 4)))
+        code, stdout, err = invoke(capsys, "codec", "fit", "--features", str(feats),
+                                   "--kind", "VQ", "--Kp", "1000000000000", "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err == ("error: need at least 1000000000000 distinct frames to fit "
+                       "1000000000000 codes, got 50\n")
         assert not out.exists()
 
     def test_domain_error_is_exit_one(self, capsys, tmp_path):
@@ -1157,6 +1182,71 @@ class TestAuxCommands:
         assert len(recwarn) == 0
 
 
+def probe_commands(tmp_path, offset, scale):
+    """Every CSV-reading command, on inputs shifted by ``offset`` after scaling by ``scale``."""
+    rng = np.random.default_rng(31)
+    ref = rng.normal(size=(40, 8))
+    x = rng.normal(size=400)
+    centers = rng.normal(size=(4, 2)) * 6.0
+    inputs = {
+        "ref": ref,
+        "syn": ref + 0.3 * rng.normal(size=ref.shape),
+        "sim": rng.normal(size=(6, 6)) + 3.0 * np.eye(6),
+        "xy": np.column_stack([x, 0.6 * x + 0.8 * rng.normal(size=400)]),
+        "feats": np.repeat(centers, 25, axis=0) + 0.05 * rng.normal(size=(100, 2)),
+    }
+    path = {name: str(tmp_path / f"{name}.csv") for name in inputs}
+    for name, matrix in inputs.items():
+        write_csv(Path(path[name]), offset + scale * matrix)
+    # report and encode read a codec fitted on the unmoved features, so they
+    # run at every scale, whether or not ``codec fit`` can fit the moved ones
+    unit_codec = str(tmp_path / "unit-codec.json")
+    vqdiff.save_codec(unit_codec, vqdiff.fit_codebooks(
+        inputs["feats"], vqdiff.FitConfig(kind="RVQ", Kp=4, R=2, iters=5)))
+    pair = ["--ref", path["ref"], "--syn", path["syn"]]
+    return {
+        "metrics mcd": ["metrics", "mcd", *pair],
+        "metrics ssim": ["metrics", "ssim", *pair, "--window", "3"],
+        "aux infonce": ["aux", "infonce", "--input", path["sim"]],
+        "aux rank-loss": ["aux", "rank-loss", "--input", path["sim"]],
+        "aux recall": ["aux", "recall", "--input", path["sim"]],
+        "aux club": ["aux", "club", "--input", path["xy"]],
+        "codec fit": ["codec", "fit", "--features", path["feats"], "--kind", "RVQ", "--Kp", "4",
+                      "--R", "2", "--iters", "5", "--out", str(tmp_path / "codec.json")],
+        "codec report": ["codec", "report", "--features", path["feats"], "--codec", unit_codec],
+        "codec encode": ["codec", "encode", "--features", path["feats"], "--codec", unit_codec,
+                         "--out", str(tmp_path / "tokens.json")],
+    }
+
+
+def printed_numbers(out: str) -> list[float]:
+    """The ``name=value`` numbers of a command's output, and codec fit's final inertias."""
+    found = re.findall(r"=(\S+)", out)
+    for line in out.splitlines():
+        if line.startswith("final inertia per book: "):
+            found += line.split(": ")[1].split(", ")
+    return [float(v) for v in found]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 1e200, 1e-200])
+@pytest.mark.parametrize("offset", [0.0, 1e8])
+def test_numeric_range_probe(capsys, tmp_path, recwarn, offset, scale):
+    # each command prints finite numbers or refuses with one error line, and
+    # warns of nothing, wherever its input lies in the float range
+    for name, argv in probe_commands(tmp_path, offset, scale).items():
+        code, out, err = invoke(capsys, *argv)
+        if code == 0:
+            numbers = printed_numbers(out)
+            assert numbers and all(map(math.isfinite, numbers)) and err == "", name
+        else:
+            assert code == 1 and out == "" and len(err.splitlines()) == 1, name
+            assert err.startswith("error: "), name
+        if name == "aux club" and offset + scale * 8.0 == offset:
+            # the shift rounds every value away: constant y carries no information
+            assert out == "club_mi=0.0\n"
+    assert len(recwarn) == 0
+
+
 class TestThreadCountDeterminism:
     """``codec fit`` and ``codec encode`` write the same bytes at any BLAS thread count."""
 
@@ -1193,12 +1283,24 @@ def avx512_dispatch_targets() -> list[str]:
 
 
 # Runs the golden diffuse and codec commands in one process and prints their
-# digests and the state of the AVX-512 targets as JSON.
+# digests, the state of the named NumPy dispatch targets and the kernel that
+# NumPy's bundled OpenBLAS runs (null where it cannot be read) as JSON.
 DISPATCH_SCRIPT = """
-import contextlib, io, json, sys, tempfile, types
+import contextlib, ctypes, io, json, sys, tempfile, types
 from pathlib import Path
+import numpy
 from numpy._core._multiarray_umath import __cpu_features__
 import test_cli
+
+def openblas_corename():
+    for lib in sorted((Path(numpy.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            get = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_char_p
+        return get().decode()
+    return None
 
 class Captured:
     def __init__(self):
@@ -1219,25 +1321,32 @@ with contextlib.redirect_stdout(captured.out), contextlib.redirect_stderr(captur
         with tempfile.TemporaryDirectory() as tmp:
             digests[kind] = golden(Path(tmp), captured, kind)
 features = {f: bool(__cpu_features__.get(f)) for f in sys.argv[1:]}
-print(json.dumps({"digests": digests, "features": features}))
+print(json.dumps({"digests": digests, "features": features, "corename": openblas_corename()}))
 """
 
 
+def golden_in_subprocess(tmp_path, env, targets=()):
+    """DISPATCH_SCRIPT's JSON, run with ``env`` added to this process's environment."""
+    src = str(Path(vqdiff.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", DISPATCH_SCRIPT, *targets], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 class TestCpuDispatch:
-    """What README's Determinism section says holds across NumPy's CPU dispatch."""
+    """What README's Determinism section says holds across NumPy's CPU dispatch
+    and OpenBLAS's kernels."""
 
     def test_golden_outputs_without_avx512_kernels(self, tmp_path):
         targets = avx512_dispatch_targets()
         if not targets:
             pytest.skip("this host runs none of NumPy's AVX-512 kernels")
-        src = str(Path(vqdiff.__file__).resolve().parents[1])
-        tests = str(Path(__file__).resolve().parent)
-        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets),
-               "PYTHONPATH": os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-c", DISPATCH_SCRIPT, *targets], env=env,
-                              cwd=tmp_path, capture_output=True, text=True, timeout=600)
-        assert done.returncode == 0, done.stderr
-        result = json.loads(done.stdout.splitlines()[-1])
+        result = golden_in_subprocess(tmp_path, {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)},
+                                      targets)
         assert not any(result["features"].values())  # the kernels really were off
         digests = result["digests"]
         for kind, golden in GOLDEN.items():
@@ -1247,6 +1356,18 @@ class TestCpuDispatch:
             assert {k for k in golden if digests[kind][k] != golden[k]} <= {"train.out"}
         for kind, golden in GOLDEN_CODEC.items():
             assert digests[kind] == golden
+
+    def test_golden_outputs_under_the_haswell_blas_kernel(self, tmp_path):
+        from numpy._core._multiarray_umath import __cpu_features__
+
+        if not (__cpu_features__.get("AVX2") and __cpu_features__.get("FMA3")):
+            pytest.skip("this host cannot run OpenBLAS's Haswell kernel")
+        result = golden_in_subprocess(tmp_path, {"OPENBLAS_CORETYPE": "Haswell"})
+        if result["corename"] is None:
+            pytest.skip("NumPy's bundled OpenBLAS does not report its kernel")
+        assert result["corename"] == "Haswell"  # the switch took effect
+        # the trained weights and the codec files alike keep every digest
+        assert result["digests"] == {**GOLDEN, **GOLDEN_CODEC}
 
 
 class TestSelftest:

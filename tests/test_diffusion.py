@@ -325,7 +325,7 @@ class TestTrainingGradient:
                 except InconsistencyError:
                     continue  # x_t impossible from x0 at this step
                 w = rng.normal(size=(1, 2, K))
-                loss, g_w = _kl_step(x_t, x0, softmax(w), table, t)
+                (loss,), g_w = _kl_step(x_t, x0, softmax(w), table, t)
                 assert loss == pytest.approx(dense_step_kl(table, t, x_t, x0, w) / 2, rel=1e-12)
                 fd = np.zeros_like(w)
                 for idx in np.ndindex(w.shape):
@@ -731,7 +731,7 @@ class TestVlbLoss:
                 if qxt[x_t] == 0:
                     continue
                 g = grid1([x_t], 3)
-                p0 = _validated_predict(den, g, t, None)
+                p0 = _validated_predict(den, g, t, None)[0]
                 model = step_dists(g, t, p0, table, t - 1)[0, 0]
                 post = mixture_oracle(table, x_t, t, t - 1, [0, 1, 0])
                 s = post > 0
@@ -805,7 +805,7 @@ def vlb_reference(denoiser, x0, cond, table, rng, num_t_samples):
     for _ in range(num_t_samples):
         t = int(rng.integers(1, table.T + 1))
         x_t = corrupt(x0, t, table, rng)
-        p0 = _validated_predict(denoiser, x_t, t, cond)
+        p0 = _validated_predict(denoiser, x_t, t, cond)[0]
         kernel = _StepKernel(x_t.data, table, t, t - 1)
         kl = kl_grids_reference(kernel.mix(onehot_reference(x0.data, x0.K)), kernel.mix(p0))
         if kl == float("inf"):
@@ -839,8 +839,8 @@ class TestOneStepKl:
             assert got == vlb_reference(den, x0, None, table, np.random.default_rng(step), 1)
             t = int(rng.integers(1, table.T + 1))
             x_t = corrupt(x0, t, table, rng).data
-            p = den._probs_for(x_t, t, None)
-            loss, _ = _kl_step(x_t, x0.data, p, table, t)
+            p = den.predict(x0.with_data(x_t), t, None)
+            (loss,), _ = _kl_step(x_t, x0.data, p, table, t)
             assert loss == kl_step_loss_reference(x_t, x0.data, p, table, t)
         got = vlb_loss(den, x0, None, table, np.random.default_rng(99), num_t_samples=8)
         assert got == vlb_reference(den, x0, None, table, np.random.default_rng(99), 8)
@@ -995,8 +995,8 @@ def train_denoiser_reference(dataset, table, config, rng):
                 cond = None
             t = int(rng.integers(1, table.T + 1))
             x_t = corrupt(grid, t, table, rng)
-            p = den._probs_for(x_t.data, t, cond)
-            loss, g_w = _kl_step(x_t.data, grid.data, p, table, t)
+            p = den.predict(x_t, t, cond)
+            (loss,), g_w = _kl_step(x_t.data, grid.data, p, table, t)
             epoch_losses.append(loss)
             den.weights[den._cond_row(cond), t, rows, cols, x_t.data] -= config.lr * g_w
         trace.append(float(np.mean(epoch_losses)))
@@ -1066,7 +1066,7 @@ class TestBlockedTraining:
         assert loss.shape == (B,)
         for i in range(B):
             rows = slice(i * N_q, (i + 1) * N_q)
-            one_loss, one_g = _kl_step(data[rows], x0[rows], p[rows], table, int(t[i]))
+            (one_loss,), one_g = _kl_step(data[rows], x0[rows], p[rows], table, int(t[i]))
             assert loss[i] == one_loss
             assert g[rows].tobytes() == one_g.tobytes()
 

@@ -24,6 +24,7 @@ from vqdiff import (
 )
 from vqdiff.diffusion import (
     _coeff_rows,
+    _kernel_rows,
     _logsumexp,
     _prior_kl,
     _sample_categorical,
@@ -88,6 +89,17 @@ def coeff_rows_reference(table, n_rows, segment=None):
     return [np.broadcast_to(c, (n_rows,)) for c in coeffs]
 
 
+def kernel_rows_reference(table, n_rows, s, t):
+    ab_t, bb_t, gb_t, ab_s, bb_s, gb_s, a_seg, b_seg, g_seg = coeff_rows_reference(
+        table, n_rows, (s, t))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keep, mask_prob = g_seg / gb_t, gb_s / gb_t
+    one = np.ones(n_rows)
+    rows = np.array([keep * bb_s, keep * ab_s, one, one, bb_s, ab_s, b_seg, bb_t,
+                     bb_t + ab_t, a_seg, mask_prob])
+    return rows, np.flatnonzero(gb_t == 0.0)
+
+
 def same_rows(got, expected) -> bool:
     return len(got) == len(expected) and all(map(same_bits, got, expected))
 
@@ -95,7 +107,7 @@ def same_rows(got, expected) -> bool:
 def sample_reference(denoiser, cond, table, stride, rng, lam, mode):
     N_q, L = denoiser.grid_shape
     K = denoiser.K
-    init = _stationary_rows(table, N_q, K)
+    init = _stationary_rows(table, N_q)
     x = TokenGrid(_sample_categorical(np.repeat(init[:, None, :], L, axis=1), rng), K)
     last_p0 = None
     for t in range(table.T, 0, -stride):
@@ -117,7 +129,7 @@ def prior_kl_reference(x0, table):
     K = x0.K
     ab, bb, gb = (np.broadcast_to(a[table.T], (x0.N_q,))
                   for a in (table.alpha_bar, table.beta_bar, table.gamma_bar))
-    prior_rows = _stationary_rows(table, x0.N_q, K)
+    prior_rows = _stationary_rows(table, x0.N_q)
     prior = 0.0
     for r in range(x0.N_q):
         for token in x0.data[r]:
@@ -228,7 +240,7 @@ def test_validated_predict_matches_reference(name):
     den = ArrayDenoiser(probs)
     x = TokenGrid(np.zeros(probs.shape[:2], dtype=np.int64), K=probs.shape[-1])
     got = _validated_predict(den, x, 1, None)
-    assert same_bits(got, validated_predict_reference(den, x, 1, None))
+    assert same_bits(got, validated_predict_reference(den, x, 1, None)[None])
     assert not np.signbit(got).any()
 
 
@@ -362,35 +374,41 @@ def kernel_tables():
 @pytest.mark.parametrize("name", sorted(kernel_tables()))
 def test_cached_kernel_rows_equal_fresh_ones_and_are_read_only(name):
     table = kernel_tables()[name]
-    segments = [(t_prev, t) for t in range(1, table.T + 1) for t_prev in range(t)]  # every stride
-    for segment in [None, *segments]:
-        rows = _coeff_rows(table, 3, segment)
-        assert same_rows(rows, coeff_rows_reference(table, 3, segment))
-        assert not any(r.flags.writeable for r in rows)
-        assert _coeff_rows(table, 3, segment) is rows
+    rows = _coeff_rows(table, 3)
+    assert same_rows(rows, coeff_rows_reference(table, 3))
+    assert not any(r.flags.writeable for r in rows)
+    assert _coeff_rows(table, 3) is rows
+    for t in range(1, table.T + 1):
+        for s in range(t):  # every stride
+            kernel = _kernel_rows(table, 3, s, t)
+            assert same_rows(kernel, kernel_rows_reference(table, 3, s, t))
+            assert not any(a.flags.writeable for a in kernel)
+            assert _kernel_rows(table, 3, s, t) is kernel
     with pytest.raises(ValueError):
         rows[0][0] = 0.5
+    with pytest.raises(ValueError):
+        kernel[0][0, 0] = 0.5
 
 
 def test_kernel_rows_kept_per_step_pair_and_row_count():
     table = linear_schedule(9, 4)
-    a, b, c = (_coeff_rows(table, 2, (5, 6)), _coeff_rows(table, 2, (3, 6)),
-               _coeff_rows(table, 3, (5, 6)))
+    a, b, c = (_kernel_rows(table, 2, 5, 6), _kernel_rows(table, 2, 3, 6),
+               _kernel_rows(table, 3, 5, 6))
     assert len({id(a), id(b), id(c)}) == 3
-    assert not np.array_equal(a[5], b[5])  # gamma_bar at the earlier step
-    assert c[0].shape == (3,)
+    assert not np.array_equal(a[0][4], b[0][4])  # beta_bar at the earlier step
+    assert c[0].shape == (11, 3)
     assert _coeff_rows(table, 2)[0].shape == (10, 2)
     assert _coeff_rows(table, 3)[0].shape == (10, 3)
 
 
 def test_kernel_rows_kept_per_table():
     one, two = improved_schedule(9, 4, 3), improved_schedule(9, 4, 3)
-    for segment in (None, (2, 4)):
-        rows_one, rows_two = _coeff_rows(one, 3, segment), _coeff_rows(two, 3, segment)
+    for rows_of, args in ((_coeff_rows, (3,)), (_kernel_rows, (3, 2, 4))):
+        rows_one, rows_two = rows_of(one, *args), rows_of(two, *args)
         assert rows_one is not rows_two
         assert same_rows(rows_one, rows_two)
         rebuilt = schedule_from_json_dict(one.to_json_dict())  # an equal table
-        assert _coeff_rows(rebuilt, 3, segment) is not rows_one
+        assert rows_of(rebuilt, *args) is not rows_one
 
 
 def test_kernel_rows_never_reach_a_later_table():
@@ -398,10 +416,10 @@ def test_kernel_rows_never_reach_a_later_table():
     # collected one whose id it reuses
     for seed in range(20):
         table = random_schedule(np.random.default_rng(seed), 5, 3)
-        for segment in (None, (1, 3)):
-            rows = _coeff_rows(table, 2, segment)
-            assert same_rows(rows, coeff_rows_reference(table, 2, segment))
-        del table, rows
+        rows, kernel = _coeff_rows(table, 2), _kernel_rows(table, 2, 1, 3)
+        assert same_rows(rows, coeff_rows_reference(table, 2))
+        assert same_rows(kernel, kernel_rows_reference(table, 2, 1, 3))
+        del table, rows, kernel
 
 
 # --------------------------------------------------------------- VLB prior
