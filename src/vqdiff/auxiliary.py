@@ -14,12 +14,9 @@ import warnings
 import numpy as np
 from scipy.special import logsumexp
 
-CLUB_VARIANCE_FLOOR = 1e-8  # relative to the variance of each y column
+from .metrics import _into_range
 
-# club_mi does not depend on the scale of x or of y, so an input whose largest
-# magnitude lies outside this range is scaled into [0.5, 1) by a power of two:
-# its squares then neither overflow nor underflow
-_CLUB_RANGE = (2.0**-128, 2.0**128)
+CLUB_VARIANCE_FLOOR = 1e-8  # relative to the variance of each y column
 
 
 def _as_similarity(sim) -> np.ndarray:
@@ -94,14 +91,8 @@ def recall_at_k(sim, k: int) -> float:
 
 
 def _in_range(v: np.ndarray) -> np.ndarray:
-    """``v`` times the exact power of two that brings its largest magnitude
-    into [0.5, 1), when that magnitude is positive and outside ``_CLUB_RANGE``;
-    otherwise ``v`` itself."""
-    largest = np.abs(v).max()
-    low, high = _CLUB_RANGE
-    if largest > 0.0 and not low <= largest <= high:
-        return np.ldexp(v, -math.frexp(largest)[1])
-    return v
+    """``v`` scaled into range by ``metrics._into_range``."""
+    return _into_range(v)[1][0]
 
 
 def club_mi(x, y) -> float:
@@ -114,9 +105,8 @@ def club_mi(x, y) -> float:
     below 1e-8 times the variance of its y column is floored there with a
     warning, so perfectly dependent inputs give a large finite value.  A
     constant y column carries no information and adds 0 (all constant: 0.0).
-    An input whose largest magnitude lies outside [2^-128, 2^128] is scaled
-    into [0.5, 1) by an exact power of two, which leaves the bound unchanged
-    up to rounding.
+    x and y are each scaled into range by ``metrics._into_range``, which
+    leaves the bound unchanged up to rounding.
     """
     xm = np.asarray(x, dtype=float)
     ym = np.asarray(y, dtype=float)

@@ -16,12 +16,14 @@ residual chains.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FittingError
+from .metrics import _into_range
 from .tokens import TokenGrid, _field, _integer, _load_object, atomic_write_text
 
 KINDS = ("VQ", "RVQ", "GVQ", "GRVQ")
@@ -38,8 +40,6 @@ _CHUNK = 1 << 17
 # Values formatted per block of `save_features` text: the block's floats,
 # reprs and joined text stay a few MiB however many frames there are.
 _CSV_BLOCK_VALUES = 1 << 16
-
-_TOO_LARGE = "features are too large: the reconstruction error leaves the float range"
 
 
 def _block_rows(width: int) -> int:
@@ -113,21 +113,27 @@ def _as_features(features) -> np.ndarray:
     return X
 
 
+def _unscaled(squares: float, exponent: int) -> float:
+    """A sum of squares of data scaled by 2^exponent, scaled back;
+    ``ValueError`` if that leaves the float range."""
+    try:
+        return math.ldexp(squares, -2 * exponent)
+    except OverflowError:
+        raise ValueError(
+            "features are too large: the reconstruction error leaves the float range"
+        ) from None
+
+
 def _nearest(X: np.ndarray, book: np.ndarray) -> np.ndarray:
     """Index of the closest code per frame; ties go to the lowest index.
-    A squared norm out of the float range raises ``ValueError``."""
+    ``X`` and ``book`` are in the range of ``metrics._into_range``, so no
+    squared norm overflows."""
     out = np.empty(len(X), dtype=np.int64)
-    with np.errstate(over="ignore"):
-        c2 = (book**2).sum(axis=1)
-    if not np.isfinite(c2).all():
-        raise ValueError("codebook is too large: a squared code norm leaves the float range")
+    c2 = (book**2).sum(axis=1)
     rows = _block_rows(len(book))
     for lo in range(0, len(X), rows):
         block = X[lo : lo + rows]
-        with np.errstate(over="ignore"):
-            x2 = (block**2).sum(axis=1)
-        if not np.isfinite(x2).all():
-            raise ValueError(_TOO_LARGE)
+        x2 = (block**2).sum(axis=1)
         # (|x|^2 - 2 x.c) + |c|^2, in this order, in one buffer
         d2 = (2.0 * block) @ book.T
         np.subtract(x2[:, None], d2, out=d2)
@@ -141,6 +147,8 @@ def quantize(features, model: CodecModel, active_books: int | None = None):
 
     The grid has one row per active book.  ``active_books`` truncates the
     residual chain for RVQ/GRVQ; the flat kinds always use every book.
+    Frames and books out of range are scaled by one ``_into_range``, and
+    the reconstruction back.
     """
     X = _as_features(features)
     if X.shape[1] != model.d:
@@ -153,18 +161,19 @@ def quantize(features, model: CodecModel, active_books: int | None = None):
 
     L = X.shape[0]
     dp = model.dp
+    exponent, (X, *books) = _into_range(X, *model.codebooks[:n_active])
     tokens = np.zeros((n_active, L), dtype=np.int64)
     recon = np.zeros_like(X)
     residual = X.copy()
     for b in range(n_active):
         g = b % model.G
         cols = slice(g * dp, (g + 1) * dp)
-        idx = _nearest(residual[:, cols], model.codebooks[b])
+        idx = _nearest(residual[:, cols], books[b])
         tokens[b] = idx
-        picked = model.codebooks[b][idx]
+        picked = books[b][idx]
         recon[:, cols] += picked
         residual[:, cols] -= picked
-    return TokenGrid(data=tokens, K=model.Kp), recon
+    return TokenGrid(data=tokens, K=model.Kp), np.ldexp(recon, -exponent) if exponent else recon
 
 
 def dequantize(tokens: TokenGrid, model: CodecModel) -> np.ndarray:
@@ -252,15 +261,15 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     for j in range(k):
         if j:
             total = d2.sum()
-            if not 0.0 < total < np.inf:
+            if total == 0.0:
                 distinct = len(np.unique(X, axis=0))
                 if distinct < k:
                     raise FittingError(
                         f"need at least {k} distinct frames to fit {k} codes, got {distinct}"
                     )
                 raise FittingError(
-                    f"k-means++ seeding: squared distances sum to {total}, "
-                    "so the features overflow (or underflow) float64 distances"
+                    "k-means++ seeding: squared distances sum to 0.0, so distinct "
+                    "features underflow float64 distances"
                 )
             # Generator.choice's own arithmetic for one weighted draw
             cdf = np.cumsum(d2 / total)
@@ -276,8 +285,7 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
         np.isfinite(lower, out=skip)
         skip &= lower >= d2
         redo = np.flatnonzero(~skip)
-        # d2 = min(d2, |x - c_j|^2) where it can drop, a block of frames at
-        # a time; an overflow to inf is caught by the check on the sum above
+        # d2 = min(d2, |x - c_j|^2) where it can drop, a block of frames at a time
         with np.errstate(over="ignore"):
             for lo in range(0, len(redo), rows):
                 idx = redo[lo : lo + rows]
@@ -371,7 +379,9 @@ def fit_codebooks(features, config: FitConfig) -> CodecModel:
 
     Deterministic under ``config.seed``.  Residual chains are fitted
     sequentially; with ``dropout`` (RVQ only) the chain is trained at a
-    random effective depth per iteration instead.
+    random effective depth per iteration instead.  Frames out of range are
+    fitted scaled by 2^e (``_into_range``); the books are scaled back, and the
+    inertias by 2^-2e, which raises ``ValueError`` if one leaves the float range.
     """
     X = _as_features(features)
     _check_structure(config.kind, config.G, config.R, config.Kp)
@@ -387,20 +397,12 @@ def fit_codebooks(features, config: FitConfig) -> CodecModel:
         distinct, Kp = len(np.unique(X, axis=0)), config.Kp
         raise FittingError(f"need at least {Kp} distinct frames to fit {Kp} codes, got {distinct}")
     rng = np.random.default_rng(config.seed)
-
-    group_books: list[list] = [[] for _ in range(G)]
-    group_traces: list[list] = [[] for _ in range(G)]
-    for g in range(G):
-        Xg = X[:, g * dp : (g + 1) * dp]
-        if config.kind == "RVQ" and config.dropout:
-            books, traces = _fit_residual_chain_dropout(Xg, R, config.Kp, config.iters, rng)
-        else:
-            books, traces = _fit_residual_chain(Xg, R, config.Kp, config.iters, rng)
-        group_books[g] = books
-        group_traces[g] = traces
-
-    codebooks = [group_books[g][r] for r in range(R) for g in range(G)]
-    traces = [group_traces[g][r] for r in range(R) for g in range(G)]
+    exponent, (X,) = _into_range(X)
+    fit_chain = _fit_residual_chain_dropout if config.dropout else _fit_residual_chain
+    chains = [fit_chain(X[:, g * dp : (g + 1) * dp], R, config.Kp, config.iters, rng)
+              for g in range(G)]  # (books, traces) per group
+    codebooks = [np.ldexp(chains[g][0][r], -exponent) for r in range(R) for g in range(G)]
+    traces = [[_unscaled(v, exponent) for v in chains[g][1][r]] for r in range(R) for g in range(G)]
     return CodecModel(
         kind=config.kind, G=G, R=R, Kp=config.Kp,
         codebooks=codebooks, inertia_traces=traces,
@@ -421,12 +423,10 @@ def reconstruction_report(features, model: CodecModel) -> list[float]:
 
 
 def _mse(X: np.ndarray, recon: np.ndarray) -> float:
-    """Mean squared reconstruction error; ``ValueError`` if it leaves the float range."""
-    with np.errstate(over="ignore"):
-        mse = float(np.mean((X - recon) ** 2))
-    if not np.isfinite(mse):
-        raise ValueError(_TOO_LARGE)
-    return mse
+    """Mean squared reconstruction error, computed on ``X`` and ``recon`` scaled
+    into range (``_into_range``); ``ValueError`` if it leaves the float range."""
+    exponent, (X, recon) = _into_range(X, recon)
+    return _unscaled(float(np.mean((X - recon) ** 2)), exponent)
 
 
 def save_codec(path, model: CodecModel) -> None:

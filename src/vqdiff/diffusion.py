@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, InconsistencyError, SizeGuardError
-from .tokens import TokenGrid, _field, _integer, _integers, _load_object, atomic_write_text
+from .tokens import TokenGrid, _field, _integer, _integers, _label, _load_object, atomic_write_text
 
 MAX_ORACLE_SUPPORT = 10_000
 
@@ -159,18 +159,23 @@ def corrupt(x0: TokenGrid, t: int, table, rng: np.random.Generator) -> TokenGrid
     if t == 0:
         return x0
     K = x0.K
-    ab, bb, _ = (a[t] for a in _coeff_rows(table, x0.N_q))
-    keep_edge = ab[:, None]
-    uni_edge = (ab + K * bb)[:, None]
     u = rng.random(x0.data.shape)
     out = np.array(x0.data)
-    uniform_zone = (u >= keep_edge) & (u < uni_edge)
-    mask_zone = u >= uni_edge
+    uniform_zone, mask_zone = _corrupt_zones(u, t, table, K)
     n_uni = int(uniform_zone.sum())
     if n_uni:
         out[uniform_zone] = rng.integers(0, K, size=n_uni)
     out[mask_zone] = K
     return x0.with_data(out)
+
+
+def _corrupt_zones(u: np.ndarray, t, table, K: int) -> tuple:
+    """Where ``corrupt``'s uniforms ``u``, (..., N_q, L) at step(s) ``t``, draw a
+    uniform token and where they mask: a position keeps its token for u below
+    alpha_bar, draws one below alpha_bar + K*beta_bar, and is masked above."""
+    ab, bb, _ = (a[t][..., None] for a in _coeff_rows(table, u.shape[-2]))
+    uni_edge = ab + K * bb
+    return (u >= ab) & (u < uni_edge), u >= uni_edge
 
 
 class Denoiser(ABC):
@@ -636,14 +641,6 @@ def _softmax(w: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _label(cond) -> int:
-    """A condition label as ``int``; a bool, a float (NaN included) or any
-    other non-integer raises ``ValueError`` naming it."""
-    if isinstance(cond, bool) or not isinstance(cond, (int, np.integer)):
-        raise ValueError(f"condition label {cond!r} is not an integer")
-    return int(cond)
-
-
 class TabularDenoiser(Denoiser):
     """Per-(condition, step, position, observed token) softmax table.
 
@@ -864,8 +861,6 @@ def train_denoiser(
     n = len(pairs)
     table_rows = den.weights.reshape(-1, K)  # one row per (cond, t, q, l, observed token)
     pos = np.arange(N_q * L) * (K + 1)  # first row of each position within one (cond, t)
-    ab, bb, _ = _coeff_rows(table, N_q)
-    keep, uni = ab[..., None], (ab + K * bb)[..., None]  # corrupt's zone edges by step
     cap = max(1, _TRAIN_BLOCK_VALUES // (N_q * L * (K + 1)))  # steps per block
     for _ in range(config.epochs):
         order, losses = rng.permutation(n), []
@@ -879,13 +874,14 @@ def train_denoiser(
                 crow[i] = den._cond_row(cond)
                 t = ts[i] = int(rng.integers(1, T + 1))
                 u[i] = rng.random((N_q, L))
-                n_uni = np.count_nonzero((u[i] >= keep[t]) & (u[i] < uni[t]))
+                n_uni = np.count_nonzero(_corrupt_zones(u[i], t, table, K)[0])
                 if n_uni:
                     draws.append(rng.integers(0, K, size=n_uni))
             x0 = np.stack([pairs[idx][0].data for idx in block.tolist()])
             x_t = x0.copy()  # corrupt, for the whole block at once
-            x_t[(u >= keep[ts]) & (u < uni[ts])] = np.concatenate([np.empty(0, int), *draws])
-            x_t[u >= uni[ts]] = K
+            uniform_zone, mask_zone = _corrupt_zones(u, ts, table, K)
+            x_t[uniform_zone] = np.concatenate([np.empty(0, int), *draws])
+            x_t[mask_zone] = K
             ids = (crow * (T + 1) + ts)[:, None] * (N_q * L * (K + 1)) + pos + x_t.reshape(m, -1)
             starts, touched = [0], set()
             for i, step_rows in enumerate(ids.tolist()):  # greedy runs touching no row twice

@@ -23,9 +23,10 @@ MCD_DB_FACTOR = 10.0 * math.sqrt(2.0) / math.log(10.0)
 DEFAULT_GPE_THRESHOLD = 0.2
 DEFAULT_SSIM_WINDOW = 7
 
-# inputs whose largest magnitude is below this are scaled up by a power of two:
-# SSIM multiplies four input-sized factors, which would reach the subnormal range
-_TINY = 2.0**-128
+# scaling every input by one power of two is exact, so inputs whose largest
+# magnitude lies outside this range are scaled into [0.5, 1): no square or
+# product of four input-sized factors then overflows or reaches the subnormals
+_RANGE = (2.0**-128, 2.0**128)
 
 # window values per row block of ``ssim`` (one output row at least); no
 # float64 temporary of a block holds more values than its windows do
@@ -41,11 +42,14 @@ def _as_matrix(x, name: str) -> np.ndarray:
     return arr
 
 
-def _tiny_exponent(a: np.ndarray, b: np.ndarray) -> int:
-    """The exact power-of-two scale that brings the largest magnitude in ``a``
-    and ``b`` into [0.5, 1) when it is positive and below ``_TINY``; else 0."""
-    largest = max(a.max(), -a.min(), b.max(), -b.min())
-    return -math.frexp(largest)[1] if 0.0 < largest < _TINY else 0
+def _into_range(*arrays: np.ndarray) -> tuple:
+    """(e, ``arrays`` times 2^e), with e the exponent that brings their largest
+    magnitude into [0.5, 1) when it is positive and outside ``_RANGE``, else 0
+    (and the arrays themselves)."""
+    largest = max(max(a.max(), -a.min()) for a in arrays)
+    low, high = _RANGE
+    e = -math.frexp(largest)[1] if largest > 0.0 and not low <= largest <= high else 0
+    return e, [np.ldexp(a, e) for a in arrays] if e else arrays
 
 
 def mcd(ref, syn, scale_db: bool = False) -> float:
@@ -53,20 +57,19 @@ def mcd(ref, syn, scale_db: bool = False) -> float:
 
     Computed in the plain unscaled form; ``scale_db`` applies the
     conventional 10*sqrt(2)/ln(10) factor for comparison with tools that
-    report dB.  Tiny inputs are scaled up by a power of two, and the result back.
+    report dB.  Inputs out of range are scaled by ``_into_range``, and the
+    result back; an MCD above the float maximum raises ``ValueError``.
     """
     a = _as_matrix(ref, "ref")
     b = _as_matrix(syn, "syn")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: ref {a.shape} vs syn {b.shape}")
-    exponent = _tiny_exponent(a, b)
-    if exponent:
-        a, b = np.ldexp(a, exponent), np.ldexp(b, exponent)
-    with np.errstate(over="ignore"):  # inf, refused below
-        value = np.sqrt(((a - b) ** 2).sum(axis=1)).mean() * (MCD_DB_FACTOR if scale_db else 1.0)
-    if not np.isfinite(value):
-        raise ValueError("ref and syn take the MCD out of the float range")
-    return math.ldexp(float(value), -exponent)
+    exponent, (a, b) = _into_range(a, b)
+    value = np.sqrt(((a - b) ** 2).sum(axis=1)).mean() * (MCD_DB_FACTOR if scale_db else 1.0)
+    try:
+        return math.ldexp(float(value), -exponent)
+    except OverflowError:
+        raise ValueError("ref and syn take the MCD out of the float range") from None
 
 
 def _window_sums(f: np.ndarray, window: int) -> np.ndarray:
@@ -84,15 +87,16 @@ def _window_sums(f: np.ndarray, window: int) -> np.ndarray:
     return sums
 
 
-def ssim(ref, syn, window: int = DEFAULT_SSIM_WINDOW, constants=None) -> float:
+def ssim(ref, syn, window: int = DEFAULT_SSIM_WINDOW) -> float:
     """Mean local structural similarity over unweighted sliding windows.
 
-    ``constants`` defaults to C1=(0.01*L)^2, C2=(0.03*L)^2 with L the
-    dynamic range (max - min) of the reference; a constant reference has
-    zero range, so L falls back to 1 to keep the constants positive.
-    The default constants scale with that range, so tiny inputs are
-    scaled up by a power of two, which leaves SSIM unchanged; with explicit
-    ``constants`` they raise ``ValueError``.
+    The constants are C1=(0.01*L)^2, C2=(0.03*L)^2 with L the dynamic range
+    (max - min) of the reference; a constant reference has zero range, so L
+    falls back to 1 to keep the constants positive.  The constants scale with
+    that range, so inputs out of range are scaled by ``_into_range``,
+    which leaves SSIM unchanged.  A constant reference keeps L = 1 unscaled,
+    and raises ``ValueError`` when its squares leave the float range, as does
+    a reference that the scaling flattens to a constant.
     """
     a = _as_matrix(ref, "ref")
     b = _as_matrix(syn, "syn")
@@ -103,55 +107,49 @@ def ssim(ref, syn, window: int = DEFAULT_SSIM_WINDOW, constants=None) -> float:
         raise ValueError(
             f"window must be in 1..{min(a.shape)} for shape {a.shape}, got {window}"
         )
-    if constants is not None:
-        c1, c2 = (float(c) for c in constants)
-        if c1 < 0 or c2 < 0:
-            raise ValueError("SSIM constants must be nonnegative")
-    exponent = _tiny_exponent(a, b)
-    if exponent and constants is not None:
-        raise ValueError(f"ref and syn are below {_TINY:g}, too small for explicit SSIM constants")
-    if exponent and a.max() > a.min():  # a constant reference keeps L = 1, unscaled
-        a, b = np.ldexp(a, exponent), np.ldexp(b, exponent)
-    try:  # an overflow anywhere, even one that leaves the mean finite, is refused
-        with np.errstate(over="raise"):
-            if constants is None:
-                data_range = float(a.max() - a.min())
-                if data_range == 0.0:
-                    data_range = 1.0
-                c1 = (0.01 * data_range) ** 2
-                c2 = (0.03 * data_range) ** 2
-
-            # C order fixes the summation order of the reference mean and of the
-            # final mean, so the result does not depend on the inputs' memory layout
-            a = np.ascontiguousarray(a)
-            b = np.ascontiguousarray(b)
-            # centring both inputs on the reference mean keeps E[x^2] - mu^2 from
-            # cancelling when the data sit far from zero; variance and covariance do
-            # not change under the shift, and it is added back for the luminance term
-            shift = a.mean()
-            n = window * window
-            ssim_map = np.empty((a.shape[0] - window + 1, a.shape[1] - window + 1))
-            # each output row is computed on its own from its window's input rows,
-            # so blocks of rows with a window - 1 halo bound every temporary and
-            # leave every bit of the map unchanged
-            step = max(1, _SSIM_BLOCK_VALUES // (ssim_map.shape[1] * n))
-            for i in range(0, ssim_map.shape[0], step):
-                x = a[i : i + step + window - 1] - shift
-                y = b[i : i + step + window - 1] - shift
-                mu_x, mu_y, xx, yy, xy = (
-                    _window_sums(f, window) / n for f in (x, y, x * x, y * y, x * y)
-                )
-                var_a = xx - mu_x**2
-                var_b = yy - mu_y**2
-                cov = xy - mu_x * mu_y
-                mu_a = mu_x + shift
-                mu_b = mu_y + shift
-                num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-                den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
-                ssim_map[i : i + step] = num / den
-            return float(ssim_map.mean())
-    except (FloatingPointError, OverflowError):
+    if a.max() == a.min():
+        data_range = 1.0
+    else:
+        a, b = _into_range(a, b)[1]
+        data_range = float(a.max() - a.min())  # 0.0 if the scaling flattened a
+    try:  # an overflow anywhere, even one that leaves the mean finite, or a 0/0 is refused
+        with np.errstate(over="raise", invalid="raise"):
+            return _ssim(a, b, window, (0.01 * data_range) ** 2, (0.03 * data_range) ** 2)
+    except FloatingPointError:
         raise ValueError("ref and syn take the SSIM out of the float range") from None
+
+
+def _ssim(a: np.ndarray, b: np.ndarray, window: int, c1: float, c2: float) -> float:
+    """The mean SSIM map of ``a`` against ``b`` under the constants C1 and C2."""
+    # C order fixes the summation order of the reference mean and of the
+    # final mean, so the result does not depend on the inputs' memory layout
+    a = np.ascontiguousarray(a)
+    b = np.ascontiguousarray(b)
+    # centring both inputs on the reference mean keeps E[x^2] - mu^2 from
+    # cancelling when the data sit far from zero; variance and covariance do
+    # not change under the shift, and it is added back for the luminance term
+    shift = a.mean()
+    n = window * window
+    ssim_map = np.empty((a.shape[0] - window + 1, a.shape[1] - window + 1))
+    # each output row is computed on its own from its window's input rows,
+    # so blocks of rows with a window - 1 halo bound every temporary and
+    # leave every bit of the map unchanged
+    step = max(1, _SSIM_BLOCK_VALUES // (ssim_map.shape[1] * n))
+    for i in range(0, ssim_map.shape[0], step):
+        x = a[i : i + step + window - 1] - shift
+        y = b[i : i + step + window - 1] - shift
+        mu_x, mu_y, xx, yy, xy = (
+            _window_sums(f, window) / n for f in (x, y, x * x, y * y, x * y)
+        )
+        var_a = xx - mu_x**2
+        var_b = yy - mu_y**2
+        cov = xy - mu_x * mu_y
+        mu_a = mu_x + shift
+        mu_b = mu_y + shift
+        num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+        den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
+        ssim_map[i : i + step] = num / den
+    return float(ssim_map.mean())
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,14 @@ def _integer(value) -> int:
     return value
 
 
+def _label(cond) -> int:
+    """A condition label as ``int``; a bool, a float (NaN included) or any
+    other non-integer raises ``ValueError`` naming it."""
+    if isinstance(cond, bool) or not isinstance(cond, (int, np.integer)):
+        raise ValueError(f"condition label {cond!r} is not an integer")
+    return int(cond)
+
+
 def _integers(value) -> list[int]:
     if not isinstance(value, list):
         raise TypeError(f"expected a list of integers, got {type(value).__name__}")
@@ -127,7 +135,7 @@ def _token_labels(grids: list[TokenGrid], labels: list[int] | None) -> list[int]
             raise ValueError("all grids in a token file must share shape and K")
     if labels is not None and len(labels) != len(grids):
         raise ValueError("labels must match the number of grids")
-    return None if labels is None else [int(x) for x in labels]
+    return None if labels is None else [_label(x) for x in labels]
 
 
 def token_file_dict(grids: list[TokenGrid], labels: list[int] | None = None) -> dict:

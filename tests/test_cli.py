@@ -961,8 +961,9 @@ class TestCodecCommands:
             "--kind", "VQ", "--Kp", "4", "--iters", "5", "--seed", "0",
             "--out", str(out),
         )
+        # the books fit scaled into range; the inertia scaled back does not fit
         assert code == 1
-        assert err.startswith("error:") and "overflow" in err
+        assert err.startswith("error:") and "leaves the float range" in err
         assert "Traceback" not in err and "Warning" not in err
         assert not out.exists()
 
@@ -1012,17 +1013,20 @@ class TestMetricsCommands:
         assert code == 0
         assert float(out.split("ssim=")[1]) == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("argv, scale", [
-        (["ssim", "--window", "1"], 1e160),
-        (["ssim", "--window", "3"], 1e160),
-        (["mcd"], 1e200),
+    @pytest.mark.parametrize("argv", [
+        ["ssim", "--window", "1"], ["ssim", "--window", "3"], ["mcd"],
     ], ids=["ssim-window-1", "ssim", "mcd"])
-    def test_overflow_is_one_error_line(self, capsys, tmp_path, recwarn, argv, scale):
-        rng = np.random.default_rng(4)
+    def test_overflow_is_one_error_line(self, capsys, tmp_path, recwarn, argv):
+        # what no power-of-two scaling brings back: the SSIM of a constant
+        # reference, whose L = 1 does not scale, and an MCD above the float maximum
+        signs = np.random.default_rng(4).choice([-1.0, 1.0], size=(6, 6))
+        if argv[0] == "ssim":
+            ref, syn = np.full((6, 6), 1e200), (1.0 + 0.5 * signs) * 1e200
+        else:
+            ref, syn = signs * 1e308, -signs * 1e308
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        ref = rng.choice([-1.0, 1.0], size=(6, 6))
-        write_csv(a, ref * scale)
-        write_csv(b, (ref + 0.5 * rng.normal(size=ref.shape)) * scale)
+        write_csv(a, ref)
+        write_csv(b, syn)
         code, out, err = invoke(capsys, "metrics", argv[0], "--ref", str(a), "--syn", str(b),
                                 *argv[1:])
         assert code == 1 and out == ""
@@ -1199,10 +1203,14 @@ def probe_commands(tmp_path, offset, scale):
     for name, matrix in inputs.items():
         write_csv(Path(path[name]), offset + scale * matrix)
     # report and encode read a codec fitted on the unmoved features, so they
-    # run at every scale, whether or not ``codec fit`` can fit the moved ones
-    unit_codec = str(tmp_path / "unit-codec.json")
-    vqdiff.save_codec(unit_codec, vqdiff.fit_codebooks(
-        inputs["feats"], vqdiff.FitConfig(kind="RVQ", Kp=4, R=2, iters=5)))
+    # run at every scale, whether or not ``codec fit`` can fit the moved ones;
+    # they read it as it is, and moved like the features (the offset moves
+    # the first level's codes only, as it moves no residual)
+    unit = vqdiff.fit_codebooks(inputs["feats"], vqdiff.FitConfig(kind="RVQ", Kp=4, R=2, iters=5))
+    unit_codec, moved_codec = str(tmp_path / "unit-codec.json"), str(tmp_path / "moved-codec.json")
+    vqdiff.save_codec(unit_codec, unit)
+    vqdiff.save_codec(moved_codec, vqdiff.CodecModel(kind="RVQ", G=1, R=2, Kp=4, codebooks=[
+        (offset if r == 0 else 0.0) + scale * book for r, book in enumerate(unit.codebooks)]))
     pair = ["--ref", path["ref"], "--syn", path["syn"]]
     return {
         "metrics mcd": ["metrics", "mcd", *pair],
@@ -1216,6 +1224,11 @@ def probe_commands(tmp_path, offset, scale):
         "codec report": ["codec", "report", "--features", path["feats"], "--codec", unit_codec],
         "codec encode": ["codec", "encode", "--features", path["feats"], "--codec", unit_codec,
                          "--out", str(tmp_path / "tokens.json")],
+        "codec report (moved codec)": ["codec", "report", "--features", path["feats"],
+                                       "--codec", moved_codec],
+        "codec encode (moved codec)": ["codec", "encode", "--features", path["feats"],
+                                       "--codec", moved_codec,
+                                       "--out", str(tmp_path / "moved-tokens.json")],
     }
 
 
@@ -1228,13 +1241,15 @@ def printed_numbers(out: str) -> list[float]:
     return [float(v) for v in found]
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 1e200, 1e-200])
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 1e200, 1e-200, 2.0**508, 2.0**-530])
 @pytest.mark.parametrize("offset", [0.0, 1e8])
 def test_numeric_range_probe(capsys, tmp_path, recwarn, offset, scale):
     # each command prints finite numbers or refuses with one error line, and
     # warns of nothing, wherever its input lies in the float range
+    exits = {}
     for name, argv in probe_commands(tmp_path, offset, scale).items():
         code, out, err = invoke(capsys, *argv)
+        exits[name] = code
         if code == 0:
             numbers = printed_numbers(out)
             assert numbers and all(map(math.isfinite, numbers)) and err == "", name
@@ -1244,6 +1259,12 @@ def test_numeric_range_probe(capsys, tmp_path, recwarn, offset, scale):
         if name == "aux club" and offset + scale * 8.0 == offset:
             # the shift rounds every value away: constant y carries no information
             assert out == "club_mi=0.0\n"
+    if offset == 0.0 and exits["codec encode (moved codec)"] == 0:
+        # scaling the features and the codec alike keeps every code
+        feats = np.loadtxt(tmp_path / "feats.csv", delimiter=",") / scale
+        unit = vqdiff.load_codec(tmp_path / "unit-codec.json")
+        grids, _ = vqdiff.load_token_file(tmp_path / "moved-tokens.json")
+        np.testing.assert_array_equal(grids[0].data, vqdiff.quantize(feats, unit)[0].data)
     assert len(recwarn) == 0
 
 

@@ -2,6 +2,7 @@
 splits, Lloyd fitting, and file round trips."""
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -614,17 +615,74 @@ class TestSaveFeaturesBlocks:
 
 class TestOverflowGuard:
     def test_huge_features_raise_naming_overflow(self):
+        # the books fit on the frames scaled into range, but scaling the
+        # inertia back by 2^-2e leaves the float range
         X = np.random.default_rng(0).normal(size=(50, 2)) * 1e200
         for kind, R in (("VQ", 1), ("RVQ", 2)):
-            with pytest.raises(FittingError, match="overflow"):
+            with pytest.raises(ValueError, match="leaves the float range"):
                 fit_codebooks(X, FitConfig(kind=kind, Kp=4, R=R, iters=5, seed=0))
 
     def test_distinct_frames_whose_distances_underflow_raise_naming_underflow(self):
-        # 20 distinct frames 1e-170 apart: every squared distance is below
-        # the smallest subnormal, so k-means++ sees a zero sum after one pick
-        X = np.arange(20.0)[:, None] * 1e-170
+        # the frame at 1.0 keeps the frames in range, so nothing is scaled; the
+        # other 19 lie 1e-170 apart, so their squared distances underflow and
+        # k-means++ sees a zero sum after two picks
+        X = np.r_[1.0, np.arange(1.0, 20.0) * 1e-170][:, None]
         with pytest.raises(FittingError, match="underflow"):
             fit_codebooks(X, FitConfig(kind="VQ", Kp=4, iters=5, seed=0))
+
+
+class TestScaleEquivariance:
+    """Scaling the frames by 2^j scales the books and the reconstruction by
+    2^j and the inertias by 2^2j, and leaves the codes as they are."""
+
+    EXPONENTS = [530, -530, 700, -700]
+    CONFIGS = {
+        "RVQ": FitConfig(kind="RVQ", Kp=8, R=2, iters=6, seed=3),
+        "RVQ-dropout": FitConfig(kind="RVQ", Kp=8, R=2, iters=8, seed=3, dropout=True),
+        "GRVQ": FitConfig(kind="GRVQ", Kp=8, G=2, R=2, iters=6, seed=3),
+    }
+
+    @staticmethod
+    def frames():
+        X = clustered_frames(np.random.default_rng(60), 400, 4, 12)
+        X = np.ldexp(X, -math.frexp(np.abs(X).max())[1])
+        assert 0.5 <= np.abs(X).max() < 1.0
+        return X
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    @pytest.mark.parametrize("j", EXPONENTS)
+    def test_fit_scales_or_names_the_overflow(self, name, j):
+        X, config = self.frames(), self.CONFIGS[name]
+        base = fit_codebooks(X, config)
+        largest = max(max(trace) for trace in base.inertia_traces)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if math.frexp(largest)[1] + 2 * j > 1024:  # 2^2j times it overflows
+                with pytest.raises(ValueError, match="leaves the float range"):
+                    fit_codebooks(np.ldexp(X, j), config)
+                return
+            scaled = fit_codebooks(np.ldexp(X, j), config)
+        for got, book in zip(scaled.codebooks, base.codebooks):
+            np.testing.assert_array_equal(got, np.ldexp(book, j))
+        assert scaled.inertia_traces == [
+            [math.ldexp(v, 2 * j) for v in trace] for trace in base.inertia_traces
+        ]
+
+    @pytest.mark.parametrize("j", EXPONENTS)
+    def test_codes_and_reconstruction_scale(self, j):
+        X = self.frames()
+        base = fit_codebooks(X, self.CONFIGS["GRVQ"])
+        model = CodecModel(kind="GRVQ", G=2, R=2, Kp=8,
+                           codebooks=[np.ldexp(b, j) for b in base.codebooks])
+        grid, recon = quantize(X, base)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled_grid, scaled_recon = quantize(np.ldexp(X, j), model)
+            report = reconstruction_report(np.ldexp(X, j), model) if j < 0 else None
+        np.testing.assert_array_equal(scaled_grid.data, grid.data)
+        np.testing.assert_array_equal(scaled_recon, np.ldexp(recon, j))
+        if report is not None:  # above, the squared errors leave the float range
+            assert report == [math.ldexp(v, 2 * j) for v in reconstruction_report(X, base)]
 
 
 @pytest.mark.parametrize(

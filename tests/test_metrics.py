@@ -108,6 +108,14 @@ def assert_same_ssim(got, ref, syn, window, constants=None):
     assert abs(got - _ssim_reference(ref, syn, window, constants)) <= 1e-13
 
 
+def ssim_with(ref, syn, window, constants):
+    """``ssim``; with explicit ``constants``, the mean SSIM map that ``ssim``
+    computes once it has derived its own."""
+    if constants is None:
+        return ssim(ref, syn, window=window)
+    return metrics._ssim(np.asarray(ref, float), np.asarray(syn, float), window, *constants)
+
+
 def ssim_pair(shape, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=shape) * 2.0 + 0.5
@@ -157,24 +165,24 @@ class TestSsim:
     def test_one_by_one_window_hand_case(self):
         a = np.full((3, 3), 1.0)
         b = np.full((3, 3), 1.5)
-        got = ssim(a, b, window=1, constants=(0.01, 0.03))
-        # (2*1*1.5 + 0.01) / (1 + 2.25 + 0.01); the contrast factor cancels
-        assert got == pytest.approx(3.01 / 3.26, rel=1e-12)
+        got = ssim(a, b, window=1)
+        # a constant reference gives L = 1, so C1 = 1e-4; the contrast factor cancels
+        assert got == pytest.approx(3.0001 / 3.2501, rel=1e-12)
 
     def test_anticorrelated_patches_negative(self):
         # checkerboard: every even-sided window is standardized (zero
-        # mean, unit variance), so the negative covariance drives the sign
+        # mean, unit variance), so the negative covariance drives the sign;
+        # L = 2 gives C2 = 0.06^2, and the luminance factor is C1 / C1
         i, j = np.indices((10, 10))
         a = np.where((i + j) % 2 == 0, 1.0, -1.0)
-        assert ssim(a, -a, window=2, constants=(1e-6, 1e-6)) == pytest.approx(-1.0, abs=1e-5)
+        c2 = 0.06**2
+        assert ssim(a, -a, window=2) == pytest.approx((c2 - 2.0) / (c2 + 2.0), rel=1e-12)
 
     def test_symmetric_with_explicit_constants(self):
         rng = np.random.default_rng(4)
         a = rng.normal(size=(9, 9))
         b = rng.normal(size=(9, 9))
-        assert ssim(a, b, constants=(0.1, 0.2)) == pytest.approx(
-            ssim(b, a, constants=(0.1, 0.2))
-        )
+        assert ssim_with(a, b, 7, (0.1, 0.2)) == pytest.approx(ssim_with(b, a, 7, (0.1, 0.2)))
 
     def test_bounded(self):
         rng = np.random.default_rng(5)
@@ -213,7 +221,7 @@ class TestSsimBlocked:
     @pytest.mark.parametrize("constants", [None, (0.05, 0.4)])
     def test_equals_unblocked_reference(self, shape, window, constants):
         a, b = ssim_pair(shape, seed=shape[0] * 100 + window)
-        assert_same_ssim(ssim(a, b, window=window, constants=constants), a, b, window, constants)
+        assert_same_ssim(ssim_with(a, b, window, constants), a, b, window, constants)
 
     @pytest.mark.parametrize("shape, window", [((30, 11), 3), ((40, 17), 7), ((10, 4), 1)])
     @pytest.mark.parametrize("block_values, block_rows", [
@@ -228,9 +236,7 @@ class TestSsimBlocked:
         monkeypatch.setattr(metrics, "_SSIM_BLOCK_VALUES", block_values)
         a, b = ssim_pair(shape, seed=window)
         for constants in (None, (0.05, 0.4)):
-            assert_same_ssim(
-                ssim(a, b, window=window, constants=constants), a, b, window, constants
-            )
+            assert_same_ssim(ssim_with(a, b, window, constants), a, b, window, constants)
 
     def test_memory_layout_does_not_change_the_value(self):
         a, b = ssim_pair((300, 32), seed=3)
@@ -246,7 +252,7 @@ class TestSsimBlocked:
     @pytest.mark.parametrize("constants", [None, (0.05, 0.4), (1e-4, 9e-4)])
     def test_matches_brute_force_oracle(self, shape, window, constants):
         a, b = ssim_pair(shape, seed=shape[0] * 10 + window)
-        got = ssim(a, b, window=window, constants=constants)
+        got = ssim_with(a, b, window, constants)
         assert got == pytest.approx(_ssim_brute_force(a, b, window, constants), abs=1e-12)
 
     @pytest.mark.parametrize("shape, window, seed", [((12, 10), 3, 1), ((16, 16), 5, 2), ((9, 7), 2, 3)])
@@ -257,7 +263,7 @@ class TestSsimBlocked:
         rng = np.random.default_rng(seed)
         a = rng.normal(size=shape) + 1e6
         b = a + rng.normal(size=shape)
-        got = ssim(a, b, window=window, constants=constants)
+        got = ssim_with(a, b, window, constants)
         assert got == pytest.approx(_ssim_brute_force(a, b, window, constants), abs=1e-12)
 
     def test_peak_memory_does_not_grow_with_input(self):
@@ -293,17 +299,58 @@ class TestTinyInputs:
         assert mcd(a * self.SCALE, b * self.SCALE, scale_db) == self.SCALE * mcd(a, b, scale_db)
         assert len(recwarn) == 0
 
-    def test_ssim_with_explicit_constants_is_refused(self):
-        a, b = ssim_pair((9, 9), seed=1)
-        with pytest.raises(ValueError, match="ref and syn are below .* explicit SSIM constants"):
-            ssim(a * self.SCALE, b * self.SCALE, 3, constants=(1e-4, 9e-4))
-
     def test_constant_reference_keeps_unit_range(self, recwarn):
         # L = 1 does not scale with the inputs, so they are not scaled either
         a = np.full((5, 5), 1e-200)
         b = a + 1e-200 * np.random.default_rng(6).normal(size=a.shape)
         assert ssim(a, b, window=3) == pytest.approx(1.0, abs=1e-12)
         assert len(recwarn) == 0
+
+
+class TestPowerOfTwoScaling:
+    """Inputs scaled by 2^j, out of range either way: MCD scales by 2^j and
+    SSIM does not move, exactly."""
+
+    @staticmethod
+    def unit_pair(seed):
+        # largest magnitude in [0.5, 1), so scaling by 2^j keeps every bit
+        a, b = ssim_pair((30, 12), seed=seed)
+        e = -math.frexp(max(np.abs(a).max(), np.abs(b).max()))[1]
+        return np.ldexp(a, e), np.ldexp(b, e)
+
+    @pytest.mark.parametrize("j", [530, -530, 700, -700])
+    @pytest.mark.parametrize("window", [1, 3, 7])
+    def test_ssim_does_not_change(self, recwarn, j, window):
+        a, b = self.unit_pair(window)
+        assert ssim(np.ldexp(a, j), np.ldexp(b, j), window) == ssim(a, b, window)
+        assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("j", [530, -530, 700, -700])
+    @pytest.mark.parametrize("scale_db", [False, True])
+    def test_mcd_scales(self, recwarn, j, scale_db):
+        a, b = self.unit_pair(9)
+        assert mcd(np.ldexp(a, j), np.ldexp(b, j), scale_db) == math.ldexp(mcd(a, b, scale_db), j)
+        assert len(recwarn) == 0
+
+    def test_mcd_above_the_float_maximum_is_refused(self):
+        a = np.full((4, 6), 1e308)
+        with pytest.raises(ValueError, match="take the MCD out of the float range"):
+            mcd(a, -a)
+
+    def test_reference_flattened_by_the_scaling_is_refused(self):
+        # syn at 1e300 scales ref at 1e-300 to zeros, so its L is lost: an SSIM
+        # with L = 1 would read 0.96, and constants of 0 leave 0/0 windows
+        a = np.random.default_rng(7).normal(size=(6, 6)) * 1e-300
+        b = np.zeros((6, 6))
+        b[0, 0] = 1e300
+        with pytest.raises(ValueError, match="take the SSIM out of the float range"):
+            ssim(a, b, window=2)
+
+    def test_constant_reference_whose_squares_overflow_is_refused(self):
+        # L = 1 does not scale, so the inputs are not scaled and mu^2 overflows
+        a = np.full((5, 5), 1e200)
+        with pytest.raises(ValueError, match="take the SSIM out of the float range"):
+            ssim(a, a * 1.5, window=3)
 
 
 class TestPitchErrors:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 
 import numpy as np
@@ -70,6 +71,16 @@ class TestTokenFile:
         with pytest.raises(ValueError, match="at least one"):
             token_file_dict([])
 
+    @pytest.mark.parametrize("label", [1.7, True, "1"], ids=["float", "bool", "str"])
+    def test_non_integer_label_is_refused_not_truncated(self, tmp_path, label):
+        # the rule the denoiser applies to its condition labels
+        path = tmp_path / "tokens.json"
+        grid = TokenGrid(data=np.array([[0, 1]]), K=2)
+        with pytest.raises(ValueError, match=f"condition label {re.escape(repr(label))} is not"):
+            save_token_file(path, [grid], labels=[label])
+        assert not path.exists()
+        assert token_file_dict([grid], labels=[np.int64(3)])["labels"] == [3]
+
     def test_file_is_valid_json_with_schema(self, tmp_path):
         path = tmp_path / "tokens.json"
         save_token_file(path, [TokenGrid(data=np.array([[0, 1]]), K=2)], labels=[4])
@@ -109,7 +120,7 @@ class TestTokenFileBytes:
         (random_grids(1, 4, 512, 256, seed=5), None),
         (random_grids(64, 4, 32, 16, seed=6, mask=True), list(range(-32, 32))),
         (random_grids(64, 1, 3, 2, seed=7), None),
-        (random_grids(2, 2, 2, 4, seed=8), [10**20, True]),
+        (random_grids(2, 2, 2, 4, seed=8), [10**20, -(10**20)]),
         ([TokenGrid(data=np.zeros((0, 3), dtype=int), K=2)], [3]),
         ([TokenGrid(data=np.zeros((2, 0), dtype=int), K=2)] * 2, None),
         # a table of K strings would need gigabytes; the file holds three values
