@@ -124,6 +124,15 @@ def _unscaled(squares: float, exponent: int) -> float:
         ) from None
 
 
+def _reconstructed(ufunc, *args, **kwargs) -> np.ndarray:
+    """``ufunc(*args, **kwargs)`` forming a reconstruction; ``ValueError`` if it overflows."""
+    try:
+        with np.errstate(over="raise"):
+            return ufunc(*args, **kwargs)
+    except FloatingPointError:
+        raise ValueError("the codebooks' reconstruction leaves the float range") from None
+
+
 def _nearest(X: np.ndarray, book: np.ndarray) -> np.ndarray:
     """Index of the closest code per frame; ties go to the lowest index.
     ``X`` and ``book`` are in the range of ``metrics._into_range``, so no
@@ -159,10 +168,9 @@ def quantize(features, model: CodecModel, active_books: int | None = None):
     if model.kind in ("VQ", "GVQ") and n_active != model.N_q:
         raise ValueError(f"{model.kind} does not support partial depth")
 
-    L = X.shape[0]
     dp = model.dp
     exponent, (X, *books) = _into_range(X, *model.codebooks[:n_active])
-    tokens = np.zeros((n_active, L), dtype=np.int64)
+    tokens = np.zeros((n_active, len(X)), dtype=np.int64)
     recon = np.zeros_like(X)
     residual = X.copy()
     for b in range(n_active):
@@ -173,7 +181,8 @@ def quantize(features, model: CodecModel, active_books: int | None = None):
         picked = books[b][idx]
         recon[:, cols] += picked
         residual[:, cols] -= picked
-    return TokenGrid(data=tokens, K=model.Kp), np.ldexp(recon, -exponent) if exponent else recon
+    recon = _reconstructed(np.ldexp, recon, -exponent) if exponent else recon
+    return TokenGrid(data=tokens, K=model.Kp), recon
 
 
 def dequantize(tokens: TokenGrid, model: CodecModel) -> np.ndarray:
@@ -197,7 +206,8 @@ def _partial_decodes(tokens: TokenGrid, model: CodecModel):
     yield out
     for b in range(tokens.N_q):
         g = b % model.G
-        out[:, g * dp : (g + 1) * dp] += model.codebooks[b][tokens.data[b]]
+        cols = out[:, g * dp : (g + 1) * dp]
+        _reconstructed(np.add, cols, model.codebooks[b][tokens.data[b]], out=cols)
         yield out
 
 

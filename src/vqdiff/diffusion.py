@@ -156,26 +156,21 @@ def corrupt(x0: TokenGrid, t: int, table, rng: np.random.Generator) -> TokenGrid
         raise ValueError("corrupt requires a mask-free grid")
     if not 0 <= t <= table.T:
         raise ValueError(f"t must be in 0..{table.T}, got {t}")
-    if t == 0:
-        return x0
-    K = x0.K
-    u = rng.random(x0.data.shape)
-    out = np.array(x0.data)
-    uniform_zone, mask_zone = _corrupt_zones(u, t, table, K)
-    n_uni = int(uniform_zone.sum())
-    if n_uni:
-        out[uniform_zone] = rng.integers(0, K, size=n_uni)
-    out[mask_zone] = K
-    return x0.with_data(out)
+    return x0 if t == 0 else x0.with_data(_corrupted(x0.data, t, table, rng))
 
 
-def _corrupt_zones(u: np.ndarray, t, table, K: int) -> tuple:
-    """Where ``corrupt``'s uniforms ``u``, (..., N_q, L) at step(s) ``t``, draw a
-    uniform token and where they mask: a position keeps its token for u below
-    alpha_bar, draws one below alpha_bar + K*beta_bar, and is masked above."""
-    ab, bb, _ = (a[t][..., None] for a in _coeff_rows(table, u.shape[-2]))
-    uni_edge = ab + K * bb
-    return (u >= ab) & (u < uni_edge), u >= uni_edge
+def _corrupted(x0: np.ndarray, t: int, table, rng: np.random.Generator) -> np.ndarray:
+    """``corrupt``'s draw of x0, (N_q, L), at a step t >= 1.  One uniform u per position:
+    below alpha_bar it keeps its token, below alpha_bar + K*beta_bar it takes a uniform
+    token (drawn next, in grid order), and above that it is masked."""
+    ab, bb, _ = (a[t][:, None] for a in _coeff_rows(table, len(x0)))
+    u = rng.random(x0.shape)
+    uni_edge = ab + table.K * bb
+    uniform_zone = (u >= ab) & (u < uni_edge)
+    out = np.array(x0)
+    out[uniform_zone] = rng.integers(0, table.K, size=np.count_nonzero(uniform_zone))
+    out[u >= uni_edge] = table.K
+    return out
 
 
 class Denoiser(ABC):
@@ -658,8 +653,6 @@ class TabularDenoiser(Denoiser):
         if len(set(self.cond_labels)) != len(self.cond_labels):
             raise ValueError(f"cond_labels repeat a label: {self.cond_labels}")
         self._cond_index = {c: i + 1 for i, c in enumerate(self.cond_labels)}
-        self._positions = np.indices(self.grid_shape)
-        self._positions.flags.writeable = False
         shape = (
             len(self.cond_labels) + 1,
             self.T + 1,
@@ -693,13 +686,20 @@ class TabularDenoiser(Denoiser):
             raise ValueError(f"unknown condition label {cond}")
         return row
 
+    def _rows(self, cond_row, t, data: np.ndarray) -> np.ndarray:
+        """The rows of ``weights.reshape(-1, K)`` read at ``data``, (..., N_q, L):
+        ``cond_row`` and ``t`` are one condition row and one step per grid."""
+        per_grid = math.prod(self.grid_shape) * (self.K + 1)  # rows per (condition, step)
+        first = np.asarray((cond_row * (self.T + 1) + t) * per_grid)[..., None, None]
+        return first + np.arange(0, per_grid, self.K + 1).reshape(self.grid_shape) + data
+
     def predict(self, x_t: TokenGrid, t: int, cond=None) -> np.ndarray:
         if (x_t.N_q, x_t.L) != self.grid_shape or x_t.K != self.K:
             raise ValueError("grid shape mismatch with the trained table")
         if not 0 <= t <= self.T:
             raise ValueError(f"t must be in 0..{self.T}, got {t}")
-        iq, il = self._positions
-        return _softmax(self.weights[self._cond_row(cond), t, iq, il, x_t.data])  # (N_q, L, K)
+        rows = self._rows(self._cond_row(cond), t, x_t.data)
+        return _softmax(self.weights.reshape(-1, self.K)[rows])  # (N_q, L, K)
 
 
 def save_denoiser(path, denoiser: TabularDenoiser) -> None:
@@ -860,29 +860,21 @@ def train_denoiser(
     trace: list[float] = []
     n = len(pairs)
     table_rows = den.weights.reshape(-1, K)  # one row per (cond, t, q, l, observed token)
-    pos = np.arange(N_q * L) * (K + 1)  # first row of each position within one (cond, t)
     cap = max(1, _TRAIN_BLOCK_VALUES // (N_q * L * (K + 1)))  # steps per block
     for _ in range(config.epochs):
         order, losses = rng.permutation(n), []
         for block in np.array_split(order, -(-n // cap)):  # blocks bound every array below
             m = len(block)
-            crow, ts, u, draws = np.empty(m, int), np.empty(m, int), np.empty((m, N_q, L)), []
+            x0 = np.stack([pairs[idx][0].data for idx in block.tolist()])
+            crow, ts, x_t = np.empty(m, int), np.empty(m, int), np.empty_like(x0)
             for i, idx in enumerate(block.tolist()):  # every draw, in one-at-a-time order
                 cond = pairs[idx][1]
                 if cond is not None and rng.random() < config.null_cond_prob:
                     cond = None
                 crow[i] = den._cond_row(cond)
-                t = ts[i] = int(rng.integers(1, T + 1))
-                u[i] = rng.random((N_q, L))
-                n_uni = np.count_nonzero(_corrupt_zones(u[i], t, table, K)[0])
-                if n_uni:
-                    draws.append(rng.integers(0, K, size=n_uni))
-            x0 = np.stack([pairs[idx][0].data for idx in block.tolist()])
-            x_t = x0.copy()  # corrupt, for the whole block at once
-            uniform_zone, mask_zone = _corrupt_zones(u, ts, table, K)
-            x_t[uniform_zone] = np.concatenate([np.empty(0, int), *draws])
-            x_t[mask_zone] = K
-            ids = (crow * (T + 1) + ts)[:, None] * (N_q * L * (K + 1)) + pos + x_t.reshape(m, -1)
+                ts[i] = rng.integers(1, T + 1)
+                x_t[i] = _corrupted(x0[i], ts[i], table, rng)
+            ids = den._rows(crow, ts, x_t).reshape(m, -1)
             starts, touched = [0], set()
             for i, step_rows in enumerate(ids.tolist()):  # greedy runs touching no row twice
                 if not touched.isdisjoint(step_rows):

@@ -14,9 +14,6 @@ import numpy as np
 
 from .tokens import atomic_write_text
 
-# conventional mel-cepstrum order for speech evaluation
-DEFAULT_CEPSTRAL_COEFFS = 24
-
 # 10*sqrt(2)/ln(10): converts the plain frame-averaged Euclidean form to dB
 MCD_DB_FACTOR = 10.0 * math.sqrt(2.0) / math.log(10.0)
 

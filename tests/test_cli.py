@@ -911,6 +911,24 @@ class TestCodecCommands:
         assert len(recwarn) == 0
         assert not tokens.exists()
 
+    @pytest.mark.parametrize("command", ["encode", "decode", "report"])
+    def test_reconstruction_overflow_is_one_error_line(self, capsys, tmp_path, recwarn, command):
+        # two RVQ books of 1e308 sum past the float maximum
+        codec = tmp_path / "codec.json"
+        codec.write_text(json.dumps({"kind": "RVQ", "G": 1, "R": 2, "Kp": 2,
+                                     "codebooks": [[[1e308, 1e308]] * 2] * 2}))
+        feats, tokens, out = tmp_path / "huge.csv", tmp_path / "tok.json", tmp_path / "out"
+        write_csv(feats, np.full((2, 2), 1.7e308))
+        save_token_file(tokens, [TokenGrid(data=np.zeros((2, 2), dtype=np.int64), K=2)])
+        argv = {"encode": ["--features", str(feats), "--out", str(out)],
+                "decode": ["--tokens", str(tokens), "--out", str(out)],
+                "report": ["--features", str(feats)]}[command]
+        code, stdout, err = invoke(capsys, "codec", command, "--codec", str(codec), *argv)
+        assert code == 1 and stdout == ""
+        assert err == "error: the codebooks' reconstruction leaves the float range\n"
+        assert len(recwarn) == 0
+        assert not out.exists()
+
     def test_fit_deterministic(self, toy_setup, capsys, tmp_path):
         args = [
             "codec", "fit", "--features", str(toy_setup["feats"]),

@@ -631,6 +631,30 @@ class TestOverflowGuard:
             fit_codebooks(X, FitConfig(kind="VQ", Kp=4, iters=5, seed=0))
 
 
+class TestReconstructionOverflow:
+    """Two books of 1e308 sum past the float maximum: each call that forms
+    that reconstruction refuses it by name, with no warning."""
+
+    MODEL = CodecModel(kind="RVQ", G=1, R=2, Kp=2, codebooks=[np.full((2, 2), 1e308)] * 2)
+    FRAMES = np.full((2, 2), 1.7e308)
+
+    @pytest.mark.parametrize("call", [
+        lambda m, X: quantize(X, m),
+        lambda m, X: dequantize(TokenGrid(data=np.zeros((2, 2), dtype=np.int64), K=2), m),
+        lambda m, X: reconstruction_report(X, m),
+    ], ids=["quantize", "dequantize", "report"])
+    def test_named_refusal(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="codebooks' reconstruction leaves the float"):
+                call(self.MODEL, self.FRAMES)
+
+    def test_one_book_stays_in_range(self):
+        grid, recon = quantize(self.FRAMES, self.MODEL, active_books=1)
+        assert recon.tolist() == [[1e308, 1e308]] * 2
+        assert dequantize(grid, self.MODEL).tolist() == recon.tolist()
+
+
 class TestScaleEquivariance:
     """Scaling the frames by 2^j scales the books and the reconstruction by
     2^j and the inertias by 2^2j, and leaves the codes as they are."""

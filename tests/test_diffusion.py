@@ -973,6 +973,23 @@ class TestTrainDenoiser:
         with pytest.raises(ValueError):
             den.predict(grid1([3, 3], 3), 2, cond=99)
 
+    def test_row_rule_addresses_the_table(self):
+        # a batch of grids, each with its own condition row (0 = null) and step
+        K, N_q, L, T = 3, 2, 5, 4
+        den = TabularDenoiser(K, (N_q, L), T, [3, 7])
+        den.weights[...] = np.random.default_rng(0).normal(size=den.weights.shape)
+        rng = np.random.default_rng(1)
+        crow, ts = np.array([0, 2, 1, 0, 2]), np.array([0, T, 2, 3, 0])
+        data = rng.integers(0, K + 1, size=(len(ts), N_q, L))
+        rows = den._rows(crow, ts, data)
+        assert rows.shape == data.shape
+        q, l = np.indices((N_q, L))
+        expected = den.weights[crow[:, None, None], ts[:, None, None], q, l, data]
+        assert den.weights.reshape(-1, K)[rows].tobytes() == expected.tobytes()
+        for c, t, x in zip(crow.tolist(), ts.tolist(), data):  # one grid at a time
+            one = den.weights.reshape(-1, K)[den._rows(c, t, x)]
+            assert one.tobytes() == den.weights[c, t, q, l, x].tobytes()
+
 
 def train_denoiser_reference(dataset, table, config, rng):
     """The one-step-at-a-time SGD loop, as ``train_denoiser`` ran it before
@@ -985,7 +1002,7 @@ def train_denoiser_reference(dataset, table, config, rng):
 
     trace: list[float] = []
     n = len(pairs)
-    rows, cols = den._positions
+    rows, cols = np.indices(den.grid_shape)
     for _ in range(config.epochs):
         order = rng.permutation(n)
         epoch_losses = []

@@ -1,0 +1,24 @@
+"""The benchmark still runs against the package: a short pipeline run passes its checks."""
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_pipeline_benchmark_runs(tmp_path):
+    # a copy of the checkout, so the run's results stay out of the tree
+    ignore = shutil.ignore_patterns("results", "__pycache__")
+    for name in ("src", "perfbench"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=ignore)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "pipeline", "--seed", "1",
+         "--seconds", "0.1", "--trace", "0"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0
