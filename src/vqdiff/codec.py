@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import FittingError
 from .metrics import _into_range
-from .tokens import TokenGrid, _field, _integer, _load_object, atomic_write_text
+from .tokens import TokenGrid, _field, _integer, _load_object, _numbers, atomic_write_text
 
 KINDS = ("VQ", "RVQ", "GVQ", "GRVQ")
 
@@ -455,9 +455,9 @@ def _as_books(value) -> list:
     books = []
     for b, book in enumerate(value):
         try:
-            books.append(np.asarray(book, dtype=float))
-        except (TypeError, ValueError):
-            raise ValueError(f"entry {b} is not a numeric matrix") from None
+            books.append(_numbers(book, 2))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"entry {b} is not a numeric matrix: {exc}") from None
     return books
 
 

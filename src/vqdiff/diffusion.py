@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, InconsistencyError, SizeGuardError
-from .tokens import TokenGrid, _field, _integer, _integers, _label, _load_object, atomic_write_text
+from .tokens import TokenGrid, _field, _integer, _label, _load_object, _numbers, atomic_write_text
 
 MAX_ORACLE_SUPPORT = 10_000
 
@@ -677,6 +677,9 @@ class TabularDenoiser(Denoiser):
                     f"needs {math.prod(shape)}"
                 )
             self.weights = weights.reshape(shape)
+        # the row of each position's token 0 at condition row 0 and step 0
+        self._offsets = np.arange(0, math.prod(shape[2:5]), self.K + 1).reshape(self.grid_shape)
+        self._offsets.flags.writeable = False
 
     def _cond_row(self, cond) -> int:
         if cond is None:
@@ -689,9 +692,9 @@ class TabularDenoiser(Denoiser):
     def _rows(self, cond_row, t, data: np.ndarray) -> np.ndarray:
         """The rows of ``weights.reshape(-1, K)`` read at ``data``, (..., N_q, L):
         ``cond_row`` and ``t`` are one condition row and one step per grid."""
-        per_grid = math.prod(self.grid_shape) * (self.K + 1)  # rows per (condition, step)
-        first = np.asarray((cond_row * (self.T + 1) + t) * per_grid)[..., None, None]
-        return first + np.arange(0, per_grid, self.K + 1).reshape(self.grid_shape) + data
+        per_step = self._offsets.size * (self.K + 1)  # rows per (condition, step)
+        first = np.asarray((cond_row * (self.T + 1) + t) * per_step)[..., None, None]
+        return first + self._offsets + data
 
     def predict(self, x_t: TokenGrid, t: int, cond=None) -> np.ndarray:
         if (x_t.N_q, x_t.L) != self.grid_shape or x_t.K != self.K:
@@ -735,24 +738,8 @@ def save_denoiser(path, denoiser: TabularDenoiser) -> None:
     atomic_write_text(path, (head[:-1], ', "weights": [', weights, "]}"))
 
 
-def _flat_weights(value) -> np.ndarray:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list of numbers, got {type(value).__name__}")
-    if bool in set(map(type, value)):  # NumPy would read true as 1.0
-        raise TypeError("expected numbers, got a boolean")
-    weights = np.asarray(value)
-    if weights.ndim != 1:
-        raise ValueError("expected a flat list of numbers")
-    if weights.dtype.kind not in "iuf":
-        raise ValueError(f"expected numbers, got entries of NumPy dtype {weights.dtype}")
-    weights = weights.astype(float, copy=False)
-    if not np.isfinite(weights).all():
-        raise ValueError("entries must be finite numbers")
-    return weights
-
-
 def _increasing(value) -> np.ndarray:
-    values = np.asarray(_integers(value), dtype=np.int64)
+    values = _numbers(value, 1, integer=True)
     if np.any(np.diff(values) <= 0):
         raise ValueError("entries must be strictly increasing")
     return values
@@ -788,7 +775,9 @@ def load_denoiser(path) -> TabularDenoiser:
         rows = _field(payload, "rows", lambda v: _row_indices(v, len(table)), "denoiser")
     else:
         rows = np.arange(len(table))
-    weights = _field(payload, "weights", _flat_weights, "denoiser")
+    weights = _field(payload, "weights", lambda v: _numbers(v, 1), "denoiser")
+    if not np.isfinite(weights).all():
+        raise ValueError("denoiser field 'weights' is malformed: entries must be finite numbers")
     if weights.size != rows.size * K:
         raise ValueError(
             f"denoiser field 'weights' holds {weights.size} values; "

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ScheduleError, SizeGuardError
-from .tokens import _field, _integer, _load_object, atomic_write_text
+from .tokens import _field, _integer, _load_object, _numbers, atomic_write_text
 
 SIMPLEX_ATOL = 1e-12
 
@@ -299,22 +299,15 @@ def schedule_from_json_dict(payload: dict) -> ScheduleTable:
     kind = _field(payload, "kind", str, "schedule", ScheduleError, "linear")
     T = _field(payload, "T", _integer, "schedule", ScheduleError)
     K = _field(payload, "K", _integer, "schedule", ScheduleError)
-    cum = {
-        name: _field(
-            payload, name, lambda v: np.asarray(v, dtype=np.float64), "schedule", ScheduleError
-        )
-        for name in ("alpha_bar", "beta_bar", "gamma_bar")
-    }
-    _check_shapes(T, cum)
-    alpha_bar, beta_bar, gamma_bar = cum.values()
+    cum = {name: _field(payload, name, _numbers, "schedule", ScheduleError) for name in _ARRAYS}
     if kind == "improved":
         N_q = _field(payload, "N_q", _integer, "schedule", ScheduleError)
-        if alpha_bar.shape != (T + 1, N_q):
+        if cum["alpha_bar"].shape != (T + 1, N_q):
             raise ScheduleError(
                 f"N_q={N_q} needs alpha_bar of shape (T+1, N_q) = {(T + 1, N_q)}, "
-                f"got {alpha_bar.shape}"
+                f"got {cum['alpha_bar'].shape}"
             )
-    return ScheduleTable(T, K, alpha_bar, beta_bar, gamma_bar, kind=kind)
+    return ScheduleTable(T, K, **cum, kind=kind)  # validate checks the shapes
 
 
 def load_schedule(path) -> ScheduleTable:

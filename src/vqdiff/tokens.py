@@ -88,6 +88,31 @@ def _integers(value) -> list[int]:
     return [_integer(v) for v in value]  # raises, naming the first bad entry
 
 
+def _numbers(value, ndim: int | None = None, integer: bool = False) -> np.ndarray:
+    """A JSON array nested ``ndim`` deep (any depth if None) as float64, or int64 with ``integer``.
+
+    Booleans, strings, ``null``, ragged nesting and, with ``integer``, floats
+    raise for ``_field`` to name the field; an empty array reads as either type.
+    """
+    what = "integers" if integer else "numbers"
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of {what}, got {type(value).__name__}")
+    try:
+        array = np.asarray(value)
+    except ValueError:
+        raise ValueError("the lists are ragged or differ in length") from None
+    if ndim is not None and array.ndim != ndim:
+        raise ValueError(f"expected lists nested {ndim} deep, got shape {array.shape}")
+    rows = [value]
+    for _ in range(array.ndim - 1):  # a rectangular array nests lists down to its last axis
+        rows = [row for outer in rows for row in outer]
+    if any(bool in set(map(type, row)) for row in rows):  # NumPy reads true as 1
+        raise TypeError(f"expected {what}, got a boolean")
+    if array.size and array.dtype.kind not in ("i" if integer else "iuf"):
+        raise ValueError(f"expected {what}, got entries of NumPy dtype {array.dtype}")
+    return array.astype(np.int64 if integer else np.float64, copy=False)
+
+
 @dataclass(frozen=True)
 class TokenGrid:
     """An (N_q, L) grid of codeword indices over alphabet size ``K``."""
@@ -186,25 +211,16 @@ def save_token_file(path, grids: list[TokenGrid], labels: list[int] | None = Non
     atomic_write_text(path, chunks())
 
 
-def _grid_array(value) -> np.ndarray:
-    """Every grid as one (n_grids, N_q, L) integer array."""
-    if not isinstance(value, list) or not value:
-        raise TypeError("expected a non-empty list of grids")
-    try:
-        grids = np.asarray(value)
-    except ValueError:
-        raise ValueError("the grids are ragged or differ in shape") from None
-    if grids.ndim != 3 or not np.issubdtype(grids.dtype, np.integer):
-        raise ValueError("expected rectangular 2-D grids of integers, all of one shape")
-    return grids
-
-
 def load_token_file(path) -> tuple[list[TokenGrid], list[int] | None]:
     payload = _load_object(path, "token")
     K = _field(payload, "K", _integer, "token")
     if K < 2:
         raise ValueError(f"token field 'K' must be >= 2, got {K}")
-    arrays = _field(payload, "grids", _grid_array, "token")
+    arrays = _field(payload, "grids", lambda v: _numbers(v, 3, integer=True), "token")
+    for axis, name in ((1, "N_q"), (2, "L")):  # optional: files need only K and the grids
+        if name in payload and _field(payload, name, _integer, "token") != arrays.shape[axis]:
+            raise ValueError(f"token field {name!r} is {payload[name]}, "
+                             f"but the grids have {name}={arrays.shape[axis]}")
     labels = None
     if payload.get("labels") is not None:
         labels = _field(payload, "labels", _integers, "token")

@@ -14,6 +14,9 @@ import pytest
 
 import vqdiff
 from vqdiff.cli import run
+from vqdiff.codec import CodecModel, load_codec, save_codec
+from vqdiff.diffusion import TabularDenoiser, load_denoiser, save_denoiser
+from vqdiff.errors import ScheduleError
 from vqdiff.schedules import improved_schedule, linear_schedule, load_schedule, save_schedule
 from vqdiff.tokens import TokenGrid, load_token_file, save_token_file
 
@@ -565,6 +568,48 @@ class TestLoaderErrors:
         assert err.startswith("error:") and field in err
         assert "Traceback" not in err and stdout == ""
         assert not out.exists()
+
+
+CORRUPT = ["diffuse", "corrupt", "--tokens", "{tokens}", "--schedule", "{sched}", "--t", "2"]
+# format: (file, numeric field, index of an entry 1 in it, loader, a command reading the file)
+NUMERIC_FIELDS = {
+    "token": ("tokens", "grids", (7, 0, 0), load_token_file, CORRUPT),
+    "denoiser": ("den", "weights", (2,), load_denoiser,
+                 ["diffuse", "sample", "--denoiser", "{den}", "--schedule", "{sched}"]),
+    "codec": ("codec", "codebooks", (0, 0, 1), load_codec,
+              ["codec", "encode", "--features", "{feats}", "--codec", "{codec}"]),
+    "schedule": ("sched", "alpha_bar", (0,), load_schedule, CORRUPT),
+}
+
+
+@pytest.mark.parametrize("bad", ["true", "string", "null", "ragged", "nan"])
+@pytest.mark.parametrize("fmt", list(NUMERIC_FIELDS))
+def test_numeric_field_refuses_non_numbers(toy_setup, capsys, tmp_path, fmt, bad):
+    """One entry of a numeric field is not a number: the library and the CLI name the field."""
+    files = dict(toy_setup)
+    files["den"], files["codec"] = tmp_path / "den.json", tmp_path / "codec.json"
+    den = TabularDenoiser(3, (1, 2), 6, [0, 1])
+    den.weights.reshape(-1, 3)[[5, 9]] = [[0.5, -0.25, 1.0], [2.0, 0.0, -1.0]]
+    save_denoiser(files["den"], den)
+    save_codec(files["codec"], CodecModel("VQ", 1, 1, 4, [np.arange(8.0).reshape(4, 2)]))
+    name, field, index, loader, argv = NUMERIC_FIELDS[fmt]
+    payload = json.loads(files[name].read_text())
+    entries = payload[field]
+    for i in index[:-1]:
+        entries = entries[i]
+    one = entries[index[-1]]
+    assert one == 1  # so true and the string "1" or "1.0" stand for the number they replace
+    entries[index[-1]] = {"true": True, "string": str(one), "null": None, "ragged": [one, one],
+                          "nan": float("nan")}[bad]
+    files[name].write_text(json.dumps(payload))
+    with pytest.raises((ValueError, ScheduleError), match=field):
+        loader(files[name])
+    out = tmp_path / "never.out"
+    code, stdout, err = invoke(capsys, *[a.format(**files) for a in argv], "--out", str(out))
+    assert code == 1 and stdout == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and field in lines[0]
+    assert not out.exists()
 
 
 # sha256 of each stdout (with the temporary directory replaced by <tmp>) and

@@ -1,4 +1,4 @@
-"""The benchmark still runs against the package: a short pipeline run passes its checks."""
+"""The benchmark still runs against the package: a short run of each workload passes its checks."""
 
 import json
 import shutil
@@ -6,16 +6,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_pipeline_benchmark_runs(tmp_path):
+@pytest.mark.parametrize("workload", ["pipeline", "codec"])
+def test_pipeline_benchmark_runs(tmp_path, workload):
     # a copy of the checkout, so the run's results stay out of the tree
     ignore = shutil.ignore_patterns("results", "__pycache__")
     for name in ("src", "perfbench"):
         shutil.copytree(ROOT / name, tmp_path / name, ignore=ignore)
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "pipeline", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "0.1", "--trace", "0"],
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )

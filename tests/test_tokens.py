@@ -101,6 +101,21 @@ class TestTokenFile:
         assert [(g.K, g.data.tobytes()) for g in back] == [(3, grid.data.tobytes())] * 2
 
 
+    @pytest.mark.parametrize("name,value", [("N_q", 7), ("L", 3), ("N_q", None), ("L", 2.0)])
+    def test_stored_shape_must_match_the_grids(self, tmp_path, name, value):
+        grid = TokenGrid(data=np.array([[0, 2], [1, 3]]), K=3)
+        path = tmp_path / "tokens.json"
+        save_token_file(path, [grid] * 2)
+        payload = json.loads(path.read_text())
+        payload[name] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"token field '{name}'"):
+            load_token_file(path)
+        del payload["N_q"], payload["L"]  # files without the two fields still load
+        path.write_text(json.dumps(payload))
+        assert [g.data.tobytes() for g in load_token_file(path)[0]] == [grid.data.tobytes()] * 2
+
+
 def random_grids(n, N_q, L, K, seed=0, mask=False):
     rng = np.random.default_rng(seed)
     return [TokenGrid(data=rng.integers(0, K + 1 if mask else K, size=(N_q, L)), K=K)
