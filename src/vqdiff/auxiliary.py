@@ -14,17 +14,15 @@ import warnings
 import numpy as np
 from scipy.special import logsumexp
 
-from .metrics import _into_range
+from .metrics import _as_matrix, _into_range
 
 CLUB_VARIANCE_FLOOR = 1e-8  # relative to the variance of each y column
 
 
 def _as_similarity(sim) -> np.ndarray:
-    s = np.asarray(sim, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 1:
+    s = _as_matrix(sim, "similarity matrix")
+    if s.shape[0] != s.shape[1]:
         raise ValueError(f"similarity matrix must be square, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("similarity matrix must be finite")
     return s
 
 

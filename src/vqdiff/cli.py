@@ -58,7 +58,7 @@ from .schedules import (
     random_schedule,
     save_schedule,
 )
-from .tokens import TokenGrid, load_token_file, save_token_file
+from .tokens import TokenGrid, _at_least, load_token_file, save_token_file
 from .transitions import (
     brute_force_cumulative,
     build_transition_matrix,
@@ -78,11 +78,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(x: float) -> str:
     return repr(float(x))
-
-
-def _at_least(flag: str, value: int, low: int) -> None:
-    if value < low:
-        raise ValueError(f"{flag} must be >= {low}, got {value}")
 
 
 # ---------------------------------------------------------------- schedule

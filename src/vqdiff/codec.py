@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FittingError
-from .metrics import _into_range
-from .tokens import TokenGrid, _field, _integer, _load_object, _numbers, atomic_write_text
+from .metrics import _as_matrix, _into_range
+from .tokens import TokenGrid, _at_least, _field, _integer, _load_object, _numbers, atomic_write_text
 
 KINDS = ("VQ", "RVQ", "GVQ", "GRVQ")
 
@@ -104,15 +104,6 @@ class CodecModel:
         return self.dp * self.G
 
 
-def _as_features(features) -> np.ndarray:
-    X = np.asarray(features, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
-        raise ValueError(f"features must be a 2-D (frames x dims) matrix, got {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("features must be finite")
-    return X
-
-
 def _unscaled(squares: float, exponent: int) -> float:
     """A sum of squares of data scaled by 2^exponent, scaled back;
     ``ValueError`` if that leaves the float range."""
@@ -159,7 +150,7 @@ def quantize(features, model: CodecModel, active_books: int | None = None):
     Frames and books out of range are scaled by one ``_into_range``, and
     the reconstruction back.
     """
-    X = _as_features(features)
+    X = _as_matrix(features, "features")
     if X.shape[1] != model.d:
         raise ValueError(f"features have dim {X.shape[1]}, model expects {model.d}")
     n_active = model.N_q if active_books is None else int(active_books)
@@ -393,12 +384,11 @@ def fit_codebooks(features, config: FitConfig) -> CodecModel:
     fitted scaled by 2^e (``_into_range``); the books are scaled back, and the
     inertias by 2^-2e, which raises ``ValueError`` if one leaves the float range.
     """
-    X = _as_features(features)
+    X = _as_matrix(features, "features")
     _check_structure(config.kind, config.G, config.R, config.Kp)
     if config.dropout and config.kind != "RVQ":
         raise ValueError("quantizer dropout applies to RVQ fitting only")
-    if config.iters < 1:
-        raise ValueError("iters must be >= 1")
+    _at_least("iters", config.iters, 1)
     G, R = config.G, config.R
     if X.shape[1] % G != 0:
         raise ValueError(f"feature dim {X.shape[1]} not divisible by G={G}")
@@ -422,7 +412,7 @@ def fit_codebooks(features, config: FitConfig) -> CodecModel:
 def reconstruction_report(features, model: CodecModel) -> list[float]:
     """MSE at each usable depth: 1..N_q for residual kinds, full depth
     otherwise (the flat kinds have no partial decoding)."""
-    X = _as_features(features)
+    X = _as_matrix(features, "features")
     first = model.N_q if model.kind in ("VQ", "GVQ") else 1
     grid, _ = quantize(X, model)
     # a residual book never changes the tokens of the books before it, so
@@ -479,13 +469,13 @@ def load_features(path) -> np.ndarray:
         X = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     if X.size == 0:
         raise ValueError(f"no feature frames in {path}")
-    return _as_features(X)
+    return _as_matrix(X, "features")
 
 
 def save_features(path, features) -> None:
     """One CSV line of ``repr`` values per frame, formatted and written
     ``_CSV_BLOCK_VALUES`` values at a time."""
-    X = _as_features(features)
+    X = _as_matrix(features, "features")
     rows = max(1, _CSV_BLOCK_VALUES // X.shape[1])
     atomic_write_text(path, (
         "".join(",".join(map(repr, row)) + "\n" for row in X[lo : lo + rows].tolist())

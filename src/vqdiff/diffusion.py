@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, InconsistencyError, SizeGuardError
-from .tokens import TokenGrid, _field, _integer, _label, _load_object, _numbers, atomic_write_text
+from .tokens import TokenGrid, _at_least, _field, _integer, _integers, _label, _load_object
+from .tokens import _numbers, atomic_write_text
 
 MAX_ORACLE_SUPPORT = 10_000
 
@@ -442,8 +443,7 @@ def sample(
     final step are filled with the argmax of the last clean-token
     prediction.
     """
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    _at_least("stride", stride, 1)
     lam = _guidance_scale(guidance_scale, guidance_mode)
     if rng is None:
         rng = np.random.default_rng()
@@ -521,8 +521,7 @@ def vlb_loss(
     _check_shape(table, x0.K, x0.N_q)
     if x0.contains_mask():
         raise ValueError("vlb_loss requires a mask-free grid")
-    if num_t_samples < 1:
-        raise ValueError("num_t_samples must be >= 1")
+    _at_least("num_t_samples", num_t_samples, 1)
     if rng is None:
         rng = np.random.default_rng()
     T = table.T
@@ -738,15 +737,16 @@ def save_denoiser(path, denoiser: TabularDenoiser) -> None:
     atomic_write_text(path, (head[:-1], ', "weights": [', weights, "]}"))
 
 
-def _increasing(value) -> np.ndarray:
-    values = _numbers(value, 1, integer=True)
-    if np.any(np.diff(values) <= 0):
+def _increasing(values):
+    """``values``, integers already read, if each exceeds the one before (compared exactly)."""
+    array = np.asarray(values, dtype=object if isinstance(values, list) else None)
+    if np.any(array[1:] <= array[:-1]):
         raise ValueError("entries must be strictly increasing")
     return values
 
 
 def _row_indices(value, n_rows: int) -> np.ndarray:
-    rows = _increasing(value)
+    rows = _increasing(_numbers(value, 1, integer=True))
     if rows.size and (rows[0] < 0 or rows[-1] >= n_rows):
         raise ValueError(f"row indices must lie in [0, {n_rows})")
     return rows
@@ -761,14 +761,13 @@ def load_denoiser(path) -> TabularDenoiser:
         raise ValueError(f"unsupported denoiser kind {kind!r}")
     fields = {name: _field(payload, name, _integer, "denoiser") for name in ("K", "N_q", "L", "T")}
     for name, low in (("K", 2), ("N_q", 1), ("L", 1), ("T", 1)):
-        if fields[name] < low:
-            raise ValueError(f"denoiser field {name!r} must be >= {low}, got {fields[name]}")
+        _at_least(f"denoiser field {name!r}", fields[name], low)
     K = fields["K"]
     den = TabularDenoiser(  # checks the table's size before allocating it
         K=K,
         grid_shape=(fields["N_q"], fields["L"]),
         T=fields["T"],
-        cond_labels=_field(payload, "cond_labels", _increasing, "denoiser"),
+        cond_labels=_field(payload, "cond_labels", lambda v: _increasing(_integers(v)), "denoiser"),
     )
     table = den.weights.reshape(-1, K)
     if "rows" in payload:

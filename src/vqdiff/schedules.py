@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ScheduleError, SizeGuardError
-from .tokens import _field, _integer, _load_object, _numbers, atomic_write_text
+from .tokens import _at_least, _field, _integer, _load_object, _numbers, atomic_write_text
 
 SIMPLEX_ATOL = 1e-12
 
@@ -61,8 +61,7 @@ def _check_shapes(T: int, arrays: dict) -> None:
 def _check_args(T: int, K: int, N_q: int = 1) -> None:
     """T, K and N_q of a schedule to construct, and the size of its arrays, before allocating."""
     for name, value, low in (("T", T, 1), ("K", K, 2), ("N_q", N_q, 1)):
-        if value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
+        _at_least(name, value, low)
     n_bytes = 3 * 8 * (T + 1) * N_q
     if n_bytes > _MAX_SCHEDULE_BYTES:
         raise SizeGuardError(f"a schedule with T={T} and N_q={N_q} needs {n_bytes} bytes of "
@@ -235,8 +234,7 @@ def improved_schedule(T: int, K: int, N_q: int, *, L: int = 1) -> ScheduleTable:
     defined as the identity regardless (see ``diffusion.corrupt``).
     """
     _check_args(T, K, N_q)
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
+    _at_least("L", L, 1)
 
     t = (np.arange(T + 1) / T)[:, None]
     q = np.arange(N_q)[None, :]
@@ -254,8 +252,7 @@ def from_cumulative(alpha_bar, gamma_bar, K: int) -> ScheduleTable:
     gamma_bar = np.asarray(gamma_bar, dtype=np.float64)
     if alpha_bar.shape != gamma_bar.shape or alpha_bar.ndim != 1 or len(alpha_bar) < 2:
         raise ValueError("alpha_bar and gamma_bar must be 1-D arrays of equal length >= 2")
-    if K < 2:
-        raise ValueError(f"K must be >= 2, got {K}")
+    _at_least("K", K, 2)
     beta_bar = (1.0 - alpha_bar - gamma_bar) / K
     return ScheduleTable(len(alpha_bar) - 1, K, alpha_bar, beta_bar, gamma_bar)
 

@@ -72,6 +72,12 @@ def _integer(value) -> int:
     return value
 
 
+def _at_least(name: str, value: int, low: int) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value >= low``."""
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 def _label(cond) -> int:
     """A condition label as ``int``; a bool, a float (NaN included) or any
     other non-integer raises ``ValueError`` naming it."""
@@ -127,8 +133,7 @@ class TokenGrid:
         if not np.issubdtype(data.dtype, np.integer):
             raise ValueError("token grid entries must be integers")
         data = data.astype(np.int64)
-        if self.K < 2:
-            raise ValueError(f"K must be >= 2, got {self.K}")
+        _at_least("K", self.K, 2)
         if data.size and (data.min() < 0 or data.max() > self.K):
             raise ValueError(f"token values must lie in 0..{self.K} (K = mask)")
         data.flags.writeable = False
@@ -214,8 +219,7 @@ def save_token_file(path, grids: list[TokenGrid], labels: list[int] | None = Non
 def load_token_file(path) -> tuple[list[TokenGrid], list[int] | None]:
     payload = _load_object(path, "token")
     K = _field(payload, "K", _integer, "token")
-    if K < 2:
-        raise ValueError(f"token field 'K' must be >= 2, got {K}")
+    _at_least("token field 'K'", K, 2)
     arrays = _field(payload, "grids", lambda v: _numbers(v, 3, integer=True), "token")
     for axis, name in ((1, "N_q"), (2, "L")):  # optional: files need only K and the grids
         if name in payload and _field(payload, name, _integer, "token") != arrays.shape[axis]:

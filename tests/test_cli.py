@@ -296,6 +296,22 @@ class TestTransitionsCommand:
 
 
 class TestDiffuseCommands:
+    def test_labels_beyond_int64_survive_train_and_sample(self, toy_setup, capsys, tmp_path):
+        # token files take any JSON integer as a label, and so do denoiser files
+        tokens, den, out = (tmp_path / name for name in ("big.json", "den.json", "out.json"))
+        grids, _ = load_token_file(toy_setup["tokens"])
+        save_token_file(tokens, grids[:2], labels=[10**20, 0])
+        code, _, err = invoke(capsys, "diffuse", "train", "--tokens", str(tokens),
+                              "--schedule", str(toy_setup["sched"]), "--epochs", "1",
+                              "--seed", "0", "--out", str(den))
+        assert code == 0, err
+        assert load_denoiser(den).cond_labels == [0, 10**20]
+        code, _, err = invoke(capsys, "diffuse", "sample", "--denoiser", str(den),
+                              "--schedule", str(toy_setup["sched"]), "--cond", str(10**20),
+                              "--count", "2", "--seed", "0", "--out", str(out))
+        assert code == 0, err
+        assert load_token_file(out)[1] == [10**20] * 2
+
     def test_corrupt_deterministic(self, toy_setup, capsys, tmp_path):
         args = [
             "diffuse", "corrupt",
@@ -1332,7 +1348,8 @@ def test_numeric_range_probe(capsys, tmp_path, recwarn, offset, scale):
 
 
 class TestThreadCountDeterminism:
-    """``codec fit`` and ``codec encode`` write the same bytes at any BLAS thread count."""
+    """``codec fit``, ``codec encode`` and ``quantize`` give the same bytes at any BLAS
+    thread count."""
 
     def test_codec_files_equal_across_openblas_threads(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -1353,6 +1370,32 @@ class TestThreadCountDeterminism:
                                       env=env, capture_output=True, text=True, timeout=300)
                 assert done.returncode == 0, done.stderr
             digests.add(tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (codec, tokens)))
+        assert len(digests) == 1
+
+    def test_quantize_equal_across_openblas_threads_at_benchmark_shape(self):
+        # 16384 frames of 32 dims from 128 clusters and four 256-code RVQ books,
+        # the shape of the codec benchmark, whose distance blocks BLAS splits
+        script = """
+import hashlib
+import numpy as np
+from vqdiff.codec import CodecModel, quantize
+rng = np.random.default_rng(4)
+centres = rng.normal(0.0, 3.0, size=(128, 32))
+X = centres[rng.integers(0, 128, size=16384)] + rng.normal(size=(16384, 32))
+books = [X[rng.choice(16384, 256, replace=False)]]
+books += [rng.normal(0.0, 0.5**r, size=(256, 32)) for r in range(1, 4)]
+grid, recon = quantize(X, CodecModel(kind="RVQ", G=1, R=4, Kp=256, codebooks=books))
+print(*(hashlib.sha256(a.tobytes()).hexdigest() for a in (grid.data, recon)))
+"""
+        src = str(Path(vqdiff.__file__).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            digests.add(done.stdout)
         assert len(digests) == 1
 
 
@@ -1410,10 +1453,14 @@ print(json.dumps({"digests": digests, "features": features, "corename": openblas
 
 
 def golden_in_subprocess(tmp_path, env, targets=()):
-    """DISPATCH_SCRIPT's JSON, run with ``env`` added to this process's environment."""
+    """DISPATCH_SCRIPT's JSON, run with ``env`` added to this process's environment
+    less the variables that pick NumPy's and OpenBLAS's kernels, so that ``env``
+    is the one thing that differs from a default run."""
     src = str(Path(vqdiff.__file__).resolve().parents[1])
     tests = str(Path(__file__).resolve().parent)
-    env = {**os.environ, **env,
+    inherited = {name: value for name, value in os.environ.items()
+                 if name not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
+    env = {**inherited, **env,
            "PYTHONPATH": os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", DISPATCH_SCRIPT, *targets], env=env,
                           cwd=tmp_path, capture_output=True, text=True, timeout=600)

@@ -1387,6 +1387,25 @@ class TestConditionLabels:
             got.data, sample(den, 1, linear_schedule(2, 3), rng=np.random.default_rng(0)).data)
         assert TabularDenoiser(3, (1, 2), 2, [0, label]).cond_labels == [0, 1]
 
+    # any label a token file takes, a denoiser file takes too; NumPy reads the
+    # second list as float64, in which the last two labels are equal
+    @pytest.mark.parametrize("labels", [[-(2**63) - 1, 10**20], [-1, 2**63, 2**63 + 1]])
+    def test_labels_beyond_int64_round_trip(self, tmp_path, labels):
+        path = tmp_path / "den.json"
+        save_denoiser(path, TabularDenoiser(3, (1, 2), 2, labels))
+        assert load_denoiser(path).cond_labels == labels
+
+    @pytest.mark.parametrize("labels", [[0, True], [0, 1.0], [0, "1"], [0, None], None, 3],
+                             ids=repr)
+    def test_non_integer_file_labels_are_refused_by_field(self, tmp_path, labels):
+        path = tmp_path / "den.json"
+        save_denoiser(path, TabularDenoiser(3, (1, 2), 2, [0, 1]))
+        payload = json.loads(path.read_text())
+        payload["cond_labels"] = labels
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="denoiser field 'cond_labels' is malformed"):
+            load_denoiser(path)
+
     def test_float_labels_in_a_dataset_are_refused(self):
         dataset = [(grid1([0, 1], 3), 0), (grid1([1, 2], 3), 1.5)]
         with pytest.raises(ValueError, match="condition label 1.5 is not an integer"):
