@@ -103,47 +103,49 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _coeff_rows(table, n_rows: int) -> tuple:
-    """alpha_bar, beta_bar and gamma_bar by grid row, (T+1, n_rows) each, read-only
-    and kept on the table.  A shared schedule's value is repeated over the rows;
-    a per-codebook one gives each row its layer's."""
+def _coeff_rows(table) -> np.ndarray:
+    """alpha_bar, beta_bar and gamma_bar as one read-only (3, T+1, n_layers) array, kept
+    on the table.  A shared schedule has one layer, which broadcasts over a grid's rows."""
 
     def build():
-        cum = np.reshape([table.alpha_bar, table.beta_bar, table.gamma_bar], (3, table.T + 1, -1))
-        out = np.broadcast_to(cum, (3, table.T + 1, n_rows)).copy()
+        out = np.reshape([table.alpha_bar, table.beta_bar, table.gamma_bar], (3, table.T + 1, -1))
         out.flags.writeable = False
-        return tuple(out)
+        return out
 
-    return table.cached(n_rows, build)
+    return table.cached("cumulative", build)
 
 
-def _kernel_rows(table, n_rows: int, s: int, t: int) -> tuple:
-    """What ``_StepKernel`` reads of the reverse kernel from t to s, kept on the table.
+def _kernel_rows(table, stride: int) -> tuple:
+    """What ``_StepKernel`` reads of the reverse kernel from each step t >= 1 to
+    s = max(0, t - stride), kept on the table per stride.
 
-    A read-only (11, n_rows) array, from rows t and s of ``_coeff_rows`` and the
+    A read-only (12, T, n_layers) array, from rows t and s of ``_coeff_rows`` and the
     alpha, beta, gamma of ``table.segment(s, t)``: the coefficients of a masked
-    position, (g_seg/gb_t)·bb_s, (g_seg/gb_t)·ab_s, 1 and 1; those of an observed
-    one in the same roles, bb_s, ab_s, b_seg and bb_t; then bb_t + ab_t, a_seg and
-    gb_s/gb_t.  Also the indices of the rows where gb_t = 0: the quotients are not
-    finite there, and those rows may hold no mask token.
+    position, (g_seg/gb_t)·bb_s, (g_seg/gb_t)·ab_s, 1, 1 and a_seg; those of an observed
+    one in the same roles, bb_s, ab_s, b_seg, bb_t and a_seg; then bb_t + ab_t and
+    gb_s/gb_t.  Also a read-only (T, n_layers) mask of where gb_t = 0: the quotients
+    are not finite there, and those layers may hold no mask token.  One stride's
+    array is 4 times the schedule's cumulative arrays, which ``_check_args`` bounds.
     """
+    stride = min(stride, table.T)  # every longer stride reaches step 0 from every step
 
     def build():
-        cum = _coeff_rows(table, n_rows)
-        ab_t, bb_t, gb_t, ab_s, bb_s, gb_s = (c[i] for i in (t, s) for c in cum)
-        a_seg, b_seg, g_seg = (np.broadcast_to(c, (n_rows,)) for c in table.segment(s, t))
+        t = np.arange(1, table.T + 1)
+        s = np.maximum(0, t - stride)
+        (ab_t, bb_t, gb_t), (ab_s, bb_s, gb_s) = (_coeff_rows(table)[:, i] for i in (t, s))
+        a_seg, b_seg, g_seg = (np.reshape(c, ab_t.shape) for c in table.segment(s, t))
         with np.errstate(divide="ignore", invalid="ignore"):
             coef_keep = g_seg / gb_t
             mask_prob = gb_s / gb_t
-        one = np.ones(n_rows)
-        rows = np.array([coef_keep * bb_s, coef_keep * ab_s, one, one,
-                         bb_s, ab_s, b_seg, bb_t,
-                         bb_t + ab_t, a_seg, mask_prob])
-        zero = np.flatnonzero(gb_t == 0.0)
+        one = np.ones_like(ab_t)
+        rows = np.array([coef_keep * bb_s, coef_keep * ab_s, one, one, a_seg,
+                         bb_s, ab_s, b_seg, bb_t, a_seg,
+                         bb_t + ab_t, mask_prob])
+        zero = gb_t == 0.0
         rows.flags.writeable = zero.flags.writeable = False
         return rows, zero
 
-    return table.cached(("kernel", s, t, n_rows), build)
+    return table.cached(("kernel", stride), build)
 
 
 def corrupt(x0: TokenGrid, t: int, table, rng: np.random.Generator) -> TokenGrid:
@@ -164,7 +166,7 @@ def _corrupted(x0: np.ndarray, t: int, table, rng: np.random.Generator) -> np.nd
     """``corrupt``'s draw of x0, (N_q, L), at a step t >= 1.  One uniform u per position:
     below alpha_bar it keeps its token, below alpha_bar + K*beta_bar it takes a uniform
     token (drawn next, in grid order), and above that it is masked."""
-    ab, bb, _ = (a[t][:, None] for a in _coeff_rows(table, len(x0)))
+    ab, bb, _ = _coeff_rows(table)[:, t, :, None]
     u = rng.random(x0.shape)
     uni_edge = ab + table.K * bb
     uniform_zone = (u >= ab) & (u < uni_edge)
@@ -298,8 +300,8 @@ class _StepKernel:
     Q[k, v] = lead_k (bb_s + delta_kv ab_s) / D_v with
     lead_k = b_seg + delta_kc a_seg and D_v = bb_t + delta_vc ab_t, the mask
     row is 0, and v is valid where D_v > 0.  Both products below cost O(K)
-    per position; Q itself is never formed.  ``t`` and ``t_prev`` may be
-    arrays, one step pair per grid of grids stacked along the row axis.
+    per position; Q itself is never formed.  It runs from t to max(0, t - stride),
+    and ``t`` is one step for every grid of ``data`` or one per grid on its axis 0.
 
     Both cases run as one sequence of whole-grid operations on per-position
     coefficients.  A masked position takes its own case's coefficients and,
@@ -307,32 +309,28 @@ class _StepKernel:
     lacks, a factor of exactly 1; so each position keeps its case's bits.
     """
 
-    def __init__(self, data: np.ndarray, table, t, t_prev):
+    def __init__(self, data: np.ndarray, table, t, stride: int = 1):
         K = self.K = table.K
-        # training stacks grids, one step pair each; the sampler's one pair skips the
-        # stacking, which builds and mixes its kernel (K=16, 4x32 grid) ~10 % faster
-        if isinstance(t, np.ndarray):
-            n = len(data) // t.size
-            parts = [_kernel_rows(table, n, *s) for s in zip(t_prev.tolist(), t.tolist())]
-            rows = np.hstack([r for r, _ in parts])
-            zero = np.concatenate([z + i * n for i, (_, z) in enumerate(parts)])
-        else:
-            rows, zero = _kernel_rows(table, len(data), t_prev, t)
+        if np.count_nonzero((t < 1) | (t > table.T)):  # index t - 1 would wrap at t = 0
+            raise ValueError(f"t must be in 1..{table.T}, got {t}")
+        rows, zero = _kernel_rows(table, stride)
+        rows, zero = rows[:, t - 1], zero[t - 1]
         self.masked = data == K
-        if zero.size and self.masked[zero].any():
+        if (self.masked & zero[..., None]).any():
             raise InconsistencyError(
                 f"grid contains mask tokens but step {t} assigns them zero probability"
             )
-        per_row = rows[:, :, None, None]  # broadcast over frames and tokens
+        # layers on the row axis, broadcast over leading grids, frames and tokens
+        coef = rows.reshape(len(rows), *(1,) * (data.ndim - rows.ndim), *rows.shape[1:], 1, 1)
         self.at_masked = m = self.masked[..., None]
         # each position takes its own case's coefficients: the sum over the
         # real tokens and each token's own entry are multiplied by the first
-        # two, lead_k by the third, and the fourth is D_v off the observed token
-        self.sum_coef, self.own_coef, self.lead_b, d_base = np.where(m, per_row[:4], per_row[4:8])
-        d_obs, self.mask_prob = per_row[8], per_row[10]
+        # two, lead_k by the third and fifth, and the fourth is D_v off the observed token
+        self.sum_coef, self.own_coef, self.lead_b, d_base, a_seg = np.where(m, coef[:5], coef[5:10])
+        d_obs, self.mask_prob = coef[10:]
         at_obs = data[..., None] == np.arange(K)  # the observed token; none at a mask
-        self.obs = np.flatnonzero(at_obs)  # flat indices: faster than index triples
-        self.lead_a = rows[9][self.obs // at_obs[0].size]  # a_seg of each one's row
+        self.obs = np.flatnonzero(at_obs)  # flat indices: faster than index tuples
+        self.lead_a = a_seg.reshape(-1)[self.obs // K]  # a_seg at each one's position
         self.D = np.where(at_obs, d_obs, d_base)
         self.valid = self.D > 0
 
@@ -343,7 +341,7 @@ class _StepKernel:
         return vals
 
     def mix(self, p0: np.ndarray) -> np.ndarray:
-        """Q·p0 per position as (N_q, L, K+1), renormalized over the valid v."""
+        """Q·p0 per position as (..., N_q, L, K+1), renormalized over the valid v."""
         K = self.K
         M = np.where(self.valid, p0, 0.0).sum(axis=-1, keepdims=True)
         if (M <= 0.0).any():  # a masked position's M is its whole mass
@@ -361,7 +359,7 @@ class _StepKernel:
         return out
 
     def mix_t(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Qᵀ·r per position and the valid set, both (N_q, L, K).
+        """Qᵀ·r per position and the valid set, both (..., N_q, L, K).
 
         The values are sum_k r_k Q[k, v], 0 where v is invalid; with
         rl_k = r_k lead_k an observed position gives
@@ -389,11 +387,11 @@ def _sample_categorical(dists: np.ndarray, rng: np.random.Generator) -> np.ndarr
     return idx
 
 
-def _step(x_t, t, t_prev, denoiser, cond, table, lam, guidance_mode, rng):
-    """Draw x_{t_prev} from the posterior q(x_{t_prev} | x_t, x0=v) mixed over the
-    guided prediction of v; returns it and that prediction."""
+def _step(x_t, t, stride, denoiser, cond, table, lam, guidance_mode, rng):
+    """Draw x_s, s = max(0, t - stride), from the posterior q(x_s | x_t, x0=v) mixed
+    over the guided prediction of v; returns it and that prediction."""
     p0 = _predict_guided(denoiser, x_t, t, cond, lam, guidance_mode)
-    dists = _StepKernel(x_t.data, table, t, t_prev).mix(p0)
+    dists = _StepKernel(x_t.data, table, t, stride).mix(p0)
     return x_t.with_data(_sample_categorical(dists, rng)), p0
 
 
@@ -415,11 +413,12 @@ def reverse_step(
         raise ValueError(f"t must be in 1..{table.T}, got {t}")
     if rng is None:
         rng = np.random.default_rng()
-    return _step(x_t, t, t - 1, denoiser, cond, table, lam, guidance_mode, rng)[0]
+    return _step(x_t, t, 1, denoiser, cond, table, lam, guidance_mode, rng)[0]
 
 
-def _stationary_rows(table, n_rows: int) -> np.ndarray:
-    ab, bb, gb = (a[table.T] for a in _coeff_rows(table, n_rows))
+def _stationary_rows(table) -> np.ndarray:
+    """The distribution of x_T over the K+1 states, (n_layers, K+1)."""
+    ab, bb, gb = _coeff_rows(table)[:, table.T]
     probs = np.repeat(bb[:, None], table.K + 1, axis=1)
     probs[:, -1] = gb  # the mask state
     probs[:, :-1] += (ab / table.K)[:, None]  # spread unconverged identity mass
@@ -451,11 +450,11 @@ def sample(
     K = denoiser.K
     _check_shape(table, K, N_q, "denoiser")
 
-    init = _stationary_rows(table, N_q)
-    data = _sample_categorical(np.repeat(init[:, None, :], L, axis=1), rng)
+    init = _stationary_rows(table)[:, None, :]
+    data = _sample_categorical(np.broadcast_to(init, (N_q, L, K + 1)), rng)
     x = TokenGrid(data=data, K=K)
     for t in range(table.T, 0, -stride):
-        x, p0 = _step(x, t, max(0, t - stride), denoiser, cond, table, lam, guidance_mode, rng)
+        x, p0 = _step(x, t, stride, denoiser, cond, table, lam, guidance_mode, rng)
     if x.contains_mask():
         x = x.with_data(np.where(x.data == K, p0.argmax(axis=-1), x.data))
     return x
@@ -469,7 +468,7 @@ def _kl_terms(data: np.ndarray, x0: np.ndarray, p: np.ndarray, table, t):
     x0), ratio = post / mix (1 stands in for a zero mix) and the terms
     post·log(ratio), which are 0 off the support.  ``t`` may be an array, as in ``_StepKernel``.
     """
-    kernel = _StepKernel(data, table, t, t - 1)
+    kernel = _StepKernel(data, table, t)
     mix = kernel.mix(p)
     post = kernel.mix(np.eye(p.shape[-1])[x0])  # x0 as one-hot predictions
     support = post > 0
@@ -486,8 +485,8 @@ def _prior_kl(x0: TokenGrid, table) -> float:
     """
     K = x0.K
     N_q, L = x0.data.shape
-    ab, bb, gb = (a[table.T] for a in _coeff_rows(table, N_q))
-    prior_rows = _stationary_rows(table, N_q)
+    ab, bb, gb = np.broadcast_to(_coeff_rows(table)[:, table.T], (3, N_q))
+    prior_rows = np.broadcast_to(_stationary_rows(table), (N_q, K + 1))
     q = np.repeat(np.repeat(bb[:, None, None], L, axis=1), K + 1, axis=2)
     rows, cols = np.indices((N_q, L))
     q[rows, cols, x0.data] += ab[:, None]
@@ -578,14 +577,12 @@ class BayesOracleDenoiser(Denoiser):
             raise ValueError(f"t must be in 0..{self._table.T}, got {t}")
         K = self.K
         N_q, L = self.grid_shape
-        ab, bb, gb = (a[t] for a in _coeff_rows(self._table, N_q))
+        ab, bb, gb = _coeff_rows(self._table)[:, t]
         data = x_t.data
         is_mask = data == K  # (N_q, L)
         match = self._support == data[None, :, :]  # (S, N_q, L)
         with np.errstate(divide="ignore"):
-            log_keep = np.log(ab + bb)[:, None]
-            log_uni = np.log(bb)[:, None]
-            log_mask = np.log(gb)[:, None]
+            log_keep, log_uni, log_mask = np.log([ab + bb, bb, gb])[..., None]
         per_pos = np.where(match, log_keep[None], log_uni[None])
         per_pos = np.where(is_mask[None], log_mask[None], per_pos)
         loglik = per_pos.sum(axis=(1, 2)) + self._log_probs  # (S,)
@@ -794,7 +791,7 @@ def _kl_step(data: np.ndarray, x0: np.ndarray, p: np.ndarray, table, t):
     logits.  The model kernel is Q·p_eff / M, where p_eff is p on the valid
     clean tokens and M its mass, so dKL/dp_v = (1 - (Qᵀ·ratio)_v) / M on
     the valid set and 0 off it, with ratio = post / mix.  The loss is an array with
-    one entry per grid: an array ``t`` has one step per grid, stacked along the row axis.
+    one entry per grid: an array ``t`` has one step per grid along the first axis of ``data``.
     """
     kernel, _, _, ratio, terms = _kl_terms(data, x0, p, table, t)  # ratio is 0 off the support
     inner, valid = kernel.mix_t(ratio)
@@ -872,8 +869,8 @@ def train_denoiser(
             for a, b in zip(starts, starts[1:] + [m]):  # each step reads only rows it writes
                 at = ids[a:b].reshape(-1)
                 p = _softmax(table_rows[at])
-                loss, g_w = _kl_step(x_t[a:b].reshape(-1, L), x0[a:b].reshape(-1, L),
-                                     p.reshape(-1, L, K), table, ts[a:b])
+                loss, g_w = _kl_step(x_t[a:b], x0[a:b], p.reshape(b - a, N_q, L, K),
+                                     table, ts[a:b])
                 losses.append(loss)
                 table_rows[at] -= config.lr * g_w.reshape(p.shape)
         trace.append(float(np.mean(np.concatenate(losses))))

@@ -149,9 +149,10 @@ class ScheduleTable:
         The product of mask+uniform matrices stays in the family, with the
         composite coefficients given by the same quotient rules as single
         steps.  Each value is shaped like ``alpha_bar[t]``: one entry per
-        layer for a per-codebook schedule.
+        layer for a per-codebook schedule.  ``s`` and ``t`` may be arrays of
+        steps, one pair per entry, and every pair must be in range.
         """
-        if not 0 <= s < t <= self.T:
+        if not np.all((0 <= s) & (s < t) & (t <= self.T)):
             raise ValueError(f"need 0 <= s < t <= {self.T}, got s={s}, t={t}")
         alpha, gamma = _quotients(
             self.alpha_bar[s], self.gamma_bar[s], self.alpha_bar[t], self.gamma_bar[t]

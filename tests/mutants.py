@@ -1,0 +1,109 @@
+"""Mutation check of the oracles: every mutant below must fail one of its tests.
+
+Run from anywhere, outside the pytest suite (pytest collects only ``test_*.py``):
+
+    python3 tests/mutants.py
+
+Each mutant replaces one piece of text, found exactly once, in one file of
+``src/vqdiff``.  The runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to a
+temporary directory, checks that every listed test passes there unmutated, then
+writes one mutant at a time into the copy and runs only that mutant's tests,
+stopping at the first failure.  A mutant whose tests all pass survives: an
+oracle gap, to be closed with a test, not by removing the mutant.  The exit
+status is 1 if any mutant survives, its text is not found exactly once, or a
+listed test fails unmutated.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+DENSE = "tests/test_diffusion.py::TestStepKernel::test_products_match_dense_oracle"
+STACK = "tests/test_guided_step.py::test_chain_stack_at_one_step_equals_each_chain"
+CACHE = "tests/test_guided_step.py::test_cached_kernel_rows_equal_fresh_ones_and_are_read_only"
+
+# (file in src/vqdiff, text, replacement, test node IDs expected to kill the mutant)
+MUTANTS = [
+    ("diffusion.py", "rows[:, t - 1]", "rows[:, t]", [DENSE]),
+    ("diffusion.py", "s = np.maximum(0, t - stride)", "s = t - stride", [CACHE]),
+    ("diffusion.py", "np.where(m, coef[:5], coef[5:10])", "np.where(m, coef[5:10], coef[:5])",
+     [DENSE]),
+    ("diffusion.py", "[self.obs // K]", "[self.obs // (K + 1)]", [DENSE, STACK]),
+    ("diffusion.py", "if (self.masked & zero[..., None]).any():", "if False:",
+     ["tests/test_diffusion.py::TestStepKernel::test_mask_at_zero_mask_step_rejected",
+      "tests/test_diffusion.py::TestBlockedTraining"
+      "::test_mask_at_zero_mask_step_in_a_stack_raises"]),
+    ("diffusion.py", "(t < 1) | (t > table.T)", "(t < 0) | (t > table.T)",
+     ["tests/test_guided_step.py::test_kernel_refuses_a_step_out_of_range"]),
+    ("diffusion.py", "*rows.shape[1:], 1, 1)", "1, *rows.shape[1:], 1)", [DENSE, STACK]),
+    ("diffusion.py", "bb_t + ab_t, mask_prob])", "mask_prob, bb_t + ab_t])", [DENSE]),
+    ("diffusion.py", "b_seg, bb_t, a_seg,", "b_seg, bb_t, one,", [DENSE]),
+    ("diffusion.py", "_coeff_rows(table)[:, t, :, None]", "_coeff_rows(table)[:, t - 1, :, None]",
+     ["tests/test_diffusion.py::TestCorrupt::test_pure_mask_endpoint",
+      "tests/test_diffusion.py::TestCorrupt::test_histogram_matches_marginal"]),
+    ("diffusion.py", "ab, bb, gb = _coeff_rows(table)[:, table.T]",
+     "ab, bb, gb = _coeff_rows(table)[:, table.T - 1]",
+     ["tests/test_guided_step.py::test_stationary_rows_equal_the_transitions_oracle"]),
+    ("diffusion.py", "np.broadcast_to(_coeff_rows(table)[:, table.T], (3, N_q))",
+     "np.broadcast_to(_coeff_rows(table)[:, table.T - 1], (3, N_q))",
+     ["tests/test_guided_step.py::test_prior_matches_the_position_loop"]),
+    ("diffusion.py", "_coeff_rows(self._table)[:, t]", "_coeff_rows(self._table)[:, t - 1]",
+     ["tests/test_diffusion.py::TestBayesOracle::test_matches_joint_table_oracle"]),
+    ("diffusion.py", "np.log([ab + bb, bb, gb])", "np.log([ab, bb, gb])",
+     ["tests/test_diffusion.py::TestBayesOracle::test_matches_joint_table_oracle"]),
+    ("diffusion.py", "table, ts[a:b])", "table, ts[a])",
+     ["tests/test_diffusion.py::TestBlockedTraining::test_equals_one_step_at_a_time"]),
+    ("schedules.py", "(0 <= s) & (s < t)", "(0 <= s) & (s <= t)",
+     ["tests/test_schedules.py::TestSegmentCoefficients::test_segment_argument_order"]),
+    ("schedules.py", "np.all((0 <= s)", "np.any((0 <= s)",
+     ["tests/test_schedules.py::TestSegmentCoefficients"
+      "::test_segment_refuses_a_bad_pair_anywhere_in_arrays"]),
+]
+
+
+def pytest_run(work: Path, tests) -> int:
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # a same-size mutant must not reuse .pyc
+    return subprocess.run(command, cwd=work, env=env, capture_output=True).returncode
+
+
+def main() -> int:
+    start = time.perf_counter()
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, work / name, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", work)
+        listed = sorted({test for *_, tests in MUTANTS for test in tests})
+        if pytest_run(work, listed) != 0:
+            print("the listed tests do not all pass on the unmutated source")
+            return 1
+        for i, (name, old, new, tests) in enumerate(MUTANTS, 1):
+            path = work / "src" / "vqdiff" / name
+            source = path.read_text()
+            found = source.count(old)
+            if found != 1:
+                print(f"{i:2d} NOT FOUND ({found}x)  {name}: {old!r}")
+                failures += 1
+                continue
+            began = time.perf_counter()
+            path.write_text(source.replace(old, new))
+            killed = pytest_run(work, tests) != 0
+            path.write_text(source)
+            failures += not killed
+            verdict = "killed  " if killed else "SURVIVED"
+            print(f"{i:2d} {verdict} {time.perf_counter() - began:5.1f} s  "
+                  f"{name}: {old!r} -> {new!r}", flush=True)
+    print(f"{len(MUTANTS)} mutants, {failures} not killed, {time.perf_counter() - start:.0f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

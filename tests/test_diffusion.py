@@ -48,7 +48,7 @@ from vqdiff.transitions import build_transition_matrix, marginal_xt_given_x0, tr
 
 def step_dists(x_t, t, p0, table, t_prev):
     """Per-position p(x_{t_prev} | x_t) as an (N_q, L, K+1) array."""
-    return _StepKernel(x_t.data, table, t, t_prev).mix(p0)
+    return _StepKernel(x_t.data, table, t, t - t_prev).mix(p0)
 
 
 def grid1(tokens, K):
@@ -257,7 +257,7 @@ class TestStepKernel:
         data = np.tile(np.arange(K + 1), (N_q, 1))
         rng = np.random.default_rng(5)
         for t in range(1, table.T + 1):
-            kernel = _StepKernel(data, table, t, t - 1)
+            kernel = _StepKernel(data, table, t)
             r = rng.normal(size=(N_q, L, K + 1))
             p = rng.dirichlet(np.ones(K), size=(N_q, L))
             got_t, got_valid = kernel.mix_t(r)
@@ -282,7 +282,7 @@ class TestStepKernel:
     def test_mask_at_zero_mask_step_rejected(self):
         table = from_stepwise([0.7, 0.5], [0.1, 0.1], [0.0, 0.2], 3)  # no mask mass at t=1
         with pytest.raises(InconsistencyError):
-            _StepKernel(np.array([[3, 0]]), table, 1, 0)
+            _StepKernel(np.array([[3, 0]]), table, 1)
 
 
 def softmax(w):
@@ -790,7 +790,7 @@ def kl_grids_reference(post, model):
 
 def kl_step_loss_reference(data, x0, p, table, t):
     """``_kl_step``'s loss as the library computed it: a sum over every state."""
-    kernel = _StepKernel(data, table, t, t - 1)
+    kernel = _StepKernel(data, table, t)
     mix = kernel.mix(p)
     post = kernel.mix(onehot_reference(x0, p.shape[-1]))
     support = post > 0
@@ -806,7 +806,7 @@ def vlb_reference(denoiser, x0, cond, table, rng, num_t_samples):
         t = int(rng.integers(1, table.T + 1))
         x_t = corrupt(x0, t, table, rng)
         p0 = _validated_predict(denoiser, x_t, t, cond)[0]
-        kernel = _StepKernel(x_t.data, table, t, t - 1)
+        kernel = _StepKernel(x_t.data, table, t)
         kl = kl_grids_reference(kernel.mix(onehot_reference(x0.data, x0.K)), kernel.mix(p0))
         if kl == float("inf"):
             return kl
@@ -1075,32 +1075,31 @@ class TestBlockedTraining:
         rng = np.random.default_rng(23)
         K, N_q, L, B = 4, 2, 3, 5
         t = rng.integers(1, table.T + 1, size=B)
-        x0 = rng.integers(0, K, size=(B * N_q, L))
-        data = np.concatenate([corrupt(TokenGrid(data=x0[i * N_q:(i + 1) * N_q], K=K), int(t[i]),
-                                       table, rng).data for i in range(B)])
-        p = rng.dirichlet(np.ones(K), size=(B * N_q, L))
+        x0 = rng.integers(0, K, size=(B, N_q, L))
+        data = np.stack([corrupt(TokenGrid(data=x0[i], K=K), int(t[i]), table, rng).data
+                         for i in range(B)])
+        p = rng.dirichlet(np.ones(K), size=(B, N_q, L))
         loss, g = _kl_step(data, x0, p, table, t)
         assert loss.shape == (B,)
         for i in range(B):
-            rows = slice(i * N_q, (i + 1) * N_q)
-            (one_loss,), one_g = _kl_step(data[rows], x0[rows], p[rows], table, int(t[i]))
+            (one_loss,), one_g = _kl_step(data[i], x0[i], p[i], table, int(t[i]))
             assert loss[i] == one_loss
-            assert g[rows].tobytes() == one_g.tobytes()
+            assert g[i].tobytes() == one_g.tobytes()
 
     def test_mask_at_zero_mask_step_in_a_stack_raises(self):
         table = from_stepwise([0.7, 0.5], [0.1, 0.1], [0.0, 0.2], 3)  # no mask mass at t=1
-        data = np.array([[3, 0], [1, 2], [0, 3]])  # three 1 x 2 grids; the last is masked at t=1
+        data = np.array([[[3, 0]], [[1, 2]], [[0, 3]]])  # 1 x 2 grids; the last is masked at t=1
         with pytest.raises(InconsistencyError, match=r"step \[2 1 1\] assigns them zero"):
-            _StepKernel(data, table, np.array([2, 1, 1]), np.array([1, 0, 0]))
-        _StepKernel(data[:1], table, np.array([2]), np.array([1]))  # the step-2 grid alone is fine
+            _StepKernel(data, table, np.array([2, 1, 1]))
+        _StepKernel(data[:1], table, np.array([2]))  # the step-2 grid alone is fine
 
     def test_zero_valid_mass_in_a_stack_raises(self):
         # pure-mask steps: at an observed token only that token is a valid clean value
         table = improved_schedule(4, 3, 1)
-        data = np.array([[0, 3], [1, 2]])
-        x0 = np.array([[0, 1], [1, 2]])
-        p = np.full((2, 2, 3), 1 / 3)
-        p[1, 1] = [0.5, 0.5, 0.0]  # grid 2 gives its observed token 2 no mass
+        data = np.array([[[0, 3]], [[1, 2]]])
+        x0 = np.array([[[0, 1]], [[1, 2]]])
+        p = np.full((2, 1, 2, 3), 1 / 3)
+        p[1, 0, 1] = [0.5, 0.5, 0.0]  # grid 2 gives its observed token 2 no mass
         _kl_step(data[:1], x0[:1], p[:1], table, np.array([2]))
         with pytest.raises(InconsistencyError, match="zero probability to every clean token"):
             _kl_step(data, x0, p, table, np.array([2, 3]))

@@ -16,6 +16,7 @@ from vqdiff import (
     TrainConfig,
     bayes_oracle_denoiser,
     cfg_combine,
+    corrupt,
     improved_schedule,
     linear_schedule,
     reverse_step,
@@ -33,6 +34,7 @@ from vqdiff.diffusion import (
     _validated_predict,
 )
 from vqdiff.schedules import random_schedule, schedule_from_json_dict
+from vqdiff.transitions import stationary_dist
 
 
 # The straightforward implementations the fast path replaced.
@@ -80,24 +82,27 @@ def cfg_combine_reference(log_p_cond, log_p_uncond, lam, mode="log"):
     return np.exp(g - logsumexp(g, axis=-1, keepdims=True))
 
 
-def coeff_rows_reference(table, n_rows, segment=None):
+def coeff_rows_reference(table):
     cum = (table.alpha_bar, table.beta_bar, table.gamma_bar)
-    if segment is None:
-        return [np.broadcast_to(a.reshape(table.T + 1, -1), (table.T + 1, n_rows)) for a in cum]
-    s, t = segment
-    coeffs = [a[t] for a in cum] + [a[s] for a in cum] + list(table.segment(s, t))
-    return [np.broadcast_to(c, (n_rows,)) for c in coeffs]
+    return np.stack([a.reshape(table.T + 1, -1) for a in cum])
 
 
-def kernel_rows_reference(table, n_rows, s, t):
-    ab_t, bb_t, gb_t, ab_s, bb_s, gb_s, a_seg, b_seg, g_seg = coeff_rows_reference(
-        table, n_rows, (s, t))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        keep, mask_prob = g_seg / gb_t, gb_s / gb_t
-    one = np.ones(n_rows)
-    rows = np.array([keep * bb_s, keep * ab_s, one, one, bb_s, ab_s, b_seg, bb_t,
-                     bb_t + ab_t, a_seg, mask_prob])
-    return rows, np.flatnonzero(gb_t == 0.0)
+def kernel_rows_reference(table, stride):
+    """The kernel coefficients of every step t to max(0, t - stride), one scalar
+    ``segment`` call per step, as (12, T, n_layers), and the (T, n_layers) zero mask."""
+    cum = coeff_rows_reference(table)
+    rows, zero = [], []
+    for t in range(1, table.T + 1):
+        s = max(0, t - stride)
+        (ab_t, bb_t, gb_t), (ab_s, bb_s, gb_s) = cum[:, t], cum[:, s]
+        a_seg, b_seg, g_seg = (np.broadcast_to(c, ab_t.shape) for c in table.segment(s, t))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            keep, mask_prob = g_seg / gb_t, gb_s / gb_t
+        one = np.ones_like(ab_t)
+        rows.append([keep * bb_s, keep * ab_s, one, one, a_seg,
+                     bb_s, ab_s, b_seg, bb_t, a_seg, bb_t + ab_t, mask_prob])
+        zero.append(gb_t == 0.0)
+    return np.array(rows).transpose(1, 0, 2), np.array(zero)
 
 
 def same_rows(got, expected) -> bool:
@@ -107,7 +112,7 @@ def same_rows(got, expected) -> bool:
 def sample_reference(denoiser, cond, table, stride, rng, lam, mode):
     N_q, L = denoiser.grid_shape
     K = denoiser.K
-    init = _stationary_rows(table, N_q)
+    init = np.broadcast_to(_stationary_rows(table), (N_q, K + 1))
     x = TokenGrid(_sample_categorical(np.repeat(init[:, None, :], L, axis=1), rng), K)
     last_p0 = None
     for t in range(table.T, 0, -stride):
@@ -117,7 +122,7 @@ def sample_reference(denoiser, cond, table, stride, rng, lam, mode):
             p_u = validated_predict_reference(denoiser, x, t, None)
             with np.errstate(divide="ignore"):
                 p0 = cfg_combine_reference(np.log(p0), np.log(p_u), lam, mode)
-        kernel = _StepKernel(x.data, table, t, s)
+        kernel = _StepKernel(x.data, table, t, stride)
         x = x.with_data(_sample_categorical(kernel.mix(p0), rng))
         last_p0 = p0
     if x.contains_mask():
@@ -129,7 +134,7 @@ def prior_kl_reference(x0, table):
     K = x0.K
     ab, bb, gb = (np.broadcast_to(a[table.T], (x0.N_q,))
                   for a in (table.alpha_bar, table.beta_bar, table.gamma_bar))
-    prior_rows = _stationary_rows(table, x0.N_q)
+    prior_rows = np.broadcast_to(_stationary_rows(table), (x0.N_q, K + 1))
     prior = 0.0
     for r in range(x0.N_q):
         for token in x0.data[r]:
@@ -374,36 +379,37 @@ def kernel_tables():
 @pytest.mark.parametrize("name", sorted(kernel_tables()))
 def test_cached_kernel_rows_equal_fresh_ones_and_are_read_only(name):
     table = kernel_tables()[name]
-    rows = _coeff_rows(table, 3)
-    assert same_rows(rows, coeff_rows_reference(table, 3))
-    assert not any(r.flags.writeable for r in rows)
-    assert _coeff_rows(table, 3) is rows
-    for t in range(1, table.T + 1):
-        for s in range(t):  # every stride
-            kernel = _kernel_rows(table, 3, s, t)
-            assert same_rows(kernel, kernel_rows_reference(table, 3, s, t))
-            assert not any(a.flags.writeable for a in kernel)
-            assert _kernel_rows(table, 3, s, t) is kernel
+    rows = _coeff_rows(table)
+    assert same_bits(rows, coeff_rows_reference(table))
+    assert not rows.flags.writeable
+    assert _coeff_rows(table) is rows
+    for stride in range(1, table.T + 2):  # every stride, and one past the longest
+        kernel = _kernel_rows(table, stride)
+        assert same_rows(kernel, kernel_rows_reference(table, stride))
+        assert not any(a.flags.writeable for a in kernel)
+        assert _kernel_rows(table, stride) is kernel
     with pytest.raises(ValueError):
-        rows[0][0] = 0.5
+        rows[0, 0, 0] = 0.5
     with pytest.raises(ValueError):
-        kernel[0][0, 0] = 0.5
+        kernel[0][0, 0, 0] = 0.5
+    with pytest.raises(ValueError):
+        kernel[1][0, 0] = True
 
 
-def test_kernel_rows_kept_per_step_pair_and_row_count():
-    table = linear_schedule(9, 4)
-    a, b, c = (_kernel_rows(table, 2, 5, 6), _kernel_rows(table, 2, 3, 6),
-               _kernel_rows(table, 3, 5, 6))
-    assert len({id(a), id(b), id(c)}) == 3
-    assert not np.array_equal(a[0][4], b[0][4])  # beta_bar at the earlier step
-    assert c[0].shape == (11, 3)
-    assert _coeff_rows(table, 2)[0].shape == (10, 2)
-    assert _coeff_rows(table, 3)[0].shape == (10, 3)
+def test_kernel_rows_kept_per_stride():
+    table = improved_schedule(9, 4, 3)
+    one, three = _kernel_rows(table, 1), _kernel_rows(table, 3)
+    assert one is not three
+    assert not np.array_equal(one[0][6, 5], three[0][6, 5])  # alpha_bar at the earlier step
+    assert one[0].shape == (12, 9, 3) and one[1].shape == (9, 3)
+    assert _kernel_rows(table, 50) is _kernel_rows(table, 9)  # both reach step 0 from every step
+    assert _coeff_rows(table).shape == (3, 10, 3)
+    assert _coeff_rows(linear_schedule(9, 4)).shape == (3, 10, 1)
 
 
 def test_kernel_rows_kept_per_table():
     one, two = improved_schedule(9, 4, 3), improved_schedule(9, 4, 3)
-    for rows_of, args in ((_coeff_rows, (3,)), (_kernel_rows, (3, 2, 4))):
+    for rows_of, args in ((_coeff_rows, ()), (_kernel_rows, (2,))):
         rows_one, rows_two = rows_of(one, *args), rows_of(two, *args)
         assert rows_one is not rows_two
         assert same_rows(rows_one, rows_two)
@@ -416,10 +422,45 @@ def test_kernel_rows_never_reach_a_later_table():
     # collected one whose id it reuses
     for seed in range(20):
         table = random_schedule(np.random.default_rng(seed), 5, 3)
-        rows, kernel = _coeff_rows(table, 2), _kernel_rows(table, 2, 1, 3)
-        assert same_rows(rows, coeff_rows_reference(table, 2))
-        assert same_rows(kernel, kernel_rows_reference(table, 2, 1, 3))
+        rows, kernel = _coeff_rows(table), _kernel_rows(table, 2)
+        assert same_bits(rows, coeff_rows_reference(table))
+        assert same_rows(kernel, kernel_rows_reference(table, 2))
         del table, rows, kernel
+
+
+# ------------------------------------------------------ stacked chains
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("name", sorted(kernel_tables()))
+def test_chain_stack_at_one_step_equals_each_chain(name, stride):
+    # B chains on a leading axis share one scalar step; at stride 2, t = 1 is
+    # the short last step to 0
+    table = kernel_tables()[name]
+    K, N_q, L, B = table.K, 3, 7, 5
+    rng = np.random.default_rng(67)
+    for t in range(1, table.T + 1):
+        x0 = rng.integers(0, K, size=(B, N_q, L))
+        data = np.stack([corrupt(TokenGrid(g, K=K), t, table, rng).data for g in x0])
+        p = rng.dirichlet(np.ones(K), size=(B, N_q, L))
+        r = rng.normal(size=(B, N_q, L, K + 1))
+        stack = _StepKernel(data, table, t, stride)
+        mix, (mix_t, valid) = stack.mix(p), stack.mix_t(r)  # x_t from corrupt: mix has mass
+        for i in range(B):
+            chain = _StepKernel(data[i], table, t, stride)
+            assert same_bits(mix[i], chain.mix(p[i]))
+            chain_t, chain_valid = chain.mix_t(r[i])
+            assert same_bits(mix_t[i], chain_t)
+            assert same_bits(valid[i], chain_valid)
+
+
+@pytest.mark.parametrize("t", [0, -1, 10, np.array([3, 0, 2]), np.array([1, 10])])
+def test_kernel_refuses_a_step_out_of_range(t):
+    # at t = 0 the index t - 1 would wrap to step T
+    table = linear_schedule(9, 4)
+    data = np.zeros((np.size(t), 2, 3), dtype=np.int64)
+    with pytest.raises(ValueError, match=r"t must be in 1\.\.9"):
+        _StepKernel(data if np.ndim(t) else data[0], table, t)
 
 
 # --------------------------------------------------------------- VLB prior
@@ -433,6 +474,15 @@ def test_prior_matches_the_position_loop(name):
     for L in (1, 5, 40):
         x0 = TokenGrid(rng.integers(0, table.K, size=(n_rows, L)), K=table.K)
         assert same_bits(_prior_kl(x0, table), prior_kl_reference(x0, table))
+
+
+@pytest.mark.parametrize("name", sorted(kernel_tables()))
+def test_stationary_rows_equal_the_transitions_oracle(name):
+    table = kernel_tables()[name]
+    rows = _stationary_rows(table)
+    assert rows.shape == (table.n_layers, table.K + 1)
+    for layer in range(table.n_layers):
+        np.testing.assert_allclose(rows[layer], stationary_dist(table, layer), rtol=0, atol=1e-12)
 
 
 def test_prior_matches_the_position_loop_wide_alphabet():

@@ -192,6 +192,30 @@ class TestSegmentCoefficients:
         with pytest.raises(ValueError):
             table.segment(7, 3)
 
+    @pytest.mark.parametrize(
+        "table",
+        [linear_schedule(9, 4), improved_schedule(9, 4, 3),
+         random_schedule(np.random.default_rng(3), 9, 4)],
+        ids=["linear", "improved", "random"],
+    )
+    def test_segment_on_step_arrays_equals_scalar_calls(self, table):
+        s, t = np.triu_indices(table.T + 1, 1)  # every pair s < t
+        got = table.segment(s, t)
+        for i, pair in enumerate(zip(s.tolist(), t.tolist())):
+            for array_value, scalar_value in zip(got, table.segment(*pair)):
+                assert array_value[i].tobytes() == np.asarray(scalar_value).tobytes()
+
+    @pytest.mark.parametrize("bad", [(5, 5), (7, 3), (-1, 2), (0, 10)])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_segment_refuses_a_bad_pair_anywhere_in_arrays(self, bad, at):
+        table = linear_schedule(9, 4)
+        s, t = [0, 1, 2, 8], [1, 3, 9, 9]
+        s.insert(at, bad[0])
+        t.insert(at, bad[1])
+        for args in (bad, (np.array(s), np.array(t))):
+            with pytest.raises(ValueError, match="need 0 <= s < t <= 9"):
+                table.segment(*args)
+
 
 class TestSerialization:
     def test_linear_json_round_trip(self, tmp_path):
