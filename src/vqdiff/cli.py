@@ -21,6 +21,7 @@ from . import __version__
 from .auxiliary import club_mi, contrastive_ranking_loss, info_nce, recall_at_k
 from .codec import (
     FitConfig,
+    _depths,
     _mse,
     dequantize,
     fit_codebooks,
@@ -254,8 +255,7 @@ def _cmd_codec_report(args) -> None:
     X = load_features(args.features)
     model = load_codec(args.codec)
     mses = reconstruction_report(X, model)
-    # the report covers the deepest len(mses) depths, ending at every book
-    for depth, mse in enumerate(mses, start=model.N_q - len(mses) + 1):
+    for depth, mse in zip(_depths(model), mses):
         print(f"depth {depth}: mse={_fmt(mse)}")
 
 

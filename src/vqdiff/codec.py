@@ -142,6 +142,19 @@ def _nearest(X: np.ndarray, book: np.ndarray) -> np.ndarray:
     return out
 
 
+def _depths(model: CodecModel) -> range:
+    """The grid depths ``model`` encodes and decodes: every book for the flat kinds,
+    which have no partial decoding, 1..N_q for a residual chain."""
+    return range(model.N_q if model.kind in ("VQ", "GVQ") else 1, model.N_q + 1)
+
+
+def _check_depth(model: CodecModel, depth: int, what: str) -> None:
+    if not 1 <= depth <= model.N_q:
+        raise ValueError(f"{what} must be in 1..{model.N_q}, got {depth}")
+    if depth not in _depths(model):
+        raise ValueError(f"{model.kind} does not support partial depth, got {depth} of {model.N_q}")
+
+
 def quantize(features, model: CodecModel, active_books: int | None = None):
     """Encode frames; returns (TokenGrid, reconstruction).
 
@@ -154,10 +167,7 @@ def quantize(features, model: CodecModel, active_books: int | None = None):
     if X.shape[1] != model.d:
         raise ValueError(f"features have dim {X.shape[1]}, model expects {model.d}")
     n_active = model.N_q if active_books is None else int(active_books)
-    if not 1 <= n_active <= model.N_q:
-        raise ValueError(f"active_books must be in 1..{model.N_q}, got {n_active}")
-    if model.kind in ("VQ", "GVQ") and n_active != model.N_q:
-        raise ValueError(f"{model.kind} does not support partial depth")
+    _check_depth(model, n_active, "active_books")
 
     dp = model.dp
     exponent, (X, *books) = _into_range(X, *model.codebooks[:n_active])
@@ -181,8 +191,7 @@ def dequantize(tokens: TokenGrid, model: CodecModel) -> np.ndarray:
     reconstruction arm for the same model."""
     if tokens.K != model.Kp:
         raise ValueError(f"grid K={tokens.K} does not match model Kp={model.Kp}")
-    if tokens.N_q > model.N_q:
-        raise ValueError(f"grid has {tokens.N_q} rows, model has {model.N_q} books")
+    _check_depth(model, tokens.N_q, "the grid's row count")
     if tokens.contains_mask():
         raise ValueError("cannot decode a grid containing mask tokens")
     *_, out = _partial_decodes(tokens, model)
@@ -410,16 +419,14 @@ def fit_codebooks(features, config: FitConfig) -> CodecModel:
 
 
 def reconstruction_report(features, model: CodecModel) -> list[float]:
-    """MSE at each usable depth: 1..N_q for residual kinds, full depth
-    otherwise (the flat kinds have no partial decoding)."""
+    """MSE at each depth of ``_depths``, from the shallowest."""
     X = _as_matrix(features, "features")
-    first = model.N_q if model.kind in ("VQ", "GVQ") else 1
     grid, _ = quantize(X, model)
     # a residual book never changes the tokens of the books before it, so
     # the first d rows of the full-depth grid are the depth-d encoding, and
     # one decode passes through every depth's reconstruction
     decodes = enumerate(_partial_decodes(grid, model))
-    return [_mse(X, recon) for depth, recon in decodes if depth >= first]
+    return [_mse(X, recon) for depth, recon in decodes if depth in _depths(model)]
 
 
 def _mse(X: np.ndarray, recon: np.ndarray) -> float:

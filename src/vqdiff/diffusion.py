@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, InconsistencyError, SizeGuardError
-from .tokens import TokenGrid, _at_least, _field, _integer, _integers, _label, _load_object
-from .tokens import _numbers, atomic_write_text
+from .tokens import TokenGrid, _at_least, _field, _grid_set, _integer, _integers, _label
+from .tokens import _load_object, _numbers, atomic_write_text
 
 MAX_ORACLE_SUPPORT = 10_000
 
@@ -38,17 +38,14 @@ _PREDICT_ATOL = 1e-9
 _TRAIN_BLOCK_VALUES = 2**20  # float64 values per (steps x positions x (K+1)) training array
 
 
-def _clean_grids(grids, what: str) -> TokenGrid:
-    """The first of ``grids``: there is one, and all share shape and K and hold no mask."""
-    if len(grids) == 0:
-        raise ValueError(f"empty {what}")
-    first = grids[0]
-    for g in grids:
-        if (g.N_q, g.L, g.K) != (first.N_q, first.L, first.K):
-            raise ValueError(f"{what} grids must share shape and K")
-        if g.contains_mask():
-            raise ValueError(f"{what} grids must be mask-free")
-    return first
+def _clean_grids(grids, what: str, table) -> np.ndarray:
+    """The (n, N_q, L) stack of ``grids`` (``tokens._grid_set``), which hold no
+    mask and fit ``table``."""
+    data = _grid_set(grids, what)
+    _check_shape(table, grids[0].K, data.shape[1])
+    if (data == table.K).any():
+        raise ValueError(f"{what} grids must be mask-free")
+    return data
 
 
 def _check_shape(table, K: int, N_q: int, what: str = "grid") -> None:
@@ -154,9 +151,7 @@ def corrupt(x0: TokenGrid, t: int, table, rng: np.random.Generator) -> TokenGrid
     Step 0 is the identity by definition, which also sidesteps the
     per-codebook schedule's small t=0 mask offset.
     """
-    _check_shape(table, x0.K, x0.N_q)
-    if x0.contains_mask():
-        raise ValueError("corrupt requires a mask-free grid")
+    _clean_grids([x0], "corrupt", table)
     if not 0 <= t <= table.T:
         raise ValueError(f"t must be in 0..{table.T}, got {t}")
     return x0 if t == 0 else x0.with_data(_corrupted(x0.data, t, table, rng))
@@ -517,9 +512,7 @@ def vlb_loss(
     t=1 term plays the reconstruction role since the step-0 posterior is a
     point mass on x0.
     """
-    _check_shape(table, x0.K, x0.N_q)
-    if x0.contains_mask():
-        raise ValueError("vlb_loss requires a mask-free grid")
+    _clean_grids([x0], "vlb_loss", table)
     _at_least("num_t_samples", num_t_samples, 1)
     if rng is None:
         rng = np.random.default_rng()
@@ -529,7 +522,7 @@ def vlb_loss(
     kls = []
     for _ in range(num_t_samples):
         t = int(rng.integers(1, T + 1))
-        x_t = corrupt(x0, t, table, rng)
+        x_t = x0.with_data(_corrupted(x0.data, t, table, rng))
         p0 = _validated_predict(denoiser, x_t, t, cond)[0]
         _, mix, support, _, terms = _kl_terms(x_t.data, x0.data, p0, table, t)
         if np.any(mix[support] == 0.0):
@@ -556,17 +549,15 @@ class BayesOracleDenoiser(Denoiser):
             raise SizeGuardError(
                 f"oracle support limited to {MAX_ORACLE_SUPPORT} grids, got {len(grids)}"
             )
-        first = _clean_grids(grids, "support")
+        self._support = _clean_grids(grids, "support", table)  # (S, N_q, L)
         probs = np.asarray(probs, dtype=float)
         if probs.shape != (len(grids),):
             raise ValueError("probs must be one weight per support grid")
         if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
             raise ValueError("probs must be a probability vector")
-        _check_shape(table, first.K, first.N_q)
-        self.K = first.K
-        self.grid_shape = (first.N_q, first.L)
+        self.K = table.K
+        self.grid_shape = self._support.shape[1:]
         self._table = table
-        self._support = np.stack([g.data for g in grids])  # (S, N_q, L)
         with np.errstate(divide="ignore"):
             self._log_probs = np.log(probs)
 
@@ -605,10 +596,10 @@ def bayes_oracle_denoiser(grids, probs, table) -> BayesOracleDenoiser:
 
 def empirical_bayes_denoiser(grids: list[TokenGrid], table) -> BayesOracleDenoiser:
     """Bayes oracle over the empirical distribution of a dataset."""
-    _clean_grids(grids, "dataset")  # before grids of other shapes can share bytes
-    counts: dict[bytes, list] = {}  # first grid with these bytes, and its count
-    for g in grids:
-        counts.setdefault(g.data.tobytes(), [g, 0])[1] += 1
+    data = _clean_grids(grids, "dataset", table)
+    counts: dict[bytes, list] = {}  # first grid with these tokens, and its count
+    for g, tokens in zip(grids, data):
+        counts.setdefault(tokens.tobytes(), [g, 0])[1] += 1
     probs = np.array([c for _, c in counts.values()], dtype=float)
     return BayesOracleDenoiser([g for g, _ in counts.values()], probs / probs.sum(), table)
 
@@ -829,8 +820,7 @@ def train_denoiser(
     if rng is None:
         rng = np.random.default_rng()
     pairs = [(item, None) if isinstance(item, TokenGrid) else tuple(item) for item in dataset]
-    first = _clean_grids([g for g, _ in pairs], "dataset")
-    _check_shape(table, first.K, first.N_q)
+    data = _clean_grids([g for g, _ in pairs], "dataset", table)
     if not 0 <= config.null_cond_prob <= 1:
         raise ValueError("null_cond_prob must be in [0, 1]")
     if isinstance(config.epochs, bool) or not isinstance(config.epochs, int) or config.epochs < 1:
@@ -838,19 +828,18 @@ def train_denoiser(
     if not (math.isfinite(config.lr) and config.lr > 0):
         raise ValueError(f"lr must be a finite number > 0, got {config.lr}")
 
-    K, T, N_q, L = first.K, table.T, first.N_q, first.L
+    K, T, (n, N_q, L) = table.K, table.T, data.shape
     labels = sorted({c for _, c in pairs if c is not None})
     den = TabularDenoiser(K, (N_q, L), T, labels)
 
     trace: list[float] = []
-    n = len(pairs)
     table_rows = den.weights.reshape(-1, K)  # one row per (cond, t, q, l, observed token)
     cap = max(1, _TRAIN_BLOCK_VALUES // (N_q * L * (K + 1)))  # steps per block
     for _ in range(config.epochs):
         order, losses = rng.permutation(n), []
         for block in np.array_split(order, -(-n // cap)):  # blocks bound every array below
             m = len(block)
-            x0 = np.stack([pairs[idx][0].data for idx in block.tolist()])
+            x0 = data[block]
             crow, ts, x_t = np.empty(m, int), np.empty(m, int), np.empty_like(x0)
             for i, idx in enumerate(block.tolist()):  # every draw, in one-at-a-time order
                 cond = pairs[idx][1]

@@ -298,14 +298,19 @@ def schedule_from_json_dict(payload: dict) -> ScheduleTable:
     T = _field(payload, "T", _integer, "schedule", ScheduleError)
     K = _field(payload, "K", _integer, "schedule", ScheduleError)
     cum = {name: _field(payload, name, _numbers, "schedule", ScheduleError) for name in _ARRAYS}
-    if kind == "improved":
+    N_q = None  # required for improved; elsewhere optional, as in token files
+    if kind == "improved" or "N_q" in payload:
         N_q = _field(payload, "N_q", _integer, "schedule", ScheduleError)
-        if cum["alpha_bar"].shape != (T + 1, N_q):
-            raise ScheduleError(
-                f"N_q={N_q} needs alpha_bar of shape (T+1, N_q) = {(T + 1, N_q)}, "
-                f"got {cum['alpha_bar'].shape}"
-            )
-    return ScheduleTable(T, K, **cum, kind=kind)  # validate checks the shapes
+    if kind == "improved" and cum["alpha_bar"].shape != (T + 1, N_q):
+        raise ScheduleError(
+            f"N_q={N_q} needs alpha_bar of shape (T+1, N_q) = {(T + 1, N_q)}, "
+            f"got {cum['alpha_bar'].shape}"
+        )
+    table = ScheduleTable(T, K, **cum, kind=kind)  # validate checks the shapes
+    if N_q is not None and N_q != table.n_layers:
+        raise ScheduleError(f"schedule field 'N_q' is {N_q}, but the arrays have "
+                            f"N_q={table.n_layers}")
+    return table
 
 
 def load_schedule(path) -> ScheduleTable:

@@ -154,29 +154,29 @@ class TokenGrid:
         return TokenGrid(data=data, K=self.K)
 
 
-def _token_labels(grids: list[TokenGrid], labels: list[int] | None) -> list[int] | None:
-    """The labels of a token file as ints, after checking the grids and labels
-    can be stored together."""
-    if not grids:
-        raise ValueError("token file needs at least one grid")
-    first = grids[0]
-    for g in grids:
-        if (g.N_q, g.L, g.K) != (first.N_q, first.L, first.K):
-            raise ValueError("all grids in a token file must share shape and K")
-    if labels is not None and len(labels) != len(grids):
-        raise ValueError("labels must match the number of grids")
-    return None if labels is None else [_label(x) for x in labels]
+def _grid_set(grids: list[TokenGrid], what: str) -> np.ndarray:
+    """The (n, N_q, L) stack of ``grids``, a non-empty list of grids of one
+    shape and K; otherwise ``ValueError`` naming ``what``."""
+    if len(grids) == 0:
+        raise ValueError(f"empty {what}")
+    if len({(g.N_q, g.L, g.K) for g in grids}) != 1:
+        raise ValueError(f"{what} grids must share shape and K")
+    return np.stack([g.data for g in grids])
+
+
+def _labels(labels, n: int) -> list[int] | None:
+    """The labels of a token file of ``n`` grids as ints, one per grid, or None."""
+    if labels is None:
+        return None
+    if len(labels) != n:
+        raise ValueError(f"token file has {len(labels)} labels for {n} grids")
+    return [_label(x) for x in labels]
 
 
 def token_file_dict(grids: list[TokenGrid], labels: list[int] | None = None) -> dict:
-    labels = _token_labels(grids, labels)
-    first = grids[0]
-    payload = {
-        "K": first.K,
-        "N_q": first.N_q,
-        "L": first.L,
-        "grids": [g.data.tolist() for g in grids],
-    }
+    data = _grid_set(grids, "token file")
+    labels = _labels(labels, len(data))
+    payload = {"K": grids[0].K, "N_q": data.shape[1], "L": data.shape[2], "grids": data.tolist()}
     if labels is not None:
         payload["labels"] = labels
     return payload
@@ -196,12 +196,12 @@ def save_token_file(path, grids: list[TokenGrid], labels: list[int] | None = Non
     """Write exactly ``json.dumps(token_file_dict(grids, labels), indent=2)``,
     formatting each distinct token value once: with ``indent`` set, ``json``
     runs its pure-Python encoder over every integer."""
-    labels = _token_labels(grids, labels)
-    first = grids[0]
-    header = json.dumps({"K": first.K, "N_q": first.N_q, "L": first.L}, indent=2)
-    values, index = np.unique(np.stack([g.data for g in grids]), return_inverse=True)
+    data = _grid_set(grids, "token file")
+    labels = _labels(labels, len(data))
+    header = json.dumps({"K": grids[0].K, "N_q": data.shape[1], "L": data.shape[2]}, indent=2)
+    values, index = np.unique(data, return_inverse=True)
     strings = np.array(list(map(str, values.tolist())), dtype=object)
-    text = strings[index.reshape(len(grids), first.N_q, first.L)].tolist()
+    text = strings[index.reshape(data.shape)].tolist()
 
     def chunks():
         yield header[:-2] + ',\n  "grids": ['  # the header without its "\n}"
@@ -227,9 +227,7 @@ def load_token_file(path) -> tuple[list[TokenGrid], list[int] | None]:
                              f"but the grids have {name}={arrays.shape[axis]}")
     labels = None
     if payload.get("labels") is not None:
-        labels = _field(payload, "labels", _integers, "token")
-        if len(labels) != len(arrays):
-            raise ValueError(f"token file has {len(labels)} labels for {len(arrays)} grids")
+        labels = _labels(_field(payload, "labels", _integers, "token"), len(arrays))
     grids = []
     for i, a in enumerate(arrays):
         try:

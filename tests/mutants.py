@@ -27,6 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DENSE = "tests/test_diffusion.py::TestStepKernel::test_products_match_dense_oracle"
 STACK = "tests/test_guided_step.py::test_chain_stack_at_one_step_equals_each_chain"
 CACHE = "tests/test_guided_step.py::test_cached_kernel_rows_equal_fresh_ones_and_are_read_only"
+EXHAUSTIVE = "tests/test_diffusion.py::TestVlbLoss::test_matches_exhaustive_enumeration"
 
 # (file in src/vqdiff, text, replacement, test node IDs expected to kill the mutant)
 MUTANTS = [
@@ -49,10 +50,10 @@ MUTANTS = [
       "tests/test_diffusion.py::TestCorrupt::test_histogram_matches_marginal"]),
     ("diffusion.py", "ab, bb, gb = _coeff_rows(table)[:, table.T]",
      "ab, bb, gb = _coeff_rows(table)[:, table.T - 1]",
-     ["tests/test_guided_step.py::test_stationary_rows_equal_the_transitions_oracle"]),
+     ["tests/test_guided_step.py::test_stationary_rows_equal_the_transitions_oracle", EXHAUSTIVE]),
     ("diffusion.py", "np.broadcast_to(_coeff_rows(table)[:, table.T], (3, N_q))",
      "np.broadcast_to(_coeff_rows(table)[:, table.T - 1], (3, N_q))",
-     ["tests/test_guided_step.py::test_prior_matches_the_position_loop"]),
+     ["tests/test_guided_step.py::test_prior_matches_the_position_loop", EXHAUSTIVE]),
     ("diffusion.py", "_coeff_rows(self._table)[:, t]", "_coeff_rows(self._table)[:, t - 1]",
      ["tests/test_diffusion.py::TestBayesOracle::test_matches_joint_table_oracle"]),
     ("diffusion.py", "np.log([ab + bb, bb, gb])", "np.log([ab, bb, gb])",
@@ -64,6 +65,23 @@ MUTANTS = [
     ("schedules.py", "np.all((0 <= s)", "np.any((0 <= s)",
      ["tests/test_schedules.py::TestSegmentCoefficients"
       "::test_segment_refuses_a_bad_pair_anywhere_in_arrays"]),
+    ("schedules.py", 'if kind == "improved" or "N_q" in payload:', 'if kind == "improved":',
+     ["tests/test_schedules.py::TestSerialization::test_n_q_must_equal_the_layer_count"]),
+    ("tokens.py", "{(g.N_q, g.L, g.K) for g in grids}", "{(g.N_q, g.L) for g in grids}",
+     ["tests/test_diffusion.py::TestCleanGrids::test_message[K-oracle-support]"]),
+    ("diffusion.py", "if (data == table.K).any():", "if (data > table.K).any():",
+     ["tests/test_diffusion.py::TestCleanGrids::test_message[mask-oracle-support]",
+      "tests/test_diffusion.py::TestCorrupt::test_masked_input_rejected"]),
+    ("tokens.py", "if len(labels) != n:", "if len(labels) > n:",
+     ["tests/test_cli.py::TestLoaderErrors::test_bad_token_file[labels-length]"]),
+    ("tokens.py", "range(array.ndim - 1)", "range(array.ndim - 2)",
+     ["tests/test_cli.py::test_numeric_field_refuses_non_numbers[token-true]",
+      "tests/test_cli.py::test_numeric_field_refuses_non_numbers[codec-true]"]),
+    ("codec.py", 'range(model.N_q if model.kind in ("VQ", "GVQ") else 1,', "range(1,",
+     ["tests/test_codec.py::TestQuantizeContracts::test_partial_depth_rejected_for_flat_kinds",
+      "tests/test_codec.py::TestQuantizeContracts"
+      "::test_dequantize_refuses_the_depths_quantize_refuses[GVQ-partial]",
+      "tests/test_cli.py::TestCodecCommands::test_decode_refuses_a_partial_flat_grid"]),
 ]
 
 

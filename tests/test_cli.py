@@ -1019,6 +1019,17 @@ class TestCodecCommands:
         assert "1 grid" in err
         assert not out.exists()
 
+    def test_decode_refuses_a_partial_flat_grid(self, capsys, tmp_path):
+        # one row of a two-group GVQ grid would decode the second group as zeros
+        codec, tokens, out = tmp_path / "codec.json", tmp_path / "tok.json", tmp_path / "dec.csv"
+        save_codec(codec, CodecModel("GVQ", 2, 1, 2, [np.arange(6.0).reshape(2, 3)] * 2))
+        save_token_file(tokens, [TokenGrid(data=np.array([[0, 1]]), K=2)])
+        code, stdout, err = invoke(capsys, "codec", "decode", "--tokens", str(tokens),
+                                   "--codec", str(codec), "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err == "error: GVQ does not support partial depth, got 1 of 2\n"
+        assert not out.exists()
+
 
     def test_fit_rejects_groups_for_vq(self, toy_setup, capsys, tmp_path):
         out = tmp_path / "codec.json"

@@ -210,6 +210,18 @@ class TestQuantizeContracts:
         assert grid.N_q == 2
         np.testing.assert_array_equal(dequantize(grid, model), recon)
 
+    @pytest.mark.parametrize("kind,G,R,rows,message", [
+        ("GVQ", 2, 1, 1, "GVQ does not support partial depth, got 1 of 2"),
+        ("VQ", 1, 1, 0, r"the grid's row count must be in 1\.\.1, got 0"),
+        ("RVQ", 1, 3, 0, r"the grid's row count must be in 1\.\.3, got 0"),
+        ("RVQ", 1, 3, 4, r"the grid's row count must be in 1\.\.3, got 4"),
+    ], ids=["GVQ-partial", "VQ-empty", "RVQ-empty", "RVQ-too-deep"])
+    def test_dequantize_refuses_the_depths_quantize_refuses(self, kind, G, R, rows, message):
+        model = decaying_model(kind, G, R, 4, 2)
+        grid = TokenGrid(data=np.zeros((rows, 3), dtype=np.int64), K=4)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dequantize(grid, model)
+
 
 class TestRoundTrips:
     @pytest.mark.parametrize(

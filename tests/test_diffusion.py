@@ -721,6 +721,7 @@ class TestVlbLoss:
         pT[:3] += table.alpha_bar[3] / 3
         sup = qT > 0
         prior_exact = float(np.sum(qT[sup] * np.log(qT[sup] / pT[sup])))
+        assert _prior_kl(x0, table) == prior_exact
 
         # exact per-step expectation and its variance over (t, x_t)
         term_values = []

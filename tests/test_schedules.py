@@ -282,6 +282,22 @@ class TestSerialization:
         with pytest.raises(ScheduleError, match="alpha_bar of shape"):
             schedule_from_json_dict(payload)
 
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_n_q_must_equal_the_layer_count(self, layers):
+        # as in token files, N_q may be left out; a shared schedule has one layer
+        lin = linear_schedule(6, 4)
+        table = lin if layers == 1 else ScheduleTable(
+            6, 4, *(np.stack([a, a], axis=1) for a in (lin.alpha_bar, lin.beta_bar, lin.gamma_bar)))
+        payload = table.to_json_dict()
+        assert payload["N_q"] == layers
+        assert_same_table(schedule_from_json_dict(payload), table)
+        del payload["N_q"]
+        assert_same_table(schedule_from_json_dict(payload), table)
+        payload["N_q"] = 7
+        with pytest.raises(ScheduleError, match=f"^schedule field 'N_q' is 7, but the arrays "
+                                                f"have N_q={layers}$"):
+            schedule_from_json_dict(payload)
+
     def test_missing_field_named(self):
         payload = linear_schedule(6, 4).to_json_dict()
         del payload["gamma_bar"]

@@ -68,7 +68,7 @@ class TestTokenFile:
             token_file_dict([a, b])
         with pytest.raises(ValueError, match="labels"):
             token_file_dict([a], labels=[1, 2])
-        with pytest.raises(ValueError, match="at least one"):
+        with pytest.raises(ValueError, match="empty token file"):
             token_file_dict([])
 
     @pytest.mark.parametrize("label", [1.7, True, "1"], ids=["float", "bool", "str"])
