@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .metrics import _as_matrix, _into_range
+from .tokens import _integral
 
 CLUB_VARIANCE_FLOOR = 1e-8  # relative to the variance of each y column
 
@@ -78,8 +79,7 @@ def recall_at_k(sim, k: int) -> float:
     """
     s = _as_similarity(sim)
     n = s.shape[0]
-    k = int(k)
-    if not 1 <= k <= n:
+    if not _integral(k) or not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     diag = np.diag(s)
     better = (s > diag[:, None]).sum(axis=1)

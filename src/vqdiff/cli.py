@@ -173,10 +173,7 @@ def _cmd_diffuse_sample(args) -> None:
 def _cmd_diffuse_train(args) -> None:
     table = load_schedule(args.schedule)
     grids, labels = load_token_file(args.tokens)
-    if labels is None:
-        dataset = list(grids)
-    else:
-        dataset = list(zip(grids, labels))
+    dataset = list(zip(grids, labels or [None] * len(grids)))
     config = TrainConfig(
         epochs=args.epochs, lr=args.lr, null_cond_prob=args.null_cond_prob
     )
@@ -195,8 +192,7 @@ def _cmd_diffuse_vlb(args) -> None:
     grids, labels = load_token_file(args.tokens)
     rng = np.random.default_rng(args.seed)
     values = []
-    for i, grid in enumerate(grids):
-        cond = None if labels is None else labels[i]
+    for i, (grid, cond) in enumerate(zip(grids, labels or [None] * len(grids))):
         value = vlb_loss(denoiser, grid, cond, table, rng, num_t_samples=args.samples)
         values.append(value)
         print(f"grid {i}: vlb={_fmt(value)}")

@@ -16,17 +16,18 @@ residual chains.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FittingError
-from .metrics import _as_matrix, _into_range
-from .tokens import TokenGrid, _at_least, _field, _integer, _load_object, _numbers, atomic_write_text
+from .metrics import _as_matrix, _into_range, _scaled_back
+from .tokens import TokenGrid, _at_least, _field, _integer, _integral, _load_object, _numbers
+from .tokens import atomic_write_text
 
 KINDS = ("VQ", "RVQ", "GVQ", "GRVQ")
+_SQUARES_OVERFLOW = "features are too large: the reconstruction error leaves the float range"
 
 # Float64 entries of working array per block of frames (1 MiB): the
 # distance block of `_nearest` (rows x Kp), together with the frames it is
@@ -50,6 +51,8 @@ def _check_structure(kind: str, G: int, R: int, Kp: int) -> None:
     """The kind, group count, depth and book size every codec must satisfy."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    if not all(map(_integral, (G, R, Kp))):
+        raise ValueError(f"G, R and Kp must be integers, got {G!r}, {R!r}, {Kp!r}")
     if G < 1 or R < 1 or Kp < 2:
         raise ValueError("need G >= 1, R >= 1, Kp >= 2")
     if kind == "VQ" and (G, R) != (1, 1):
@@ -104,17 +107,6 @@ class CodecModel:
         return self.dp * self.G
 
 
-def _unscaled(squares: float, exponent: int) -> float:
-    """A sum of squares of data scaled by 2^exponent, scaled back;
-    ``ValueError`` if that leaves the float range."""
-    try:
-        return math.ldexp(squares, -2 * exponent)
-    except OverflowError:
-        raise ValueError(
-            "features are too large: the reconstruction error leaves the float range"
-        ) from None
-
-
 def _reconstructed(ufunc, *args, **kwargs) -> np.ndarray:
     """``ufunc(*args, **kwargs)`` forming a reconstruction; ``ValueError`` if it overflows."""
     try:
@@ -149,7 +141,7 @@ def _depths(model: CodecModel) -> range:
 
 
 def _check_depth(model: CodecModel, depth: int, what: str) -> None:
-    if not 1 <= depth <= model.N_q:
+    if not _integral(depth) or not 1 <= depth <= model.N_q:
         raise ValueError(f"{what} must be in 1..{model.N_q}, got {depth}")
     if depth not in _depths(model):
         raise ValueError(f"{model.kind} does not support partial depth, got {depth} of {model.N_q}")
@@ -166,7 +158,7 @@ def quantize(features, model: CodecModel, active_books: int | None = None):
     X = _as_matrix(features, "features")
     if X.shape[1] != model.d:
         raise ValueError(f"features have dim {X.shape[1]}, model expects {model.d}")
-    n_active = model.N_q if active_books is None else int(active_books)
+    n_active = model.N_q if active_books is None else active_books
     _check_depth(model, n_active, "active_books")
 
     dp = model.dp
@@ -182,7 +174,8 @@ def quantize(features, model: CodecModel, active_books: int | None = None):
         picked = books[b][idx]
         recon[:, cols] += picked
         residual[:, cols] -= picked
-    recon = _reconstructed(np.ldexp, recon, -exponent) if exponent else recon
+    if exponent:
+        recon = _scaled_back(recon, exponent, "the codebooks' reconstruction leaves the float range")
     return TokenGrid(data=tokens, K=model.Kp), recon
 
 
@@ -411,7 +404,8 @@ def fit_codebooks(features, config: FitConfig) -> CodecModel:
     chains = [fit_chain(X[:, g * dp : (g + 1) * dp], R, config.Kp, config.iters, rng)
               for g in range(G)]  # (books, traces) per group
     codebooks = [np.ldexp(chains[g][0][r], -exponent) for r in range(R) for g in range(G)]
-    traces = [[_unscaled(v, exponent) for v in chains[g][1][r]] for r in range(R) for g in range(G)]
+    traces = [[_scaled_back(v, 2 * exponent, _SQUARES_OVERFLOW) for v in chains[g][1][r]]
+              for r in range(R) for g in range(G)]
     return CodecModel(
         kind=config.kind, G=G, R=R, Kp=config.Kp,
         codebooks=codebooks, inertia_traces=traces,
@@ -433,7 +427,7 @@ def _mse(X: np.ndarray, recon: np.ndarray) -> float:
     """Mean squared reconstruction error, computed on ``X`` and ``recon`` scaled
     into range (``_into_range``); ``ValueError`` if it leaves the float range."""
     exponent, (X, recon) = _into_range(X, recon)
-    return _unscaled(float(np.mean((X - recon) ** 2)), exponent)
+    return _scaled_back(np.mean((X - recon) ** 2), 2 * exponent, _SQUARES_OVERFLOW)
 
 
 def save_codec(path, model: CodecModel) -> None:

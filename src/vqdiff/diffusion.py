@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ContractError, InconsistencyError, SizeGuardError
 from .tokens import TokenGrid, _at_least, _field, _grid_set, _integer, _integers, _label
-from .tokens import _load_object, _numbers, atomic_write_text
+from .tokens import _integral, _load_object, _numbers, atomic_write_text
 
 MAX_ORACLE_SUPPORT = 10_000
 
@@ -309,9 +309,10 @@ class _StepKernel:
         if np.count_nonzero((t < 1) | (t > table.T)):  # index t - 1 would wrap at t = 0
             raise ValueError(f"t must be in 1..{table.T}, got {t}")
         rows, zero = _kernel_rows(table, stride)
-        rows, zero = rows[:, t - 1], zero[t - 1]
+        rows = rows[:, t - 1]
         self.masked = data == K
-        if (self.masked & zero[..., None]).any():
+        # needed only if the table has a zero-mask step at all, a fact kept with the table
+        if table.cached("zero-mask", zero.any) and (self.masked & zero[t - 1, ..., None]).any():
             raise InconsistencyError(
                 f"grid contains mask tokens but step {t} assigns them zero probability"
             )
@@ -823,7 +824,7 @@ def train_denoiser(
     data = _clean_grids([g for g, _ in pairs], "dataset", table)
     if not 0 <= config.null_cond_prob <= 1:
         raise ValueError("null_cond_prob must be in [0, 1]")
-    if isinstance(config.epochs, bool) or not isinstance(config.epochs, int) or config.epochs < 1:
+    if not _integral(config.epochs) or config.epochs < 1:
         raise ValueError(f"epochs must be an integer >= 1, got {config.epochs!r}")
     if not (math.isfinite(config.lr) and config.lr > 0):
         raise ValueError(f"lr must be a finite number > 0, got {config.lr}")

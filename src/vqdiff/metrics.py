@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tokens import atomic_write_text
+from .tokens import _integral, atomic_write_text
 
 # 10*sqrt(2)/ln(10): converts the plain frame-averaged Euclidean form to dB
 MCD_DB_FACTOR = 10.0 * math.sqrt(2.0) / math.log(10.0)
@@ -49,6 +49,16 @@ def _into_range(*arrays: np.ndarray) -> tuple:
     return e, [np.ldexp(a, e) for a in arrays] if e else arrays
 
 
+def _scaled_back(x, e: int, message: str):
+    """``x``, a number or an array, times 2^-e; past the float maximum, ``ValueError(message)``."""
+    try:
+        with np.errstate(over="raise"):
+            back = np.ldexp(x, -e)
+    except FloatingPointError:
+        raise ValueError(message) from None
+    return back if isinstance(back, np.ndarray) else float(back)
+
+
 def mcd(ref, syn, scale_db: bool = False) -> float:
     """Frame-averaged Euclidean distance over cepstral coefficients.
 
@@ -63,10 +73,7 @@ def mcd(ref, syn, scale_db: bool = False) -> float:
         raise ValueError(f"shape mismatch: ref {a.shape} vs syn {b.shape}")
     exponent, (a, b) = _into_range(a, b)
     value = np.sqrt(((a - b) ** 2).sum(axis=1)).mean() * (MCD_DB_FACTOR if scale_db else 1.0)
-    try:
-        return math.ldexp(float(value), -exponent)
-    except OverflowError:
-        raise ValueError("ref and syn take the MCD out of the float range") from None
+    return _scaled_back(value, exponent, "ref and syn take the MCD out of the float range")
 
 
 def _window_sums(f: np.ndarray, window: int) -> np.ndarray:
@@ -99,8 +106,7 @@ def ssim(ref, syn, window: int = DEFAULT_SSIM_WINDOW) -> float:
     b = _as_matrix(syn, "syn")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: ref {a.shape} vs syn {b.shape}")
-    window = int(window)
-    if window < 1 or window > min(a.shape):
+    if not _integral(window) or not 1 <= window <= min(a.shape):
         raise ValueError(
             f"window must be in 1..{min(a.shape)} for shape {a.shape}, got {window}"
         )

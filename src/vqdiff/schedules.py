@@ -203,6 +203,13 @@ class ScheduleTable:
         }
 
 
+def _cumulative(alpha_bar, gamma_bar, K: int, kind: str = "custom") -> ScheduleTable:
+    """The table of cumulative alpha_bar and gamma_bar; the rest is uniform mass, K*beta_bar."""
+    _at_least("K", K, 2)  # before anything divides by K
+    beta_bar = (1.0 - alpha_bar - gamma_bar) / K
+    return ScheduleTable(len(alpha_bar) - 1, K, alpha_bar, beta_bar, gamma_bar, kind=kind)
+
+
 def linear_schedule(T: int, K: int) -> ScheduleTable:
     """Linear ramp: mask mass grows to 0.9, total uniform mass to 0.1.
 
@@ -212,10 +219,7 @@ def linear_schedule(T: int, K: int) -> ScheduleTable:
     """
     _check_args(T, K)
     frac = np.arange(T + 1) / T
-    alpha_bar = 1.0 - frac
-    gamma_bar = 0.9 * frac
-    beta_bar = (1.0 - alpha_bar - gamma_bar) / K
-    return ScheduleTable(T, K, alpha_bar, beta_bar, gamma_bar, kind="linear")
+    return _cumulative(1.0 - frac, 0.9 * frac, K, "linear")
 
 
 # ``L`` is checked but unused: perfbench/wl_pipeline.py:116 passes it
@@ -240,11 +244,8 @@ def improved_schedule(T: int, K: int, N_q: int, *, L: int = 1) -> ScheduleTable:
     t = (np.arange(T + 1) / T)[:, None]
     q = np.arange(N_q)[None, :]
     offset = np.exp(q / (2.0 * N_q)) / (2.0 * T)
-    alpha_bar_raw = 1.0 - t - offset
-    beta_bar = np.zeros_like(alpha_bar_raw)  # the three-line construction leaves no uniform mass
-    alpha_bar = np.clip(alpha_bar_raw, 0.0, 1.0)
-    gamma_bar = 1.0 - alpha_bar - K * beta_bar
-    return ScheduleTable(T, K, alpha_bar, beta_bar, gamma_bar, kind="improved")
+    alpha_bar = np.clip(1.0 - t - offset, 0.0, 1.0)
+    return _cumulative(alpha_bar, 1.0 - alpha_bar, K, "improved")  # no uniform mass
 
 
 def from_cumulative(alpha_bar, gamma_bar, K: int) -> ScheduleTable:
@@ -253,9 +254,7 @@ def from_cumulative(alpha_bar, gamma_bar, K: int) -> ScheduleTable:
     gamma_bar = np.asarray(gamma_bar, dtype=np.float64)
     if alpha_bar.shape != gamma_bar.shape or alpha_bar.ndim != 1 or len(alpha_bar) < 2:
         raise ValueError("alpha_bar and gamma_bar must be 1-D arrays of equal length >= 2")
-    _at_least("K", K, 2)
-    beta_bar = (1.0 - alpha_bar - gamma_bar) / K
-    return ScheduleTable(len(alpha_bar) - 1, K, alpha_bar, beta_bar, gamma_bar)
+    return _cumulative(alpha_bar, gamma_bar, K)
 
 
 def from_stepwise(alpha, beta, gamma, K: int) -> ScheduleTable:
@@ -273,9 +272,7 @@ def from_stepwise(alpha, beta, gamma, K: int) -> ScheduleTable:
     if np.any(alpha < 0) or np.any(beta < 0) or np.any(gamma < 0):
         raise ValueError("stepwise coefficients must be nonnegative")
     alpha_bar = np.cumprod(np.concatenate([[1.0], alpha]))
-    gamma_bar = 1.0 - np.cumprod(np.concatenate([[1.0], 1.0 - gamma]))
-    beta_bar = (1.0 - alpha_bar - gamma_bar) / K
-    return ScheduleTable(len(alpha), K, alpha_bar, beta_bar, gamma_bar)
+    return _cumulative(alpha_bar, 1.0 - np.cumprod(np.concatenate([[1.0], 1.0 - gamma])), K)
 
 
 def random_schedule(rng: np.random.Generator, T: int, K: int) -> ScheduleTable:

@@ -65,23 +65,29 @@ def _field(payload: dict, name: str, convert, what: str, error=ValueError, defau
         raise error(f"{what} field {name!r} is malformed: {exc}") from None
 
 
+def _integral(value) -> bool:
+    """Whether ``value`` is a Python or NumPy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _integer(value) -> int:
     """A JSON integer as ``int``; floats, strings and booleans are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _integral(value):
         raise TypeError(f"expected an integer, got {value!r}")
     return value
 
 
 def _at_least(name: str, value: int, low: int) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value >= low``."""
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer ``>= low``."""
+    if not _integral(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def _label(cond) -> int:
-    """A condition label as ``int``; a bool, a float (NaN included) or any
-    other non-integer raises ``ValueError`` naming it."""
-    if isinstance(cond, bool) or not isinstance(cond, (int, np.integer)):
+    """A condition label as ``int``; any other value, a bool or NaN too, raises ``ValueError``."""
+    if not _integral(cond):
         raise ValueError(f"condition label {cond!r} is not an integer")
     return int(cond)
 

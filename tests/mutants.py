@@ -28,6 +28,7 @@ DENSE = "tests/test_diffusion.py::TestStepKernel::test_products_match_dense_orac
 STACK = "tests/test_guided_step.py::test_chain_stack_at_one_step_equals_each_chain"
 CACHE = "tests/test_guided_step.py::test_cached_kernel_rows_equal_fresh_ones_and_are_read_only"
 EXHAUSTIVE = "tests/test_diffusion.py::TestVlbLoss::test_matches_exhaustive_enumeration"
+PAIRS = "tests/test_cli.py::TestGridLabelPairs::test_train_and_vlb_equal_the_library"
 
 # (file in src/vqdiff, text, replacement, test node IDs expected to kill the mutant)
 MUTANTS = [
@@ -36,7 +37,7 @@ MUTANTS = [
     ("diffusion.py", "np.where(m, coef[:5], coef[5:10])", "np.where(m, coef[5:10], coef[:5])",
      [DENSE]),
     ("diffusion.py", "[self.obs // K]", "[self.obs // (K + 1)]", [DENSE, STACK]),
-    ("diffusion.py", "if (self.masked & zero[..., None]).any():", "if False:",
+    ("diffusion.py", "and (self.masked & zero[t - 1, ..., None]).any():", "and False:",
      ["tests/test_diffusion.py::TestStepKernel::test_mask_at_zero_mask_step_rejected",
       "tests/test_diffusion.py::TestBlockedTraining"
       "::test_mask_at_zero_mask_step_in_a_stack_raises"]),
@@ -82,6 +83,20 @@ MUTANTS = [
       "tests/test_codec.py::TestQuantizeContracts"
       "::test_dequantize_refuses_the_depths_quantize_refuses[GVQ-partial]",
       "tests/test_cli.py::TestCodecCommands::test_decode_refuses_a_partial_flat_grid"]),
+    ("schedules.py", "beta_bar = (1.0 - alpha_bar - gamma_bar) / K",
+     "beta_bar = (1.0 - gamma_bar - alpha_bar) / K",
+     ["tests/test_schedules.py::TestCumulativeBuilder::test_linear_bits",
+      "tests/test_schedules.py::TestCumulativeBuilder::test_random_and_stepwise_bits"]),
+    ("metrics.py", "back = np.ldexp(x, -e)", "back = np.ldexp(x, e)",
+     ["tests/test_metrics.py::TestPowerOfTwoScaling::test_mcd_scales",
+      "tests/test_codec.py::TestScaleEquivariance::test_fit_scales_or_names_the_overflow"]),
+    ("cli.py", "dataset = list(zip(grids, labels or [None] * len(grids)))",
+     "dataset = list(zip(grids, [None] * len(grids)))", [PAIRS + "[labeled]"]),
+    ("cli.py", "enumerate(zip(grids, labels or [None] * len(grids)))",
+     "enumerate(zip(grids, labels or [None]))", [PAIRS + "[unlabeled]"]),
+    ("tokens.py", " and not isinstance(value, bool)", "",
+     ["tests/test_tokens.py::TestTokenGrid::test_non_integer_alphabet_refused[True]",
+      "tests/test_diffusion.py::TestSample::test_non_integer_stride_refused[True]"]),
 ]
 
 

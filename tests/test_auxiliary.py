@@ -150,6 +150,16 @@ class TestRecallAtK:
         with pytest.raises(ValueError, match="k must be"):
             recall_at_k(np.eye(3), 4)
 
+    @pytest.mark.parametrize("k", [1.9, 2.0, True])
+    def test_non_integer_k_refused(self, k):
+        # int(k) would score 1.9 as k = 1 and True as 1
+        with pytest.raises(ValueError, match="k must be in 1..3, got"):
+            recall_at_k(np.eye(3), k)
+
+    def test_numpy_integer_k_taken(self):
+        sim = np.random.default_rng(4).normal(size=(5, 5))
+        assert recall_at_k(sim, np.int64(2)) == recall_at_k(sim, 2)
+
 
 class TestPermutationEquivariance:
     def test_losses_unchanged_by_joint_relabeling(self):

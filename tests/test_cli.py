@@ -15,7 +15,8 @@ import pytest
 import vqdiff
 from vqdiff.cli import run
 from vqdiff.codec import CodecModel, load_codec, save_codec
-from vqdiff.diffusion import TabularDenoiser, load_denoiser, save_denoiser
+from vqdiff.diffusion import TabularDenoiser, TrainConfig, load_denoiser, save_denoiser
+from vqdiff.diffusion import train_denoiser, vlb_loss
 from vqdiff.errors import ScheduleError
 from vqdiff.schedules import improved_schedule, linear_schedule, load_schedule, save_schedule
 from vqdiff.tokens import TokenGrid, load_token_file, save_token_file
@@ -726,6 +727,33 @@ def golden_run(tmp_path, capsys, kind, dense=False):
             rewrite_dense(den)
             digests["train.dense.out"] = hashlib.sha256(den.read_bytes()).hexdigest()
     return digests
+
+
+class TestGridLabelPairs:
+    """``diffuse train`` and ``diffuse vlb`` take each grid with its label, or with
+    none in a file without labels, as the library does."""
+
+    @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "unlabeled"])
+    def test_train_and_vlb_equal_the_library(self, toy_setup, capsys, tmp_path, labeled):
+        grids, labels = load_token_file(toy_setup["tokens"])
+        conds = labels if labeled else [None] * len(grids)
+        tokens, den_path, expected = (tmp_path / name for name in ("t.json", "d.json", "e.json"))
+        save_token_file(tokens, grids, labels if labeled else None)
+        common = ["--tokens", str(tokens), "--schedule", str(toy_setup["sched"])]
+        code, _, err = invoke(capsys, "diffuse", "train", *common, "--epochs", "2",
+                              "--seed", "3", "--out", str(den_path))
+        assert code == 0, err
+        table = load_schedule(toy_setup["sched"])
+        dataset = list(zip(grids, labels)) if labeled else grids
+        save_denoiser(expected, train_denoiser(dataset, table, TrainConfig(epochs=2),
+                                               np.random.default_rng(3))[0])
+        assert den_path.read_bytes() == expected.read_bytes()
+        code, out, err = invoke(capsys, "diffuse", "vlb", "--denoiser", str(den_path), *common,
+                                "--samples", "2", "--seed", "6")
+        assert code == 0, err
+        den, rng = load_denoiser(den_path), np.random.default_rng(6)
+        values = [vlb_loss(den, g, c, table, rng, num_t_samples=2) for g, c in zip(grids, conds)]
+        assert out.splitlines()[:-1] == [f"grid {i}: vlb={v!r}" for i, v in enumerate(values)]
 
 
 class TestGoldenOutputs:

@@ -186,6 +186,21 @@ class TestQuantizeContracts:
         with pytest.raises(ValueError, match="active_books"):
             quantize(np.zeros((1, 2)), model, active_books=0)
 
+    @pytest.mark.parametrize("active", [2.7, 2.0, True])
+    def test_non_integer_active_books_refused(self, active):
+        # int(active_books) would encode 2.7 as 2 books and True as 1
+        model = decaying_model("RVQ", 1, 3, 4, 2)
+        with pytest.raises(ValueError, match="active_books must be in 1..3, got"):
+            quantize(np.zeros((1, 2)), model, active_books=active)
+
+    def test_numpy_integer_active_books_taken(self):
+        model = decaying_model("RVQ", 1, 3, 4, 2, seed=5)
+        X = np.random.default_rng(1).normal(size=(6, 2))
+        grid, recon = quantize(X, model, active_books=np.int64(2))
+        again, recon_again = quantize(X, model, active_books=2)
+        np.testing.assert_array_equal(grid.data, again.data)
+        np.testing.assert_array_equal(recon, recon_again)
+
     def test_dim_mismatch(self):
         model = vq_model([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="dim"):
@@ -401,6 +416,17 @@ class TestFitting:
         X = np.random.default_rng(0).normal(size=(30, 5))
         with pytest.raises(ValueError, match="divisible"):
             fit_codebooks(X, FitConfig(kind="GVQ", Kp=2, G=2, iters=5, seed=0))
+
+    @pytest.mark.parametrize("name,value", [
+        ("iters", 2.5), ("iters", True), ("Kp", 4.0), ("G", 1.0), ("R", True),
+    ])
+    def test_non_integer_sizes_refused(self, name, value):
+        # a float must not reach the fit, where it raises a bare TypeError, nor True run as 1
+        X = np.random.default_rng(0).normal(size=(30, 2))
+        config = FitConfig(kind="RVQ", Kp=4, R=2, iters=3, seed=0)
+        setattr(config, name, value)
+        with pytest.raises(ValueError, match=f"{name}.* must be (an )?integers?, got"):
+            fit_codebooks(X, config)
 
 
 class TestQuantizerDropout:

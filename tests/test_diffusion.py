@@ -684,7 +684,22 @@ class TestSample:
             sample(den, None, table, 2)
 
 
+    @pytest.mark.parametrize("stride", [1.5, 2.0, True])
+    def test_non_integer_stride_refused(self, stride):
+        # neither a bare TypeError for 1.5 nor a run at stride 1 for True
+        den = FixedDenoiser([0.25] * 4, (1, 2))
+        with pytest.raises(ValueError, match="stride must be an integer, got"):
+            sample(den, None, linear_schedule(10, 4), stride=stride, rng=np.random.default_rng(0))
+
+
 class TestVlbLoss:
+    @pytest.mark.parametrize("n", [2.5, 2.0, True])
+    def test_non_integer_sample_count_refused(self, n):
+        # neither one draw for True nor a bare TypeError for 2.5
+        den = FixedDenoiser([0.5, 0.3, 0.2], (1, 2))
+        with pytest.raises(ValueError, match="num_t_samples must be an integer, got"):
+            vlb_loss(den, grid1([0, 1], 3), None, linear_schedule(5, 3), num_t_samples=n)
+
     def test_nonnegative(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
@@ -901,6 +916,13 @@ class TestTrainDenoiser:
     def test_bad_epochs_rejected(self, epochs):
         with pytest.raises(ValueError, match="epochs must be an integer >= 1"):
             train_denoiser([grid1([0, 1], 3)], linear_schedule(5, 3), TrainConfig(epochs=epochs))
+
+    def test_numpy_integer_epochs_taken(self):
+        grids, table = [grid1([0, 1], 3)], linear_schedule(5, 3)
+        runs = [train_denoiser(grids, table, TrainConfig(epochs=epochs), np.random.default_rng(2))
+                for epochs in (np.int64(3), 3)]
+        assert runs[0][1] == runs[1][1]
+        np.testing.assert_array_equal(runs[0][0].weights, runs[1][0].weights)
 
     def test_single_grid_reproduction(self):
         table = improved_schedule(5, 4, 1)

@@ -198,6 +198,17 @@ class TestSsim:
         with pytest.raises(ValueError, match="window"):
             ssim(x, x, window=0)
 
+    @pytest.mark.parametrize("window", [3.9, 3.0, True])
+    def test_non_integer_window_refused(self, window):
+        # int(window) would read 3.9 as 3 and True as 1
+        x = np.arange(30.0).reshape(5, 6)
+        with pytest.raises(ValueError, match="window must be in 1..5 for shape"):
+            ssim(x, x[::-1], window=window)
+
+    def test_numpy_integer_window_taken(self):
+        x = np.arange(30.0).reshape(5, 6)
+        assert ssim(x, x[::-1], window=np.int64(3)) == ssim(x, x[::-1], window=3)
+
     def test_constant_reference_uses_unit_range(self):
         x = np.ones((5, 5))
         assert ssim(x, x, window=3) == pytest.approx(1.0)

@@ -169,6 +169,113 @@ class TestStepwiseCumulativeRoundTrip:
             from_cumulative([1.0, 0.9, 0.8], [0.0, 0.1, 0.35], K=4)
 
 
+# Each constructor's derivation written out on its own, as it stood before the
+# constructors shared one builder: (alpha_bar, beta_bar, gamma_bar), compared bit for bit.
+def linear_reference(T, K):
+    frac = np.arange(T + 1) / T
+    alpha_bar = 1.0 - frac
+    gamma_bar = 0.9 * frac
+    beta_bar = (1.0 - alpha_bar - gamma_bar) / K
+    return alpha_bar, beta_bar, gamma_bar
+
+
+def improved_reference(T, K, N_q):
+    t = (np.arange(T + 1) / T)[:, None]
+    q = np.arange(N_q)[None, :]
+    offset = np.exp(q / (2.0 * N_q)) / (2.0 * T)
+    alpha_bar_raw = 1.0 - t - offset
+    beta_bar = np.zeros_like(alpha_bar_raw)
+    alpha_bar = np.clip(alpha_bar_raw, 0.0, 1.0)
+    gamma_bar = 1.0 - alpha_bar - K * beta_bar
+    return alpha_bar, beta_bar, gamma_bar
+
+
+def cumulative_reference(alpha_bar, gamma_bar, K):
+    alpha_bar = np.asarray(alpha_bar, dtype=np.float64)
+    gamma_bar = np.asarray(gamma_bar, dtype=np.float64)
+    beta_bar = (1.0 - alpha_bar - gamma_bar) / K
+    return alpha_bar, beta_bar, gamma_bar
+
+
+def stepwise_reference(alpha, beta, gamma, K):
+    alpha_bar = np.cumprod(np.concatenate([[1.0], alpha]))
+    gamma_bar = 1.0 - np.cumprod(np.concatenate([[1.0], 1.0 - gamma]))
+    beta_bar = (1.0 - alpha_bar - gamma_bar) / K
+    return alpha_bar, beta_bar, gamma_bar
+
+
+def random_reference(rng, T, K):
+    alpha = rng.uniform(0.5, 1.0, size=T)
+    rest = 1.0 - alpha
+    split = rng.uniform(0.0, 1.0, size=T)
+    return stepwise_reference(alpha, rest * (1.0 - split) / K, rest * split, K)
+
+
+def assert_same_arrays(table, arrays):
+    for name, expected in zip(("alpha_bar", "beta_bar", "gamma_bar"), arrays):
+        got = getattr(table, name)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
+
+
+SIZES = [(T, K) for T in (1, 2, 3, 7, 20, 64, 200) for K in (2, 3, 16, 256, 1000)]
+
+
+class TestCumulativeBuilder:
+    """Every constructor derives beta_bar in one place, with the bits it had on its own."""
+
+    def test_linear_bits(self):
+        for T, K in SIZES:
+            assert_same_arrays(linear_schedule(T, K), linear_reference(T, K))
+
+    @pytest.mark.parametrize("N_q", [1, 2, 4, 8])
+    def test_improved_bits(self, N_q):
+        for T, K in SIZES:
+            assert_same_arrays(improved_schedule(T, K, N_q), improved_reference(T, K, N_q))
+
+    def test_random_and_stepwise_bits(self):
+        for T, K in SIZES:
+            seed = 1000 * T + K
+            table = random_schedule(np.random.default_rng(seed), T, K)
+            assert_same_arrays(table, random_reference(np.random.default_rng(seed), T, K))
+            steps = stepwise_arrays(table).T
+            assert_same_arrays(from_stepwise(*steps, K), stepwise_reference(*steps, K))
+
+    def test_from_cumulative_bits(self):
+        # the cumulatives of a linear and of a random table, as plain lists too
+        for T, K in SIZES:
+            rng = np.random.default_rng(T + 7 * K)
+            for source in (linear_schedule(T, K), random_schedule(rng, T, K)):
+                for a, g in ((source.alpha_bar, source.gamma_bar),
+                             (source.alpha_bar.tolist(), source.gamma_bar.tolist())):
+                    assert_same_arrays(from_cumulative(a, g, K), cumulative_reference(a, g, K))
+
+    @pytest.mark.parametrize("K", [0, 1])
+    def test_small_alphabet_refused_before_dividing(self, K):
+        # alpha + K*beta + gamma = 1 holds whatever K is; the RuntimeWarning
+        # of a division by 0 would be an error here
+        with pytest.raises(ValueError, match=f"K must be >= 2, got {K}"):
+            from_stepwise([0.5], [0.0], [0.5], K)
+        with pytest.raises(ValueError, match=f"K must be >= 2, got {K}"):
+            from_cumulative([1.0, 0.5], [0.0, 0.5], K)
+
+    @pytest.mark.parametrize("build", [
+        lambda: linear_schedule(4, 3.0),
+        lambda: linear_schedule(4.0, 3),
+        lambda: improved_schedule(4, 3, 2.0),
+        lambda: improved_schedule(4, 3, True),
+        lambda: from_stepwise([0.5], [0.0], [0.5], 2.0),
+        lambda: random_schedule(np.random.default_rng(0), 3, 2.5),
+    ], ids=["linear-K", "linear-T", "improved-N_q", "improved-bool", "stepwise-K", "random-K"])
+    def test_non_integer_sizes_refused(self, build):
+        # a float size must not build a table with float sizes, nor True one of size 1
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            build()
+
+    def test_numpy_integer_sizes_taken(self):
+        assert_same_table(linear_schedule(np.int64(5), np.int32(4)), linear_schedule(5, 4))
+        assert_same_table(improved_schedule(5, 4, np.int64(3)), improved_schedule(5, 4, 3))
+
+
 class TestSegmentCoefficients:
     def test_segment_matches_matrix_product(self):
         rng = np.random.default_rng(7)

@@ -29,6 +29,12 @@ class TestTokenGrid:
         with pytest.raises(ValueError, match="K must be"):
             TokenGrid(data=np.array([[0]]), K=1)
 
+    @pytest.mark.parametrize("K", [3.5, 3.0, True, "3"])
+    def test_non_integer_alphabet_refused(self, K):
+        # neither a grid with a float K nor a bare TypeError for "3"
+        with pytest.raises(ValueError, match="K must be an integer, got"):
+            TokenGrid(data=np.array([[0, 1]]), K=K)
+
     def test_mask_detection(self):
         clean = TokenGrid(data=np.array([[0, 1], [2, 0]]), K=3)
         assert not clean.contains_mask()
