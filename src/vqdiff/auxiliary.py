@@ -8,14 +8,13 @@ candidate; the diagonal holds matched pairs.
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .metrics import _as_matrix, _into_range
-from .tokens import _integral
+from .tokens import _integral, _real
 
 CLUB_VARIANCE_FLOOR = 1e-8  # relative to the variance of each y column
 
@@ -38,8 +37,7 @@ def info_nce(sim, temperature: float = 1.0) -> float:
     """Symmetric cross-entropy against the diagonal: the row-wise
     (query -> candidates) and column-wise directions averaged."""
     s = _as_similarity(sim)
-    if not (math.isfinite(temperature) and temperature > 0):
-        raise ValueError(f"temperature must be a finite number > 0, got {temperature}")
+    _real("temperature", temperature, 0, strict=True)
     with np.errstate(over="ignore"):
         z = s / temperature
     if not np.all(np.isfinite(z)):
@@ -56,8 +54,7 @@ def contrastive_ranking_loss(sim, margin: float) -> float:
     each negative must sit at least ``margin`` below both matched
     diagonals."""
     s = _as_similarity(sim)
-    if not (math.isfinite(margin) and margin >= 0):
-        raise ValueError(f"margin must be a finite number >= 0, got {margin}")
+    margin = _real("margin", margin, 0)
     n = s.shape[0]
     if n == 1:
         return 0.0

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ContractError, InconsistencyError, SizeGuardError
 from .tokens import TokenGrid, _at_least, _field, _grid_set, _integer, _integers, _label
-from .tokens import _integral, _load_object, _numbers, atomic_write_text
+from .tokens import _integral, _load_object, _numbers, _real, atomic_write_text
 
 MAX_ORACLE_SUPPORT = 10_000
 
@@ -100,23 +100,11 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _coeff_rows(table) -> np.ndarray:
-    """alpha_bar, beta_bar and gamma_bar as one read-only (3, T+1, n_layers) array, kept
-    on the table.  A shared schedule has one layer, which broadcasts over a grid's rows."""
-
-    def build():
-        out = np.reshape([table.alpha_bar, table.beta_bar, table.gamma_bar], (3, table.T + 1, -1))
-        out.flags.writeable = False
-        return out
-
-    return table.cached("cumulative", build)
-
-
 def _kernel_rows(table, stride: int) -> tuple:
     """What ``_StepKernel`` reads of the reverse kernel from each step t >= 1 to
     s = max(0, t - stride), kept on the table per stride.
 
-    A read-only (12, T, n_layers) array, from rows t and s of ``_coeff_rows`` and the
+    A read-only (12, T, n_layers) array, from rows t and s of ``table._coeffs`` and the
     alpha, beta, gamma of ``table.segment(s, t)``: the coefficients of a masked
     position, (g_seg/gb_t)·bb_s, (g_seg/gb_t)·ab_s, 1, 1 and a_seg; those of an observed
     one in the same roles, bb_s, ab_s, b_seg, bb_t and a_seg; then bb_t + ab_t and
@@ -129,7 +117,7 @@ def _kernel_rows(table, stride: int) -> tuple:
     def build():
         t = np.arange(1, table.T + 1)
         s = np.maximum(0, t - stride)
-        (ab_t, bb_t, gb_t), (ab_s, bb_s, gb_s) = (_coeff_rows(table)[:, i] for i in (t, s))
+        (ab_t, bb_t, gb_t), (ab_s, bb_s, gb_s) = (table._coeffs[:, i] for i in (t, s))
         a_seg, b_seg, g_seg = (np.reshape(c, ab_t.shape) for c in table.segment(s, t))
         with np.errstate(divide="ignore", invalid="ignore"):
             coef_keep = g_seg / gb_t
@@ -161,7 +149,7 @@ def _corrupted(x0: np.ndarray, t: int, table, rng: np.random.Generator) -> np.nd
     """``corrupt``'s draw of x0, (N_q, L), at a step t >= 1.  One uniform u per position:
     below alpha_bar it keeps its token, below alpha_bar + K*beta_bar it takes a uniform
     token (drawn next, in grid order), and above that it is masked."""
-    ab, bb, _ = _coeff_rows(table)[:, t, :, None]
+    ab, bb, _ = table._coeffs[:, t, :, None]
     u = rng.random(x0.shape)
     uni_edge = ab + table.K * bb
     uniform_zone = (u >= ab) & (u < uni_edge)
@@ -219,9 +207,7 @@ def _validated_predict(denoiser, x_t: TokenGrid, t: int, *conds) -> np.ndarray:
 
 def _guidance_scale(guidance_scale: float, mode: str) -> float:
     """The guidance scale as a float, once it and the mode are checked."""
-    lam = float(guidance_scale)
-    if not (math.isfinite(lam) and lam >= -1):
-        raise ValueError(f"guidance scale must be a finite number >= -1, got {lam}")
+    lam = _real("guidance scale", guidance_scale, -1)
     if mode not in ("log", "prob"):
         raise ValueError(f"mode must be 'log' or 'prob', got {mode!r}")
     return lam
@@ -414,7 +400,7 @@ def reverse_step(
 
 def _stationary_rows(table) -> np.ndarray:
     """The distribution of x_T over the K+1 states, (n_layers, K+1)."""
-    ab, bb, gb = _coeff_rows(table)[:, table.T]
+    ab, bb, gb = table._coeffs[:, table.T]
     probs = np.repeat(bb[:, None], table.K + 1, axis=1)
     probs[:, -1] = gb  # the mask state
     probs[:, :-1] += (ab / table.K)[:, None]  # spread unconverged identity mass
@@ -481,7 +467,7 @@ def _prior_kl(x0: TokenGrid, table) -> float:
     """
     K = x0.K
     N_q, L = x0.data.shape
-    ab, bb, gb = np.broadcast_to(_coeff_rows(table)[:, table.T], (3, N_q))
+    ab, bb, gb = np.broadcast_to(table._coeffs[:, table.T], (3, N_q))
     prior_rows = np.broadcast_to(_stationary_rows(table), (N_q, K + 1))
     q = np.repeat(np.repeat(bb[:, None, None], L, axis=1), K + 1, axis=2)
     rows, cols = np.indices((N_q, L))
@@ -569,7 +555,7 @@ class BayesOracleDenoiser(Denoiser):
             raise ValueError(f"t must be in 0..{self._table.T}, got {t}")
         K = self.K
         N_q, L = self.grid_shape
-        ab, bb, gb = _coeff_rows(self._table)[:, t]
+        ab, bb, gb = self._table._coeffs[:, t]
         data = x_t.data
         is_mask = data == K  # (N_q, L)
         match = self._support == data[None, :, :]  # (S, N_q, L)
@@ -634,9 +620,10 @@ class TabularDenoiser(Denoiser):
     """
 
     def __init__(self, K, grid_shape, T, cond_labels, weights=None):
-        self.K = int(K)
-        self.grid_shape = (int(grid_shape[0]), int(grid_shape[1]))
-        self.T = int(T)
+        N_q, L = grid_shape
+        for name, value, low in (("K", K, 2), ("N_q", N_q, 1), ("L", L, 1), ("T", T, 1)):
+            _at_least(name, value, low)
+        self.K, self.grid_shape, self.T = int(K), (int(N_q), int(L)), int(T)  # ints json writes
         self.cond_labels = sorted(map(_label, cond_labels))
         if len(set(self.cond_labels)) != len(self.cond_labels):
             raise ValueError(f"cond_labels repeat a label: {self.cond_labels}")
@@ -822,12 +809,10 @@ def train_denoiser(
         rng = np.random.default_rng()
     pairs = [(item, None) if isinstance(item, TokenGrid) else tuple(item) for item in dataset]
     data = _clean_grids([g for g, _ in pairs], "dataset", table)
-    if not 0 <= config.null_cond_prob <= 1:
-        raise ValueError("null_cond_prob must be in [0, 1]")
+    _real("null_cond_prob", config.null_cond_prob, 0, high=1)
     if not _integral(config.epochs) or config.epochs < 1:
         raise ValueError(f"epochs must be an integer >= 1, got {config.epochs!r}")
-    if not (math.isfinite(config.lr) and config.lr > 0):
-        raise ValueError(f"lr must be a finite number > 0, got {config.lr}")
+    _real("lr", config.lr, 0, strict=True)
 
     K, T, (n, N_q, L) = table.K, table.T, data.shape
     labels = sorted({c for _, c in pairs if c is not None})

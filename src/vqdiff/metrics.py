@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tokens import _integral, atomic_write_text
+from .tokens import _integral, _real, atomic_write_text
 
 # 10*sqrt(2)/ln(10): converts the plain frame-averaged Euclidean form to dB
 MCD_DB_FACTOR = 10.0 * math.sqrt(2.0) / math.log(10.0)
@@ -192,8 +192,7 @@ def pitch_errors(
         raise TypeError("ref and syn must be PitchTrack instances")
     if len(ref) != len(syn):
         raise ValueError(f"length mismatch: ref {len(ref)} vs syn {len(syn)}")
-    if not (math.isfinite(gpe_threshold) and gpe_threshold > 0):
-        raise ValueError(f"gpe_threshold must be a finite number > 0, got {gpe_threshold}")
+    _real("gpe_threshold", gpe_threshold, 0, strict=True)
     n = len(ref)
     mismatches = int(np.count_nonzero(ref.voiced != syn.voiced))
     both = ref.voiced & syn.voiced

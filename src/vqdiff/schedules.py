@@ -36,12 +36,6 @@ _KINDS = ("linear", "improved", "custom")
 _MAX_SCHEDULE_BYTES = 2**28  # float64 cumulative arrays of one constructed schedule
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    a.flags.writeable = False
-    return a
-
-
 def _check_unit_interval(name: str, a: np.ndarray) -> None:
     if not np.all((a >= -SIMPLEX_ATOL) & (a <= 1 + SIMPLEX_ATOL)):  # NaN fails too
         raise ScheduleError(f"{name} has entries outside [0, 1]")
@@ -68,11 +62,6 @@ def _check_args(T: int, K: int, N_q: int = 1) -> None:
                              f"cumulative arrays, above the {_MAX_SCHEDULE_BYTES}-byte limit")
 
 
-def _pick(arrays, t: int, layer: int) -> tuple:
-    # a shared schedule has the same coefficients on every layer
-    return tuple(a[t] if a.ndim == 1 else a[t, layer] for a in arrays)
-
-
 def _quotients(ab_s, gb_s, ab_t, gb_t):
     """alpha and gamma of the kernel taking cumulative step s to step t.
 
@@ -95,8 +84,10 @@ class ScheduleTable:
     (T+1, n_layers) for one column per codebook row.  ``t=0`` is the
     identity, except for the ``improved`` kind.  Per-step coefficients are
     derived from them by ``segment``/``stepwise``.  ``kind`` is ``linear``,
-    ``improved`` or ``custom``.  ``cached`` keeps values derived from the table alone,
-    such as reverse-kernel coefficients, with this instance.
+    ``improved`` or ``custom``.  The three arrays are read-only views of one
+    (3, T+1, n_layers) array, ``_coeffs``, in which a shared schedule has one
+    layer.  ``cached`` keeps values derived from the table alone, such as
+    reverse-kernel coefficients, with this instance.
     """
 
     T: int
@@ -105,11 +96,17 @@ class ScheduleTable:
     beta_bar: np.ndarray
     gamma_bar: np.ndarray
     kind: str = "custom"
+    _coeffs: np.ndarray = field(init=False, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in _ARRAYS:
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        arrays = [np.asarray(getattr(self, name), dtype=np.float64) for name in _ARRAYS]
+        _check_shapes(self.T, dict(zip(_ARRAYS, arrays)))
+        coeffs = np.stack(arrays).reshape(3, len(arrays[0]), -1)
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "_coeffs", coeffs)
+        for name, a in zip(_ARRAYS, coeffs):
+            object.__setattr__(self, name, a.reshape(arrays[0].shape))
         self.validate()
 
     def cached(self, key, build):
@@ -125,11 +122,12 @@ class ScheduleTable:
 
     @property
     def n_layers(self) -> int:
-        return 1 if self.alpha_bar.ndim == 1 else self.alpha_bar.shape[1]
+        return self._coeffs.shape[2]
 
     def cumulative(self, t: int, layer: int = 0):
-        """(alpha_bar, beta_bar, gamma_bar) of ``layer`` at step ``t``."""
-        return _pick((self.alpha_bar, self.beta_bar, self.gamma_bar), t, layer)
+        """(alpha_bar, beta_bar, gamma_bar) of ``layer`` at step ``t``; a shared
+        schedule has the same coefficients on every layer."""
+        return tuple(self._coeffs[:, t, layer if self.alpha_bar.ndim == 2 else 0])
 
     def stepwise(self, t: int, layer: int = 0):
         """(alpha, beta, gamma) of ``layer`` for the single step ``t-1 -> t``; requires t >= 1.
@@ -165,7 +163,6 @@ class ScheduleTable:
             raise ScheduleError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if self.K < 2:  # before anything divides by K
             raise ScheduleError(f"K must be >= 2, got {self.K}")
-        _check_shapes(self.T, {name: getattr(self, name) for name in _ARRAYS})
         for name in ("alpha_bar", "beta_bar", "gamma_bar"):
             _check_unit_interval(name, getattr(self, name))
         closure = self.alpha_bar + self.K * self.beta_bar + self.gamma_bar
@@ -185,10 +182,12 @@ class ScheduleTable:
         # later codebooks must never be less masked than earlier ones
         if np.any(np.diff(self.gamma_bar.reshape(self.T + 1, -1), axis=1) < -SIMPLEX_ATOL):
             raise ScheduleError("gamma_bar must be non-decreasing in the layer index")
-        alpha, gamma = _quotients(
-            self.alpha_bar[:-1], self.gamma_bar[:-1], self.alpha_bar[1:], self.gamma_bar[1:]
-        )
-        if np.any((1.0 - alpha - gamma) / self.K < -1e-9):
+        gb_s = self.gamma_bar[:-1]
+        alpha, gamma = _quotients(self.alpha_bar[:-1], gb_s, self.alpha_bar[1:], self.gamma_bar[1:])
+        # gamma_bar near 1 is rounded by up to eps/4, so the mask quotient is off by up to
+        # about (eps/2)/(1 - gamma_bar[s]): twice that is allowed
+        slack = np.finfo(float).eps / (1.0 - gb_s + (gb_s >= 1))
+        if np.any((1.0 - alpha - gamma + slack) / self.K < -1e-9):
             raise ScheduleError("cumulative tables imply a negative uniform mass")
 
     def to_json_dict(self) -> dict:
@@ -303,7 +302,7 @@ def schedule_from_json_dict(payload: dict) -> ScheduleTable:
             f"N_q={N_q} needs alpha_bar of shape (T+1, N_q) = {(T + 1, N_q)}, "
             f"got {cum['alpha_bar'].shape}"
         )
-    table = ScheduleTable(T, K, **cum, kind=kind)  # validate checks the shapes
+    table = ScheduleTable(T, K, **cum, kind=kind)  # checks the shapes
     if N_q is not None and N_q != table.n_layers:
         raise ScheduleError(f"schedule field 'N_q' is {N_q}, but the arrays have "
                             f"N_q={table.n_layers}")

@@ -8,6 +8,8 @@ appears in partially corrupted grids.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass
@@ -83,6 +85,22 @@ def _at_least(name: str, value: int, low: int) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def _real(name: str, value, low: float, strict: bool = False, high: float = math.inf) -> float:
+    """``value`` as a float if it is a finite real number, not a bool or a string, that is
+    ``>= low`` (``> low`` if ``strict``) and ``<= high``; else ``ValueError`` naming ``name``."""
+    real = not isinstance(value, bool) and isinstance(value, numbers.Real)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an integer past the float range
+        x = math.inf
+    if math.isfinite(x) and (low < x <= high or (x == low and not strict)):
+        return x
+    if high < math.inf:
+        raise ValueError(f"{name} must be in [{low}, {high}]")
+    shown = value if real else repr(value)
+    raise ValueError(f"{name} must be a finite number {'>' if strict else '>='} {low}, got {shown}")
 
 
 def _label(cond) -> int:

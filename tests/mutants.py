@@ -29,6 +29,8 @@ STACK = "tests/test_guided_step.py::test_chain_stack_at_one_step_equals_each_cha
 CACHE = "tests/test_guided_step.py::test_cached_kernel_rows_equal_fresh_ones_and_are_read_only"
 EXHAUSTIVE = "tests/test_diffusion.py::TestVlbLoss::test_matches_exhaustive_enumeration"
 PAIRS = "tests/test_cli.py::TestGridLabelPairs::test_train_and_vlb_equal_the_library"
+ONE_COPY = "tests/test_schedules.py::TestOneCopy::test_same_bits_as_separate_copies"
+REAL = "tests/test_tokens.py::TestRealArguments"
 
 # (file in src/vqdiff, text, replacement, test node IDs expected to kill the mutant)
 MUTANTS = [
@@ -46,16 +48,16 @@ MUTANTS = [
     ("diffusion.py", "*rows.shape[1:], 1, 1)", "1, *rows.shape[1:], 1)", [DENSE, STACK]),
     ("diffusion.py", "bb_t + ab_t, mask_prob])", "mask_prob, bb_t + ab_t])", [DENSE]),
     ("diffusion.py", "b_seg, bb_t, a_seg,", "b_seg, bb_t, one,", [DENSE]),
-    ("diffusion.py", "_coeff_rows(table)[:, t, :, None]", "_coeff_rows(table)[:, t - 1, :, None]",
+    ("diffusion.py", "table._coeffs[:, t, :, None]", "table._coeffs[:, t - 1, :, None]",
      ["tests/test_diffusion.py::TestCorrupt::test_pure_mask_endpoint",
       "tests/test_diffusion.py::TestCorrupt::test_histogram_matches_marginal"]),
-    ("diffusion.py", "ab, bb, gb = _coeff_rows(table)[:, table.T]",
-     "ab, bb, gb = _coeff_rows(table)[:, table.T - 1]",
+    ("diffusion.py", "ab, bb, gb = table._coeffs[:, table.T]",
+     "ab, bb, gb = table._coeffs[:, table.T - 1]",
      ["tests/test_guided_step.py::test_stationary_rows_equal_the_transitions_oracle", EXHAUSTIVE]),
-    ("diffusion.py", "np.broadcast_to(_coeff_rows(table)[:, table.T], (3, N_q))",
-     "np.broadcast_to(_coeff_rows(table)[:, table.T - 1], (3, N_q))",
+    ("diffusion.py", "np.broadcast_to(table._coeffs[:, table.T], (3, N_q))",
+     "np.broadcast_to(table._coeffs[:, table.T - 1], (3, N_q))",
      ["tests/test_guided_step.py::test_prior_matches_the_position_loop", EXHAUSTIVE]),
-    ("diffusion.py", "_coeff_rows(self._table)[:, t]", "_coeff_rows(self._table)[:, t - 1]",
+    ("diffusion.py", "self._table._coeffs[:, t]", "self._table._coeffs[:, t - 1]",
      ["tests/test_diffusion.py::TestBayesOracle::test_matches_joint_table_oracle"]),
     ("diffusion.py", "np.log([ab + bb, bb, gb])", "np.log([ab, bb, gb])",
      ["tests/test_diffusion.py::TestBayesOracle::test_matches_joint_table_oracle"]),
@@ -97,6 +99,27 @@ MUTANTS = [
     ("tokens.py", " and not isinstance(value, bool)", "",
      ["tests/test_tokens.py::TestTokenGrid::test_non_integer_alphabet_refused[True]",
       "tests/test_diffusion.py::TestSample::test_non_integer_stride_refused[True]"]),
+    ("schedules.py", "layer if self.alpha_bar.ndim == 2 else 0]", "layer]",
+     [ONE_COPY + "[linear]", "tests/test_schedules.py::TestOneCopy::test_layer_rule"]),
+    ("schedules.py", "layer if self.alpha_bar.ndim == 2 else 0]", "0]",
+     [ONE_COPY + "[improved-4]", "tests/test_schedules.py::TestOneCopy::test_layer_rule"]),
+    ("schedules.py", "coeffs = np.stack(arrays)", "coeffs = np.stack(arrays[::2] + arrays[1:2])",
+     [ONE_COPY + "[improved-4]", ONE_COPY + "[custom]"]),
+    ("tokens.py", "real = not isinstance(value, bool) and ", "real = ",
+     [REAL + "::test_non_real_refused_by_name[sample-True]",
+      REAL + "::test_non_real_refused_by_name[margin-True]"]),
+    ("tokens.py", "(x == low and not strict)", "(x == low)",
+     [REAL + "::test_real_values_keep_their_messages[lr-zero]",
+      "tests/test_diffusion.py::TestTrainDenoiser::test_bad_learning_rate_rejected[0.0]"]),
+    ("schedules.py", "gamma + slack) / self.K", "gamma) / self.K",
+     ["tests/test_schedules.py::TestStepwiseCumulativeRoundTrip"
+      "::test_long_random_schedules_validate[260]"]),
+    ("metrics.py", "sums += col_sums[i : i + rows]", "sums += col_sums[i - 1 : i - 1 + rows]",
+     ["tests/test_metrics.py::TestSsimBlocked::test_matches_brute_force_oracle"]),
+    ("metrics.py", "ref.voiced != syn.voiced", "ref.voiced & ~syn.voiced",
+     ["tests/test_metrics.py::TestPitchErrors::test_voicing_errors_count_both_ways"]),
+    ("metrics.py", "e = -math.frexp(largest)[1]", "e = math.frexp(largest)[1]",
+     ["tests/test_metrics.py::TestPowerOfTwoScaling::test_mcd_scales"]),
 ]
 
 

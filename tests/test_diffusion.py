@@ -983,6 +983,24 @@ class TestTrainDenoiser:
             TabularDenoiser(3, (1, 2), 2, [0, 0, 0])
         assert TabularDenoiser(3, (1, 2), 2, [4, 1]).cond_labels == [1, 4]
 
+    @pytest.mark.parametrize("K, grid_shape, T, name", [
+        (3.5, (1, 2), 4, "K"), (3, (1, 2.7), 4, "L"), (3, (1.0, 2), 4, "N_q"),
+        (3, (1, 2), 4.2, "T"), (True, (1, 2), 4, "K"), (1, (1, 2), 4, "K"),
+        (3, (0, 2), 4, "N_q"), (3, (1, 0), 4, "L"), (3, (1, 2), 0, "T"),
+    ], ids=["K-float", "L-float", "N_q-float", "T-float", "K-bool", "K-small", "N_q-zero",
+            "L-zero", "T-zero"])
+    def test_sizes_must_be_integers_in_range(self, K, grid_shape, T, name):
+        # refused, not truncated: (3.5, (1, 2.7), 4.2) must not build K=3, L=2, T=4
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            TabularDenoiser(K, grid_shape, T, [])
+
+    def test_numpy_integer_sizes_stored_as_python_ints(self, tmp_path):
+        den = TabularDenoiser(np.int64(3), (np.int32(1), np.int64(2)), np.int64(4), [])
+        assert type(den.K) is type(den.T) is int and tuple(map(type, den.grid_shape)) == (int, int)
+        save_denoiser(tmp_path / "den.json", den)  # json writes no NumPy integer
+        back = load_denoiser(tmp_path / "den.json")
+        assert (back.K, back.grid_shape, back.T) == (3, (1, 2), 4)
+
     def test_moderate_table_allowed(self):
         # K=16, 4x32 grids, T=20, two labels: 17.5 MB
         den = TabularDenoiser(16, (4, 32), 20, cond_labels=[0, 1])

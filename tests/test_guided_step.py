@@ -24,7 +24,6 @@ from vqdiff import (
     train_denoiser,
 )
 from vqdiff.diffusion import (
-    _coeff_rows,
     _kernel_rows,
     _logsumexp,
     _prior_kl,
@@ -379,10 +378,10 @@ def kernel_tables():
 @pytest.mark.parametrize("name", sorted(kernel_tables()))
 def test_cached_kernel_rows_equal_fresh_ones_and_are_read_only(name):
     table = kernel_tables()[name]
-    rows = _coeff_rows(table)
+    rows = table._coeffs
     assert same_bits(rows, coeff_rows_reference(table))
     assert not rows.flags.writeable
-    assert _coeff_rows(table) is rows
+    assert table._coeffs is rows
     for stride in range(1, table.T + 2):  # every stride, and one past the longest
         kernel = _kernel_rows(table, stride)
         assert same_rows(kernel, kernel_rows_reference(table, stride))
@@ -403,13 +402,13 @@ def test_kernel_rows_kept_per_stride():
     assert not np.array_equal(one[0][6, 5], three[0][6, 5])  # alpha_bar at the earlier step
     assert one[0].shape == (12, 9, 3) and one[1].shape == (9, 3)
     assert _kernel_rows(table, 50) is _kernel_rows(table, 9)  # both reach step 0 from every step
-    assert _coeff_rows(table).shape == (3, 10, 3)
-    assert _coeff_rows(linear_schedule(9, 4)).shape == (3, 10, 1)
+    assert table._coeffs.shape == (3, 10, 3)
+    assert linear_schedule(9, 4)._coeffs.shape == (3, 10, 1)
 
 
 def test_kernel_rows_kept_per_table():
     one, two = improved_schedule(9, 4, 3), improved_schedule(9, 4, 3)
-    for rows_of, args in ((_coeff_rows, ()), (_kernel_rows, (2,))):
+    for rows_of, args in ((lambda t: t._coeffs, ()), (_kernel_rows, (2,))):
         rows_one, rows_two = rows_of(one, *args), rows_of(two, *args)
         assert rows_one is not rows_two
         assert same_rows(rows_one, rows_two)
@@ -422,7 +421,7 @@ def test_kernel_rows_never_reach_a_later_table():
     # collected one whose id it reuses
     for seed in range(20):
         table = random_schedule(np.random.default_rng(seed), 5, 3)
-        rows, kernel = _coeff_rows(table), _kernel_rows(table, 2)
+        rows, kernel = table._coeffs, _kernel_rows(table, 2)
         assert same_bits(rows, coeff_rows_reference(table))
         assert same_rows(kernel, kernel_rows_reference(table, 2))
         del table, rows, kernel

@@ -377,6 +377,14 @@ class TestPitchErrors:
         assert got["gpe"] == 0.5
         assert got["ffe"] == 0.5
 
+    def test_voicing_errors_count_both_ways(self):
+        # a frame voiced only in the synthesis is a voicing error as much as one voiced only in
+        # the reference
+        ref = track([1, 0, 1, 0], [100.0, 0.0, 120.0, 0.0])
+        syn = track([0, 1, 1, 0], [0.0, 110.0, 120.0, 0.0])
+        assert pitch_errors(ref, syn) == {"gpe": 0.0, "vde": 0.5, "ffe": 0.5}
+        assert pitch_errors(syn, ref) == {"gpe": 0.0, "vde": 0.5, "ffe": 0.5}
+
     def test_all_unvoiced(self):
         t = track([0, 0], [0.0, 0.0])
         got = pitch_errors(t, t)

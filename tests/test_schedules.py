@@ -12,7 +12,8 @@ from vqdiff import (
     linear_schedule,
     load_schedule,
 )
-from vqdiff.schedules import random_schedule, schedule_from_json_dict
+from vqdiff.diffusion import _kernel_rows, _stationary_rows
+from vqdiff.schedules import format_table, random_schedule, schedule_from_json_dict
 
 
 def assert_same_table(a, b):
@@ -167,6 +168,14 @@ class TestStepwiseCumulativeRoundTrip:
         # alpha_bar decays slower than gamma_bar grows, forcing beta < 0
         with pytest.raises(ScheduleError):
             from_cumulative([1.0, 0.9, 0.8], [0.0, 0.1, 0.35], K=4)
+
+    @pytest.mark.parametrize("T", [220, 260, 333])
+    def test_long_random_schedules_validate(self, T):
+        # late in a long draw 1 - gamma_bar is a few float spacings, so the mask
+        # quotient is coarsely rounded; that rounding is not a negative uniform mass
+        for seed in range(30):
+            table = random_schedule(np.random.default_rng(seed), T, 16)
+            assert_same_arrays(table, random_reference(np.random.default_rng(seed), T, 16))
 
 
 # Each constructor's derivation written out on its own, as it stood before the
@@ -446,3 +455,180 @@ class TestImmutability:
         table = linear_schedule(10, 4)
         with pytest.raises(ValueError):
             table.alpha_bar[3] = 0.5
+
+
+# The table's layout as it stood before the three arrays became views of one
+# stacked array: each array frozen on its own, ``_pick`` for one step and layer,
+# and a second, stacked copy for the diffusion readers; the bodies verbatim.
+def _freeze(a):
+    a = np.asarray(a, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+def _pick(arrays, t, layer):
+    return tuple(a[t] if a.ndim == 1 else a[t, layer] for a in arrays)
+
+
+def _quotients(ab_s, gb_s, ab_t, gb_t):
+    kept, unmasked = ab_s > 0, gb_s < 1
+    alpha = ab_t / (ab_s + ~kept) * kept
+    gamma = (1.0 - (1.0 - gb_t) / (1.0 - gb_s + ~unmasked)) * unmasked
+    return alpha, gamma
+
+
+class ParentLayout:
+    def __init__(self, T, K, kind, *arrays):
+        self.T, self.K, self.kind = T, K, kind
+        self.alpha_bar, self.beta_bar, self.gamma_bar = map(_freeze, arrays)
+
+    @property
+    def n_layers(self):
+        return 1 if self.alpha_bar.ndim == 1 else self.alpha_bar.shape[1]
+
+    def cumulative(self, t, layer=0):
+        return _pick((self.alpha_bar, self.beta_bar, self.gamma_bar), t, layer)
+
+    def stepwise(self, t, layer=0):
+        alpha, beta, gamma = (c if c.ndim == 0 else c[layer] for c in self.segment(t - 1, t))
+        return alpha, (beta if beta >= 1e-12 else 0.0), gamma
+
+    def segment(self, s, t):
+        alpha, gamma = _quotients(
+            self.alpha_bar[s], self.gamma_bar[s], self.alpha_bar[t], self.gamma_bar[t]
+        )
+        beta = np.maximum(0.0, 1.0 - alpha - gamma) / self.K
+        return alpha, beta, gamma
+
+    def to_json_dict(self):
+        return {
+            "T": self.T,
+            "K": self.K,
+            "kind": self.kind,
+            "N_q": self.n_layers,
+            "alpha_bar": self.alpha_bar.tolist(),
+            "gamma_bar": self.gamma_bar.tolist(),
+            "beta_bar": self.beta_bar.tolist(),
+        }
+
+
+def parent_format_table(table):
+    per_layer = table.alpha_bar.ndim == 2
+    head = f"kind={table.kind} T={table.T} K={table.K}"
+    cols = f"{'alpha_bar':>12} {'K*beta_bar':>12} {'gamma_bar':>12}"
+    if per_layer:
+        head += f" N_q={table.n_layers}"
+        cols = f"{'layer':>5} {cols}"
+    lines = [head, f"{'t':>5} {cols}"]
+    for t in range(table.T + 1):
+        for q in range(table.n_layers):
+            ab, bb, gb = table.cumulative(t, q)
+            layer = f"{q:>5} " if per_layer else ""
+            lines.append(f"{t:>5} {layer}{ab:>12.6f} {table.K * bb:>12.6f} {gb:>12.6f}")
+    return "\n".join(lines)
+
+
+def parent_coeff_rows(table):
+    out = np.reshape([table.alpha_bar, table.beta_bar, table.gamma_bar], (3, table.T + 1, -1))
+    out.flags.writeable = False
+    return out
+
+
+def parent_kernel_rows(table, stride):
+    stride = min(stride, table.T)
+    t = np.arange(1, table.T + 1)
+    s = np.maximum(0, t - stride)
+    (ab_t, bb_t, gb_t), (ab_s, bb_s, gb_s) = (parent_coeff_rows(table)[:, i] for i in (t, s))
+    a_seg, b_seg, g_seg = (np.reshape(c, ab_t.shape) for c in table.segment(s, t))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef_keep = g_seg / gb_t
+        mask_prob = gb_s / gb_t
+    one = np.ones_like(ab_t)
+    rows = np.array([coef_keep * bb_s, coef_keep * ab_s, one, one, a_seg,
+                     bb_s, ab_s, b_seg, bb_t, a_seg,
+                     bb_t + ab_t, mask_prob])
+    return rows, gb_t == 0.0
+
+
+def parent_stationary_rows(table):
+    ab, bb, gb = parent_coeff_rows(table)[:, table.T]
+    probs = np.repeat(bb[:, None], table.K + 1, axis=1)
+    probs[:, -1] = gb
+    probs[:, :-1] += (ab / table.K)[:, None]
+    return probs
+
+
+def one_copy_cases():
+    T, K = 6, 3
+    a, b, g = linear_reference(T, K)
+    column = [x[:, None] for x in (a, b, g)]
+    return {
+        "linear": (linear_schedule(T, K), linear_reference(T, K)),
+        "improved-1": (improved_schedule(T, K, 1), improved_reference(T, K, 1)),
+        "improved-4": (improved_schedule(T, K, 4), improved_reference(T, K, 4)),
+        "random": (random_schedule(np.random.default_rng(5), T, K),
+                   random_reference(np.random.default_rng(5), T, K)),
+        "custom": (ScheduleTable(T, K, a, b, g), (a, b, g)),
+        "custom-column": (ScheduleTable(T, K, *column), column),
+    }
+
+
+def outcome(call):
+    """The type and bits of each value ``call()`` returns, or ``IndexError``."""
+    try:
+        return [(type(v), np.asarray(v).tobytes()) for v in call()]
+    except IndexError:
+        return IndexError
+
+
+def same_bits(got, expected):
+    return got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+class TestOneCopy:
+    """The three arrays are read-only views of one stacked array, and every
+    reader of the table gets the bits the parent's separate copies gave."""
+
+    @pytest.mark.parametrize("name", sorted(one_copy_cases()))
+    def test_same_bits_as_separate_copies(self, name):
+        table, arrays = one_copy_cases()[name]
+        parent = ParentLayout(table.T, table.K, table.kind, *arrays)
+        assert not table._coeffs.flags.writeable
+        assert same_bits(table._coeffs, parent_coeff_rows(parent))
+        for array_name in ("alpha_bar", "beta_bar", "gamma_bar"):
+            got, expected = getattr(table, array_name), getattr(parent, array_name)
+            assert got.dtype == expected.dtype == np.float64
+            assert same_bits(got, expected), array_name
+            assert not got.flags.writeable
+            assert np.shares_memory(got, table._coeffs)
+        assert table.n_layers == parent.n_layers
+        for t in range(table.T + 1):
+            for layer in range(table.n_layers + 1):  # one past the last layer too
+                assert outcome(lambda: table.cumulative(t, layer)) == \
+                    outcome(lambda: parent.cumulative(t, layer))
+                if t:
+                    assert outcome(lambda: table.stepwise(t, layer)) == \
+                        outcome(lambda: parent.stepwise(t, layer))
+        assert json.dumps(table.to_json_dict()) == json.dumps(parent.to_json_dict())
+        assert format_table(table) == parent_format_table(parent)
+        for stride in (1, 2, table.T):
+            got, expected = _kernel_rows(table, stride), parent_kernel_rows(parent, stride)
+            assert same_bits(got[0], expected[0]) and same_bits(got[1], expected[1])
+        assert same_bits(_stationary_rows(table), parent_stationary_rows(parent))
+
+    def test_layer_rule(self):
+        # a shared table gives its one layer for any layer; a per-layer one, even
+        # with a single column, has no layer past its columns
+        cases = one_copy_cases()
+        shared, column = cases["custom"][0], cases["custom-column"][0]
+        assert shared.cumulative(3, 5) == shared.cumulative(3, 0)
+        with pytest.raises(IndexError):
+            column.cumulative(3, 1)
+        with pytest.raises(IndexError):
+            cases["improved-4"][0].cumulative(3, 4)
+
+    def test_inputs_stay_the_callers(self):
+        # the table stacks a copy; it neither freezes nor shares the caller's arrays
+        a, b, g = linear_reference(4, 3)
+        table = ScheduleTable(4, 3, a, b, g)
+        assert a.flags.writeable and not np.shares_memory(a, table._coeffs)

@@ -1,6 +1,7 @@
 """Token grid validation and the JSON token file."""
 
 import json
+import math
 import os
 import re
 import stat
@@ -8,6 +9,19 @@ import stat
 import numpy as np
 import pytest
 
+from vqdiff import (
+    PitchTrack,
+    TrainConfig,
+    bayes_oracle_denoiser,
+    cfg_combine,
+    contrastive_ranking_loss,
+    info_nce,
+    linear_schedule,
+    pitch_errors,
+    reverse_step,
+    sample,
+    train_denoiser,
+)
 from vqdiff import tokens
 from vqdiff.tokens import (
     TokenGrid,
@@ -45,6 +59,78 @@ class TestTokenGrid:
         grid = TokenGrid(data=np.array([[0, 1]]), K=2)
         with pytest.raises(ValueError):
             grid.data[0, 0] = 1
+
+
+def real_argument_sites():
+    """Each real-valued argument's call, taking the value to check."""
+    table = linear_schedule(3, 3)
+    grid = TokenGrid(data=np.array([[0, 1]]), K=3)
+    oracle = bayes_oracle_denoiser([grid], [1.0], table)
+    uniform = np.log(np.full((1, 2, 3), 1 / 3))
+    sim = np.array([[1.0, 0.5], [0.5, 1.0]])
+    track = PitchTrack(np.array([100.0, 0.0]), np.array([True, False]))
+    return {
+        "sample": lambda v: sample(oracle, 0, table, rng=np.random.default_rng(0),
+                                   guidance_scale=v),
+        "reverse_step": lambda v: reverse_step(grid.with_data(np.array([[3, 3]])), 1, oracle, 0,
+                                               table, v, np.random.default_rng(0)),
+        "cfg_combine": lambda v: cfg_combine(uniform, uniform, v),
+        "lr": lambda v: train_denoiser([grid], table, TrainConfig(epochs=1, lr=v),
+                                       np.random.default_rng(0)),
+        "null_cond_prob": lambda v: train_denoiser([(grid, 0)], table,
+                                                   TrainConfig(epochs=1, null_cond_prob=v),
+                                                   np.random.default_rng(0)),
+        "temperature": lambda v: info_nce(sim, temperature=v),
+        "margin": lambda v: contrastive_ranking_loss(sim, margin=v),
+        "gpe_threshold": lambda v: pitch_errors(track, track, gpe_threshold=v),
+    }
+
+
+class TestRealArguments:
+    """One rule for real-valued arguments: a finite real number, not a bool or a string."""
+
+    @pytest.mark.parametrize("site, value", [
+        ("sample", "0.5"), ("reverse_step", "0.5"), ("cfg_combine", "0.5"),
+        ("sample", True), ("lr", True), ("temperature", True), ("gpe_threshold", True),
+        ("temperature", "1"), ("margin", None), ("lr", "1"), ("gpe_threshold", "0.2"),
+        ("null_cond_prob", "0.1"), ("null_cond_prob", True), ("margin", True),
+    ])
+    def test_non_real_refused_by_name(self, site, value):
+        # refused by name, neither converted ("0.5" to 0.5, True to 1.0) nor a bare TypeError
+        name = "guidance scale" if site in ("sample", "reverse_step", "cfg_combine") else site
+        message = (re.escape("null_cond_prob must be in [0, 1]") if site == "null_cond_prob"
+                   else f"{name} must be a finite number .*, got {re.escape(repr(value))}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            real_argument_sites()[site](value)
+
+    @pytest.mark.parametrize("site, value, message", [
+        ("sample", math.nan, "guidance scale must be a finite number >= -1, got nan"),
+        ("cfg_combine", -1.5, "guidance scale must be a finite number >= -1, got -1.5"),
+        ("lr", 0.0, "lr must be a finite number > 0, got 0.0"),
+        ("null_cond_prob", 1.5, "null_cond_prob must be in [0, 1]"),
+        ("null_cond_prob", math.nan, "null_cond_prob must be in [0, 1]"),
+        ("temperature", -1, "temperature must be a finite number > 0, got -1"),
+        ("margin", -math.inf, "margin must be a finite number >= 0, got -inf"),
+        ("gpe_threshold", 0.0, "gpe_threshold must be a finite number > 0, got 0.0"),
+    ], ids=["sample-nan", "cfg_combine-below", "lr-zero", "null_cond_prob-above",
+            "null_cond_prob-nan", "temperature-negative", "margin-inf", "gpe_threshold-zero"])
+    def test_real_values_keep_their_messages(self, site, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            real_argument_sites()[site](value)
+
+    def test_integer_past_the_float_range_refused(self):
+        with pytest.raises(ValueError, match="^temperature must be a finite number > 0, got 1000"):
+            real_argument_sites()["temperature"](10**400)
+
+    @pytest.mark.parametrize("site, value", [
+        ("cfg_combine", -1), ("margin", 0), ("null_cond_prob", 1), ("lr", np.float32(0.5)),
+        ("temperature", np.int64(2)), ("gpe_threshold", np.float64(0.2)),
+    ])
+    def test_numpy_and_integer_reals_taken(self, site, value):
+        got, expected = (real_argument_sites()[site](v) for v in (value, float(value)))
+        if site in ("lr", "null_cond_prob"):  # the trained tables
+            got, expected = got[0].weights, expected[0].weights
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestTokenFile:
