@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .metrics import _as_matrix, _into_range
-from .tokens import _integral, _real
+from .tokens import _index, _real
 
 CLUB_VARIANCE_FLOOR = 1e-8  # relative to the variance of each y column
 
@@ -76,8 +76,7 @@ def recall_at_k(sim, k: int) -> float:
     """
     s = _as_similarity(sim)
     n = s.shape[0]
-    if not _integral(k) or not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
+    _index("k", k, 1, n)
     diag = np.diag(s)
     better = (s > diag[:, None]).sum(axis=1)
     tied_earlier = ((s == diag[:, None]) & (np.arange(n)[None, :] < np.arange(n)[:, None])).sum(axis=1)

@@ -500,6 +500,8 @@ def run(argv=None) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     try:
+        if hasattr(args, "seed"):  # every stochastic command
+            _at_least("--seed", args.seed, 0)
         args.func(args)
     except (VqdiffError, ValueError, OSError) as exc:  # JSON decode errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

@@ -22,12 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FittingError
-from .metrics import _as_matrix, _into_range, _scaled_back
-from .tokens import TokenGrid, _at_least, _field, _integer, _integral, _load_object, _numbers
-from .tokens import atomic_write_text
+from .metrics import _as_matrix, _in_float_range, _into_range, _scaled_back
+from .tokens import TokenGrid, _at_least, _field, _index, _integer, _integral, _load_object
+from .tokens import _numbers, atomic_write_text
 
 KINDS = ("VQ", "RVQ", "GVQ", "GRVQ")
 _SQUARES_OVERFLOW = "features are too large: the reconstruction error leaves the float range"
+_RECON_OVERFLOW = "the codebooks' reconstruction leaves the float range"
 
 # Float64 entries of working array per block of frames (1 MiB): the
 # distance block of `_nearest` (rows x Kp), together with the frames it is
@@ -107,15 +108,6 @@ class CodecModel:
         return self.dp * self.G
 
 
-def _reconstructed(ufunc, *args, **kwargs) -> np.ndarray:
-    """``ufunc(*args, **kwargs)`` forming a reconstruction; ``ValueError`` if it overflows."""
-    try:
-        with np.errstate(over="raise"):
-            return ufunc(*args, **kwargs)
-    except FloatingPointError:
-        raise ValueError("the codebooks' reconstruction leaves the float range") from None
-
-
 def _nearest(X: np.ndarray, book: np.ndarray) -> np.ndarray:
     """Index of the closest code per frame; ties go to the lowest index.
     ``X`` and ``book`` are in the range of ``metrics._into_range``, so no
@@ -141,8 +133,7 @@ def _depths(model: CodecModel) -> range:
 
 
 def _check_depth(model: CodecModel, depth: int, what: str) -> None:
-    if not _integral(depth) or not 1 <= depth <= model.N_q:
-        raise ValueError(f"{what} must be in 1..{model.N_q}, got {depth}")
+    _index(what, depth, 1, model.N_q)
     if depth not in _depths(model):
         raise ValueError(f"{model.kind} does not support partial depth, got {depth} of {model.N_q}")
 
@@ -175,7 +166,7 @@ def quantize(features, model: CodecModel, active_books: int | None = None):
         recon[:, cols] += picked
         residual[:, cols] -= picked
     if exponent:
-        recon = _scaled_back(recon, exponent, "the codebooks' reconstruction leaves the float range")
+        recon = _scaled_back(recon, exponent, _RECON_OVERFLOW)
     return TokenGrid(data=tokens, K=model.Kp), recon
 
 
@@ -200,7 +191,7 @@ def _partial_decodes(tokens: TokenGrid, model: CodecModel):
     for b in range(tokens.N_q):
         g = b % model.G
         cols = out[:, g * dp : (g + 1) * dp]
-        _reconstructed(np.add, cols, model.codebooks[b][tokens.data[b]], out=cols)
+        _in_float_range(_RECON_OVERFLOW, np.add, cols, model.codebooks[b][tokens.data[b]], out=cols)
         yield out
 
 
@@ -391,6 +382,7 @@ def fit_codebooks(features, config: FitConfig) -> CodecModel:
     if config.dropout and config.kind != "RVQ":
         raise ValueError("quantizer dropout applies to RVQ fitting only")
     _at_least("iters", config.iters, 1)
+    _at_least("seed", config.seed, 0)
     G, R = config.G, config.R
     if X.shape[1] % G != 0:
         raise ValueError(f"feature dim {X.shape[1]} not divisible by G={G}")

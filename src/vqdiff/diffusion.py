@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ContractError, InconsistencyError, SizeGuardError
 from .tokens import TokenGrid, _at_least, _field, _grid_set, _integer, _integers, _label
-from .tokens import _integral, _load_object, _numbers, _real, atomic_write_text
+from .tokens import _index, _integral, _load_object, _numbers, _real, atomic_write_text
 
 MAX_ORACLE_SUPPORT = 10_000
 
@@ -140,8 +140,7 @@ def corrupt(x0: TokenGrid, t: int, table, rng: np.random.Generator) -> TokenGrid
     per-codebook schedule's small t=0 mask offset.
     """
     _clean_grids([x0], "corrupt", table)
-    if not 0 <= t <= table.T:
-        raise ValueError(f"t must be in 0..{table.T}, got {t}")
+    _index("t", t, 0, table.T)
     return x0 if t == 0 else x0.with_data(_corrupted(x0.data, t, table, rng))
 
 
@@ -292,8 +291,7 @@ class _StepKernel:
 
     def __init__(self, data: np.ndarray, table, t, stride: int = 1):
         K = self.K = table.K
-        if np.count_nonzero((t < 1) | (t > table.T)):  # index t - 1 would wrap at t = 0
-            raise ValueError(f"t must be in 1..{table.T}, got {t}")
+        _index("t", t, 1, table.T, arrays=True)  # index t - 1 would wrap at t = 0
         rows, zero = _kernel_rows(table, stride)
         rows = rows[:, t - 1]
         self.masked = data == K
@@ -391,8 +389,7 @@ def reverse_step(
     """Sample x_{t-1} from the reparameterized reverse kernel at step t."""
     lam = _guidance_scale(guidance_scale, guidance_mode)
     _check_shape(table, x_t.K, x_t.N_q)
-    if not 1 <= t <= table.T:
-        raise ValueError(f"t must be in 1..{table.T}, got {t}")
+    _index("t", t, 1, table.T)
     if rng is None:
         rng = np.random.default_rng()
     return _step(x_t, t, 1, denoiser, cond, table, lam, guidance_mode, rng)[0]
@@ -551,8 +548,7 @@ class BayesOracleDenoiser(Denoiser):
     def predict(self, x_t: TokenGrid, t: int, cond=None) -> np.ndarray:
         if (x_t.N_q, x_t.L) != self.grid_shape or x_t.K != self.K:
             raise ValueError("grid shape mismatch with the oracle's support")
-        if not 0 <= t <= self._table.T:
-            raise ValueError(f"t must be in 0..{self._table.T}, got {t}")
+        _index("t", t, 0, self._table.T)
         K = self.K
         N_q, L = self.grid_shape
         ab, bb, gb = self._table._coeffs[:, t]
@@ -674,8 +670,7 @@ class TabularDenoiser(Denoiser):
     def predict(self, x_t: TokenGrid, t: int, cond=None) -> np.ndarray:
         if (x_t.N_q, x_t.L) != self.grid_shape or x_t.K != self.K:
             raise ValueError("grid shape mismatch with the trained table")
-        if not 0 <= t <= self.T:
-            raise ValueError(f"t must be in 0..{self.T}, got {t}")
+        _index("t", t, 0, self.T)
         rows = self._rows(self._cond_row(cond), t, x_t.data)
         return _softmax(self.weights.reshape(-1, self.K)[rows])  # (N_q, L, K)
 

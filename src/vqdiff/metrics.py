@@ -49,13 +49,18 @@ def _into_range(*arrays: np.ndarray) -> tuple:
     return e, [np.ldexp(a, e) for a in arrays] if e else arrays
 
 
-def _scaled_back(x, e: int, message: str):
-    """``x``, a number or an array, times 2^-e; past the float maximum, ``ValueError(message)``."""
+def _in_float_range(message: str, f, *args, **kwargs):
+    """``f(*args, **kwargs)``; ``ValueError(message)`` if it overflows or makes a NaN."""
     try:
-        with np.errstate(over="raise"):
-            back = np.ldexp(x, -e)
+        with np.errstate(over="raise", invalid="raise"):
+            return f(*args, **kwargs)
     except FloatingPointError:
         raise ValueError(message) from None
+
+
+def _scaled_back(x, e: int, message: str):
+    """``x``, a number or an array, times 2^-e; past the float maximum, ``ValueError(message)``."""
+    back = _in_float_range(message, np.ldexp, x, -e)
     return back if isinstance(back, np.ndarray) else float(back)
 
 
@@ -115,11 +120,9 @@ def ssim(ref, syn, window: int = DEFAULT_SSIM_WINDOW) -> float:
     else:
         a, b = _into_range(a, b)[1]
         data_range = float(a.max() - a.min())  # 0.0 if the scaling flattened a
-    try:  # an overflow anywhere, even one that leaves the mean finite, or a 0/0 is refused
-        with np.errstate(over="raise", invalid="raise"):
-            return _ssim(a, b, window, (0.01 * data_range) ** 2, (0.03 * data_range) ** 2)
-    except FloatingPointError:
-        raise ValueError("ref and syn take the SSIM out of the float range") from None
+    # an overflow anywhere, even one that leaves the mean finite, or a 0/0 is refused
+    return _in_float_range("ref and syn take the SSIM out of the float range", _ssim, a, b,
+                           window, (0.01 * data_range) ** 2, (0.03 * data_range) ** 2)
 
 
 def _ssim(a: np.ndarray, b: np.ndarray, window: int, c1: float, c2: float) -> float:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ScheduleError, SizeGuardError
-from .tokens import _at_least, _field, _integer, _load_object, _numbers, atomic_write_text
+from .tokens import _at_least, _field, _index, _integer, _load_object, _numbers, atomic_write_text
 
 SIMPLEX_ATOL = 1e-12
 
@@ -100,6 +100,9 @@ class ScheduleTable:
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name, low in (("T", 1), ("K", 2)):  # ints that json writes, before the shapes use T
+            _at_least(name, getattr(self, name), low, ScheduleError)
+            object.__setattr__(self, name, int(getattr(self, name)))
         arrays = [np.asarray(getattr(self, name), dtype=np.float64) for name in _ARRAYS]
         _check_shapes(self.T, dict(zip(_ARRAYS, arrays)))
         coeffs = np.stack(arrays).reshape(3, len(arrays[0]), -1)
@@ -127,6 +130,8 @@ class ScheduleTable:
     def cumulative(self, t: int, layer: int = 0):
         """(alpha_bar, beta_bar, gamma_bar) of ``layer`` at step ``t``; a shared
         schedule has the same coefficients on every layer."""
+        _index("t", t, 0, self.T)
+        _at_least("layer", layer, 0)
         return tuple(self._coeffs[:, t, layer if self.alpha_bar.ndim == 2 else 0])
 
     def stepwise(self, t: int, layer: int = 0):
@@ -136,8 +141,8 @@ class ScheduleTable:
         below ``SIMPLEX_ATOL`` is quotient noise and reads 0, so pure-mask
         steps stay exactly pure.
         """
-        if not 1 <= t <= self.T:
-            raise ValueError(f"step index must be in 1..{self.T}, got {t}")
+        _index("t", t, 1, self.T)
+        _at_least("layer", layer, 0)
         alpha, beta, gamma = (c if c.ndim == 0 else c[layer] for c in self.segment(t - 1, t))
         return alpha, (beta if beta >= SIMPLEX_ATOL else 0.0), gamma
 
@@ -150,7 +155,8 @@ class ScheduleTable:
         layer for a per-codebook schedule.  ``s`` and ``t`` may be arrays of
         steps, one pair per entry, and every pair must be in range.
         """
-        if not np.all((0 <= s) & (s < t) & (t <= self.T)):
+        integers = all(np.asarray(v).dtype.kind in "iu" for v in (s, t))
+        if not (integers and np.all((0 <= s) & (s < t) & (t <= self.T))):
             raise ValueError(f"need 0 <= s < t <= {self.T}, got s={s}, t={t}")
         alpha, gamma = _quotients(
             self.alpha_bar[s], self.gamma_bar[s], self.alpha_bar[t], self.gamma_bar[t]
@@ -161,8 +167,6 @@ class ScheduleTable:
     def validate(self) -> None:
         if self.kind not in _KINDS:
             raise ScheduleError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.K < 2:  # before anything divides by K
-            raise ScheduleError(f"K must be >= 2, got {self.K}")
         for name in ("alpha_bar", "beta_bar", "gamma_bar"):
             _check_unit_interval(name, getattr(self, name))
         closure = self.alpha_bar + self.K * self.beta_bar + self.gamma_bar

@@ -79,12 +79,23 @@ def _integer(value) -> int:
     return value
 
 
-def _at_least(name: str, value: int, low: int) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer ``>= low``."""
+def _at_least(name: str, value: int, low: int, error=ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an integer ``>= low``."""
     if not _integral(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
     if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
+        raise error(f"{name} must be >= {low}, got {value}")
+
+
+def _index(name: str, value, low: int, high: int, arrays: bool = False) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer in ``low..high``, or,
+    with ``arrays``, a NumPy integer array with every entry there."""
+    if arrays and isinstance(value, np.ndarray):
+        ok = value.dtype.kind in "iu" and np.all((low <= value) & (value <= high))
+    else:  # a scalar stays in Python: steps are checked on every reverse step
+        ok = _integral(value) and low <= value <= high
+    if not ok:
+        raise ValueError(f"{name} must be in {low}..{high}, got {value}")
 
 
 def _real(name: str, value, low: float, strict: bool = False, high: float = math.inf) -> float:

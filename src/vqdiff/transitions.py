@@ -11,6 +11,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import InconsistencyError, SizeGuardError
+from .tokens import _index
 
 ORACLE_MAX_K = 16
 ORACLE_MAX_T = 64
@@ -45,11 +46,8 @@ def marginal_xt_given_x0(x0: int, t: int, table, layer: int = 0) -> np.ndarray:
     ``layer`` (a shared schedule has the same ones on every layer).
     """
     K = table.K
-    if not 0 <= x0 < K:
-        raise ValueError(f"x0 must be a non-mask token in 0..{K - 1}, got {x0}")
-    if not 0 <= t <= table.T:
-        raise ValueError(f"t must be in 0..{table.T}, got {t}")
-    ab, bb, gb = table.cumulative(t, layer)
+    _index("x0", x0, 0, K - 1)  # a non-mask token
+    ab, bb, gb = table.cumulative(t, layer)  # checks t
     probs = np.full(K + 1, bb)
     probs[x0] += ab
     probs[K] = gb
@@ -83,13 +81,9 @@ def true_posterior(x_t: int, x0: int, t: int, table, layer: int = 0) -> np.ndarr
     when the conditioning event has zero forward probability.
     """
     K = table.K
-    if not 1 <= t <= table.T:
-        raise ValueError(f"t must be in 1..{table.T}, got {t}")
-    if not 0 <= x0 < K:
-        raise ValueError(f"x0 must be a non-mask token in 0..{K - 1}, got {x0}")
-    if not 0 <= x_t <= K:
-        raise ValueError(f"x_t must be in 0..{K}, got {x_t}")
-    a, b, g = table.stepwise(t, layer)
+    _index("x0", x0, 0, K - 1)  # a non-mask token
+    _index("x_t", x_t, 0, K)
+    a, b, g = table.stepwise(t, layer)  # checks t
     # row x_t of the step matrix: P(x_t | x_{t-1} = k) for each k
     if x_t == K:
         row = np.full(K + 1, g)
@@ -114,8 +108,7 @@ def brute_force_cumulative(t: int, table, layer: int = 0) -> np.ndarray:
     Guarded to small instances; use the closed form for real work.
     """
     K = table.K
-    if not 0 <= t <= table.T:
-        raise ValueError(f"t must be in 0..{table.T}, got {t}")
+    _index("t", t, 0, table.T)
     if K > ORACLE_MAX_K or t > ORACLE_MAX_T:
         raise SizeGuardError(
             f"brute-force product limited to K <= {ORACLE_MAX_K}, t <= {ORACLE_MAX_T}"

@@ -31,6 +31,7 @@ EXHAUSTIVE = "tests/test_diffusion.py::TestVlbLoss::test_matches_exhaustive_enum
 PAIRS = "tests/test_cli.py::TestGridLabelPairs::test_train_and_vlb_equal_the_library"
 ONE_COPY = "tests/test_schedules.py::TestOneCopy::test_same_bits_as_separate_copies"
 REAL = "tests/test_tokens.py::TestRealArguments"
+INDEX = "tests/test_tokens.py::TestIndexArguments"
 
 # (file in src/vqdiff, text, replacement, test node IDs expected to kill the mutant)
 MUTANTS = [
@@ -43,7 +44,8 @@ MUTANTS = [
      ["tests/test_diffusion.py::TestStepKernel::test_mask_at_zero_mask_step_rejected",
       "tests/test_diffusion.py::TestBlockedTraining"
       "::test_mask_at_zero_mask_step_in_a_stack_raises"]),
-    ("diffusion.py", "(t < 1) | (t > table.T)", "(t < 0) | (t > table.T)",
+    ("diffusion.py", '_index("t", t, 1, table.T, arrays=True)',
+     '_index("t", t, 0, table.T, arrays=True)',
      ["tests/test_guided_step.py::test_kernel_refuses_a_step_out_of_range"]),
     ("diffusion.py", "*rows.shape[1:], 1, 1)", "1, *rows.shape[1:], 1)", [DENSE, STACK]),
     ("diffusion.py", "bb_t + ab_t, mask_prob])", "mask_prob, bb_t + ab_t])", [DENSE]),
@@ -89,7 +91,7 @@ MUTANTS = [
      "beta_bar = (1.0 - gamma_bar - alpha_bar) / K",
      ["tests/test_schedules.py::TestCumulativeBuilder::test_linear_bits",
       "tests/test_schedules.py::TestCumulativeBuilder::test_random_and_stepwise_bits"]),
-    ("metrics.py", "back = np.ldexp(x, -e)", "back = np.ldexp(x, e)",
+    ("metrics.py", "np.ldexp, x, -e)", "np.ldexp, x, e)",
      ["tests/test_metrics.py::TestPowerOfTwoScaling::test_mcd_scales",
       "tests/test_codec.py::TestScaleEquivariance::test_fit_scales_or_names_the_overflow"]),
     ("cli.py", "dataset = list(zip(grids, labels or [None] * len(grids)))",
@@ -120,6 +122,18 @@ MUTANTS = [
      ["tests/test_metrics.py::TestPitchErrors::test_voicing_errors_count_both_ways"]),
     ("metrics.py", "e = -math.frexp(largest)[1]", "e = math.frexp(largest)[1]",
      ["tests/test_metrics.py::TestPowerOfTwoScaling::test_mcd_scales"]),
+    ("tokens.py", "ok = _integral(value) and", "ok = isinstance(value, (int, np.integer)) and",
+     [INDEX + "::test_refused_by_name[tabular-predict-bool]",
+      INDEX + "::test_refused_by_name[stepwise-bool]"]),
+    ("tokens.py", "and low <= value <= high", "and low <= value < high",
+     [INDEX + "::test_both_ends_taken[corrupt]", INDEX + "::test_both_ends_taken[recall]"]),
+    ("tokens.py", "np.all((low <= value) & (value <= high))", "np.all(value <= high)",
+     ["tests/test_guided_step.py::test_kernel_refuses_a_step_out_of_range[t3]",
+      INDEX + "::test_kernel_takes_one_step_per_grid"]),
+    ("metrics.py", ".sum(axis=1)).mean()", ".sum(axis=1)).sum()",
+     ["tests/test_metrics.py::TestMcd::test_frame_average"]),
+    ("metrics.py", "(0.03 * data_range) ** 2", "(0.3 * data_range) ** 2",
+     ["tests/test_metrics.py::TestSsim::test_anticorrelated_patches_negative"]),
 ]
 
 

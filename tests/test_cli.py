@@ -108,6 +108,25 @@ class TestExitCodesAndErrors:
         assert err == f"error: {message}\n" and stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["selftest"],
+        ["transitions", "check", "--K", "3", "--T", "4"],
+        ["diffuse", "corrupt", "--tokens", "MISSING", "--schedule", "MISSING", "--t", "1",
+         "--out", "OUT"],
+        ["diffuse", "sample", "--denoiser", "MISSING", "--schedule", "MISSING", "--out", "OUT"],
+        ["diffuse", "train", "--tokens", "MISSING", "--schedule", "MISSING", "--out", "OUT"],
+        ["diffuse", "vlb", "--denoiser", "MISSING", "--tokens", "MISSING", "--schedule", "MISSING"],
+        ["codec", "fit", "--features", "MISSING", "--kind", "VQ", "--Kp", "2", "--out", "OUT"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_negative_seed_is_named(self, capsys, tmp_path, argv):
+        # every command with --seed checks it by name before reading any file
+        out = tmp_path / "never.json"
+        paths = {"MISSING": str(tmp_path / "missing.json"), "OUT": str(out)}
+        code, stdout, err = invoke(capsys, *(paths.get(a, a) for a in argv), "--seed", "-1")
+        assert code == 1
+        assert err == "error: --seed must be >= 0, got -1\n" and stdout == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["fit", "--kind", "RVQ", "--Kp", "1"], "--Kp must be >= 2, got 1"),
         (["fit", "--kind", "GVQ", "--Kp", "4", "--G", "0"], "--G must be >= 1, got 0"),

@@ -10,19 +10,37 @@ import numpy as np
 import pytest
 
 from vqdiff import (
+    FitConfig,
     PitchTrack,
+    ScheduleError,
+    ScheduleTable,
+    TabularDenoiser,
     TrainConfig,
     bayes_oracle_denoiser,
     cfg_combine,
     contrastive_ranking_loss,
+    corrupt,
+    fit_codebooks,
+    improved_schedule,
     info_nce,
     linear_schedule,
+    load_schedule,
     pitch_errors,
+    quantize,
+    recall_at_k,
     reverse_step,
     sample,
+    save_schedule,
     train_denoiser,
 )
 from vqdiff import tokens
+from vqdiff.diffusion import _StepKernel
+from vqdiff.transitions import (
+    brute_force_cumulative,
+    marginal_xt_given_x0,
+    stationary_dist,
+    true_posterior,
+)
 from vqdiff.tokens import (
     TokenGrid,
     atomic_write_text,
@@ -131,6 +149,146 @@ class TestRealArguments:
         if site in ("lr", "null_cond_prob"):  # the trained tables
             got, expected = got[0].weights, expected[0].weights
         np.testing.assert_array_equal(got, expected)
+
+
+def index_argument_sites():
+    """Each index argument's call, taking the value to check, with its name and range."""
+    table = linear_schedule(3, 3)
+    grid = TokenGrid(data=np.array([[0, 1]]), K=3)
+    masked = grid.with_data(np.array([[3, 1]]))
+    oracle = bayes_oracle_denoiser([grid], [1.0], table)
+    tabular = TabularDenoiser(3, (1, 2), 3, [])
+    features = np.random.default_rng(0).normal(size=(20, 2))
+    codec = fit_codebooks(features, FitConfig("RVQ", Kp=2, R=2, iters=2))
+    return {
+        "corrupt": (lambda v: corrupt(grid, v, table, np.random.default_rng(0)), "t", 0, 3),
+        "reverse_step": (lambda v: reverse_step(masked, v, oracle, None, table,
+                                                rng=np.random.default_rng(0)), "t", 1, 3),
+        "oracle-predict": (lambda v: oracle.predict(grid, v), "t", 0, 3),
+        "tabular-predict": (lambda v: tabular.predict(masked, v), "t", 0, 3),
+        "step-kernel": (lambda v: _StepKernel(masked.data, table, v), "t", 1, 3),
+        "cumulative": (lambda v: table.cumulative(v), "t", 0, 3),
+        "stepwise": (lambda v: table.stepwise(v), "t", 1, 3),
+        "marginal-x0": (lambda v: marginal_xt_given_x0(v, 1, table), "x0", 0, 2),
+        "marginal-t": (lambda v: marginal_xt_given_x0(0, v, table), "t", 0, 3),
+        "posterior-x_t": (lambda v: true_posterior(v, 0, 1, table), "x_t", 0, 3),
+        "posterior-x0": (lambda v: true_posterior(0, v, 1, table), "x0", 0, 2),
+        "posterior-t": (lambda v: true_posterior(0, 0, v, table), "t", 1, 3),
+        "brute-force": (lambda v: brute_force_cumulative(v, table), "t", 0, 3),
+        "active-books": (lambda v: quantize(features, codec, v), "active_books", 1, 2),
+        "recall": (lambda v: recall_at_k(np.eye(3), v), "k", 1, 3),
+    }
+
+
+# None stands for one above the range
+BAD_INDICES = {"float": 2.5, "bool": True, "numpy-float": np.float64(2), "negative": -1,
+               "above": None, "array": np.array([1])}
+
+
+class TestIndexArguments:
+    """One rule for steps, tokens, layers and depths: an integer, not a bool, in its range."""
+
+    @pytest.mark.parametrize("site, value", [
+        pytest.param(site, value, id=f"{site}-{kind}")
+        for site in index_argument_sites() for kind, value in BAD_INDICES.items()
+        if (site, kind) != ("step-kernel", "array")  # the kernel takes one step per grid
+    ])
+    def test_refused_by_name(self, site, value):
+        # neither a bare IndexError or TypeError, nor a silent answer (True as step 1)
+        call, name, low, high = index_argument_sites()[site]
+        value = high + 1 if value is None else value
+        message = f"{name} must be in {low}..{high}, got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+    @pytest.mark.parametrize("site", list(index_argument_sites()))
+    def test_both_ends_taken(self, site):
+        call, _, low, high = index_argument_sites()[site]
+        call(low)
+        call(high)
+
+    def test_kernel_takes_one_step_per_grid(self):
+        table = linear_schedule(3, 3)
+        data, p0 = np.full((2, 1, 2), 3), np.full((2, 1, 2, 3), 1 / 3)
+        mixed = _StepKernel(data, table, np.array([1, 3])).mix(p0)
+        for i, t in enumerate((1, 3)):
+            np.testing.assert_array_equal(mixed[i], _StepKernel(data[i], table, t).mix(p0[i]))
+        for steps in ([1, 4], [0, 2], [1.0, 2.0], [True, True]):  # above, below, float, bool
+            with pytest.raises(ValueError, match=r"^t must be in 1\.\.3, got \["):
+                _StepKernel(data, table, np.array(steps))
+
+    @pytest.mark.parametrize("call", [
+        lambda: improved_schedule(4, 3, 2).cumulative(1, -1),
+        lambda: improved_schedule(4, 3, 2).stepwise(2, -1),
+        lambda: linear_schedule(4, 3).cumulative(1, -1),
+        lambda: linear_schedule(4, 3).stepwise(2, -1),
+        lambda: stationary_dist(improved_schedule(4, 3, 2), -1),
+        lambda: marginal_xt_given_x0(0, 1, improved_schedule(4, 3, 2), -1),
+        lambda: true_posterior(0, 0, 1, improved_schedule(4, 3, 2), -1),
+    ], ids=["cumulative", "stepwise", "shared-cumulative", "shared-stepwise", "stationary",
+            "marginal", "posterior"])
+    def test_negative_layer_refused_by_name(self, call):
+        # a negative layer no longer wraps to the last one
+        with pytest.raises(ValueError, match=r"^layer must be >= 0, got -1$"):
+            call()
+
+    @pytest.mark.parametrize("step", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_steps_give_the_same_bytes(self, step):
+        table = linear_schedule(3, 3)
+        grid = TokenGrid(data=np.array([[0, 1, 2], [2, 2, 0]]), K=3)
+        noisy = grid.with_data(np.array([[3, 1, 3], [2, 3, 0]]))
+        tabular = train_denoiser([grid], table, TrainConfig(epochs=3), np.random.default_rng(0))[0]
+        oracle = bayes_oracle_denoiser([grid], [1.0], table)
+        for t in (1, 2, 3):
+            got, expected = (corrupt(grid, s, table, np.random.default_rng(t)).data.tobytes()
+                             for s in (step(t), t))
+            assert got == expected
+            for den in (tabular, oracle):
+                assert den.predict(noisy, step(t)).tobytes() == den.predict(noisy, t).tobytes()
+                got, expected = (reverse_step(noisy, s, den, None, table,
+                                              rng=np.random.default_rng(t)).data.tobytes()
+                                 for s in (step(t), t))
+                assert got == expected
+
+
+class TestTableSizes:
+    """A schedule table's T and K are integers, T >= 1 and K >= 2, kept as Python ints."""
+
+    @pytest.mark.parametrize("T, K, message", [
+        (2, 2.5, "K must be an integer, got 2.5"),
+        (2, True, "K must be an integer, got True"),
+        (2.0, 3, "T must be an integer, got 2.0"),
+        (0, 3, "T must be >= 1, got 0"),
+        (2, 1, "K must be >= 2, got 1"),
+    ], ids=["float-K", "bool-K", "float-T", "zero-T", "small-K"])
+    def test_bad_sizes_refused_by_name(self, T, K, message):
+        # arrays of T + 1 steps, valid for K = 3, so only the size checks can refuse them
+        table = linear_schedule(2, 3)
+        coeffs = [c[:int(T) + 1] for c in (table.alpha_bar, table.beta_bar, table.gamma_bar)]
+        with pytest.raises(ScheduleError, match=f"^{re.escape(message)}$"):
+            ScheduleTable(T, K, *coeffs)
+
+    def test_numpy_sizes_are_saved_as_json_integers(self, tmp_path):
+        source = linear_schedule(4, 3)
+        table = ScheduleTable(np.int64(4), np.int32(3), source.alpha_bar, source.beta_bar,
+                              source.gamma_bar, kind="linear")
+        assert type(table.T) is int and type(table.K) is int
+        save_schedule(tmp_path / "s.json", table)
+        loaded = load_schedule(tmp_path / "s.json")
+        assert (loaded.T, loaded.K) == (4, 3)
+        assert (tmp_path / "s.json").read_text() == json.dumps(source.to_json_dict())
+
+
+@pytest.mark.parametrize("seed, message", [
+    (2.5, "seed must be an integer, got 2.5"),
+    ("1", "seed must be an integer, got '1'"),
+    (True, "seed must be an integer, got True"),
+    (-1, "seed must be >= 0, got -1"),
+])
+def test_codec_seed_refused_by_name(seed, message):
+    features = np.random.default_rng(0).normal(size=(20, 2))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fit_codebooks(features, FitConfig("VQ", Kp=2, seed=seed))
 
 
 class TestTokenFile:
