@@ -144,14 +144,6 @@ def _cmd_diffuse_corrupt(args) -> None:
     print(f"corrupted {len(noisy)} grid(s) at t={args.t} -> {args.out}")
 
 
-def _load_schedule_and_denoiser(args):
-    table = load_schedule(args.schedule)
-    denoiser = load_denoiser(args.denoiser)
-    if denoiser.T != table.T:
-        raise ValueError(f"denoiser trained for T={denoiser.T}, schedule has T={table.T}")
-    return table, denoiser
-
-
 def _chains(denoiser, cond, table, seed: int, count: int, **options) -> list:
     """``count`` sampled grids.  Chain i draws only from its own generator, seeded
     with (seed, i), so it does not depend on ``count``."""
@@ -162,7 +154,7 @@ def _chains(denoiser, cond, table, seed: int, count: int, **options) -> list:
 def _cmd_diffuse_sample(args) -> None:
     _at_least("--count", args.count, 1)
     _at_least("--stride", args.stride, 1)
-    table, denoiser = _load_schedule_and_denoiser(args)
+    table, denoiser = load_schedule(args.schedule), load_denoiser(args.denoiser)
     grids = _chains(denoiser, args.cond, table, args.seed, args.count, stride=args.stride,
                     guidance_scale=args.guidance_scale, guidance_mode=args.guidance_mode)
     labels = None if args.cond is None else [args.cond] * len(grids)
@@ -188,7 +180,7 @@ def _cmd_diffuse_train(args) -> None:
 
 def _cmd_diffuse_vlb(args) -> None:
     _at_least("--samples", args.samples, 1)
-    table, denoiser = _load_schedule_and_denoiser(args)
+    table, denoiser = load_schedule(args.schedule), load_denoiser(args.denoiser)
     grids, labels = load_token_file(args.tokens)
     rng = np.random.default_rng(args.seed)
     values = []

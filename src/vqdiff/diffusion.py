@@ -57,6 +57,13 @@ def _check_shape(table, K: int, N_q: int, what: str = "grid") -> None:
         )
 
 
+def _check_denoiser(denoiser, table) -> None:
+    """``_check_shape`` of the denoiser, and a step count it states must be the table's."""
+    if denoiser.T not in (None, table.T):
+        raise ValueError(f"denoiser trained for T={denoiser.T}, schedule has T={table.T}")
+    _check_shape(table, denoiser.K, denoiser.grid_shape[0], "denoiser")
+
+
 def _row_max(a: np.ndarray) -> np.ndarray:
     """``a.max(axis=-1, keepdims=True)``, taken over a transposed contiguous copy.
 
@@ -133,7 +140,7 @@ def _kernel_rows(table, stride: int) -> tuple:
     return table.cached(("kernel", stride), build)
 
 
-def corrupt(x0: TokenGrid, t: int, table, rng: np.random.Generator) -> TokenGrid:
+def corrupt(x0: TokenGrid, t: int, table, rng: np.random.Generator | None = None) -> TokenGrid:
     """Sample x_t ~ q(x_t | x_0), each position independently.
 
     Step 0 is the identity by definition, which also sidesteps the
@@ -141,6 +148,7 @@ def corrupt(x0: TokenGrid, t: int, table, rng: np.random.Generator) -> TokenGrid
     """
     _clean_grids([x0], "corrupt", table)
     _index("t", t, 0, table.T)
+    rng = np.random.default_rng() if rng is None else rng
     return x0 if t == 0 else x0.with_data(_corrupted(x0.data, t, table, rng))
 
 
@@ -167,7 +175,15 @@ class Denoiser(ABC):
 
     K: int
     grid_shape: tuple[int, int]
+    T: int | None = None  # the length of the schedule it was built for; None: any
     layout = "concatenated"  # unused; perfbench/harness.py:145 reads it
+
+    def _check_input(self, x_t: TokenGrid, t: int) -> None:
+        """Refuse a grid whose (N_q, L, K) is not the denoiser's, and a step outside 0..T."""
+        if (x_t.N_q, x_t.L, x_t.K) != (*self.grid_shape, self.K):
+            raise ValueError(f"grid (N_q, L, K)={x_t.N_q, x_t.L, x_t.K} does not match the "
+                             f"denoiser's {(*self.grid_shape, self.K)}")
+        _index("t", t, 0, self.T)
 
     @abstractmethod
     def predict(self, x_t: TokenGrid, t: int, cond=None) -> np.ndarray:
@@ -389,9 +405,9 @@ def reverse_step(
     """Sample x_{t-1} from the reparameterized reverse kernel at step t."""
     lam = _guidance_scale(guidance_scale, guidance_mode)
     _check_shape(table, x_t.K, x_t.N_q)
+    _check_denoiser(denoiser, table)
     _index("t", t, 1, table.T)
-    if rng is None:
-        rng = np.random.default_rng()
+    rng = np.random.default_rng() if rng is None else rng
     return _step(x_t, t, 1, denoiser, cond, table, lam, guidance_mode, rng)[0]
 
 
@@ -423,11 +439,9 @@ def sample(
     """
     _at_least("stride", stride, 1)
     lam = _guidance_scale(guidance_scale, guidance_mode)
-    if rng is None:
-        rng = np.random.default_rng()
-    N_q, L = denoiser.grid_shape
-    K = denoiser.K
-    _check_shape(table, K, N_q, "denoiser")
+    _check_denoiser(denoiser, table)
+    rng = np.random.default_rng() if rng is None else rng
+    (N_q, L), K = denoiser.grid_shape, denoiser.K
 
     init = _stationary_rows(table)[:, None, :]
     data = _sample_categorical(np.broadcast_to(init, (N_q, L, K + 1)), rng)
@@ -497,9 +511,9 @@ def vlb_loss(
     point mass on x0.
     """
     _clean_grids([x0], "vlb_loss", table)
+    _check_denoiser(denoiser, table)
     _at_least("num_t_samples", num_t_samples, 1)
-    if rng is None:
-        rng = np.random.default_rng()
+    rng = np.random.default_rng() if rng is None else rng
     T = table.T
 
     prior = _prior_kl(x0, table)
@@ -539,18 +553,14 @@ class BayesOracleDenoiser(Denoiser):
             raise ValueError("probs must be one weight per support grid")
         if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
             raise ValueError("probs must be a probability vector")
-        self.K = table.K
-        self.grid_shape = self._support.shape[1:]
+        self.K, self.T, self.grid_shape = table.K, table.T, self._support.shape[1:]
         self._table = table
         with np.errstate(divide="ignore"):
             self._log_probs = np.log(probs)
 
     def predict(self, x_t: TokenGrid, t: int, cond=None) -> np.ndarray:
-        if (x_t.N_q, x_t.L) != self.grid_shape or x_t.K != self.K:
-            raise ValueError("grid shape mismatch with the oracle's support")
-        _index("t", t, 0, self._table.T)
-        K = self.K
-        N_q, L = self.grid_shape
+        self._check_input(x_t, t)
+        (N_q, L), K = self.grid_shape, self.K
         ab, bb, gb = self._table._coeffs[:, t]
         data = x_t.data
         is_mask = data == K  # (N_q, L)
@@ -668,9 +678,7 @@ class TabularDenoiser(Denoiser):
         return first + self._offsets + data
 
     def predict(self, x_t: TokenGrid, t: int, cond=None) -> np.ndarray:
-        if (x_t.N_q, x_t.L) != self.grid_shape or x_t.K != self.K:
-            raise ValueError("grid shape mismatch with the trained table")
-        _index("t", t, 0, self.T)
+        self._check_input(x_t, t)
         rows = self._rows(self._cond_row(cond), t, x_t.data)
         return _softmax(self.weights.reshape(-1, self.K)[rows])  # (N_q, L, K)
 
@@ -798,10 +806,8 @@ def train_denoiser(
     then each greedy run of steps touching no weight row twice is one batched
     step, which reads only rows it writes: the bits of one-at-a-time SGD.
     """
-    if config is None:
-        config = TrainConfig()
-    if rng is None:
-        rng = np.random.default_rng()
+    config = TrainConfig() if config is None else config
+    rng = np.random.default_rng() if rng is None else rng
     pairs = [(item, None) if isinstance(item, TokenGrid) else tuple(item) for item in dataset]
     data = _clean_grids([g for g, _ in pairs], "dataset", table)
     _real("null_cond_prob", config.null_cond_prob, 0, high=1)

@@ -127,12 +127,18 @@ class ScheduleTable:
     def n_layers(self) -> int:
         return self._coeffs.shape[2]
 
+    def _column(self, layer: int) -> int:
+        """The column of ``_coeffs`` that ``layer`` reads: a shared table's one, else its own."""
+        _at_least("layer", layer, 0)
+        if self.alpha_bar.ndim == 2:
+            _index("layer", layer, 0, self.n_layers - 1)
+        return layer if self.alpha_bar.ndim == 2 else 0
+
     def cumulative(self, t: int, layer: int = 0):
         """(alpha_bar, beta_bar, gamma_bar) of ``layer`` at step ``t``; a shared
         schedule has the same coefficients on every layer."""
         _index("t", t, 0, self.T)
-        _at_least("layer", layer, 0)
-        return tuple(self._coeffs[:, t, layer if self.alpha_bar.ndim == 2 else 0])
+        return tuple(self._coeffs[:, t, self._column(layer)])
 
     def stepwise(self, t: int, layer: int = 0):
         """(alpha, beta, gamma) of ``layer`` for the single step ``t-1 -> t``; requires t >= 1.
@@ -142,8 +148,7 @@ class ScheduleTable:
         steps stay exactly pure.
         """
         _index("t", t, 1, self.T)
-        _at_least("layer", layer, 0)
-        alpha, beta, gamma = (c if c.ndim == 0 else c[layer] for c in self.segment(t - 1, t))
+        alpha, beta, gamma = np.reshape(self.segment(t - 1, t), (3, -1))[:, self._column(layer)]
         return alpha, (beta if beta >= SIMPLEX_ATOL else 0.0), gamma
 
     def segment(self, s: int, t: int):

@@ -32,6 +32,7 @@ PAIRS = "tests/test_cli.py::TestGridLabelPairs::test_train_and_vlb_equal_the_lib
 ONE_COPY = "tests/test_schedules.py::TestOneCopy::test_same_bits_as_separate_copies"
 REAL = "tests/test_tokens.py::TestRealArguments"
 INDEX = "tests/test_tokens.py::TestIndexArguments"
+CONTRACT = "tests/test_diffusion.py::TestDenoiserContract"
 
 # (file in src/vqdiff, text, replacement, test node IDs expected to kill the mutant)
 MUTANTS = [
@@ -101,9 +102,9 @@ MUTANTS = [
     ("tokens.py", " and not isinstance(value, bool)", "",
      ["tests/test_tokens.py::TestTokenGrid::test_non_integer_alphabet_refused[True]",
       "tests/test_diffusion.py::TestSample::test_non_integer_stride_refused[True]"]),
-    ("schedules.py", "layer if self.alpha_bar.ndim == 2 else 0]", "layer]",
+    ("schedules.py", "return layer if self.alpha_bar.ndim == 2 else 0", "return layer",
      [ONE_COPY + "[linear]", "tests/test_schedules.py::TestOneCopy::test_layer_rule"]),
-    ("schedules.py", "layer if self.alpha_bar.ndim == 2 else 0]", "0]",
+    ("schedules.py", "return layer if self.alpha_bar.ndim == 2 else 0", "return 0",
      [ONE_COPY + "[improved-4]", "tests/test_schedules.py::TestOneCopy::test_layer_rule"]),
     ("schedules.py", "coeffs = np.stack(arrays)", "coeffs = np.stack(arrays[::2] + arrays[1:2])",
      [ONE_COPY + "[improved-4]", ONE_COPY + "[custom]"]),
@@ -134,6 +135,24 @@ MUTANTS = [
      ["tests/test_metrics.py::TestMcd::test_frame_average"]),
     ("metrics.py", "(0.03 * data_range) ** 2", "(0.3 * data_range) ** 2",
      ["tests/test_metrics.py::TestSsim::test_anticorrelated_patches_negative"]),
+    ("diffusion.py", "if denoiser.T not in (None, table.T):",
+     "if denoiser.T is not None and denoiser.T < table.T:",
+     [CONTRACT + "::test_other_step_count_refused_before_any_draw[sample-tabular-denoiser-longer]",
+      "tests/test_cli.py::TestLoaderErrors::test_denoiser_and_schedule_steps_must_agree[sample]"]),
+    ("diffusion.py", "(x_t.N_q, x_t.L, x_t.K) != (", "(x_t.N_q, x_t.L, self.K) != (",
+     [CONTRACT + "::test_predict_refuses_another_grid[tabular-K]",
+      CONTRACT + "::test_predict_refuses_another_grid[oracle-K]"]),
+    ("schedules.py", '_index("layer", layer, 0, self.n_layers - 1)',
+     '_index("layer", layer, 0, self.n_layers)',
+     [INDEX + "::test_layer_past_the_columns_refused_by_name[cumulative]",
+      "tests/test_schedules.py::TestOneCopy::test_layer_rule"]),
+    ("metrics.py", "(0.01 * data_range) ** 2", "(0.1 * data_range) ** 2",
+     ["tests/test_metrics.py::TestSsim::test_one_by_one_window_hand_case"]),
+    ("auxiliary.py", "(cross_sq / var).sum() / (n * n)", "(cross_sq / var).sum() / (n * (n - 1))",
+     ["tests/test_auxiliary.py::TestClubOracle::test_matches_the_double_sum_multivariate"]),
+    ("codec.py", 'order = np.argsort(-point_d2, kind="stable")',
+     'order = np.argsort(point_d2, kind="stable")[::-1]',
+     ["tests/test_codec.py::TestLloydStep::test_tied_farthest_points_reseed_lowest_frame_first"]),
 ]
 
 

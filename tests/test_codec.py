@@ -470,6 +470,13 @@ class TestLloydStep:
         np.testing.assert_array_equal(new, [[2.5], [10.0]])
         assert inertia == pytest.approx(100.0)
 
+    def test_tied_farthest_points_reseed_lowest_frame_first(self):
+        # frames 1 and 2 tie as farthest: the first empty cluster takes frame 1
+        X = np.array([[0.0], [3.0], [-3.0], [0.0]])
+        new, inertia = _lloyd_step(X, np.array([[0.0], [100.0], [200.0]]))
+        np.testing.assert_array_equal(new, [[0.0], [3.0], [-3.0]])
+        assert inertia == 18.0
+
 
 class TestFastPathOracles:
     @pytest.mark.parametrize("n", [300, 1024, 2500])

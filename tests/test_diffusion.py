@@ -132,6 +132,13 @@ class TestCorrupt:
         b = corrupt(g, 11, table, np.random.default_rng(42))
         np.testing.assert_array_equal(a.data, b.data)
 
+    def test_runs_without_a_generator(self):
+        # a fresh generator, as reverse_step, sample, vlb_loss and train_denoiser take
+        g = grid1([0, 1, 2, 3, 1], 4)
+        for rng in ((), (None,)):
+            assert np.all(corrupt(g, 10, improved_schedule(10, 4, 1), *rng).data == 4)
+            assert corrupt(g, 3, linear_schedule(10, 4), *rng).data.shape == (1, 5)
+
 
 def mixture_oracle(table, obs, t, s, p0, layer=0):
     """Enumerated sum_v q(x_s | x_t=obs, v) p0[v], dropping impossible v."""
@@ -595,6 +602,51 @@ class TestBayesOracle:
         den = empirical_bayes_denoiser(data, table)
         p = den.predict(grid1([2], 2), 6)
         np.testing.assert_allclose(p[0, 0], [0.75, 0.25], atol=1e-12)
+
+
+def denoisers_for(T: int) -> dict:
+    """A trained tabular denoiser and a Bayes oracle, each built for a T-step schedule."""
+    table, grid = linear_schedule(T, 3), grid1([0, 1, 2], 3)
+    tabular = train_denoiser([grid], table, TrainConfig(epochs=1), np.random.default_rng(0))[0]
+    return {"tabular": tabular, "oracle": BayesOracleDenoiser([grid], [1.0], table)}
+
+
+class TestDenoiserContract:
+    """A denoiser reads only grids of its shape and K, and schedules of the length it was
+    built for; one that states no T (the test doubles above) reads any length."""
+
+    CALLS = {
+        "sample": lambda den, table, rng: sample(den, None, table, rng=rng),
+        "reverse_step": lambda den, table, rng: reverse_step(
+            grid1([3, 3, 3], 3), table.T, den, None, table, rng=rng),
+        "vlb_loss": lambda den, table, rng: vlb_loss(den, grid1([0, 1, 2], 3), None, table, rng),
+    }
+
+    @pytest.mark.parametrize("built, run", [(20, 10), (5, 10)],
+                             ids=["denoiser-longer", "denoiser-shorter"])
+    @pytest.mark.parametrize("kind", ["tabular", "oracle"])
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_other_step_count_refused_before_any_draw(self, call, kind, built, run):
+        den, rng = denoisers_for(built)[kind], np.random.default_rng(0)
+        state = rng.bit_generator.state
+        message = f"denoiser trained for T={built}, schedule has T={run}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self.CALLS[call](den, linear_schedule(run, 3), rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_denoiser_without_T_reads_any_length(self, call):
+        den = FixedDenoiser(np.full(3, 1 / 3), (1, 3))
+        for T in (2, 7):
+            self.CALLS[call](den, linear_schedule(T, 3), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("grid", [grid1([0, 1], 3), grid1([0, 1, 2], 4)], ids=["shape", "K"])
+    @pytest.mark.parametrize("kind", ["tabular", "oracle"])
+    def test_predict_refuses_another_grid(self, kind, grid):
+        got = (grid.N_q, grid.L, grid.K)
+        message = f"grid (N_q, L, K)={got} does not match the denoiser's (1, 3, 3)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            denoisers_for(4)[kind].predict(grid, 1)
 
 
 def tv_distance(counts: dict, probs: dict, n: int) -> float:

@@ -232,6 +232,20 @@ class TestIndexArguments:
         with pytest.raises(ValueError, match=r"^layer must be >= 0, got -1$"):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda table, layer: table.cumulative(1, layer),
+        lambda table, layer: table.stepwise(2, layer),
+        lambda table, layer: stationary_dist(table, layer),
+        lambda table, layer: marginal_xt_given_x0(0, 1, table, layer),
+        lambda table, layer: true_posterior(0, 0, 1, table, layer),
+    ], ids=["cumulative", "stepwise", "stationary", "marginal", "posterior"])
+    def test_layer_past_the_columns_refused_by_name(self, call):
+        # a per-layer table has no layer past its last column; a shared one serves every layer
+        with pytest.raises(ValueError, match=r"^layer must be in 0\.\.1, got 2$"):
+            call(improved_schedule(4, 3, 2), 2)
+        call(improved_schedule(4, 3, 2), 1)
+        call(linear_schedule(4, 3), 2)
+
     @pytest.mark.parametrize("step", [np.int64, np.int32, np.uint8])
     def test_numpy_integer_steps_give_the_same_bytes(self, step):
         table = linear_schedule(3, 3)
