@@ -119,7 +119,6 @@ def _check_schedule_against_products(table) -> float:
 
 
 def _cmd_transitions_check(args) -> None:
-    _at_least("--schedules", args.schedules, 0)
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for i in range(args.schedules):
@@ -152,8 +151,6 @@ def _chains(denoiser, cond, table, seed: int, count: int, **options) -> list:
 
 
 def _cmd_diffuse_sample(args) -> None:
-    _at_least("--count", args.count, 1)
-    _at_least("--stride", args.stride, 1)
     table, denoiser = load_schedule(args.schedule), load_denoiser(args.denoiser)
     grids = _chains(denoiser, args.cond, table, args.seed, args.count, stride=args.stride,
                     guidance_scale=args.guidance_scale, guidance_mode=args.guidance_mode)
@@ -179,7 +176,6 @@ def _cmd_diffuse_train(args) -> None:
 
 
 def _cmd_diffuse_vlb(args) -> None:
-    _at_least("--samples", args.samples, 1)
     table, denoiser = load_schedule(args.schedule), load_denoiser(args.denoiser)
     grids, labels = load_token_file(args.tokens)
     rng = np.random.default_rng(args.seed)
@@ -195,10 +191,6 @@ def _cmd_diffuse_vlb(args) -> None:
 
 
 def _cmd_codec_fit(args) -> None:
-    _at_least("--Kp", args.Kp, 2)
-    _at_least("--G", args.G, 1)
-    _at_least("--R", args.R, 1)
-    _at_least("--iters", args.iters, 1)
     X = load_features(args.features)
     config = FitConfig(
         kind=args.kind,
@@ -217,8 +209,6 @@ def _cmd_codec_fit(args) -> None:
 
 
 def _cmd_codec_encode(args) -> None:
-    if args.active is not None:
-        _at_least("--active", args.active, 1)
     X = load_features(args.features)
     model = load_codec(args.codec)
     grid, recon = quantize(X, model, active_books=args.active)
@@ -256,7 +246,6 @@ def _cmd_metrics_mcd(args) -> None:
 
 
 def _cmd_metrics_ssim(args) -> None:
-    _at_least("--window", args.window, 1)
     value = ssim(load_features(args.ref), load_features(args.syn), window=args.window)
     print(f"ssim={_fmt(value)}")
 
@@ -282,7 +271,6 @@ def _cmd_aux_rank_loss(args) -> None:
 
 
 def _cmd_aux_recall(args) -> None:
-    _at_least("--k", args.k, 1)
     value = recall_at_k(load_features(args.input), args.k)
     print(f"recall@{args.k}={_fmt(value)}")
 
@@ -380,10 +368,10 @@ def _cmd_selftest(args) -> None:
 # ------------------------------------------------------------------ parser
 
 
-# Flags that several commands share, each defined once as (flag, add_argument options).
-_T = ("--T", dict(type=int, required=True))
-_K = ("--K", dict(type=int, required=True))
-_SEED = ("--seed", dict(type=int, default=0))
+# Flags that several commands share, each defined once as (flag, options[, least value]).
+_T = ("--T", dict(type=int, required=True), 1)
+_K = ("--K", dict(type=int, required=True), 2)
+_SEED = ("--seed", dict(type=int, default=0), 0)
 _OUT = ("--out", dict(required=True))
 _TOKENS = ("--tokens", dict(required=True))
 _SCHEDULE = ("--schedule", dict(required=True))
@@ -402,10 +390,11 @@ def _group(sub, name: str, help: str):
 
 def _command(sub, name: str, help: str, func, *flags) -> None:
     """Add the subcommand ``name``, run by ``func``, with ``flags`` in --help order."""
-    p = sub.add_parser(name, help=help)
-    for flag, options in flags:
-        p.add_argument(flag, **options)
-    p.set_defaults(func=func)
+    p, bounds = sub.add_parser(name, help=help), []
+    for flag, options, *least in flags:
+        dest = p.add_argument(flag, **options).dest
+        bounds += [(flag, dest, low) for low in least]
+    p.set_defaults(func=func, bounds=bounds)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,43 +405,43 @@ def build_parser() -> argparse.ArgumentParser:
     group = _group(sub, "schedule", "noise schedule tools")
     _command(group, "inspect", "print a schedule table", _cmd_schedule_inspect,
              ("--kind", dict(choices=("linear", "improved"), default="linear")), _T, _K,
-             ("--n-q", dict(type=int, default=None, help="codebook count (improved)")),
+             ("--n-q", dict(type=int, default=None, help="codebook count (improved)"), 1),
              ("--out", dict(default=None, help="also write the schedule as JSON")))
 
     group = _group(sub, "transitions", "transition-matrix oracles")
     _command(group, "check", "closed form vs explicit matrix products", _cmd_transitions_check,
-             _K, _T, ("--schedules", dict(type=int, default=5, help="random schedules to draw")),
-             _SEED)
+             _K, _T,
+             ("--schedules", dict(type=int, default=5, help="random schedules to draw"), 0), _SEED)
 
     group = _group(sub, "diffuse", "forward corruption and reverse sampling")
     _command(group, "corrupt", "apply the forward process at step t", _cmd_diffuse_corrupt,
-             _TOKENS, _SCHEDULE, ("--t", dict(type=int, required=True)), _SEED, _OUT)
+             _TOKENS, _SCHEDULE, ("--t", dict(type=int, required=True), 0), _SEED, _OUT)
     _command(group, "sample", "run the reverse process", _cmd_diffuse_sample,
-             _DENOISER, _SCHEDULE, ("--count", dict(type=int, default=1)), _SEED,
+             _DENOISER, _SCHEDULE, ("--count", dict(type=int, default=1), 1), _SEED,
              ("--cond", dict(type=int, default=None, help="condition label")),
              ("--lambda", dict(dest="guidance_scale", type=float, default=0.0,
                                help="guidance scale")),
              ("--guidance-mode", dict(choices=("log", "prob"), default="log")),
-             ("--stride", dict(type=int, default=1)), _OUT)
+             ("--stride", dict(type=int, default=1), 1), _OUT)
     _command(group, "train", "fit the tabular denoiser", _cmd_diffuse_train,
-             _TOKENS, _SCHEDULE, ("--epochs", dict(type=int, default=30)),
+             _TOKENS, _SCHEDULE, ("--epochs", dict(type=int, default=30), 1),
              ("--lr", dict(type=float, default=1.0)),
              ("--null-cond-prob", dict(type=float, default=0.1)), _SEED, _OUT)
     _command(group, "vlb", "variational bound of grids under a denoiser", _cmd_diffuse_vlb,
              _DENOISER, _TOKENS, _SCHEDULE,
-             ("--samples", dict(type=int, default=8, help="t draws per grid")), _SEED)
+             ("--samples", dict(type=int, default=8, help="t draws per grid"), 1), _SEED)
 
     group = _group(sub, "codec", "vector-quantization codecs")
     _command(group, "fit", "fit codebooks with Lloyd's algorithm", _cmd_codec_fit,
              _FEATURES, ("--kind", dict(choices=("VQ", "RVQ", "GVQ", "GRVQ"), required=True)),
-             ("--Kp", dict(type=int, required=True, help="codes per book")),
-             ("--G", dict(type=int, default=1, help="groups")),
-             ("--R", dict(type=int, default=1, help="residual depth")),
-             ("--iters", dict(type=int, default=50)), _SEED,
+             ("--Kp", dict(type=int, required=True, help="codes per book"), 2),
+             ("--G", dict(type=int, default=1, help="groups"), 1),
+             ("--R", dict(type=int, default=1, help="residual depth"), 1),
+             ("--iters", dict(type=int, default=50), 1), _SEED,
              ("--dropout", dict(action="store_true", help="variable-depth fitting (RVQ)")), _OUT)
     _command(group, "encode", "quantize features to tokens", _cmd_codec_encode,
              _FEATURES, _CODEC,
-             ("--active", dict(type=int, default=None, help="books to use (RVQ/GRVQ)")), _OUT,
+             ("--active", dict(type=int, default=None, help="books to use (RVQ/GRVQ)"), 1), _OUT,
              ("--recon", dict(default=None, help="also write the reconstruction CSV")))
     _command(group, "decode", "reconstruct features from tokens", _cmd_codec_decode,
              _TOKENS, _CODEC, _OUT)
@@ -463,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     _command(group, "mcd", "mel-cepstral distortion", _cmd_metrics_mcd,
              _REF, _SYN, ("--scale-db", dict(action="store_true")))
     _command(group, "ssim", "structural similarity", _cmd_metrics_ssim,
-             _REF, _SYN, ("--window", dict(type=int, default=DEFAULT_SSIM_WINDOW)))
+             _REF, _SYN, ("--window", dict(type=int, default=DEFAULT_SSIM_WINDOW), 1))
     _command(group, "pitch", "GPE/VDE/FFE pitch errors", _cmd_metrics_pitch,
              _REF, _SYN, ("--threshold", dict(type=float, default=DEFAULT_GPE_THRESHOLD)))
 
@@ -473,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     _command(group, "rank-loss", "bidirectional margin ranking loss", _cmd_aux_rank_loss,
              _SIMILARITY, ("--margin", dict(type=float, default=0.2)))
     _command(group, "recall", "retrieval recall at rank k", _cmd_aux_recall,
-             _SIMILARITY, ("--k", dict(type=int, default=1)))
+             _SIMILARITY, ("--k", dict(type=int, default=1), 1))
     _command(group, "club", "CLUB mutual-information upper bound", _cmd_aux_club,
              ("--input", dict(required=True, help="CSV of x columns then y columns")),
              ("--dim-x", dict(type=int, default=None,
@@ -492,8 +481,9 @@ def run(argv=None) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     try:
-        if hasattr(args, "seed"):  # every stochastic command
-            _at_least("--seed", args.seed, 0)
+        for flag, dest, least in args.bounds:  # every integer flag, before any file is read
+            if getattr(args, dest) is not None:
+                _at_least(flag, getattr(args, dest), least)
         args.func(args)
     except (VqdiffError, ValueError, OSError) as exc:  # JSON decode errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

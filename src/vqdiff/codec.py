@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import FittingError
 from .metrics import _as_matrix, _in_float_range, _into_range, _scaled_back
-from .tokens import TokenGrid, _at_least, _field, _index, _integer, _integral, _load_object
+from .tokens import TokenGrid, _at_least, _field, _index, _integer, _load_object
 from .tokens import _numbers, atomic_write_text
 
 KINDS = ("VQ", "RVQ", "GVQ", "GRVQ")
@@ -52,10 +52,9 @@ def _check_structure(kind: str, G: int, R: int, Kp: int) -> None:
     """The kind, group count, depth and book size every codec must satisfy."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    if not all(map(_integral, (G, R, Kp))):
-        raise ValueError(f"G, R and Kp must be integers, got {G!r}, {R!r}, {Kp!r}")
-    if G < 1 or R < 1 or Kp < 2:
-        raise ValueError("need G >= 1, R >= 1, Kp >= 2")
+    _at_least("G", G, 1)
+    _at_least("R", R, 1)
+    _at_least("Kp", Kp, 2)
     if kind == "VQ" and (G, R) != (1, 1):
         raise ValueError("VQ requires G=1, R=1")
     if kind == "RVQ" and G != 1:

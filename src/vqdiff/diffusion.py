@@ -551,7 +551,7 @@ class BayesOracleDenoiser(Denoiser):
         probs = np.asarray(probs, dtype=float)
         if probs.shape != (len(grids),):
             raise ValueError("probs must be one weight per support grid")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
+        if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-9):
             raise ValueError("probs must be a probability vector")
         self.K, self.T, self.grid_shape = table.K, table.T, self._support.shape[1:]
         self._table = table

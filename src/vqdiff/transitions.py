@@ -28,7 +28,7 @@ def build_transition_matrix(alpha: float, beta: float, gamma: float, K: int) -> 
         raise ValueError(f"K must be >= 2, got {K}")
     if min(alpha, beta, gamma) < 0:
         raise ValueError("coefficients must be nonnegative")
-    if abs(alpha + K * beta + gamma - 1.0) > 1e-9:
+    if not abs(alpha + K * beta + gamma - 1.0) <= 1e-9:
         raise ValueError("coefficients must satisfy alpha + K*beta + gamma = 1")
     Q = np.zeros((K + 1, K + 1))
     Q[:K, :K] = beta

@@ -153,6 +153,22 @@ MUTANTS = [
     ("codec.py", 'order = np.argsort(-point_d2, kind="stable")',
      'order = np.argsort(point_d2, kind="stable")[::-1]',
      ["tests/test_codec.py::TestLloydStep::test_tied_farthest_points_reseed_lowest_frame_first"]),
+    ("cli.py", "if getattr(args, dest) is not None:", "if True:",
+     ["tests/test_cli.py::TestScheduleCommand::test_linear_endpoint_row",
+      "tests/test_cli.py::TestCodecCommands::test_fit_encode_report_decode"]),
+    ("cli.py", '_SEED = ("--seed", dict(type=int, default=0), 0)',
+     '_SEED = ("--seed", dict(type=int, default=0), 1)',
+     ["tests/test_cli.py::TestExitCodesAndErrors::test_negative_seed_is_named[selftest]"]),
+    ("codec.py", '_at_least("Kp", Kp, 2)', '_at_least("Kp", Kp, 1)',
+     ["tests/test_codec.py::TestModelValidation::test_size_below_its_least_value_named"]),
+    ("auxiliary.py", "        - 2.0 * mu.sum(axis=0) * ym.sum(axis=0)\n", "",
+     ["tests/test_auxiliary.py::TestClubMi::test_tiny_spread_far_from_zero_equals_its_exact_shift"]),
+    ("diffusion.py", "if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-9):",
+     "if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:",
+     ["tests/test_diffusion.py::TestBayesOracle::test_non_probability_vector_refused[nan]"]),
+    ("transitions.py", "if not abs(alpha + K * beta + gamma - 1.0) <= 1e-9:",
+     "if abs(alpha + K * beta + gamma - 1.0) > 1e-9:",
+     ["tests/test_transitions.py::TestBuildTransitionMatrix::test_nan_coefficient_rejected"]),
 ]
 
 

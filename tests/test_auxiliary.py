@@ -217,6 +217,15 @@ class TestClubMi:
         shifted = club_mi(x * [1.0, -2.0, 1e3] + 1e8, y * [3.0, 1e-3] - 1e7)
         assert shifted == pytest.approx(club_mi(x, y), rel=1e-6)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tiny_spread_far_from_zero_equals_its_exact_shift(self, seed):
+        # y - 1e9 is exact, so the bound must not move; centring leaves y a residual mean
+        # that the cross term's -2*sum(mu)*sum(y) part must cancel
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=200)
+        y = 1e-4 * (0.3 * x + rng.normal(size=200)) + 1e9
+        assert club_mi(x, y) == pytest.approx(club_mi(x, y - 1e9), rel=1e-12)
+
     def test_small_spread_is_not_floored(self):
         # the variance floor is relative to each y column's own variance, so a
         # small in-range spread is fitted, not floored, and scaling y changes

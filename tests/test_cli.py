@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, error stream, reproducibility, file safety."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import vqdiff
-from vqdiff.cli import run
+from vqdiff.cli import build_parser, run
 from vqdiff.codec import CodecModel, load_codec, save_codec
 from vqdiff.diffusion import TabularDenoiser, TrainConfig, load_denoiser, save_denoiser
 from vqdiff.diffusion import train_denoiser, vlb_loss
@@ -90,6 +91,12 @@ class TestExitCodesAndErrors:
          "--iters must be >= 1, got 0"),
         (["aux", "recall", "--k", "0"], "--k must be >= 1, got 0"),
         (["metrics", "ssim", "--window", "0"], "--window must be >= 1, got 0"),
+        (["diffuse", "train", "--epochs", "0"], "--epochs must be >= 1, got 0"),
+        (["schedule", "inspect", "--T", "0", "--K", "4"], "--T must be >= 1, got 0"),
+        (["schedule", "inspect", "--kind", "improved", "--T", "4", "--K", "3", "--n-q", "0"],
+         "--n-q must be >= 1, got 0"),
+        (["transitions", "check", "--K", "1", "--T", "4"], "--K must be >= 2, got 1"),
+        (["diffuse", "corrupt", "--t", "-1"], "--t must be >= 0, got -1"),
     ])
     def test_bad_count_flag_is_exit_one(self, capsys, tmp_path, argv, message):
         # no input file exists: the flag is checked before any is read
@@ -99,6 +106,9 @@ class TestExitCodesAndErrors:
             "sample": ["--denoiser", missing, "--schedule", missing, "--out", str(out)],
             "vlb": ["--denoiser", missing, "--tokens", missing, "--schedule", missing],
             "check": [],
+            "inspect": ["--out", str(out)],
+            "train": ["--tokens", missing, "--schedule", missing, "--out", str(out)],
+            "corrupt": ["--tokens", missing, "--schedule", missing, "--out", str(out)],
             "fit": ["--features", missing, "--out", str(out)],
             "recall": ["--input", missing],
             "ssim": ["--ref", missing, "--syn", missing],
@@ -107,6 +117,24 @@ class TestExitCodesAndErrors:
         assert code == 1
         assert err == f"error: {message}\n" and stdout == ""
         assert not out.exists()
+
+    def test_every_integer_flag_declares_a_least_value(self):
+        # --cond has no bound and --dim-x's depends on the input's columns
+        def parsers(parser):
+            yield parser
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from parsers(sub)
+
+        checked = 0
+        for parser in parsers(build_parser()):
+            bounded = {dest for _, dest, _ in parser.get_default("bounds") or []}
+            for action in parser._actions:
+                if action.type is int and action.dest not in ("cond", "dim_x"):
+                    assert action.dest in bounded, f"{parser.prog} {action.option_strings[0]}"
+                    checked += 1
+        assert checked == 25
 
     @pytest.mark.parametrize("argv", [
         ["selftest"],

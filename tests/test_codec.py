@@ -836,6 +836,15 @@ class TestModelValidation:
                 codebooks=[np.zeros((2, 1)), np.zeros((3, 1))],
             )
 
+    @pytest.mark.parametrize("G, R, Kp, message", [
+        (0, 1, 4, "G must be >= 1, got 0"),
+        (1, 0, 4, "R must be >= 1, got 0"),
+        (1, 1, 1, "Kp must be >= 2, got 1"),
+    ])
+    def test_size_below_its_least_value_named(self, G, R, Kp, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CodecModel(kind="GRVQ", G=G, R=R, Kp=Kp, codebooks=[np.zeros((Kp, 1))] * (G * R))
+
     def test_reference_configurations_constructible(self):
         cfgs = [
             ("VQ", 1, 1, 512, 256),

@@ -584,6 +584,13 @@ class TestBayesOracle:
                     expected[g.data[0, i]] += w[j]
                 np.testing.assert_allclose(got[0, i], expected, atol=1e-12)
 
+    @pytest.mark.parametrize("probs", [[-0.5, 1.5], [0.3, 0.3], [math.nan, 1.0]],
+                             ids=["negative", "short", "nan"])
+    def test_non_probability_vector_refused(self, probs):
+        table = linear_schedule(4, 2)
+        with pytest.raises(ValueError, match="^probs must be a probability vector$"):
+            BayesOracleDenoiser([grid1([0], 2), grid1([1], 2)], probs, table)
+
     def test_support_size_guard(self):
         table = linear_schedule(4, 2)
         grids = [grid1([0], 2)] * 10_001

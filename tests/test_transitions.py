@@ -45,6 +45,13 @@ class TestBuildTransitionMatrix:
         with pytest.raises(ValueError):
             build_transition_matrix(-0.1, 0.2, 0.7, K=2)
 
+    @pytest.mark.parametrize("position", range(3))
+    def test_nan_coefficient_rejected(self, position):
+        coefficients = [0.7, 0.1, 0.1]
+        coefficients[position] = np.nan
+        with pytest.raises(ValueError, match="alpha \\+ K\\*beta \\+ gamma = 1"):
+            build_transition_matrix(*coefficients, K=2)
+
 
 class TestMarginal:
     def test_identity_at_zero(self):
