@@ -30,7 +30,8 @@ from .tokens import _index, _integral, _load_object, _numbers, _real, atomic_wri
 
 MAX_ORACLE_SUPPORT = 10_000
 
-# float64 weights of one TabularDenoiser (condition x step x position x token)
+# one TabularDenoiser's int32 row map (condition x step x position x token) plus
+# its stored float64 rows; also the dense ``weights`` it will build
 MAX_TABULAR_BYTES = 2**30
 
 _PREDICT_ATOL = 1e-9
@@ -623,6 +624,11 @@ class TabularDenoiser(Denoiser):
     depends only on the token observed there, never on neighbors, so any
     product distribution over positions is representable exactly.  Richer
     context models are an extension point, not provided here.
+
+    The logical table holds (labels+1)·(T+1)·N_q·L·(K+1) rows of K logits,
+    but only the rows training touches are stored: an int32 map sends each
+    logical row to its stored row, and every other row to the shared
+    all-+0.0 row 0.  ``weights`` builds the dense table on access.
     """
 
     def __init__(self, K, grid_shape, T, cond_labels, weights=None):
@@ -634,33 +640,63 @@ class TabularDenoiser(Denoiser):
         if len(set(self.cond_labels)) != len(self.cond_labels):
             raise ValueError(f"cond_labels repeat a label: {self.cond_labels}")
         self._cond_index = {c: i + 1 for i, c in enumerate(self.cond_labels)}
-        shape = (
-            len(self.cond_labels) + 1,
-            self.T + 1,
-            self.grid_shape[0],
-            self.grid_shape[1],
-            self.K + 1,
-            self.K,
-        )
-        n_bytes = 8 * math.prod(shape)
+        self._shape = (len(self.cond_labels) + 1, self.T + 1, *self.grid_shape, self.K + 1, self.K)
+        self._guard(1)
+        self._map = np.zeros(math.prod(self._shape[:-1]), np.int32)
+        self._stored, self._n = np.zeros((1, self.K)), 1  # rows allocated, rows in use
+        # the row of each position's token 0 at condition row 0 and step 0
+        self._offsets = np.arange(0, math.prod(self._shape[2:5]), self.K + 1).reshape(self.grid_shape)
+        self._offsets.flags.writeable = False
+        if weights is not None:
+            weights = np.ascontiguousarray(weights, dtype=float)
+            if weights.size != math.prod(self._shape):
+                raise ValueError(
+                    f"weights hold {weights.size} values; the stored shape {self._shape} "
+                    f"needs {math.prod(self._shape)}"
+                )
+            table = weights.reshape(-1, self.K)
+            rows = np.flatnonzero(table.view(np.int64).any(axis=1))  # -0.0 is a set bit
+            at = self._register(rows)  # before self._stored grows
+            self._stored[at] = table[rows]
+
+    def _guard(self, n_stored: int) -> None:
+        """Refuse a row map and ``n_stored`` stored rows above ``MAX_TABULAR_BYTES``."""
+        n_bytes = 4 * math.prod(self._shape[:-1]) + 8 * self.K * n_stored
         if n_bytes > MAX_TABULAR_BYTES:
             raise SizeGuardError(
-                f"tabular denoiser weights of shape {shape} need {n_bytes} bytes, "
+                f"tabular denoiser of shape {self._shape} needs {n_bytes} bytes for its row map "
+                f"and {n_stored} stored rows, above the {MAX_TABULAR_BYTES}-byte limit"
+            )
+
+    def _register(self, rows: np.ndarray) -> np.ndarray:
+        """The stored rows of the logical ``rows``; each one not stored yet gets a row of +0.0."""
+        new = np.unique(rows[self._map[rows] == 0])
+        n = self._n + new.size
+        if n > len(self._stored):  # grow to twice the rows, or to the guard's limit
+            most = (MAX_TABULAR_BYTES - 4 * len(self._map)) // (8 * self.K)
+            self._guard(n)
+            grown = np.zeros((min(max(n, 2 * len(self._stored)), most), self.K))
+            grown[: self._n] = self._stored[: self._n]
+            self._stored = grown
+        self._map[new] = np.arange(self._n, n)
+        self._n = n
+        return self._map[rows]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The dense (labels+1, T+1, N_q, L, K+1, K) table, a read-only array built on
+        each access; refused above ``MAX_TABULAR_BYTES``."""
+        n_bytes = 8 * math.prod(self._shape)
+        if n_bytes > MAX_TABULAR_BYTES:
+            raise SizeGuardError(
+                f"dense weights of shape {self._shape} need {n_bytes} bytes, "
                 f"above the {MAX_TABULAR_BYTES}-byte limit"
             )
-        if weights is None:
-            self.weights = np.zeros(shape)
-        else:
-            weights = np.asarray(weights, dtype=float)
-            if weights.size != math.prod(shape):
-                raise ValueError(
-                    f"weights hold {weights.size} values; the stored shape {shape} "
-                    f"needs {math.prod(shape)}"
-                )
-            self.weights = weights.reshape(shape)
-        # the row of each position's token 0 at condition row 0 and step 0
-        self._offsets = np.arange(0, math.prod(shape[2:5]), self.K + 1).reshape(self.grid_shape)
-        self._offsets.flags.writeable = False
+        dense = np.zeros(self._shape)
+        rows = np.flatnonzero(self._map)
+        dense.reshape(-1, self.K)[rows] = self._stored[self._map[rows]]
+        dense.flags.writeable = False
+        return dense
 
     def _cond_row(self, cond) -> int:
         if cond is None:
@@ -671,7 +707,7 @@ class TabularDenoiser(Denoiser):
         return row
 
     def _rows(self, cond_row, t, data: np.ndarray) -> np.ndarray:
-        """The rows of ``weights.reshape(-1, K)`` read at ``data``, (..., N_q, L):
+        """The logical rows read at ``data``, (..., N_q, L): rows of ``weights.reshape(-1, K)``;
         ``cond_row`` and ``t`` are one condition row and one step per grid."""
         per_step = self._offsets.size * (self.K + 1)  # rows per (condition, step)
         first = np.asarray((cond_row * (self.T + 1) + t) * per_step)[..., None, None]
@@ -680,7 +716,7 @@ class TabularDenoiser(Denoiser):
     def predict(self, x_t: TokenGrid, t: int, cond=None) -> np.ndarray:
         self._check_input(x_t, t)
         rows = self._rows(self._cond_row(cond), t, x_t.data)
-        return _softmax(self.weights.reshape(-1, self.K)[rows])  # (N_q, L, K)
+        return _softmax(self._stored[self._map[rows]])  # (N_q, L, K)
 
 
 def save_denoiser(path, denoiser: TabularDenoiser) -> None:
@@ -696,9 +732,10 @@ def save_denoiser(path, denoiser: TabularDenoiser) -> None:
     The bytes are those of ``json.dumps`` of that object, but each distinct
     logit is formatted once: a trained table holds few distinct values.
     """
-    table = denoiser.weights.reshape(-1, denoiser.K)
-    rows = np.flatnonzero(table.view(np.int64).any(axis=1))
-    touched = table[rows]
+    rows = np.flatnonzero(denoiser._map)  # the stored rows, ascending
+    touched = denoiser._stored[denoiser._map[rows]]
+    keep = touched.view(np.int64).any(axis=1)  # a stored row may still be all +0.0
+    rows, touched = rows[keep], touched[keep]
     if not np.isfinite(touched).all():  # every other entry is +0.0
         raise ValueError("denoiser field 'weights' holds non-finite entries")
     patterns, index = np.unique(touched.view(np.int64), return_inverse=True)
@@ -742,26 +779,26 @@ def load_denoiser(path) -> TabularDenoiser:
     for name, low in (("K", 2), ("N_q", 1), ("L", 1), ("T", 1)):
         _at_least(f"denoiser field {name!r}", fields[name], low)
     K = fields["K"]
-    den = TabularDenoiser(  # checks the table's size before allocating it
+    den = TabularDenoiser(  # checks the row map's size before allocating it
         K=K,
         grid_shape=(fields["N_q"], fields["L"]),
         T=fields["T"],
         cond_labels=_field(payload, "cond_labels", lambda v: _increasing(_integers(v)), "denoiser"),
     )
-    table = den.weights.reshape(-1, K)
+    n_rows, rows = len(den._map), None
     if "rows" in payload:
-        rows = _field(payload, "rows", lambda v: _row_indices(v, len(table)), "denoiser")
-    else:
-        rows = np.arange(len(table))
+        rows = _field(payload, "rows", lambda v: _row_indices(v, n_rows), "denoiser")
+        n_rows = rows.size
     weights = _field(payload, "weights", lambda v: _numbers(v, 1), "denoiser")
     if not np.isfinite(weights).all():
         raise ValueError("denoiser field 'weights' is malformed: entries must be finite numbers")
-    if weights.size != rows.size * K:
+    if weights.size != n_rows * K:
         raise ValueError(
             f"denoiser field 'weights' holds {weights.size} values; "
-            f"{rows.size} rows of K={K} need {rows.size * K}"
+            f"{n_rows} rows of K={K} need {n_rows * K}"
         )
-    table[rows] = weights.reshape(-1, K)
+    at = den._register(np.arange(n_rows) if rows is None else rows)  # before den._stored grows
+    den._stored[at] = weights.reshape(-1, K)  # fills only the named rows
     return den
 
 
@@ -802,9 +839,10 @@ def train_denoiser(
     trains the guidance reference for free.  Returns the denoiser and the
     mean per-epoch loss trace.
 
-    No draw depends on the weights, so the draws come first, in step order;
-    then each greedy run of steps touching no weight row twice is one batched
-    step, which reads only rows it writes: the bits of one-at-a-time SGD.
+    No draw depends on the weights, so the draws come first, in step order,
+    and then the rows they touch are stored; then each greedy run of steps
+    touching no weight row twice is one batched step, which reads only rows
+    it writes: the bits of one-at-a-time SGD.
     """
     config = TrainConfig() if config is None else config
     rng = np.random.default_rng() if rng is None else rng
@@ -820,7 +858,6 @@ def train_denoiser(
     den = TabularDenoiser(K, (N_q, L), T, labels)
 
     trace: list[float] = []
-    table_rows = den.weights.reshape(-1, K)  # one row per (cond, t, q, l, observed token)
     cap = max(1, _TRAIN_BLOCK_VALUES // (N_q * L * (K + 1)))  # steps per block
     for _ in range(config.epochs):
         order, losses = rng.permutation(n), []
@@ -835,8 +872,8 @@ def train_denoiser(
                 crow[i] = den._cond_row(cond)
                 ts[i] = rng.integers(1, T + 1)
                 x_t[i] = _corrupted(x0[i], ts[i], table, rng)
-            ids = den._rows(crow, ts, x_t).reshape(m, -1)
-            starts, touched = [0], set()
+            ids = den._register(den._rows(crow, ts, x_t).reshape(m, -1))  # stored rows
+            stored, starts, touched = den._stored, [0], set()
             for i, step_rows in enumerate(ids.tolist()):  # greedy runs touching no row twice
                 if not touched.isdisjoint(step_rows):
                     starts.append(i)
@@ -844,10 +881,10 @@ def train_denoiser(
                 touched.update(step_rows)
             for a, b in zip(starts, starts[1:] + [m]):  # each step reads only rows it writes
                 at = ids[a:b].reshape(-1)
-                p = _softmax(table_rows[at])
+                p = _softmax(stored[at])
                 loss, g_w = _kl_step(x_t[a:b], x0[a:b], p.reshape(b - a, N_q, L, K),
                                      table, ts[a:b])
                 losses.append(loss)
-                table_rows[at] -= config.lr * g_w.reshape(p.shape)
+                stored[at] -= config.lr * g_w.reshape(p.shape)
         trace.append(float(np.mean(np.concatenate(losses))))
     return den, trace

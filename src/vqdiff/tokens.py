@@ -174,6 +174,15 @@ class TokenGrid:
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
+    @classmethod
+    def _checked(cls, data: np.ndarray, K: int) -> "TokenGrid":
+        """A grid over ``data`` itself: a read-only int64 (N_q, L) array, with no writeable
+        base, whose tokens are known to lie in 0..K for a K already checked."""
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "data", data)
+        object.__setattr__(grid, "K", K)
+        return grid
+
     @property
     def N_q(self) -> int:
         return self.data.shape[0]
@@ -263,10 +272,9 @@ def load_token_file(path) -> tuple[list[TokenGrid], list[int] | None]:
     labels = None
     if payload.get("labels") is not None:
         labels = _labels(_field(payload, "labels", _integers, "token"), len(arrays))
-    grids = []
-    for i, a in enumerate(arrays):
-        try:
-            grids.append(TokenGrid(data=a, K=K))
-        except ValueError as exc:  # K is valid, so the tokens are not
-            raise ValueError(f"token field 'grids' is malformed: grid {i}: {exc}") from None
-    return grids, labels
+    if arrays.size and (arrays.min() < 0 or arrays.max() > K):  # one check for every grid
+        i = np.flatnonzero(((arrays < 0) | (arrays > K)).any(axis=(1, 2)))[0]
+        raise ValueError(f"token field 'grids' is malformed: grid {i}: "
+                         f"token values must lie in 0..{K} (K = mask)")
+    arrays.flags.writeable = False  # so is every grid's view of it
+    return [TokenGrid._checked(a, K) for a in arrays], labels

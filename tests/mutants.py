@@ -33,6 +33,8 @@ ONE_COPY = "tests/test_schedules.py::TestOneCopy::test_same_bits_as_separate_cop
 REAL = "tests/test_tokens.py::TestRealArguments"
 INDEX = "tests/test_tokens.py::TestIndexArguments"
 CONTRACT = "tests/test_diffusion.py::TestDenoiserContract"
+FILE = "tests/test_diffusion.py::TestDenoiserFile"
+TRAIN = "tests/test_diffusion.py::TestTrainDenoiser"
 
 # (file in src/vqdiff, text, replacement, test node IDs expected to kill the mutant)
 MUTANTS = [
@@ -169,6 +171,31 @@ MUTANTS = [
     ("transitions.py", "if not abs(alpha + K * beta + gamma - 1.0) <= 1e-9:",
      "if abs(alpha + K * beta + gamma - 1.0) > 1e-9:",
      ["tests/test_transitions.py::TestBuildTransitionMatrix::test_nan_coefficient_rejected"]),
+    # the first new row shares the last stored one: at first the shared zero row, which
+    # training then writes, so every untouched map entry reads a stored row
+    ("diffusion.py", "self._map[new] = np.arange(self._n, n)",
+     "self._map[new] = np.arange(self._n - 1, n - 1)",
+     ["tests/test_diffusion.py::TestBlockedTraining::test_pipeline_shape",
+      FILE + "::test_pipeline_trained_table"]),
+    ("diffusion.py", "keep = touched.view(np.int64).any(axis=1)", "keep = touched.any(axis=1)",
+     [FILE + "::test_negative_zero_row_written", FILE + "::test_table[signed-zeros]"]),
+    ("diffusion.py", "    rows, touched = rows[keep], touched[keep]\n", "",
+     [FILE + "::test_pipeline_trained_table"]),
+    ("diffusion.py", "rows = np.flatnonzero(denoiser._map)",  # in stored, not logical, order
+     "rows = np.argsort(denoiser._map, kind='stable')[len(denoiser._map) - denoiser._n + 1:]",
+     [FILE + "::test_pipeline_trained_table"]),
+    ("diffusion.py", "rows = np.flatnonzero(table.view(np.int64).any(axis=1))",
+     "rows = np.flatnonzero(table.any(axis=1))",
+     [FILE + "::test_negative_zero_row_written", FILE + "::test_table[signed-zeros]"]),
+    ("diffusion.py", "min(max(n, 2 * len(self._stored)), most)", "max(n, 2 * len(self._stored))",
+     [TRAIN + "::test_stored_rows_bounded_by_the_guard"]),
+    ("diffusion.py", "n_bytes = 4 * math.prod(self._shape[:-1]) + 8 * self.K * n_stored",
+     "n_bytes = 8 * self.K * n_stored",
+     [TRAIN + "::test_oversize_table_rejected_before_allocating"]),
+    ("tokens.py", ".any(axis=(1, 2)))[0]", ".any(axis=(1, 2)))[-1]",
+     ["tests/test_tokens.py::TestTokenFile::test_first_bad_grid_named"]),
+    ("tokens.py", "    arrays.flags.writeable = False  # so is every grid's view of it\n", "",
+     ["tests/test_tokens.py::TestTokenFile::test_loaded_grids_are_read_only_views_of_one_array"]),
 ]
 
 

@@ -652,9 +652,9 @@ def test_numeric_field_refuses_non_numbers(toy_setup, capsys, tmp_path, fmt, bad
     """One entry of a numeric field is not a number: the library and the CLI name the field."""
     files = dict(toy_setup)
     files["den"], files["codec"] = tmp_path / "den.json", tmp_path / "codec.json"
-    den = TabularDenoiser(3, (1, 2), 6, [0, 1])
-    den.weights.reshape(-1, 3)[[5, 9]] = [[0.5, -0.25, 1.0], [2.0, 0.0, -1.0]]
-    save_denoiser(files["den"], den)
+    dense = np.zeros((3, 7, 1, 2, 4, 3))
+    dense.reshape(-1, 3)[[5, 9]] = [[0.5, -0.25, 1.0], [2.0, 0.0, -1.0]]
+    save_denoiser(files["den"], TabularDenoiser(3, (1, 2), 6, [0, 1], weights=dense))
     save_codec(files["codec"], CodecModel("VQ", 1, 1, 4, [np.arange(8.0).reshape(4, 2)]))
     name, field, index, loader, argv = NUMERIC_FIELDS[fmt]
     payload = json.loads(files[name].read_text())

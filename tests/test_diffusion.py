@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -39,6 +40,7 @@ from vqdiff.diffusion import (
     _kl_step,
     _prior_kl,
     _sample_categorical,
+    _softmax,
     _StepKernel,
     _validated_predict,
 )
@@ -1028,14 +1030,66 @@ class TestTrainDenoiser:
             assert tv_distance(counts, probs, n) < 0.1
 
     def test_oversize_table_rejected_before_allocating(self, tmp_path):
-        # Kp=256, R=4, T=100, 200 frames: about 42 GB of float64 weights
-        with pytest.raises(SizeGuardError, match=r"\(1, 101, 4, 200, 257, 256\)"):
-            TabularDenoiser(256, (4, 200), 100, cond_labels=[])
+        # K=1024, 4x256, T=100, two labels: the int32 row map alone needs 1.27 GB
         path = tmp_path / "huge.json"
-        path.write_text('{"kind": "tabular", "K": 256, "N_q": 4, "L": 200, "T": 100, '
-                        '"cond_labels": [], "weights": []}')
-        with pytest.raises(SizeGuardError):
-            load_denoiser(path)
+        path.write_text('{"kind": "tabular", "K": 1024, "N_q": 4, "L": 256, "T": 100, '
+                        '"cond_labels": [0, 1], "rows": [], "weights": []}')
+        for build in (lambda: TabularDenoiser(1024, (4, 256), 100, cond_labels=[0, 1]),
+                      lambda: load_denoiser(path)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(SizeGuardError, match=r"\(3, 101, 4, 256, 1025, 1024\) needs "
+                                   r"1272123392 bytes for its row map and 1 stored rows"):
+                    build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20  # refused before the map was allocated
+
+    def test_dense_weights_refused_above_the_guard(self):
+        # Kp=256, R=4, T=100, 200 frames: an 83 MB map, but 42 GB of dense weights
+        den = TabularDenoiser(256, (4, 200), 100, cond_labels=[])
+        with pytest.raises(SizeGuardError, match=r"\(1, 101, 4, 200, 257, 256\) need 4"):
+            den.weights
+
+    def test_stored_rows_bounded_by_the_guard(self, monkeypatch):
+        # room for the map and 12 stored rows: the zero row and 11 of the 12 a grid touches
+        dataset = [grid1([0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2], 3)]
+        table, config = linear_schedule(1, 3), TrainConfig(epochs=1, null_cond_prob=0.0)
+        map_bytes = 4 * 2 * 12 * 4  # 96 logical rows
+        monkeypatch.setattr(diffusion, "MAX_TABULAR_BYTES", map_bytes + 8 * 3 * 12)
+        with pytest.raises(SizeGuardError, match=r"\(1, 2, 1, 12, 4, 3\) needs 696 bytes .* 13 stored"):
+            train_denoiser(dataset, table, config, np.random.default_rng(0))
+        monkeypatch.setattr(diffusion, "MAX_TABULAR_BYTES", map_bytes + 8 * 3 * 13)
+        den, _ = train_denoiser(dataset, table, config, np.random.default_rng(0))
+        assert len(den._stored) == 13
+        # storage doubles as it grows, but never past the guard's limit
+        monkeypatch.setattr(diffusion, "MAX_TABULAR_BYTES", map_bytes + 8 * 3 * 8)
+        den = TabularDenoiser(3, (1, 12), 1, [])
+        assert den._register(np.arange(4)).tolist() == [1, 2, 3, 4] and len(den._stored) == 5
+        assert den._register(np.array([9, 2, 4])).tolist() == [6, 3, 5]  # new rows ascending
+        assert len(den._stored) == 8  # not 10
+        with pytest.raises(SizeGuardError, match="624 bytes .* 10 stored rows"):
+            den._register(np.arange(10, 13))
+
+    def test_codec_shape_trains_and_round_trips(self, tmp_path):
+        # Kp=256, 4x32, T=20, two labels: the dense table would need 4.24 GB
+        K, N_q, L = 256, 4, 32
+        dataset = training_dataset(9, 8, K, (N_q, L), True)
+        table = improved_schedule(20, K, N_q)
+        den, trace = train_denoiser(dataset, table, TrainConfig(epochs=1),
+                                    np.random.default_rng(4))
+        assert len(trace) == 1 and np.isfinite(trace[0])
+        first, again = tmp_path / "first.json", tmp_path / "again.json"
+        save_denoiser(first, den)
+        save_denoiser(again, load_denoiser(first))
+        assert first.read_bytes() == again.read_bytes()
+        assert 0 < len(json.loads(first.read_text())["rows"]) <= 8 * N_q * L
+        x0, label = dataset[0]
+        x_t = corrupt(x0, 7, table, np.random.default_rng(5))
+        assert np.allclose(den.predict(x_t, 7, label).sum(axis=-1), 1.0)
+        with pytest.raises(SizeGuardError, match=r"\(3, 21, 4, 32, 257, 256\) need 4244373504 bytes"):
+            den.weights
 
     def test_repeated_condition_labels_rejected(self):
         with pytest.raises(ValueError, match="cond_labels repeat a label"):
@@ -1065,6 +1119,15 @@ class TestTrainDenoiser:
         den = TabularDenoiser(16, (4, 32), 20, cond_labels=[0, 1])
         assert den.weights.nbytes == 3 * 21 * 4 * 32 * 17 * 16 * 8
 
+    def test_dense_weights_are_read_only(self):
+        dense = np.random.default_rng(0).normal(size=(2, 3, 1, 2, 4, 3))
+        den = TabularDenoiser(3, (1, 2), 2, [5], weights=dense)
+        weights = den.weights
+        assert weights.tobytes() == dense.tobytes() and not weights.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0, 0, 0, 0, 0, 0] = 1.0
+        assert den.weights is not weights  # built again on each access
+
     def test_unknown_condition_rejected_at_predict(self):
         table = linear_schedule(5, 3)
         x0 = grid1([1, 2], 3)
@@ -1076,8 +1139,8 @@ class TestTrainDenoiser:
     def test_row_rule_addresses_the_table(self):
         # a batch of grids, each with its own condition row (0 = null) and step
         K, N_q, L, T = 3, 2, 5, 4
-        den = TabularDenoiser(K, (N_q, L), T, [3, 7])
-        den.weights[...] = np.random.default_rng(0).normal(size=den.weights.shape)
+        dense = np.random.default_rng(0).normal(size=(3, T + 1, N_q, L, K + 1, K))
+        den = TabularDenoiser(K, (N_q, L), T, [3, 7], weights=dense)
         rng = np.random.default_rng(1)
         crow, ts = np.array([0, 2, 1, 0, 2]), np.array([0, T, 2, 3, 0])
         data = rng.integers(0, K + 1, size=(len(ts), N_q, L))
@@ -1093,16 +1156,17 @@ class TestTrainDenoiser:
 
 def train_denoiser_reference(dataset, table, config, rng):
     """The one-step-at-a-time SGD loop, as ``train_denoiser`` ran it before
-    its steps were batched into row-disjoint runs."""
+    its steps were batched into row-disjoint runs, on its own dense table:
+    returns that table and the loss trace."""
     pairs = [(item, None) if isinstance(item, TokenGrid) else tuple(item) for item in dataset]
     first = pairs[0][0]
     K = first.K
     labels = sorted({c for _, c in pairs if c is not None})
-    den = TabularDenoiser(K, (first.N_q, first.L), table.T, labels)
+    weights = np.zeros((len(labels) + 1, table.T + 1, first.N_q, first.L, K + 1, K))
 
     trace: list[float] = []
     n = len(pairs)
-    rows, cols = np.indices(den.grid_shape)
+    rows, cols = np.indices((first.N_q, first.L))
     for _ in range(config.epochs):
         order = rng.permutation(n)
         epoch_losses = []
@@ -1112,12 +1176,13 @@ def train_denoiser_reference(dataset, table, config, rng):
                 cond = None
             t = int(rng.integers(1, table.T + 1))
             x_t = corrupt(grid, t, table, rng)
-            p = den.predict(x_t, t, cond)
+            at = (0 if cond is None else labels.index(cond) + 1, t, rows, cols, x_t.data)
+            p = _softmax(weights[at])
             (loss,), g_w = _kl_step(x_t.data, grid.data, p, table, t)
             epoch_losses.append(loss)
-            den.weights[den._cond_row(cond), t, rows, cols, x_t.data] -= config.lr * g_w
+            weights[at] -= config.lr * g_w
         trace.append(float(np.mean(epoch_losses)))
-    return den, trace
+    return weights, trace
 
 
 def training_dataset(seed, n, K, shape, labelled):
@@ -1140,7 +1205,7 @@ class TestBlockedTraining:
         den, trace = train_denoiser(dataset, table, config, np.random.default_rng(seed))
         ref, ref_trace = train_denoiser_reference(dataset, table, config,
                                                   np.random.default_rng(seed))
-        assert den.weights.tobytes() == ref.weights.tobytes()
+        assert den.weights.tobytes() == ref.tobytes()
         assert np.asarray(trace).tobytes() == np.asarray(ref_trace).tobytes()
         assert np.any(den.weights != 0.0)
 
@@ -1265,8 +1330,9 @@ DENOISER_TABLES = [
 def denoiser_table(name):
     """A small table, (2, 3, 1, 2, K + 1, K) or (3, ...) for K=2, with the named entries set."""
     K = 2 if name == "K=2" else 3
-    den = TabularDenoiser(K, (1, 2), 2, [1, 4] if K == 2 else [0])
-    rows = den.weights.reshape(-1, K)  # a view: one row of K logits per (label, t, q, l, token)
+    labels = [1, 4] if K == 2 else [0]
+    dense = np.zeros((len(labels) + 1, 3, 1, 2, K + 1, K))
+    rows = dense.reshape(-1, K)  # a view: one row of K logits per (label, t, q, l, token)
     rng = np.random.default_rng(3)
     if name == "dense":
         rows[...] = rng.normal(size=rows.shape)
@@ -1296,7 +1362,7 @@ def denoiser_table(name):
                                 size=rows[1::2].shape)
     else:
         assert name == "all-zero"
-    return den
+    return TabularDenoiser(K, (1, 2), 2, labels, weights=dense)
 
 
 class TestDenoiserFile:
@@ -1463,10 +1529,10 @@ class TestConditionLabels:
 
     @pytest.fixture()
     def den(self):
-        den = TabularDenoiser(3, (1, 2), 2, [0, 1])
-        den.weights[1, :, :, :, :, 0] = 4.0  # label 0 favours token 0
-        den.weights[2, :, :, :, :, 2] = 4.0  # label 1 favours token 2
-        return den
+        dense = np.zeros((3, 3, 1, 2, 4, 3))
+        dense[1, :, :, :, :, 0] = 4.0  # label 0 favours token 0
+        dense[2, :, :, :, :, 2] = 4.0  # label 1 favours token 2
+        return TabularDenoiser(3, (1, 2), 2, [0, 1], weights=dense)
 
     @pytest.mark.parametrize("label", [1.7, 0.9, 1.0, np.float64(1.0), float("nan"), True,
                                        np.bool_(False), "1"], ids=repr)

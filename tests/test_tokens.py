@@ -379,6 +379,33 @@ class TestTokenFile:
         path.write_text(json.dumps(payload))
         assert [g.data.tobytes() for g in load_token_file(path)[0]] == [grid.data.tobytes()] * 2
 
+    def test_loaded_grids_are_read_only_views_of_one_array(self, tmp_path):
+        grids = random_grids(3, 2, 4, 5, mask=True)
+        path = tmp_path / "tokens.json"
+        save_token_file(path, grids)
+        back, _ = load_token_file(path)
+        assert [(g.K, g.data.dtype, g.data.tobytes()) for g in back] == [
+            (5, np.int64, g.data.tobytes()) for g in grids]
+        assert back[0].data.base is back[1].data.base is back[2].data.base is not None
+        for g in back:
+            with pytest.raises(ValueError):
+                g.data[0, 0] = 1
+            with pytest.raises(ValueError):  # nor through its base
+                g.data.setflags(write=True)
+
+    @pytest.mark.parametrize("bad, first", [
+        ({2: -1, 4: 4}, 2), ({1: 4, 3: -1}, 1), ({4: 7}, 4), ({0: -2}, 0),
+    ], ids=["negative-then-above", "above-then-negative", "last-only", "first-only"])
+    def test_first_bad_grid_named(self, tmp_path, bad, first):
+        payload = {"K": 3, "grids": [[[0, 1], [2, 3]] for _ in range(5)]}
+        for i, value in bad.items():
+            payload["grids"][i][1][0] = value
+        path = tmp_path / "tokens.json"
+        path.write_text(json.dumps(payload))
+        message = f"token field 'grids' is malformed: grid {first}: token values must lie in 0..3"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            load_token_file(path)
+
 
 def random_grids(n, N_q, L, K, seed=0, mask=False):
     rng = np.random.default_rng(seed)
