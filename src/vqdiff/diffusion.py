@@ -31,12 +31,15 @@ from .tokens import _index, _integral, _load_object, _numbers, _real, atomic_wri
 MAX_ORACLE_SUPPORT = 10_000
 
 # one TabularDenoiser's int32 row map (condition x step x position x token) plus
-# its stored float64 rows; also the dense ``weights`` it will build
+# its stored float64 rows and their float64 probability table; also the dense
+# ``weights`` it will build
 MAX_TABULAR_BYTES = 2**30
 
 _PREDICT_ATOL = 1e-9
 
 _TRAIN_BLOCK_VALUES = 2**20  # float64 values per (steps x positions x (K+1)) training array
+
+_SAVE_CHUNK_VALUES = 2**16  # logits per piece of text save_denoiser hands the writer
 
 
 def _clean_grids(grids, what: str, table) -> np.ndarray:
@@ -628,7 +631,9 @@ class TabularDenoiser(Denoiser):
     The logical table holds (labels+1)·(T+1)·N_q·L·(K+1) rows of K logits,
     but only the rows training touches are stored: an int32 map sends each
     logical row to its stored row, and every other row to the shared
-    all-+0.0 row 0.  ``weights`` builds the dense table on access.
+    all-+0.0 row 0.  ``weights`` builds the dense table on access.  The
+    first ``predict`` takes the softmax of the stored rows once, into a
+    probability table of the same size, and each ``predict`` gathers from it.
     """
 
     def __init__(self, K, grid_shape, T, cond_labels, weights=None):
@@ -644,6 +649,7 @@ class TabularDenoiser(Denoiser):
         self._guard(1)
         self._map = np.zeros(math.prod(self._shape[:-1]), np.int32)
         self._stored, self._n = np.zeros((1, self.K)), 1  # rows allocated, rows in use
+        self._probs = None  # softmax of self._stored[:self._n], built by predict
         # the row of each position's token 0 at condition row 0 and step 0
         self._offsets = np.arange(0, math.prod(self._shape[2:5]), self.K + 1).reshape(self.grid_shape)
         self._offsets.flags.writeable = False
@@ -660,20 +666,27 @@ class TabularDenoiser(Denoiser):
             self._stored[at] = table[rows]
 
     def _guard(self, n_stored: int) -> None:
-        """Refuse a row map and ``n_stored`` stored rows above ``MAX_TABULAR_BYTES``."""
-        n_bytes = 4 * math.prod(self._shape[:-1]) + 8 * self.K * n_stored
+        """Refuse a row map, ``n_stored`` stored rows and their probability table above
+        ``MAX_TABULAR_BYTES``."""
+        n_bytes = 4 * math.prod(self._shape[:-1]) + 16 * self.K * n_stored
         if n_bytes > MAX_TABULAR_BYTES:
             raise SizeGuardError(
                 f"tabular denoiser of shape {self._shape} needs {n_bytes} bytes for its row map "
-                f"and {n_stored} stored rows, above the {MAX_TABULAR_BYTES}-byte limit"
+                f"and {n_stored} stored rows with their probabilities, above the "
+                f"{MAX_TABULAR_BYTES}-byte limit"
             )
 
     def _register(self, rows: np.ndarray) -> np.ndarray:
-        """The stored rows of the logical ``rows``; each one not stored yet gets a row of +0.0."""
+        """The stored rows of the logical ``rows``; each one not stored yet gets a row of +0.0.
+
+        Every write to ``_stored`` goes to rows this has just returned, so it drops
+        the probability table here.
+        """
+        self._probs = None
         new = np.unique(rows[self._map[rows] == 0])
         n = self._n + new.size
         if n > len(self._stored):  # grow to twice the rows, or to the guard's limit
-            most = (MAX_TABULAR_BYTES - 4 * len(self._map)) // (8 * self.K)
+            most = (MAX_TABULAR_BYTES - 4 * len(self._map)) // (16 * self.K)
             self._guard(n)
             grown = np.zeros((min(max(n, 2 * len(self._stored)), most), self.K))
             grown[: self._n] = self._stored[: self._n]
@@ -716,7 +729,10 @@ class TabularDenoiser(Denoiser):
     def predict(self, x_t: TokenGrid, t: int, cond=None) -> np.ndarray:
         self._check_input(x_t, t)
         rows = self._rows(self._cond_row(cond), t, x_t.data)
-        return _softmax(self._stored[self._map[rows]])  # (N_q, L, K)
+        if self._probs is None:  # the softmax is row-wise: the bits of one on the gathered rows
+            self._guard(self._n)
+            self._probs = _softmax(self._stored[: self._n])
+        return self._probs[self._map[rows]]  # (N_q, L, K), a copy
 
 
 def save_denoiser(path, denoiser: TabularDenoiser) -> None:
@@ -730,15 +746,16 @@ def save_denoiser(path, denoiser: TabularDenoiser) -> None:
     ``ValueError`` before anything is written.
 
     The bytes are those of ``json.dumps`` of that object, but each distinct
-    logit is formatted once: a trained table holds few distinct values.
+    logit is formatted once: a trained table holds few distinct values.  The
+    weights go to the file in pieces of whole rows, never as one string.
     """
     rows = np.flatnonzero(denoiser._map)  # the stored rows, ascending
-    touched = denoiser._stored[denoiser._map[rows]]
-    keep = touched.view(np.int64).any(axis=1)  # a stored row may still be all +0.0
-    rows, touched = rows[keep], touched[keep]
+    at = denoiser._map[rows]
+    keep = denoiser._stored.view(np.int64).any(axis=1)[at]  # a stored row may still be all +0.0
+    rows, touched = rows[keep], denoiser._stored[at[keep]]
     if not np.isfinite(touched).all():  # every other entry is +0.0
         raise ValueError("denoiser field 'weights' holds non-finite entries")
-    patterns, index = np.unique(touched.view(np.int64), return_inverse=True)
+    patterns = np.unique(touched.view(np.int64))
     reprs = np.array(list(map(repr, patterns.view(float).tolist())), dtype=object)
     head = json.dumps({
         "kind": "tabular",
@@ -749,8 +766,16 @@ def save_denoiser(path, denoiser: TabularDenoiser) -> None:
         "cond_labels": denoiser.cond_labels,
         "rows": rows.tolist(),
     })
-    weights = ", ".join(reprs[index.reshape(-1)].tolist())
-    atomic_write_text(path, (head[:-1], ', "weights": [', weights, "]}"))
+    step = max(1, _SAVE_CHUNK_VALUES // denoiser.K)  # rows per piece
+
+    def text():
+        yield head[:-1] + ', "weights": ['
+        for a in range(0, len(rows), step):
+            index = np.searchsorted(patterns, touched[a : a + step].view(np.int64).reshape(-1))
+            yield (", " if a else "") + ", ".join(reprs[index].tolist())
+        yield "]}"
+
+    atomic_write_text(path, text())
 
 
 def _increasing(values):

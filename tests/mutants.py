@@ -35,6 +35,7 @@ INDEX = "tests/test_tokens.py::TestIndexArguments"
 CONTRACT = "tests/test_diffusion.py::TestDenoiserContract"
 FILE = "tests/test_diffusion.py::TestDenoiserFile"
 TRAIN = "tests/test_diffusion.py::TestTrainDenoiser"
+PROBS = "tests/test_diffusion.py::TestProbabilityTable"
 
 # (file in src/vqdiff, text, replacement, test node IDs expected to kill the mutant)
 MUTANTS = [
@@ -177,9 +178,11 @@ MUTANTS = [
      "self._map[new] = np.arange(self._n - 1, n - 1)",
      ["tests/test_diffusion.py::TestBlockedTraining::test_pipeline_shape",
       FILE + "::test_pipeline_trained_table"]),
-    ("diffusion.py", "keep = touched.view(np.int64).any(axis=1)", "keep = touched.any(axis=1)",
+    ("diffusion.py", "keep = denoiser._stored.view(np.int64).any(axis=1)[at]",
+     "keep = denoiser._stored.any(axis=1)[at]",
      [FILE + "::test_negative_zero_row_written", FILE + "::test_table[signed-zeros]"]),
-    ("diffusion.py", "    rows, touched = rows[keep], touched[keep]\n", "",
+    ("diffusion.py", "rows, touched = rows[keep], denoiser._stored[at[keep]]",
+     "touched = denoiser._stored[at]",
      [FILE + "::test_pipeline_trained_table"]),
     ("diffusion.py", "rows = np.flatnonzero(denoiser._map)",  # in stored, not logical, order
      "rows = np.argsort(denoiser._map, kind='stable')[len(denoiser._map) - denoiser._n + 1:]",
@@ -189,9 +192,26 @@ MUTANTS = [
      [FILE + "::test_negative_zero_row_written", FILE + "::test_table[signed-zeros]"]),
     ("diffusion.py", "min(max(n, 2 * len(self._stored)), most)", "max(n, 2 * len(self._stored))",
      [TRAIN + "::test_stored_rows_bounded_by_the_guard"]),
-    ("diffusion.py", "n_bytes = 4 * math.prod(self._shape[:-1]) + 8 * self.K * n_stored",
-     "n_bytes = 8 * self.K * n_stored",
+    ("diffusion.py", "n_bytes = 4 * math.prod(self._shape[:-1]) + 16 * self.K * n_stored",
+     "n_bytes = 16 * self.K * n_stored",
      [TRAIN + "::test_oversize_table_rejected_before_allocating"]),
+    # the probability table: dropped by every write, counted by the guard, built from
+    # probabilities, and checked before it is built
+    ("diffusion.py", "        self._probs = None\n        new = np.unique(",
+     "        new = np.unique(",
+     [PROBS + "::test_register_after_predict_shows_in_the_next_predict"]),
+    ("diffusion.py", "+ 16 * self.K * n_stored", "+ 8 * self.K * n_stored",
+     [TRAIN + "::test_stored_rows_bounded_by_the_guard",
+      PROBS + "::test_table_refused_above_the_guard"]),
+    ("diffusion.py", "// (16 * self.K)", "// (8 * self.K)",
+     [TRAIN + "::test_stored_rows_bounded_by_the_guard"]),
+    ("diffusion.py", "self._probs = _softmax(self._stored[: self._n])",
+     "self._probs = self._stored[: self._n]",
+     [PROBS + "::test_predict_is_the_softmax_of_the_gathered_rows"]),
+    ("diffusion.py", "            self._guard(self._n)\n", "",
+     [PROBS + "::test_table_refused_above_the_guard"]),
+    ("diffusion.py", '(", " if a else "")', '(", " if a > step else "")',
+     [FILE + "::test_pieces_of_rows_give_the_bytes_of_one_string"]),
     ("tokens.py", ".any(axis=(1, 2)))[0]", ".any(axis=(1, 2)))[-1]",
      ["tests/test_tokens.py::TestTokenFile::test_first_bad_grid_named"]),
     ("tokens.py", "    arrays.flags.writeable = False  # so is every grid's view of it\n", "",

@@ -217,6 +217,33 @@ class TestClubMi:
         shifted = club_mi(x * [1.0, -2.0, 1e3] + 1e8, y * [3.0, 1e-3] - 1e7)
         assert shifted == pytest.approx(club_mi(x, y), rel=1e-6)
 
+    @pytest.mark.parametrize("A, chol, noise_var", [
+        ([[1.0, 0.5, -0.3], [0.2, -0.8, 0.6]], [[1.0, 0.0, 0.0], [0.5, 0.8, 0.0], [-0.3, 0.2, 0.6]],
+         [0.8, 1.5]),
+        ([[0.7, -0.2], [0.3, 0.9], [-0.5, 0.4]], [[1.2, 0.0], [-0.4, 0.7]], [0.5, 1.0, 2.0]),
+        ([[0.4, 0.1, 0.0], [0.0, -0.6, 0.3], [0.2, 0.2, 0.5]], np.diag([1.0, 0.5, 2.0]),
+         [2.0, 4.0, 6.0]),
+    ], ids=["3-to-2", "2-to-3", "3-to-3-weak"])
+    def test_linear_gaussian_closed_form(self, A, chol, noise_var):
+        # y = Ax + e, x ~ N(0, C) with C = chol chol^T, e ~ N(0, S) with S diagonal.  q(y|x)
+        # fits the true conditional, so the population bound is
+        # E_indep[(y - Ax)^T S^-1 (y - Ax)] / 2 - dim_y / 2 = tr(S^-1 A C A^T), and the exact
+        # I(x; y) is log det(I + S^-1 A C A^T) / 2, below it
+        A, chol, noise_var = np.asarray(A), np.asarray(chol), np.asarray(noise_var)
+        m = A @ chol @ chol.T @ A.T / noise_var[:, None]
+        population = np.trace(m)
+        exact_mi = 0.5 * np.linalg.slogdet(np.eye(len(m)) + m)[1]
+        estimates = []
+        for seed in range(30):
+            rng = np.random.default_rng([17, seed])
+            x = rng.normal(size=(20_000, chol.shape[0])) @ chol.T
+            y = x @ A.T + rng.normal(size=(20_000, len(m))) * np.sqrt(noise_var)
+            estimates.append(club_mi(x, y))
+        estimates = np.array(estimates)
+        standard_error = estimates.std(ddof=1) / math.sqrt(len(estimates))
+        assert abs(estimates.mean() - population) <= 4 * standard_error
+        assert np.all(estimates >= exact_mi)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_tiny_spread_far_from_zero_equals_its_exact_shift(self, seed):
         # y - 1e9 is exact, so the bound must not move; centring leaves y a residual mean

@@ -1039,7 +1039,7 @@ class TestTrainDenoiser:
             tracemalloc.start()
             try:
                 with pytest.raises(SizeGuardError, match=r"\(3, 101, 4, 256, 1025, 1024\) needs "
-                                   r"1272123392 bytes for its row map and 1 stored rows"):
+                                   r"1272131584 bytes for its row map and 1 stored rows"):
                     build()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -1053,23 +1053,24 @@ class TestTrainDenoiser:
             den.weights
 
     def test_stored_rows_bounded_by_the_guard(self, monkeypatch):
-        # room for the map and 12 stored rows: the zero row and 11 of the 12 a grid touches
+        # room for the map and 12 stored rows with their probabilities: the zero row and
+        # 11 of the 12 a grid touches; a stored row and its probabilities take 16 * K bytes
         dataset = [grid1([0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2], 3)]
         table, config = linear_schedule(1, 3), TrainConfig(epochs=1, null_cond_prob=0.0)
         map_bytes = 4 * 2 * 12 * 4  # 96 logical rows
-        monkeypatch.setattr(diffusion, "MAX_TABULAR_BYTES", map_bytes + 8 * 3 * 12)
-        with pytest.raises(SizeGuardError, match=r"\(1, 2, 1, 12, 4, 3\) needs 696 bytes .* 13 stored"):
+        monkeypatch.setattr(diffusion, "MAX_TABULAR_BYTES", map_bytes + 16 * 3 * 12)
+        with pytest.raises(SizeGuardError, match=r"\(1, 2, 1, 12, 4, 3\) needs 1008 bytes .* 13 stored"):
             train_denoiser(dataset, table, config, np.random.default_rng(0))
-        monkeypatch.setattr(diffusion, "MAX_TABULAR_BYTES", map_bytes + 8 * 3 * 13)
+        monkeypatch.setattr(diffusion, "MAX_TABULAR_BYTES", map_bytes + 16 * 3 * 13)
         den, _ = train_denoiser(dataset, table, config, np.random.default_rng(0))
         assert len(den._stored) == 13
         # storage doubles as it grows, but never past the guard's limit
-        monkeypatch.setattr(diffusion, "MAX_TABULAR_BYTES", map_bytes + 8 * 3 * 8)
+        monkeypatch.setattr(diffusion, "MAX_TABULAR_BYTES", map_bytes + 16 * 3 * 8)
         den = TabularDenoiser(3, (1, 12), 1, [])
         assert den._register(np.arange(4)).tolist() == [1, 2, 3, 4] and len(den._stored) == 5
         assert den._register(np.array([9, 2, 4])).tolist() == [6, 3, 5]  # new rows ascending
         assert len(den._stored) == 8  # not 10
-        with pytest.raises(SizeGuardError, match="624 bytes .* 10 stored rows"):
+        with pytest.raises(SizeGuardError, match="864 bytes .* 10 stored rows"):
             den._register(np.arange(10, 13))
 
     def test_codec_shape_trains_and_round_trips(self, tmp_path):
@@ -1392,6 +1393,16 @@ class TestDenoiserFile:
         assert 0 < touched.mean() < 0.1  # mostly untouched rows
         payload = self.check_round_trip(tmp_path, den)
         assert len(set(payload["weights"])) < len(payload["weights"]) / 10  # few distinct values
+        assert len(payload["weights"]) > diffusion._SAVE_CHUNK_VALUES  # written in two pieces
+        assert (tmp_path / "den.json").read_bytes() == save_denoiser_sparse_reference(den)
+
+    @pytest.mark.parametrize("rows_per_piece", [1, 2, 5])
+    @pytest.mark.parametrize("name", ["dense", "K=2", "last-row-only", "all-zero"])
+    def test_pieces_of_rows_give_the_bytes_of_one_string(self, tmp_path, monkeypatch, name,
+                                                         rows_per_piece):
+        den = denoiser_table(name)
+        monkeypatch.setattr(diffusion, "_SAVE_CHUNK_VALUES", rows_per_piece * den.K + den.K - 1)
+        save_denoiser(tmp_path / "den.json", den)
         assert (tmp_path / "den.json").read_bytes() == save_denoiser_sparse_reference(den)
 
     @pytest.mark.parametrize("name", DENOISER_TABLES)
@@ -1466,6 +1477,95 @@ class TestDenoiserFile:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=f"denoiser field '{field}'"):
             load_denoiser(path)
+
+
+def table_test_denoiser(shape, kind, tmp_path):
+    """A denoiser at the ``pipeline`` shape or at K=256, trained, loaded from a file
+    of a trained one, or built with ``weights=``, and the schedule it runs on."""
+    if shape == "pipeline":
+        table, den = improved_schedule(20, 16, 4), pipeline_trained_denoiser()
+    elif kind == "weights":  # the dense table at 4x32, T=20 would need 4.24 GB
+        table = improved_schedule(2, 256, 1)
+        dense = np.zeros((2, 3, 1, 3, 257, 256))
+        rows = dense.reshape(-1, 256)
+        rng = np.random.default_rng(8)
+        touched = rng.random(len(rows)) < 0.3
+        rows[touched] = rng.normal(scale=3.0, size=(touched.sum(), 256))
+        return table, TabularDenoiser(256, (1, 3), 2, [0], weights=dense)
+    else:
+        table = improved_schedule(20, 256, 4)
+        den, _ = train_denoiser(training_dataset(9, 8, 256, (4, 32), True), table,
+                                TrainConfig(epochs=1), np.random.default_rng(4))
+    if kind == "loaded":
+        save_denoiser(tmp_path / "den.json", den)
+        den = load_denoiser(tmp_path / "den.json")
+    elif kind == "weights":
+        den = TabularDenoiser(den.K, den.grid_shape, den.T, den.cond_labels, weights=den.weights)
+    return table, den
+
+
+def table_test_inputs(den, table, seed):
+    """Corrupted random grids at every step, each with the null label and every label."""
+    rng = np.random.default_rng(seed)
+    for t in range(1, den.T + 1):
+        x0 = TokenGrid(data=rng.integers(0, den.K, size=den.grid_shape), K=den.K)
+        x_t = corrupt(x0, t, table, rng)
+        for cond in [None, *den.cond_labels]:
+            yield x_t, t, cond
+
+
+def gathered_softmax(den, x_t, t, cond):
+    """The prediction as the softmax of the gathered stored rows, taken on every call."""
+    return _softmax(den._stored[den._map[den._rows(den._cond_row(cond), t, x_t.data)]])
+
+
+class TestProbabilityTable:
+    """``predict`` gathers from the softmax of the stored rows, taken once, with the bits
+    of the softmax taken over the gathered rows."""
+
+    @pytest.mark.parametrize("kind", ["trained", "loaded", "weights"])
+    @pytest.mark.parametrize("shape", ["pipeline", "K=256"])
+    def test_predict_is_the_softmax_of_the_gathered_rows(self, tmp_path, shape, kind):
+        table, den = table_test_denoiser(shape, kind, tmp_path)
+        hits = 0
+        for x_t, t, cond in table_test_inputs(den, table, 3):
+            rows = den._rows(den._cond_row(cond), t, x_t.data)
+            hits += int(np.count_nonzero(den._map[rows]))
+            expected = gathered_softmax(den, x_t, t, cond)
+            assert den.predict(x_t, t, cond).tobytes() == expected.tobytes()
+        assert hits > 0  # stored rows were read, not only the shared zero row
+
+    @pytest.mark.parametrize("trained", [False, True], ids=["new-rows", "stored-rows"])
+    def test_register_after_predict_shows_in_the_next_predict(self, trained):
+        table = improved_schedule(20, 16, 4)
+        den = pipeline_trained_denoiser() if trained else TabularDenoiser(16, (4, 32), 20, [0, 1])
+        x_t, t, cond = next(table_test_inputs(den, table, 5))
+        first = den.predict(x_t, t, cond)
+        at = den._register(den._rows(den._cond_row(cond), t, x_t.data).reshape(-1))
+        den._stored[at] = np.random.default_rng(6).normal(size=(at.size, den.K))
+        again = den.predict(x_t, t, cond)
+        assert again.tobytes() == _softmax(den._stored[at]).reshape(again.shape).tobytes()
+        assert not np.array_equal(again, first)
+
+    def test_written_prediction_leaves_the_next_one(self):
+        table, den = improved_schedule(20, 16, 4), pipeline_trained_denoiser()
+        x_t, t, cond = next(table_test_inputs(den, table, 7))
+        first = den.predict(x_t, t, cond)
+        kept = first.copy()
+        first[...] = -1.0
+        assert den.predict(x_t, t, cond).tobytes() == kept.tobytes()
+
+    def test_table_refused_above_the_guard(self, monkeypatch):
+        # the map, the stored rows and their probabilities: 4 bytes per logical row and
+        # 16 * K bytes per stored row
+        table, den = improved_schedule(20, 16, 4), pipeline_trained_denoiser()
+        x_t, t, cond = next(table_test_inputs(den, table, 9))
+        n_bytes = 4 * len(den._map) + 16 * den.K * den._n
+        monkeypatch.setattr(diffusion, "MAX_TABULAR_BYTES", n_bytes - 1)
+        with pytest.raises(SizeGuardError, match=f"needs {n_bytes} bytes .* {den._n} stored rows"):
+            den.predict(x_t, t, cond)
+        monkeypatch.setattr(diffusion, "MAX_TABULAR_BYTES", n_bytes)
+        assert den.predict(x_t, t, cond).tobytes() == gathered_softmax(den, x_t, t, cond).tobytes()
 
 
 class TestEasyFirst:
