@@ -31,8 +31,8 @@ from .tokens import _index, _integral, _load_object, _numbers, _real, atomic_wri
 MAX_ORACLE_SUPPORT = 10_000
 
 # one TabularDenoiser's int32 row map (condition x step x position x token) plus
-# its stored float64 rows and their float64 probability table; also the dense
-# ``weights`` it will build
+# its stored float64 rows and three float64 tables of them: the probabilities, their
+# checked renormalisation and its log; also the dense ``weights`` it will build
 MAX_TABULAR_BYTES = 2**30
 
 _PREDICT_ATOL = 1e-9
@@ -193,21 +193,46 @@ class Denoiser(ABC):
     def predict(self, x_t: TokenGrid, t: int, cond=None) -> np.ndarray:
         raise NotImplementedError
 
+    def _checked_predictions(self, x_t: TokenGrid, t: int, conds: tuple,
+                             log: bool = False) -> np.ndarray:
+        """The predictions at x_t under each label of ``conds``, checked against
+        the contract and renormalised, stacked along a new first axis; their
+        logs if ``log``.
 
-def _validated_predict(denoiser, x_t: TokenGrid, t: int, *conds) -> np.ndarray:
-    """The predictions at x_t under each label of ``conds``, checked against
-    the contract and renormalised, stacked along a new first axis.
+        Every prediction is requested before the first is checked.  The checks
+        then run once over the stack, and a bad prediction raises the
+        ``ContractError`` it would raise alone.  A subclass may override this
+        only to return the same bits and raise the same errors faster.
+        """
+        expected = (x_t.N_q, x_t.L, x_t.K)
+        preds = [np.asarray(self.predict(x_t, t, cond), dtype=float) for cond in conds]
+        for p0 in preds:
+            if p0.shape != expected:
+                raise ContractError(f"denoiser returned shape {p0.shape}, expected {expected}")
+        p0 = _renormalised(np.stack(preds))
+        return _log(p0) if log else p0
 
-    Every prediction is requested before the first is checked.  The checks
-    then run once over the stack, and a bad prediction raises the
-    ``ContractError`` it would raise alone.
+
+def _validated_predict(denoiser, x_t: TokenGrid, t: int, *conds, log: bool = False) -> np.ndarray:
+    """``denoiser._checked_predictions``: the checked, renormalised predictions at x_t
+    under each label of ``conds`` (or their logs), stacked along a new first axis."""
+    return denoiser._checked_predictions(x_t, t, conds, log)
+
+
+def _log(p: np.ndarray) -> np.ndarray:
+    """``np.log(p)``, -inf at a zero without a warning: one elementwise kernel, so the log
+    of a table and of rows gathered from it have the same bits."""
+    with np.errstate(divide="ignore"):
+        return np.log(p)
+
+
+def _renormalised(p0: np.ndarray) -> np.ndarray:
+    """``p0``, probability rows along its last axis, checked against the contract and
+    divided by their sums; ``ContractError`` if any row fails.
+
+    Every check and the renormalisation act row by row, so a stack of rows passes
+    exactly when each row does, and each row keeps the bits it gets alone.
     """
-    expected = (x_t.N_q, x_t.L, x_t.K)
-    preds = [np.asarray(denoiser.predict(x_t, t, cond), dtype=float) for cond in conds]
-    for p0 in preds:
-        if p0.shape != expected:
-            raise ContractError(f"denoiser returned shape {p0.shape}, expected {expected}")
-    p0 = np.stack(preds)
     lo, hi = p0.min(), p0.max()  # NaN reaches both, -inf the first, +inf the second
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ContractError("denoiser returned non-finite probabilities")
@@ -218,7 +243,7 @@ def _validated_predict(denoiser, x_t: TokenGrid, t: int, *conds) -> np.ndarray:
         raise ContractError("denoiser distributions do not sum to 1")
     if lo > 0 or not np.signbit(p0).any():
         # clipping at +0.0 changes nothing (it would turn -0.0 into +0.0), and the
-        # stack is contiguous like the clipped copy: these are its sums, in its order
+        # rows are contiguous like the clipped copy: these are its sums, in its order
         return p0 / sums[..., None]
     p0 = np.clip(p0, 0.0, None)
     return p0 / p0.sum(axis=-1, keepdims=True)
@@ -286,8 +311,7 @@ def _predict_guided(denoiser, x_t, t, cond, lam, guidance_mode):
     """The guided prediction; ``lam`` and the mode are already checked."""
     if lam == 0 or cond is None:
         return _validated_predict(denoiser, x_t, t, cond)[0]
-    with np.errstate(divide="ignore"):
-        lp_c, lp_u = np.log(_validated_predict(denoiser, x_t, t, cond, None))
+    lp_c, lp_u = _validated_predict(denoiser, x_t, t, cond, None, log=True)
     return _combine(lp_c, lp_u, lam, guidance_mode)
 
 
@@ -392,7 +416,9 @@ def _step(x_t, t, stride, denoiser, cond, table, lam, guidance_mode, rng):
     over the guided prediction of v; returns it and that prediction."""
     p0 = _predict_guided(denoiser, x_t, t, cond, lam, guidance_mode)
     dists = _StepKernel(x_t.data, table, t, stride).mix(p0)
-    return x_t.with_data(_sample_categorical(dists, rng)), p0
+    data = _sample_categorical(dists, rng)  # a fresh int64 array of tokens in 0..K
+    data.flags.writeable = False
+    return TokenGrid._checked(data, x_t.K), p0
 
 
 def reverse_step(
@@ -634,6 +660,9 @@ class TabularDenoiser(Denoiser):
     all-+0.0 row 0.  ``weights`` builds the dense table on access.  The
     first ``predict`` takes the softmax of the stored rows once, into a
     probability table of the same size, and each ``predict`` gathers from it.
+    The first checked prediction runs the contract check once over that table;
+    if every row passes, it keeps the renormalised table and its log, and each
+    checked prediction is one gather from one of them.
     """
 
     def __init__(self, K, grid_shape, T, cond_labels, weights=None):
@@ -649,7 +678,10 @@ class TabularDenoiser(Denoiser):
         self._guard(1)
         self._map = np.zeros(math.prod(self._shape[:-1]), np.int32)
         self._stored, self._n = np.zeros((1, self.K)), 1  # rows allocated, rows in use
-        self._probs = None  # softmax of self._stored[:self._n], built by predict
+        self._probs = None  # softmax of self._stored[:self._n], built by _table
+        # None until built; then the checked renormalisation of self._probs and its log,
+        # or () if some row fails the check
+        self._checked = None
         # the row of each position's token 0 at condition row 0 and step 0
         self._offsets = np.arange(0, math.prod(self._shape[2:5]), self.K + 1).reshape(self.grid_shape)
         self._offsets.flags.writeable = False
@@ -666,9 +698,9 @@ class TabularDenoiser(Denoiser):
             self._stored[at] = table[rows]
 
     def _guard(self, n_stored: int) -> None:
-        """Refuse a row map, ``n_stored`` stored rows and their probability table above
-        ``MAX_TABULAR_BYTES``."""
-        n_bytes = 4 * math.prod(self._shape[:-1]) + 16 * self.K * n_stored
+        """Refuse a row map, ``n_stored`` stored rows and their three tables (the
+        probabilities, their checked renormalisation and its log) above ``MAX_TABULAR_BYTES``."""
+        n_bytes = 4 * math.prod(self._shape[:-1]) + 32 * self.K * n_stored
         if n_bytes > MAX_TABULAR_BYTES:
             raise SizeGuardError(
                 f"tabular denoiser of shape {self._shape} needs {n_bytes} bytes for its row map "
@@ -680,13 +712,13 @@ class TabularDenoiser(Denoiser):
         """The stored rows of the logical ``rows``; each one not stored yet gets a row of +0.0.
 
         Every write to ``_stored`` goes to rows this has just returned, so it drops
-        the probability table here.
+        the tables built from them here.
         """
-        self._probs = None
+        self._probs = self._checked = None
         new = np.unique(rows[self._map[rows] == 0])
         n = self._n + new.size
         if n > len(self._stored):  # grow to twice the rows, or to the guard's limit
-            most = (MAX_TABULAR_BYTES - 4 * len(self._map)) // (16 * self.K)
+            most = (MAX_TABULAR_BYTES - 4 * len(self._map)) // (32 * self.K)
             self._guard(n)
             grown = np.zeros((min(max(n, 2 * len(self._stored)), most), self.K))
             grown[: self._n] = self._stored[: self._n]
@@ -726,13 +758,34 @@ class TabularDenoiser(Denoiser):
         first = np.asarray((cond_row * (self.T + 1) + t) * per_step)[..., None, None]
         return first + self._offsets + data
 
-    def predict(self, x_t: TokenGrid, t: int, cond=None) -> np.ndarray:
-        self._check_input(x_t, t)
-        rows = self._rows(self._cond_row(cond), t, x_t.data)
+    def _table(self) -> np.ndarray:
+        """The softmax of the stored rows, built once after each ``_register``."""
         if self._probs is None:  # the softmax is row-wise: the bits of one on the gathered rows
             self._guard(self._n)
             self._probs = _softmax(self._stored[: self._n])
-        return self._probs[self._map[rows]]  # (N_q, L, K), a copy
+        return self._probs
+
+    def predict(self, x_t: TokenGrid, t: int, cond=None) -> np.ndarray:
+        self._check_input(x_t, t)
+        rows = self._rows(self._cond_row(cond), t, x_t.data)
+        return self._table()[self._map[rows]]  # (N_q, L, K), a copy
+
+    def _checked_predictions(self, x_t: TokenGrid, t: int, conds: tuple,
+                             log: bool = False) -> np.ndarray:
+        """The default's stack by one gather of every label's rows from the checked
+        table or its log; the default itself while some row of the table fails the
+        check, so a failing row raises only where it is read."""
+        self._check_input(x_t, t)
+        rows = self._rows(np.array([self._cond_row(cond) for cond in conds]), t, x_t.data)
+        if self._checked is None:  # both are row-wise: the bits of each on the gathered rows
+            try:
+                checked = _renormalised(self._table())
+                self._checked = (checked, _log(checked))
+            except ContractError:
+                self._checked = ()
+        if not self._checked:
+            return super()._checked_predictions(x_t, t, conds, log)
+        return self._checked[log][self._map[rows]]  # (len(conds), N_q, L, K), a copy
 
 
 def save_denoiser(path, denoiser: TabularDenoiser) -> None:
@@ -912,4 +965,5 @@ def train_denoiser(
                 losses.append(loss)
                 stored[at] -= config.lr * g_w.reshape(p.shape)
         trace.append(float(np.mean(np.concatenate(losses))))
+    den._stored = den._stored[: den._n].copy()  # _register's growth left spare rows
     return den, trace

@@ -6,12 +6,12 @@ Run from anywhere, outside the pytest suite (pytest collects only ``test_*.py``)
 
 Each mutant replaces one piece of text, found exactly once, in one file of
 ``src/vqdiff``.  The runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to a
-temporary directory, checks that every listed test passes there unmutated, then
-writes one mutant at a time into the copy and runs only that mutant's tests,
-stopping at the first failure.  A mutant whose tests all pass survives: an
-oracle gap, to be closed with a test, not by removing the mutant.  The exit
-status is 1 if any mutant survives, its text is not found exactly once, or a
-listed test fails unmutated.
+temporary directory, checks that every listed test passes there unmutated (caching
+the tests' bytecode, never the source's), then writes one mutant at a time into the
+copy and runs only that mutant's tests, stopping at the first failure.  A mutant
+whose tests all pass survives: an oracle gap, to be closed with a test, not by
+removing the mutant.  The exit status is 1 if any mutant survives, its text is
+not found exactly once, or a listed test fails unmutated.
 """
 
 import os
@@ -36,6 +36,7 @@ CONTRACT = "tests/test_diffusion.py::TestDenoiserContract"
 FILE = "tests/test_diffusion.py::TestDenoiserFile"
 TRAIN = "tests/test_diffusion.py::TestTrainDenoiser"
 PROBS = "tests/test_diffusion.py::TestProbabilityTable"
+CHECKED = "tests/test_diffusion.py::TestCheckedTable"
 
 # (file in src/vqdiff, text, replacement, test node IDs expected to kill the mutant)
 MUTANTS = [
@@ -192,24 +193,44 @@ MUTANTS = [
      [FILE + "::test_negative_zero_row_written", FILE + "::test_table[signed-zeros]"]),
     ("diffusion.py", "min(max(n, 2 * len(self._stored)), most)", "max(n, 2 * len(self._stored))",
      [TRAIN + "::test_stored_rows_bounded_by_the_guard"]),
-    ("diffusion.py", "n_bytes = 4 * math.prod(self._shape[:-1]) + 16 * self.K * n_stored",
-     "n_bytes = 16 * self.K * n_stored",
+    ("diffusion.py", "n_bytes = 4 * math.prod(self._shape[:-1]) + 32 * self.K * n_stored",
+     "n_bytes = 32 * self.K * n_stored",
      [TRAIN + "::test_oversize_table_rejected_before_allocating"]),
     # the probability table: dropped by every write, counted by the guard, built from
     # probabilities, and checked before it is built
-    ("diffusion.py", "        self._probs = None\n        new = np.unique(",
+    ("diffusion.py", "        self._probs = self._checked = None\n        new = np.unique(",
      "        new = np.unique(",
      [PROBS + "::test_register_after_predict_shows_in_the_next_predict"]),
-    ("diffusion.py", "+ 16 * self.K * n_stored", "+ 8 * self.K * n_stored",
+    ("diffusion.py", "+ 32 * self.K * n_stored", "+ 16 * self.K * n_stored",
      [TRAIN + "::test_stored_rows_bounded_by_the_guard",
       PROBS + "::test_table_refused_above_the_guard"]),
-    ("diffusion.py", "// (16 * self.K)", "// (8 * self.K)",
+    ("diffusion.py", "// (32 * self.K)", "// (16 * self.K)",
      [TRAIN + "::test_stored_rows_bounded_by_the_guard"]),
     ("diffusion.py", "self._probs = _softmax(self._stored[: self._n])",
      "self._probs = self._stored[: self._n]",
      [PROBS + "::test_predict_is_the_softmax_of_the_gathered_rows"]),
     ("diffusion.py", "            self._guard(self._n)\n", "",
      [PROBS + "::test_table_refused_above_the_guard"]),
+    # the checked table and its log: checked as a whole, dropped by every write, renormalised
+    # by the clipped sums, kept renormalised, logged after that, and left while a row fails
+    ("diffusion.py", "checked = _renormalised(self._table())",
+     "checked = self._table() / self._table().sum(axis=-1, keepdims=True)",
+     [CHECKED + "::test_a_failing_row_raises_only_where_it_is_read"]),
+    ("diffusion.py", "self._probs = self._checked = None", "self._probs = None",
+     [CHECKED + "::test_register_after_sample_shows_in_the_next_sample"]),
+    ("diffusion.py", "return p0 / p0.sum(axis=-1, keepdims=True)", "return p0 / sums[..., None]",
+     ["tests/test_guided_step.py::test_validated_predict_matches_reference"]),
+    ("diffusion.py", "self._checked = (checked, _log(checked))",
+     "self._checked = (self._table(), _log(checked))",
+     [CHECKED + "::test_gather_path_equals_the_default_path[K=256-weights-improved]"]),
+    ("diffusion.py", "self._checked = (checked, _log(checked))",
+     "self._checked = (checked, _log(self._table()))",
+     [CHECKED + "::test_gather_path_equals_the_default_path[K=256-weights-improved]"]),
+    ("diffusion.py",
+     "        if not self._checked:\n            return super()._checked_predictions(x_t, t, conds, log)\n",
+     "", [CHECKED + "::test_a_failing_row_raises_only_where_it_is_read"]),
+    ("diffusion.py", "    den._stored = den._stored[: den._n].copy()", "",
+     [TRAIN + "::test_training_keeps_only_the_rows_in_use"]),
     ("diffusion.py", '(", " if a else "")', '(", " if a > step else "")',
      [FILE + "::test_pieces_of_rows_give_the_bytes_of_one_string"]),
     ("tokens.py", ".any(axis=(1, 2)))[0]", ".any(axis=(1, 2)))[-1]",
@@ -219,9 +240,11 @@ MUTANTS = [
 ]
 
 
-def pytest_run(work: Path, tests) -> int:
+def pytest_run(work: Path, tests, write_bytecode: bool = False) -> int:
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # a same-size mutant must not reuse .pyc
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    if not write_bytecode:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
     return subprocess.run(command, cwd=work, env=env, capture_output=True).returncode
 
 
@@ -234,9 +257,12 @@ def main() -> int:
             shutil.copytree(ROOT / name, work / name, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", work)
         listed = sorted({test for *_, tests in MUTANTS for test in tests})
-        if pytest_run(work, listed) != 0:
+        # the unmutated run caches the tests' bytecode, which every mutant run reads; the
+        # source's goes, since a same-size mutant written within a second could reuse it
+        if pytest_run(work, listed, write_bytecode=True) != 0:
             print("the listed tests do not all pass on the unmutated source")
             return 1
+        shutil.rmtree(work / "src" / "vqdiff" / "__pycache__", ignore_errors=True)
         for i, (name, old, new, tests) in enumerate(MUTANTS, 1):
             path = work / "src" / "vqdiff" / name
             source = path.read_text()

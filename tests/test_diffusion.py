@@ -38,6 +38,7 @@ from vqdiff import (
 from vqdiff import diffusion
 from vqdiff.diffusion import (
     _kl_step,
+    _predict_guided,
     _prior_kl,
     _sample_categorical,
     _softmax,
@@ -1030,7 +1031,8 @@ class TestTrainDenoiser:
             assert tv_distance(counts, probs, n) < 0.1
 
     def test_oversize_table_rejected_before_allocating(self, tmp_path):
-        # K=1024, 4x256, T=100, two labels: the int32 row map alone needs 1.27 GB
+        # K=1024, 4x256, T=100, two labels: the int32 row map alone needs 1.27 GB; the
+        # bytes add 32 * K for the one stored row
         path = tmp_path / "huge.json"
         path.write_text('{"kind": "tabular", "K": 1024, "N_q": 4, "L": 256, "T": 100, '
                         '"cond_labels": [0, 1], "rows": [], "weights": []}')
@@ -1039,7 +1041,7 @@ class TestTrainDenoiser:
             tracemalloc.start()
             try:
                 with pytest.raises(SizeGuardError, match=r"\(3, 101, 4, 256, 1025, 1024\) needs "
-                                   r"1272131584 bytes for its row map and 1 stored rows"):
+                                   r"1272147968 bytes for its row map and 1 stored rows"):
                     build()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -1053,25 +1055,31 @@ class TestTrainDenoiser:
             den.weights
 
     def test_stored_rows_bounded_by_the_guard(self, monkeypatch):
-        # room for the map and 12 stored rows with their probabilities: the zero row and
-        # 11 of the 12 a grid touches; a stored row and its probabilities take 16 * K bytes
+        # room for the map and 12 stored rows with their three tables: the zero row and
+        # 11 of the 12 a grid touches; a stored row and its tables take 32 * K bytes
         dataset = [grid1([0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2], 3)]
         table, config = linear_schedule(1, 3), TrainConfig(epochs=1, null_cond_prob=0.0)
         map_bytes = 4 * 2 * 12 * 4  # 96 logical rows
-        monkeypatch.setattr(diffusion, "MAX_TABULAR_BYTES", map_bytes + 16 * 3 * 12)
-        with pytest.raises(SizeGuardError, match=r"\(1, 2, 1, 12, 4, 3\) needs 1008 bytes .* 13 stored"):
+        monkeypatch.setattr(diffusion, "MAX_TABULAR_BYTES", map_bytes + 32 * 3 * 12)
+        with pytest.raises(SizeGuardError, match=r"\(1, 2, 1, 12, 4, 3\) needs 1632 bytes .* 13 stored"):
             train_denoiser(dataset, table, config, np.random.default_rng(0))
-        monkeypatch.setattr(diffusion, "MAX_TABULAR_BYTES", map_bytes + 16 * 3 * 13)
+        monkeypatch.setattr(diffusion, "MAX_TABULAR_BYTES", map_bytes + 32 * 3 * 13)
         den, _ = train_denoiser(dataset, table, config, np.random.default_rng(0))
         assert len(den._stored) == 13
         # storage doubles as it grows, but never past the guard's limit
-        monkeypatch.setattr(diffusion, "MAX_TABULAR_BYTES", map_bytes + 16 * 3 * 8)
+        monkeypatch.setattr(diffusion, "MAX_TABULAR_BYTES", map_bytes + 32 * 3 * 8)
         den = TabularDenoiser(3, (1, 12), 1, [])
         assert den._register(np.arange(4)).tolist() == [1, 2, 3, 4] and len(den._stored) == 5
         assert den._register(np.array([9, 2, 4])).tolist() == [6, 3, 5]  # new rows ascending
         assert len(den._stored) == 8  # not 10
-        with pytest.raises(SizeGuardError, match="864 bytes .* 10 stored rows"):
+        with pytest.raises(SizeGuardError, match="1344 bytes .* 10 stored rows"):
             den._register(np.arange(10, 13))
+
+    def test_training_keeps_only_the_rows_in_use(self):
+        # the doubling growth had left 22,660 rows allocated; the weights' bytes are
+        # pinned by the recorded digests
+        den = pipeline_trained_denoiser()
+        assert len(den._stored) == den._n == 14_108
 
     def test_codec_shape_trains_and_round_trips(self, tmp_path):
         # Kp=256, 4x32, T=20, two labels: the dense table would need 4.24 GB
@@ -1556,16 +1564,118 @@ class TestProbabilityTable:
         assert den.predict(x_t, t, cond).tobytes() == kept.tobytes()
 
     def test_table_refused_above_the_guard(self, monkeypatch):
-        # the map, the stored rows and their probabilities: 4 bytes per logical row and
-        # 16 * K bytes per stored row
+        # the map, the stored rows and their three tables: 4 bytes per logical row and
+        # 32 * K bytes per stored row
         table, den = improved_schedule(20, 16, 4), pipeline_trained_denoiser()
         x_t, t, cond = next(table_test_inputs(den, table, 9))
-        n_bytes = 4 * len(den._map) + 16 * den.K * den._n
+        n_bytes = 4 * len(den._map) + 32 * den.K * den._n
         monkeypatch.setattr(diffusion, "MAX_TABULAR_BYTES", n_bytes - 1)
         with pytest.raises(SizeGuardError, match=f"needs {n_bytes} bytes .* {den._n} stored rows"):
             den.predict(x_t, t, cond)
         monkeypatch.setattr(diffusion, "MAX_TABULAR_BYTES", n_bytes)
         assert den.predict(x_t, t, cond).tobytes() == gathered_softmax(den, x_t, t, cond).tobytes()
+
+
+class DefaultPath(Denoiser):
+    """Delegates ``predict`` to a denoiser, so its checked predictions take the default
+    path of ``Denoiser``: one ``predict`` per label, checked and renormalised as a stack."""
+
+    def __init__(self, inner):
+        self.inner, self.K, self.grid_shape, self.T = inner, inner.K, inner.grid_shape, inner.T
+
+    def predict(self, x_t, t, cond=None):
+        return self.inner.predict(x_t, t, cond)
+
+
+# (guidance scale, mode, stride)
+GUIDED_CONFIGS = list(itertools.product([0.0, 0.5, -1.0, 2.0], ["log", "prob"], [1, 3]))
+
+
+def same_chains(den, table, configs, seed):
+    """Whether ``den`` and its default path draw the same chain in each of ``configs``,
+    (cond, guidance scale, mode, stride) tuples, each from its own generator."""
+    for i, (cond, lam, mode, stride) in enumerate(configs):
+        got, expected = (sample(d, cond, table, stride=stride, rng=np.random.default_rng([seed, i]),
+                                guidance_scale=lam, guidance_mode=mode).data
+                         for d in (den, DefaultPath(den)))
+        if got.tobytes() != expected.tobytes():
+            return False
+    return True
+
+
+class TestCheckedTable:
+    """The tabular denoiser's checked predictions, gathered from its checked table or
+    that table's log, have the bits and errors of the default path through ``predict``."""
+
+    @pytest.mark.parametrize("schedule", ["improved", "linear"])
+    @pytest.mark.parametrize("kind", ["trained", "loaded", "weights"])
+    @pytest.mark.parametrize("shape", ["pipeline", "K=256"])
+    def test_gather_path_equals_the_default_path(self, tmp_path, shape, kind, schedule):
+        table, den = table_test_denoiser(shape, kind, tmp_path)
+        if schedule == "linear":
+            table = linear_schedule(table.T, table.K)
+        ref, labels = DefaultPath(den), [None, *den.cond_labels]
+        inputs = zip(table_test_inputs(den, table, 11), itertools.cycle(GUIDED_CONFIGS))
+        for (x_t, t, cond), (lam, mode, _) in inputs:
+            for args, log in (((cond,), False), ((cond, None), True), (labels, False)):
+                got, expected = (_validated_predict(d, x_t, t, *args, log=log) for d in (den, ref))
+                assert got.tobytes() == expected.tobytes()
+            got, expected = (_predict_guided(d, x_t, t, cond, lam, mode) for d in (den, ref))
+            assert got.tobytes() == expected.tobytes()
+        # every configuration once, the labels in turn
+        configs = [(cond, *config) for cond, config in zip(itertools.cycle(labels), GUIDED_CONFIGS)]
+        assert same_chains(den, table, configs, 12)
+        x0 = TokenGrid(data=np.random.default_rng(13).integers(0, den.K, den.grid_shape), K=den.K)
+        for cond in labels:
+            got, expected = (vlb_loss(d, x0, cond, table, np.random.default_rng(14), num_t_samples=4)
+                             for d in (den, ref))
+            assert math.isfinite(got) and np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    def test_a_failing_row_raises_only_where_it_is_read(self):
+        # label 1's row at t = T, position (0, 0), under the mask: every chain of label 1
+        # reads it at its first step, since the improved schedule masks every position at T
+        table = improved_schedule(20, 16, 4)
+        dense = np.array(pipeline_trained_denoiser().weights)
+        dense[2, 20, 0, 0, 16, 3] = np.inf
+        with np.errstate(invalid="ignore"):  # the softmax of that row is NaN
+            den = TabularDenoiser(16, (4, 32), 20, [0, 1], weights=dense)
+            configs = [(cond, *config) for cond in (0, None) for config in GUIDED_CONFIGS[::3]]
+            assert same_chains(den, table, configs, 15)
+            x_T = TokenGrid(data=np.full((4, 32), 16), K=16)
+            for d in (den, DefaultPath(den)):
+                for call in (lambda: _validated_predict(d, x_T, 20, 0, 1),
+                             lambda: sample(d, 1, table, rng=np.random.default_rng(16),
+                                            guidance_scale=0.5)):
+                    with pytest.raises(ContractError, match="non-finite"):
+                        call()
+
+    def test_unknown_label_refused_as_before(self):
+        table, den = improved_schedule(20, 16, 4), pipeline_trained_denoiser()
+        x_t, t, _ = next(table_test_inputs(den, table, 17))
+        for d in (den, DefaultPath(den)):
+            with pytest.raises(ValueError, match="^unknown condition label 7$"):
+                _validated_predict(d, x_t, t, 0, 7)
+            with pytest.raises(ValueError, match="^unknown condition label 7$"):
+                sample(d, 7, table, rng=np.random.default_rng(18), guidance_scale=0.5)
+
+    @pytest.mark.parametrize("trained", [False, True], ids=["new-rows", "stored-rows"])
+    def test_register_after_sample_shows_in_the_next_sample(self, trained):
+        table = improved_schedule(20, 16, 4)
+        den = pipeline_trained_denoiser() if trained else TabularDenoiser(16, (4, 32), 20, [0, 1])
+        configs = [(0, lam, "log", 1) for lam in (0.5, 0.0)]
+
+        def chains():
+            return [sample(den, 0, table, rng=np.random.default_rng(19), guidance_scale=lam).data
+                    for _, lam, _, _ in configs]
+
+        first = chains()
+        # label 0's rows at t = T under the mask, which each chain reads at its first step
+        rows = den._rows(den._cond_row(0), 20, np.full((4, 32), 16)).reshape(-1)
+        assert (den._map[rows] > 0).all() == trained
+        at = den._register(rows)
+        den._stored[at] = np.random.default_rng(20).normal(scale=3.0, size=(at.size, den.K))
+        assert same_chains(den, table, configs, 21)
+        assert all(not np.array_equal(a, b) for a, b in zip(chains(), first))
 
 
 class TestEasyFirst:
