@@ -36,7 +36,7 @@ from .diffusion import (
     bayes_oracle_denoiser,
     corrupt,
     load_denoiser,
-    sample,
+    sample_chains,
     save_denoiser,
     train_denoiser,
     TrainConfig,
@@ -143,17 +143,11 @@ def _cmd_diffuse_corrupt(args) -> None:
     print(f"corrupted {len(noisy)} grid(s) at t={args.t} -> {args.out}")
 
 
-def _chains(denoiser, cond, table, seed: int, count: int, **options) -> list:
-    """``count`` sampled grids.  Chain i draws only from its own generator, seeded
-    with (seed, i), so it does not depend on ``count``."""
-    return [sample(denoiser, cond, table, rng=np.random.default_rng([seed, i]), **options)
-            for i in range(count)]
-
-
 def _cmd_diffuse_sample(args) -> None:
     table, denoiser = load_schedule(args.schedule), load_denoiser(args.denoiser)
-    grids = _chains(denoiser, args.cond, table, args.seed, args.count, stride=args.stride,
-                    guidance_scale=args.guidance_scale, guidance_mode=args.guidance_mode)
+    rngs = [np.random.default_rng([args.seed, i]) for i in range(args.count)]
+    grids = sample_chains(denoiser, args.cond, table, rngs, stride=args.stride,
+                          guidance_scale=args.guidance_scale, guidance_mode=args.guidance_mode)
     labels = None if args.cond is None else [args.cond] * len(grids)
     save_token_file(args.out, grids, labels)
     print(f"sampled {len(grids)} grid(s) -> {args.out}")
@@ -334,9 +328,10 @@ def _selftest_bayes_recovery(rng) -> str:
     ]
     probs = [0.7, 0.3]
     denoiser = bayes_oracle_denoiser(support, probs, table)
-    n = 3000
+    n, seed = 3000, int(rng.integers(2**32))
+    rngs = [np.random.default_rng([seed, i]) for i in range(n)]
     counts = {0: 0, 1: 0, "other": 0}
-    for out in _chains(denoiser, None, table, int(rng.integers(2**32)), n):
+    for out in sample_chains(denoiser, None, table, rngs):
         for j, g in enumerate(support):
             if np.array_equal(out.data, g.data):
                 counts[j] += 1

@@ -213,12 +213,6 @@ class Denoiser(ABC):
         return _log(p0) if log else p0
 
 
-def _validated_predict(denoiser, x_t: TokenGrid, t: int, *conds, log: bool = False) -> np.ndarray:
-    """``denoiser._checked_predictions``: the checked, renormalised predictions at x_t
-    under each label of ``conds`` (or their logs), stacked along a new first axis."""
-    return denoiser._checked_predictions(x_t, t, conds, log)
-
-
 def _log(p: np.ndarray) -> np.ndarray:
     """``np.log(p)``, -inf at a zero without a warning: one elementwise kernel, so the log
     of a table and of rows gathered from it have the same bits."""
@@ -310,8 +304,8 @@ def _combine(lp_c: np.ndarray, lp_u: np.ndarray, lam: float, mode: str) -> np.nd
 def _predict_guided(denoiser, x_t, t, cond, lam, guidance_mode):
     """The guided prediction; ``lam`` and the mode are already checked."""
     if lam == 0 or cond is None:
-        return _validated_predict(denoiser, x_t, t, cond)[0]
-    lp_c, lp_u = _validated_predict(denoiser, x_t, t, cond, None, log=True)
+        return denoiser._checked_predictions(x_t, t, (cond,))[0]
+    lp_c, lp_u = denoiser._checked_predictions(x_t, t, (cond, None), log=True)
     return _combine(lp_c, lp_u, lam, guidance_mode)
 
 
@@ -450,6 +444,31 @@ def _stationary_rows(table) -> np.ndarray:
     return probs
 
 
+def sample_chains(denoiser: Denoiser, cond, table, rngs, *, stride: int = 1,
+                  guidance_scale: float = 0.0, guidance_mode: str = "log") -> list[TokenGrid]:
+    """One mask-free grid per generator of ``rngs``, each from the reverse process run
+    table.T -> 0.  Chain i draws only from ``rngs[i]``, so it does not depend on the
+    other chains.  The arguments are checked once, before any generator draws.
+    Each chain starts from the schedule's terminal distribution and takes guided
+    reverse steps of ``stride``.  Positions still masked after the last step get the
+    argmax of the last clean-token prediction.
+    """
+    _at_least("stride", stride, 1)
+    lam = _guidance_scale(guidance_scale, guidance_mode)
+    _check_denoiser(denoiser, table)
+    (N_q, L), K = denoiser.grid_shape, denoiser.K
+    init = np.broadcast_to(_stationary_rows(table)[:, None, :], (N_q, L, K + 1))
+    grids = []
+    for rng in rngs:
+        x = TokenGrid(data=_sample_categorical(init, rng), K=K)
+        for t in range(table.T, 0, -stride):
+            x, p0 = _step(x, t, stride, denoiser, cond, table, lam, guidance_mode, rng)
+        if x.contains_mask():
+            x = x.with_data(np.where(x.data == K, p0.argmax(axis=-1), x.data))
+        grids.append(x)
+    return grids
+
+
 def sample(
     denoiser: Denoiser,
     cond,
@@ -460,27 +479,10 @@ def sample(
     guidance_scale: float = 0.0,
     guidance_mode: str = "log",
 ) -> TokenGrid:
-    """Generate a mask-free grid by running the reverse process table.T -> 0.
-
-    Starts from the schedule's terminal distribution and applies guided
-    reverse steps with the given stride.  Positions still masked after the
-    final step are filled with the argmax of the last clean-token
-    prediction.
-    """
-    _at_least("stride", stride, 1)
-    lam = _guidance_scale(guidance_scale, guidance_mode)
-    _check_denoiser(denoiser, table)
+    """One chain of ``sample_chains``, drawn from ``rng`` (a fresh generator if None)."""
     rng = np.random.default_rng() if rng is None else rng
-    (N_q, L), K = denoiser.grid_shape, denoiser.K
-
-    init = _stationary_rows(table)[:, None, :]
-    data = _sample_categorical(np.broadcast_to(init, (N_q, L, K + 1)), rng)
-    x = TokenGrid(data=data, K=K)
-    for t in range(table.T, 0, -stride):
-        x, p0 = _step(x, t, stride, denoiser, cond, table, lam, guidance_mode, rng)
-    if x.contains_mask():
-        x = x.with_data(np.where(x.data == K, p0.argmax(axis=-1), x.data))
-    return x
+    return sample_chains(denoiser, cond, table, [rng], stride=stride,
+                         guidance_scale=guidance_scale, guidance_mode=guidance_mode)[0]
 
 
 def _kl_terms(data: np.ndarray, x0: np.ndarray, p: np.ndarray, table, t):
@@ -551,7 +553,7 @@ def vlb_loss(
     for _ in range(num_t_samples):
         t = int(rng.integers(1, T + 1))
         x_t = x0.with_data(_corrupted(x0.data, t, table, rng))
-        p0 = _validated_predict(denoiser, x_t, t, cond)[0]
+        p0 = denoiser._checked_predictions(x_t, t, (cond,))[0]
         _, mix, support, _, terms = _kl_terms(x_t.data, x0.data, p0, table, t)
         if np.any(mix[support] == 0.0):
             warnings.warn(

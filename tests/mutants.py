@@ -38,6 +38,15 @@ TRAIN = "tests/test_diffusion.py::TestTrainDenoiser"
 PROBS = "tests/test_diffusion.py::TestProbabilityTable"
 CHECKED = "tests/test_diffusion.py::TestCheckedTable"
 
+SAMPLE_CHECKS = ('    _at_least("stride", stride, 1)\n'
+                 "    lam = _guidance_scale(guidance_scale, guidance_mode)\n"
+                 "    _check_denoiser(denoiser, table)\n")
+SAMPLE_FIRST_DRAW = ("    (N_q, L), K = denoiser.grid_shape, denoiser.K\n"
+                     "    init = np.broadcast_to(_stationary_rows(table)[:, None, :], (N_q, L, K + 1))\n"
+                     "    grids = []\n"
+                     "    for rng in rngs:\n"
+                     "        x = TokenGrid(data=_sample_categorical(init, rng), K=K)\n")
+
 # (file in src/vqdiff, text, replacement, test node IDs expected to kill the mutant)
 MUTANTS = [
     ("diffusion.py", "rows[:, t - 1]", "rows[:, t]", [DENSE]),
@@ -237,6 +246,16 @@ MUTANTS = [
      ["tests/test_tokens.py::TestTokenFile::test_first_bad_grid_named"]),
     ("tokens.py", "    arrays.flags.writeable = False  # so is every grid's view of it\n", "",
      ["tests/test_tokens.py::TestTokenFile::test_loaded_grids_are_read_only_views_of_one_array"]),
+    # the chain rule: chain i draws only from its own generator, and the arguments are
+    # checked once, before any generator draws
+    ("diffusion.py", "table, lam, guidance_mode, rng)\n        if x.contains_mask():",
+     "table, lam, guidance_mode, rngs[0])\n        if x.contains_mask():",
+     ["tests/test_guided_step.py::test_sampled_chains_match_reference_loop"]),
+    ("diffusion.py", "    for rng in rngs:\n", "    for rng in rngs[::-1]:\n",
+     ["tests/test_guided_step.py::test_first_chains_do_not_depend_on_the_chain_count"]),
+    ("diffusion.py", SAMPLE_CHECKS + SAMPLE_FIRST_DRAW,
+     SAMPLE_FIRST_DRAW + SAMPLE_CHECKS.replace("    ", "        "),
+     ["tests/test_guided_step.py::test_chains_refused_before_any_generator_draws"]),
 ]
 
 

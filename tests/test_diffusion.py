@@ -31,6 +31,7 @@ from vqdiff import (
     from_stepwise,
     reverse_step,
     sample,
+    sample_chains,
     save_denoiser,
     train_denoiser,
     vlb_loss,
@@ -43,7 +44,6 @@ from vqdiff.diffusion import (
     _sample_categorical,
     _softmax,
     _StepKernel,
-    _validated_predict,
 )
 from vqdiff.schedules import random_schedule
 from vqdiff.transitions import build_transition_matrix, marginal_xt_given_x0, true_posterior
@@ -659,6 +659,11 @@ class TestDenoiserContract:
             denoisers_for(4)[kind].predict(grid, 1)
 
 
+def chain_rngs(seed: int, n: int) -> list:
+    """n generators, chain i's seeded with (seed, i), as ``diffuse sample`` seeds it."""
+    return [np.random.default_rng([seed, i]) for i in range(n)]
+
+
 def tv_distance(counts: dict, probs: dict, n: int) -> float:
     keys = set(counts) | set(probs)
     return 0.5 * sum(abs(counts.get(k, 0) / n - probs.get(k, 0.0)) for k in keys)
@@ -702,8 +707,7 @@ class TestSample:
         a, b = grid1([0, 1], 4), grid1([3, 2], 4)
         den = bayes_oracle_denoiser([a, b], [0.75, 0.25], table)
         counts = {}
-        for i in range(4000):
-            out = sample(den, None, table, rng=np.random.default_rng([91, i]))
+        for out in sample_chains(den, None, table, chain_rngs(91, 4000)):
             key = tuple(out.data.reshape(-1))
             counts[key] = counts.get(key, 0) + 1
         probs = {(0, 1): 0.75, (3, 2): 0.25}
@@ -723,8 +727,7 @@ class TestSample:
         table = improved_schedule(10, 4, 2)
         a = TokenGrid(data=np.array([[0, 1, 2], [3, 2, 1]], dtype=np.int64), K=4)
         den = bayes_oracle_denoiser([a], [1.0], table)
-        for i in range(50):
-            out = sample(den, None, table, rng=np.random.default_rng([7, i]))
+        for out in sample_chains(den, None, table, chain_rngs(7, 50)):
             assert not out.contains_mask()
             np.testing.assert_array_equal(out.data, a.data)
 
@@ -809,7 +812,7 @@ class TestVlbLoss:
                 if qxt[x_t] == 0:
                     continue
                 g = grid1([x_t], 3)
-                p0 = _validated_predict(den, g, t, None)[0]
+                p0 = den._checked_predictions(g, t, (None,))[0]
                 model = step_dists(g, t, p0, table, t - 1)[0, 0]
                 post = mixture_oracle(table, x_t, t, t - 1, [0, 1, 0])
                 s = post > 0
@@ -883,7 +886,7 @@ def vlb_reference(denoiser, x0, cond, table, rng, num_t_samples):
     for _ in range(num_t_samples):
         t = int(rng.integers(1, table.T + 1))
         x_t = corrupt(x0, t, table, rng)
-        p0 = _validated_predict(denoiser, x_t, t, cond)[0]
+        p0 = denoiser._checked_predictions(x_t, t, (cond,))[0]
         kernel = _StepKernel(x_t.data, table, t)
         kl = kl_grids_reference(kernel.mix(onehot_reference(x0.data, x0.K)), kernel.mix(p0))
         if kl == float("inf"):
@@ -992,11 +995,9 @@ class TestTrainDenoiser:
         cfg = TrainConfig(epochs=400, lr=2.0)
         den, trace = train_denoiser([x0] * 40, table, cfg, np.random.default_rng(11))
         assert trace[-1] < 0.5 * trace[0]
-        hits = 0
         n = 2000
-        for i in range(n):
-            out = sample(den, None, table, rng=np.random.default_rng([13, i]))
-            hits += int(np.array_equal(out.data, x0.data))
+        chains = sample_chains(den, None, table, chain_rngs(13, n))
+        hits = sum(np.array_equal(out.data, x0.data) for out in chains)
         assert hits / n > 0.99
 
     def test_two_class_toy_distribution(self):
@@ -1020,8 +1021,7 @@ class TestTrainDenoiser:
         n = 4000
         for label, m in marg.items():
             counts = {}
-            for i in range(n):
-                out = sample(den, label, table, rng=np.random.default_rng([label, i]))
+            for out in sample_chains(den, label, table, chain_rngs(label, n)):
                 key = tuple(out.data.reshape(-1))
                 counts[key] = counts.get(key, 0) + 1
             probs = {
@@ -1618,7 +1618,7 @@ class TestCheckedTable:
         inputs = zip(table_test_inputs(den, table, 11), itertools.cycle(GUIDED_CONFIGS))
         for (x_t, t, cond), (lam, mode, _) in inputs:
             for args, log in (((cond,), False), ((cond, None), True), (labels, False)):
-                got, expected = (_validated_predict(d, x_t, t, *args, log=log) for d in (den, ref))
+                got, expected = (d._checked_predictions(x_t, t, args, log) for d in (den, ref))
                 assert got.tobytes() == expected.tobytes()
             got, expected = (_predict_guided(d, x_t, t, cond, lam, mode) for d in (den, ref))
             assert got.tobytes() == expected.tobytes()
@@ -1643,7 +1643,7 @@ class TestCheckedTable:
             assert same_chains(den, table, configs, 15)
             x_T = TokenGrid(data=np.full((4, 32), 16), K=16)
             for d in (den, DefaultPath(den)):
-                for call in (lambda: _validated_predict(d, x_T, 20, 0, 1),
+                for call in (lambda: d._checked_predictions(x_T, 20, (0, 1)),
                              lambda: sample(d, 1, table, rng=np.random.default_rng(16),
                                             guidance_scale=0.5)):
                     with pytest.raises(ContractError, match="non-finite"):
@@ -1654,7 +1654,7 @@ class TestCheckedTable:
         x_t, t, _ = next(table_test_inputs(den, table, 17))
         for d in (den, DefaultPath(den)):
             with pytest.raises(ValueError, match="^unknown condition label 7$"):
-                _validated_predict(d, x_t, t, 0, 7)
+                d._checked_predictions(x_t, t, (0, 7))
             with pytest.raises(ValueError, match="^unknown condition label 7$"):
                 sample(d, 7, table, rng=np.random.default_rng(18), guidance_scale=0.5)
 
@@ -1834,9 +1834,9 @@ def pipeline_golden_run(kind):
     den, _ = train_denoiser(dataset, table, TrainConfig(epochs=2), np.random.default_rng(32))
     digests = {"weights": hashlib.sha256(den.weights.tobytes()).hexdigest()}
     for name, (cond, lam, mode, stride) in PIPELINE_CHAINS.items():
-        chains = [sample(den, cond, table, stride=stride, rng=np.random.default_rng([33, i]),
-                         guidance_scale=lam, guidance_mode=mode).data for i in range(8)]
-        digests[name] = hashlib.sha256(np.stack(chains).tobytes()).hexdigest()
+        chains = sample_chains(den, cond, table, chain_rngs(33, 8), stride=stride,
+                               guidance_scale=lam, guidance_mode=mode)
+        digests[name] = hashlib.sha256(np.stack([g.data for g in chains]).tobytes()).hexdigest()
     rng = np.random.default_rng(34)
     vlbs = [vlb_loss(den, g, c, table, rng, num_t_samples=4) for g, c in dataset[:6]]
     digests["vlb"] = hashlib.sha256(np.array(vlbs).tobytes()).hexdigest()

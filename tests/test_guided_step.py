@@ -5,6 +5,8 @@ schedule, contract checks that skip no-op passes, a vectorised VLB prior)
 must reproduce the straightforward versions below bit for bit.
 """
 
+import re
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -12,6 +14,7 @@ from scipy.special import logsumexp
 from vqdiff import (
     ContractError,
     Denoiser,
+    TabularDenoiser,
     TokenGrid,
     TrainConfig,
     bayes_oracle_denoiser,
@@ -21,6 +24,7 @@ from vqdiff import (
     linear_schedule,
     reverse_step,
     sample,
+    sample_chains,
     train_denoiser,
 )
 from vqdiff.diffusion import (
@@ -30,7 +34,6 @@ from vqdiff.diffusion import (
     _sample_categorical,
     _stationary_rows,
     _StepKernel,
-    _validated_predict,
 )
 from vqdiff.schedules import random_schedule, schedule_from_json_dict
 from vqdiff.transitions import stationary_dist
@@ -243,7 +246,7 @@ def test_validated_predict_matches_reference(name):
     probs = predict_inputs()[name]
     den = ArrayDenoiser(probs)
     x = TokenGrid(np.zeros(probs.shape[:2], dtype=np.int64), K=probs.shape[-1])
-    got = _validated_predict(den, x, 1, None)
+    got = den._checked_predictions(x, 1, (None,))
     assert same_bits(got, validated_predict_reference(den, x, 1, None)[None])
     assert not np.signbit(got).any()
 
@@ -263,9 +266,10 @@ def test_validated_predict_rejects_what_the_reference_rejects(bad, message):
     probs[0, 1, 2] = bad
     den = ArrayDenoiser(probs)
     x = TokenGrid(np.zeros((1, 2), dtype=np.int64), K=4)
-    for check in (_validated_predict, validated_predict_reference):
+    for check in (lambda: den._checked_predictions(x, 1, (None,)),
+                  lambda: validated_predict_reference(den, x, 1, None)):
         with pytest.raises(ContractError, match=message):
-            check(den, x, 1, None)
+            check()
 
 
 class PairDenoiser(Denoiser):
@@ -288,7 +292,7 @@ def test_validated_pair_matches_each_prediction_checked_alone(cond_name, null_na
     inputs = predict_inputs()
     den = PairDenoiser(inputs[cond_name], inputs[null_name])
     x = TokenGrid(np.zeros((2, 3), dtype=np.int64), K=5)
-    got = _validated_predict(den, x, 1, 0, None)
+    got = den._checked_predictions(x, 1, (0, None))
     expected = np.stack([validated_predict_reference(den, x, 1, cond) for cond in (0, None)])
     assert same_bits(got, expected)
 
@@ -304,7 +308,7 @@ def test_validated_pair_rejects_either_bad_half(bad, message, bad_half):
     den = PairDenoiser(*((wrong, good) if bad_half == "cond" else (good, wrong)))
     x = TokenGrid(np.zeros((1, 2), dtype=np.int64), K=4)
     with pytest.raises(ContractError, match=message):
-        _validated_predict(den, x, 1, 0, None)
+        den._checked_predictions(x, 1, (0, None))
 
 
 @pytest.mark.parametrize("bad_half", ["cond", "null"])
@@ -314,7 +318,7 @@ def test_validated_pair_rejects_either_bad_shape(bad_half):
     den = PairDenoiser(*((wrong, good) if bad_half == "cond" else (good, wrong)))
     x = TokenGrid(np.zeros((1, 2), dtype=np.int64), K=4)
     with pytest.raises(ContractError, match=r"shape \(2, 1, 4\), expected \(1, 2, 4\)"):
-        _validated_predict(den, x, 1, 0, None)
+        den._checked_predictions(x, 1, (0, None))
 
 
 def combine_inputs():
@@ -517,22 +521,66 @@ CHAIN_CASES = [
 ]
 
 
+def chain_rngs(seed: int, chains) -> list:
+    """One generator per chain index in ``chains``, chain i's seeded with (seed, i)."""
+    return [np.random.default_rng([seed, i]) for i in chains]
+
+
 @pytest.mark.parametrize("name, lam, mode, stride", CHAIN_CASES)
 def test_sampled_chains_match_reference_loop(name, lam, mode, stride):
+    # chain i has label i % 2; each label's chains are sampled in one call
     table = kernel_tables()[name]
     N_q = table.n_layers if table.n_layers > 1 else 2
     den, data = trained_setup(table, N_q, 4)
     oracle = bayes_oracle_denoiser([g for g, _ in data[:4]], [0.4, 0.3, 0.2, 0.1], table)
+    options = dict(stride=stride, guidance_scale=lam, guidance_mode=mode)
     for model in (den, oracle):
-        for i in range(4):
-            try:
-                ref = sample_reference(model, i % 2, table, stride,
-                                       np.random.default_rng([5, i]), lam, mode)
-            except Exception as exc:  # the oracle may meet an impossible grid
-                with pytest.raises(type(exc)):
-                    sample(model, i % 2, table, stride=stride, rng=np.random.default_rng([5, i]),
-                           guidance_scale=lam, guidance_mode=mode)
-                continue
-            got = sample(model, i % 2, table, stride=stride, rng=np.random.default_rng([5, i]),
-                         guidance_scale=lam, guidance_mode=mode)
-            np.testing.assert_array_equal(got.data, ref.data)
+        for label in (0, 1):
+            chains, refs, error = range(label, 4, 2), [], None
+            for rng in chain_rngs(5, chains):
+                try:
+                    refs.append(sample_reference(model, label, table, stride, rng, lam, mode))
+                except Exception as exc:  # the oracle may meet an impossible grid
+                    error = type(exc)
+                    break
+            if error is not None:  # the call raises it, and the chains before it match
+                with pytest.raises(error):
+                    sample_chains(model, label, table, chain_rngs(5, chains), **options)
+            got = sample_chains(model, label, table, chain_rngs(5, chains[:len(refs)]), **options)
+            assert [g.data.tobytes() for g in got] == [r.data.tobytes() for r in refs]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_first_chains_do_not_depend_on_the_chain_count(k):
+    table = kernel_tables()["improved"]
+    den, _ = trained_setup(table, table.n_layers, 4)
+
+    def chains(n):
+        return [g.data.tobytes() for g in sample_chains(den, 1, table, chain_rngs(6, range(n)),
+                                                        stride=2, guidance_scale=0.5)]
+
+    assert chains(8)[:k] == chains(k)
+
+
+REFUSALS = {  # (options, the T the denoiser is built for, message); the schedule has T=4
+    "stride": (dict(stride=0), 4, "stride must be >= 1, got 0"),
+    "scale": (dict(guidance_scale=-2), 4, "guidance scale must be a finite number >= -1"),
+    "mode": (dict(guidance_mode="bogus"), 4, "mode must be 'log' or 'prob'"),
+    "steps": ({}, 6, "denoiser trained for T=6, schedule has T=4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_chains_refused_before_any_generator_draws(name):
+    options, built, message = REFUSALS[name]
+    den = TabularDenoiser(3, (1, 2), built, [0])
+    rngs = chain_rngs(8, range(3))
+    states = [rng.bit_generator.state for rng in rngs]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        sample_chains(den, 0, linear_schedule(4, 3), rngs, **options)
+    assert [rng.bit_generator.state for rng in rngs] == states
+
+
+def test_no_generators_give_no_chains():
+    table = linear_schedule(4, 3)
+    assert sample_chains(TabularDenoiser(3, (1, 2), 4, [0]), 0, table, []) == []
