@@ -31,8 +31,8 @@ from .tokens import _index, _integral, _load_object, _numbers, _real, atomic_wri
 MAX_ORACLE_SUPPORT = 10_000
 
 # one TabularDenoiser's int32 row map (condition x step x position x token) plus
-# its stored float64 rows and three float64 tables of them: the probabilities, their
-# checked renormalisation and its log; also the dense ``weights`` it will build
+# 32·K bytes per stored row: its float64 logits, their softmax while the checked table
+# is built, and that table with its log; also the dense ``weights`` it will build
 MAX_TABULAR_BYTES = 2**30
 
 _PREDICT_ATOL = 1e-9
@@ -648,6 +648,11 @@ def _softmax(w: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _set_rows(rows: np.ndarray) -> np.ndarray:
+    """Which rows of the float64 (n, K) ``rows`` have any bit set: one of only -0.0 counts."""
+    return rows.view(np.int64).any(axis=1)
+
+
 class TabularDenoiser(Denoiser):
     """Per-(condition, step, position, observed token) softmax table.
 
@@ -659,12 +664,11 @@ class TabularDenoiser(Denoiser):
     The logical table holds (labels+1)·(T+1)·N_q·L·(K+1) rows of K logits,
     but only the rows training touches are stored: an int32 map sends each
     logical row to its stored row, and every other row to the shared
-    all-+0.0 row 0.  ``weights`` builds the dense table on access.  The
-    first ``predict`` takes the softmax of the stored rows once, into a
-    probability table of the same size, and each ``predict`` gathers from it.
-    The first checked prediction runs the contract check once over that table;
-    if every row passes, it keeps the renormalised table and its log, and each
-    checked prediction is one gather from one of them.
+    all-+0.0 row 0.  ``weights`` builds the dense table on access.
+    ``predict`` is the softmax of the gathered rows.  The first checked
+    prediction takes the softmax of every stored row and runs the contract
+    check once over it; if every row passes, it keeps the renormalised table
+    and its log, and each checked prediction is one gather from one of them.
     """
 
     def __init__(self, K, grid_shape, T, cond_labels, weights=None):
@@ -679,10 +683,9 @@ class TabularDenoiser(Denoiser):
         self._shape = (len(self.cond_labels) + 1, self.T + 1, *self.grid_shape, self.K + 1, self.K)
         self._guard(1)
         self._map = np.zeros(math.prod(self._shape[:-1]), np.int32)
-        self._stored, self._n = np.zeros((1, self.K)), 1  # rows allocated, rows in use
-        self._probs = None  # softmax of self._stored[:self._n], built by _table
-        # None until built; then the checked renormalisation of self._probs and its log,
-        # or () if some row fails the check
+        self._stored = np.zeros((1, self.K))  # the shared row 0, then each registered row's
+        # None until built; then the checked renormalisation of the softmax of
+        # self._stored and its log, or () if some row fails the check
         self._checked = None
         # the row of each position's token 0 at condition row 0 and step 0
         self._offsets = np.arange(0, math.prod(self._shape[2:5]), self.K + 1).reshape(self.grid_shape)
@@ -695,38 +698,36 @@ class TabularDenoiser(Denoiser):
                     f"needs {math.prod(self._shape)}"
                 )
             table = weights.reshape(-1, self.K)
-            rows = np.flatnonzero(table.view(np.int64).any(axis=1))  # -0.0 is a set bit
+            rows = np.flatnonzero(_set_rows(table))
             at = self._register(rows)  # before self._stored grows
             self._stored[at] = table[rows]
 
     def _guard(self, n_stored: int) -> None:
-        """Refuse a row map, ``n_stored`` stored rows and their three tables (the
-        probabilities, their checked renormalisation and its log) above ``MAX_TABULAR_BYTES``."""
+        """Refuse a row map and ``n_stored`` stored rows above ``MAX_TABULAR_BYTES``: 32·K
+        bytes a row, for the logits, their softmax while the checked table is built, and
+        that table with its log."""
         n_bytes = 4 * math.prod(self._shape[:-1]) + 32 * self.K * n_stored
         if n_bytes > MAX_TABULAR_BYTES:
             raise SizeGuardError(
                 f"tabular denoiser of shape {self._shape} needs {n_bytes} bytes for its row map "
-                f"and {n_stored} stored rows with their probabilities, above the "
-                f"{MAX_TABULAR_BYTES}-byte limit"
+                f"and {n_stored} stored rows with their softmax, checked table and its log, "
+                f"above the {MAX_TABULAR_BYTES}-byte limit"
             )
 
     def _register(self, rows: np.ndarray) -> np.ndarray:
-        """The stored rows of the logical ``rows``; each one not stored yet gets a row of +0.0.
+        """The stored rows of the logical ``rows``; those not stored yet get new rows of +0.0,
+        appended in ascending order, and ``_stored`` stays the same array if none is new.
 
         Every write to ``_stored`` goes to rows this has just returned, so it drops
-        the tables built from them here.
+        the checked table here.
         """
-        self._probs = self._checked = None
+        self._checked = None
         new = np.unique(rows[self._map[rows] == 0])
-        n = self._n + new.size
-        if n > len(self._stored):  # grow to twice the rows, or to the guard's limit
-            most = (MAX_TABULAR_BYTES - 4 * len(self._map)) // (32 * self.K)
-            self._guard(n)
-            grown = np.zeros((min(max(n, 2 * len(self._stored)), most), self.K))
-            grown[: self._n] = self._stored[: self._n]
-            self._stored = grown
-        self._map[new] = np.arange(self._n, n)
-        self._n = n
+        if new.size:
+            n = len(self._stored)
+            self._guard(n + new.size)
+            self._stored = np.concatenate((self._stored, np.zeros((new.size, self.K))))
+            self._map[new] = np.arange(n, n + new.size)
         return self._map[rows]
 
     @property
@@ -760,17 +761,10 @@ class TabularDenoiser(Denoiser):
         first = np.asarray((cond_row * (self.T + 1) + t) * per_step)[..., None, None]
         return first + self._offsets + data
 
-    def _table(self) -> np.ndarray:
-        """The softmax of the stored rows, built once after each ``_register``."""
-        if self._probs is None:  # the softmax is row-wise: the bits of one on the gathered rows
-            self._guard(self._n)
-            self._probs = _softmax(self._stored[: self._n])
-        return self._probs
-
     def predict(self, x_t: TokenGrid, t: int, cond=None) -> np.ndarray:
         self._check_input(x_t, t)
         rows = self._rows(self._cond_row(cond), t, x_t.data)
-        return self._table()[self._map[rows]]  # (N_q, L, K), a copy
+        return _softmax(self._stored[self._map[rows]])  # (N_q, L, K)
 
     def _checked_predictions(self, x_t: TokenGrid, t: int, conds: tuple,
                              log: bool = False) -> np.ndarray:
@@ -779,9 +773,10 @@ class TabularDenoiser(Denoiser):
         check, so a failing row raises only where it is read."""
         self._check_input(x_t, t)
         rows = self._rows(np.array([self._cond_row(cond) for cond in conds]), t, x_t.data)
-        if self._checked is None:  # both are row-wise: the bits of each on the gathered rows
+        if self._checked is None:  # each step is row-wise: its bits on the gathered rows
+            self._guard(len(self._stored))
             try:
-                checked = _renormalised(self._table())
+                checked = _renormalised(_softmax(self._stored))
                 self._checked = (checked, _log(checked))
             except ContractError:
                 self._checked = ()
@@ -804,10 +799,8 @@ def save_denoiser(path, denoiser: TabularDenoiser) -> None:
     logit is formatted once: a trained table holds few distinct values.  The
     weights go to the file in pieces of whole rows, never as one string.
     """
-    rows = np.flatnonzero(denoiser._map)  # the stored rows, ascending
-    at = denoiser._map[rows]
-    keep = denoiser._stored.view(np.int64).any(axis=1)[at]  # a stored row may still be all +0.0
-    rows, touched = rows[keep], denoiser._stored[at[keep]]
+    rows = np.flatnonzero(_set_rows(denoiser._stored)[denoiser._map])  # row 0 has no bit set
+    touched = denoiser._stored[denoiser._map[rows]]
     if not np.isfinite(touched).all():  # every other entry is +0.0
         raise ValueError("denoiser field 'weights' holds non-finite entries")
     patterns = np.unique(touched.view(np.int64))
@@ -877,8 +870,12 @@ def load_denoiser(path) -> TabularDenoiser:
             f"denoiser field 'weights' holds {weights.size} values; "
             f"{n_rows} rows of K={K} need {n_rows * K}"
         )
-    at = den._register(np.arange(n_rows) if rows is None else rows)  # before den._stored grows
-    den._stored[at] = weights.reshape(-1, K)  # fills only the named rows
+    weights = weights.reshape(-1, K)
+    if rows is None:  # store only the rows with a bit set
+        rows = np.flatnonzero(_set_rows(weights))
+        weights = weights[rows]
+    at = den._register(rows)  # before den._stored grows
+    den._stored[at] = weights  # fills only the named rows
     return den
 
 
@@ -967,5 +964,4 @@ def train_denoiser(
                 losses.append(loss)
                 stored[at] -= config.lr * g_w.reshape(p.shape)
         trace.append(float(np.mean(np.concatenate(losses))))
-    den._stored = den._stored[: den._n].copy()  # _register's growth left spare rows
     return den, trace

@@ -184,62 +184,68 @@ MUTANTS = [
      ["tests/test_transitions.py::TestBuildTransitionMatrix::test_nan_coefficient_rejected"]),
     # the first new row shares the last stored one: at first the shared zero row, which
     # training then writes, so every untouched map entry reads a stored row
-    ("diffusion.py", "self._map[new] = np.arange(self._n, n)",
-     "self._map[new] = np.arange(self._n - 1, n - 1)",
+    ("diffusion.py", "self._map[new] = np.arange(n, n + new.size)",
+     "self._map[new] = np.arange(n - 1, n + new.size - 1)",
      ["tests/test_diffusion.py::TestBlockedTraining::test_pipeline_shape",
       FILE + "::test_pipeline_trained_table"]),
-    ("diffusion.py", "keep = denoiser._stored.view(np.int64).any(axis=1)[at]",
-     "keep = denoiser._stored.any(axis=1)[at]",
+    # the any-bit rule, and each place that applies it: weights=, save and the dense file
+    ("diffusion.py", "return rows.view(np.int64).any(axis=1)", "return rows.any(axis=1)",
      [FILE + "::test_negative_zero_row_written", FILE + "::test_table[signed-zeros]"]),
-    ("diffusion.py", "rows, touched = rows[keep], denoiser._stored[at[keep]]",
-     "touched = denoiser._stored[at]",
+    ("diffusion.py", "np.flatnonzero(_set_rows(denoiser._stored)[denoiser._map])",
+     "np.flatnonzero(denoiser._stored.any(axis=1)[denoiser._map])",
+     [FILE + "::test_negative_zero_row_written", FILE + "::test_table[signed-zeros]"]),
+    ("diffusion.py", "np.flatnonzero(_set_rows(denoiser._stored)[denoiser._map])",
+     "np.flatnonzero(denoiser._map)",  # every stored row, all +0.0 ones too
      [FILE + "::test_pipeline_trained_table"]),
-    ("diffusion.py", "rows = np.flatnonzero(denoiser._map)",  # in stored, not logical, order
-     "rows = np.argsort(denoiser._map, kind='stable')[len(denoiser._map) - denoiser._n + 1:]",
+    ("diffusion.py", "touched = denoiser._stored[denoiser._map[rows]]",
+     "touched = denoiser._stored[np.sort(denoiser._map[rows])]",  # in stored, not logical, order
      [FILE + "::test_pipeline_trained_table"]),
-    ("diffusion.py", "rows = np.flatnonzero(table.view(np.int64).any(axis=1))",
+    ("diffusion.py", "rows = np.flatnonzero(_set_rows(table))",
      "rows = np.flatnonzero(table.any(axis=1))",
      [FILE + "::test_negative_zero_row_written", FILE + "::test_table[signed-zeros]"]),
-    ("diffusion.py", "min(max(n, 2 * len(self._stored)), most)", "max(n, 2 * len(self._stored))",
+    ("diffusion.py", "rows = np.flatnonzero(_set_rows(weights))", "rows = np.arange(n_rows)",
+     [FILE + "::test_only_rows_with_a_set_bit_are_stored"]),
+    # exact-size rows: the new rows only, appended after the guard passes
+    ("diffusion.py", "np.zeros((new.size, self.K))", "np.zeros((new.size - 1, self.K))",
+     [TRAIN + "::test_stored_rows_bounded_by_the_guard"]),
+    ("diffusion.py",
+     "            self._guard(n + new.size)\n"
+     "            self._stored = np.concatenate((self._stored, np.zeros((new.size, self.K))))\n",
+     "            self._stored = np.concatenate((self._stored, np.zeros((new.size, self.K))))\n"
+     "            self._guard(n + new.size)\n",
      [TRAIN + "::test_stored_rows_bounded_by_the_guard"]),
     ("diffusion.py", "n_bytes = 4 * math.prod(self._shape[:-1]) + 32 * self.K * n_stored",
      "n_bytes = 32 * self.K * n_stored",
      [TRAIN + "::test_oversize_table_rejected_before_allocating"]),
-    # the probability table: dropped by every write, counted by the guard, built from
-    # probabilities, and checked before it is built
-    ("diffusion.py", "        self._probs = self._checked = None\n        new = np.unique(",
-     "        new = np.unique(",
-     [PROBS + "::test_register_after_predict_shows_in_the_next_predict"]),
+    # predict is the softmax of the gathered rows; the guard counts 32 * K bytes a row
+    ("diffusion.py", "return _softmax(self._stored[self._map[rows]])",
+     "return self._stored[self._map[rows]]",
+     [PROBS + "::test_predict_is_the_softmax_of_the_gathered_rows"]),
     ("diffusion.py", "+ 32 * self.K * n_stored", "+ 16 * self.K * n_stored",
      [TRAIN + "::test_stored_rows_bounded_by_the_guard",
       PROBS + "::test_table_refused_above_the_guard"]),
-    ("diffusion.py", "// (32 * self.K)", "// (16 * self.K)",
-     [TRAIN + "::test_stored_rows_bounded_by_the_guard"]),
-    ("diffusion.py", "self._probs = _softmax(self._stored[: self._n])",
-     "self._probs = self._stored[: self._n]",
-     [PROBS + "::test_predict_is_the_softmax_of_the_gathered_rows"]),
-    ("diffusion.py", "            self._guard(self._n)\n", "",
+    # the checked table and its log: guarded and checked as a whole, dropped by every write,
+    # renormalised by the clipped sums, kept renormalised, logged after that, and left while
+    # a row fails
+    ("diffusion.py", "            self._guard(len(self._stored))\n", "",
      [PROBS + "::test_table_refused_above_the_guard"]),
-    # the checked table and its log: checked as a whole, dropped by every write, renormalised
-    # by the clipped sums, kept renormalised, logged after that, and left while a row fails
-    ("diffusion.py", "checked = _renormalised(self._table())",
-     "checked = self._table() / self._table().sum(axis=-1, keepdims=True)",
+    ("diffusion.py", "checked = _renormalised(_softmax(self._stored))",
+     "checked = _softmax(self._stored) / _softmax(self._stored).sum(axis=-1, keepdims=True)",
      [CHECKED + "::test_a_failing_row_raises_only_where_it_is_read"]),
-    ("diffusion.py", "self._probs = self._checked = None", "self._probs = None",
+    ("diffusion.py", "        self._checked = None\n        new = np.unique(",
+     "        new = np.unique(",
      [CHECKED + "::test_register_after_sample_shows_in_the_next_sample"]),
     ("diffusion.py", "return p0 / p0.sum(axis=-1, keepdims=True)", "return p0 / sums[..., None]",
      ["tests/test_guided_step.py::test_validated_predict_matches_reference"]),
     ("diffusion.py", "self._checked = (checked, _log(checked))",
-     "self._checked = (self._table(), _log(checked))",
+     "self._checked = (_softmax(self._stored), _log(checked))",
      [CHECKED + "::test_gather_path_equals_the_default_path[K=256-weights-improved]"]),
     ("diffusion.py", "self._checked = (checked, _log(checked))",
-     "self._checked = (checked, _log(self._table()))",
+     "self._checked = (checked, _log(_softmax(self._stored)))",
      [CHECKED + "::test_gather_path_equals_the_default_path[K=256-weights-improved]"]),
     ("diffusion.py",
      "        if not self._checked:\n            return super()._checked_predictions(x_t, t, conds, log)\n",
      "", [CHECKED + "::test_a_failing_row_raises_only_where_it_is_read"]),
-    ("diffusion.py", "    den._stored = den._stored[: den._n].copy()", "",
-     [TRAIN + "::test_training_keeps_only_the_rows_in_use"]),
     ("diffusion.py", '(", " if a else "")', '(", " if a > step else "")',
      [FILE + "::test_pieces_of_rows_give_the_bytes_of_one_string"]),
     ("tokens.py", ".any(axis=(1, 2)))[0]", ".any(axis=(1, 2)))[-1]",

@@ -1055,8 +1055,8 @@ class TestTrainDenoiser:
             den.weights
 
     def test_stored_rows_bounded_by_the_guard(self, monkeypatch):
-        # room for the map and 12 stored rows with their three tables: the zero row and
-        # 11 of the 12 a grid touches; a stored row and its tables take 32 * K bytes
+        # room for the map and 12 stored rows: the zero row and 11 of the 12 a grid touches;
+        # a stored row takes 32 * K bytes (its logits, their softmax and the checked pair)
         dataset = [grid1([0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2], 3)]
         table, config = linear_schedule(1, 3), TrainConfig(epochs=1, null_cond_prob=0.0)
         map_bytes = 4 * 2 * 12 * 4  # 96 logical rows
@@ -1066,20 +1066,26 @@ class TestTrainDenoiser:
         monkeypatch.setattr(diffusion, "MAX_TABULAR_BYTES", map_bytes + 32 * 3 * 13)
         den, _ = train_denoiser(dataset, table, config, np.random.default_rng(0))
         assert len(den._stored) == 13
-        # storage doubles as it grows, but never past the guard's limit
+        # each register appends exactly its new rows, and only while the guard allows them
         monkeypatch.setattr(diffusion, "MAX_TABULAR_BYTES", map_bytes + 32 * 3 * 8)
         den = TabularDenoiser(3, (1, 12), 1, [])
         assert den._register(np.arange(4)).tolist() == [1, 2, 3, 4] and len(den._stored) == 5
         assert den._register(np.array([9, 2, 4])).tolist() == [6, 3, 5]  # new rows ascending
-        assert len(den._stored) == 8  # not 10
+        assert len(den._stored) == 7
+        stored = den._stored
+        assert den._register(np.array([9, 0, 2])).tolist() == [6, 1, 3]  # no new row
+        assert den._stored is stored
+        assert den._register(np.array([10])).tolist() == [7] and len(den._stored) == 8
+        stored = den._stored
         with pytest.raises(SizeGuardError, match="1344 bytes .* 10 stored rows"):
             den._register(np.arange(10, 13))
+        assert den._stored is stored and not den._map[11:13].any()  # refused before any change
 
     def test_training_keeps_only_the_rows_in_use(self):
-        # the doubling growth had left 22,660 rows allocated; the weights' bytes are
-        # pinned by the recorded digests
+        # one stored row per row training touched, and the shared zero row; the weights'
+        # bytes are pinned by the recorded digests
         den = pipeline_trained_denoiser()
-        assert len(den._stored) == den._n == 14_108
+        assert len(den._stored) == 1 + np.count_nonzero(den._map) == 14_108
 
     def test_codec_shape_trains_and_round_trips(self, tmp_path):
         # Kp=256, 4x32, T=20, two labels: the dense table would need 4.24 GB
@@ -1428,6 +1434,23 @@ class TestDenoiserFile:
         with pytest.raises(ValueError, match="'weights'.*finite"):
             load_denoiser(path)
 
+    @pytest.mark.parametrize("name", ["negative-zero", "signed-zeros", "subnormals", "K=2",
+                                      "dense", "all-zero", "pipeline"])
+    def test_only_rows_with_a_set_bit_are_stored(self, tmp_path, name):
+        # by weights= and by a dense file, whose re-saved bytes are the sparse file's
+        den = pipeline_trained_denoiser() if name == "pipeline" else denoiser_table(name)
+        n_set = sum(any(w != 0.0 or math.copysign(1.0, w) < 0 for w in row)
+                    for row in den.weights.reshape(-1, den.K).tolist())
+        sparse, dense, again = (tmp_path / f"{f}.json" for f in ("sparse", "dense", "again"))
+        save_denoiser(sparse, den)
+        save_denoiser_reference(dense, den)
+        from_weights = TabularDenoiser(den.K, den.grid_shape, den.T, den.cond_labels,
+                                       weights=den.weights)
+        for stored in (from_weights, load_denoiser(dense), load_denoiser(sparse)):
+            assert len(stored._stored) == 1 + np.count_nonzero(stored._map) == 1 + n_set
+        save_denoiser(again, load_denoiser(dense))
+        assert again.read_bytes() == sparse.read_bytes()
+
     def test_negative_zero_row_written(self, tmp_path):
         payload = self.check_round_trip(tmp_path, denoiser_table("negative-zero"))
         assert payload["rows"] == [7]
@@ -1528,8 +1551,8 @@ def gathered_softmax(den, x_t, t, cond):
 
 
 class TestProbabilityTable:
-    """``predict`` gathers from the softmax of the stored rows, taken once, with the bits
-    of the softmax taken over the gathered rows."""
+    """``predict`` is the softmax of the gathered stored rows; the checked table is built
+    from the softmax of every stored row, under the guard."""
 
     @pytest.mark.parametrize("kind", ["trained", "loaded", "weights"])
     @pytest.mark.parametrize("shape", ["pipeline", "K=256"])
@@ -1564,16 +1587,21 @@ class TestProbabilityTable:
         assert den.predict(x_t, t, cond).tobytes() == kept.tobytes()
 
     def test_table_refused_above_the_guard(self, monkeypatch):
-        # the map, the stored rows and their three tables: 4 bytes per logical row and
-        # 32 * K bytes per stored row
+        # the map, the stored rows and the tables built from them: 4 bytes per logical row
+        # and 32 * K bytes per stored row, checked before the checked pair is built
         table, den = improved_schedule(20, 16, 4), pipeline_trained_denoiser()
         x_t, t, cond = next(table_test_inputs(den, table, 9))
-        n_bytes = 4 * len(den._map) + 32 * den.K * den._n
+        n_stored = len(den._stored)
+        n_bytes = 4 * len(den._map) + 32 * den.K * n_stored
         monkeypatch.setattr(diffusion, "MAX_TABULAR_BYTES", n_bytes - 1)
-        with pytest.raises(SizeGuardError, match=f"needs {n_bytes} bytes .* {den._n} stored rows"):
-            den.predict(x_t, t, cond)
-        monkeypatch.setattr(diffusion, "MAX_TABULAR_BYTES", n_bytes)
+        with pytest.raises(SizeGuardError, match=f"needs {n_bytes} bytes .* {n_stored} stored"):
+            den._checked_predictions(x_t, t, (cond,))
+        assert den._checked is None
+        # predict builds no table
         assert den.predict(x_t, t, cond).tobytes() == gathered_softmax(den, x_t, t, cond).tobytes()
+        monkeypatch.setattr(diffusion, "MAX_TABULAR_BYTES", n_bytes)
+        got, expected = (d._checked_predictions(x_t, t, (cond,)) for d in (den, DefaultPath(den)))
+        assert got.tobytes() == expected.tobytes() and den._checked
 
 
 class DefaultPath(Denoiser):
