@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, InconsistencyError, SizeGuardError
+from .errors import ContractError, FittingError, InconsistencyError, SizeGuardError
 from .tokens import TokenGrid, _at_least, _field, _grid_set, _integer, _integers, _label
 from .tokens import _index, _integral, _load_object, _numbers, _real, atomic_write_text
 
@@ -488,18 +488,20 @@ def sample(
 def _kl_terms(data: np.ndarray, x0: np.ndarray, p: np.ndarray, table, t):
     """KL(q(x_{t-1}|x_t, x0) || p(x_{t-1}|x_t)) at one x_t, term by term.
 
-    ``p`` is the (N_q, L, K) prediction at x_t and mix = Q·p the model
-    kernel.  Returns the kernel, mix, the support of post = q(x_{t-1}|x_t,
-    x0), ratio = post / mix (1 stands in for a zero mix) and the terms
-    post·log(ratio), which are 0 off the support.  ``t`` may be an array, as in ``_StepKernel``.
+    ``p`` is the (N_q, L, K) prediction at x_t and mix = Q·p the model kernel.  Returns
+    the kernel, the support of post = q(x_{t-1}|x_t, x0), ratio = post / mix (1 stands in
+    for a zero mix) and the terms post·log(ratio): 0 off the support, +inf on it where mix
+    is 0.  ``t`` may be an array, as in ``_StepKernel``.
     """
     kernel = _StepKernel(data, table, t)
     mix = kernel.mix(p)
     post = kernel.mix(np.eye(p.shape[-1])[x0])  # x0 as one-hot predictions
     support = post > 0
-    ratio = post / np.where(mix > 0, mix, 1.0)
+    with np.errstate(over="ignore"):  # a subnormal mix may give +inf, as a zero one does
+        ratio = post / np.where(mix > 0, mix, 1.0)
     terms = post * np.log(ratio, out=np.zeros_like(ratio), where=support)
-    return kernel, mix, support, ratio, terms
+    terms[support & (mix == 0)] = np.inf
+    return kernel, support, ratio, terms
 
 
 def _prior_kl(x0: TokenGrid, table) -> float:
@@ -554,16 +556,16 @@ def vlb_loss(
         t = int(rng.integers(1, T + 1))
         x_t = x0.with_data(_corrupted(x0.data, t, table, rng))
         p0 = denoiser._checked_predictions(x_t, t, (cond,))[0]
-        _, mix, support, _, terms = _kl_terms(x_t.data, x0.data, p0, table, t)
-        if np.any(mix[support] == 0.0):
+        _, support, _, terms = _kl_terms(x_t.data, x0.data, p0, table, t)
+        kls.append(float(np.sum(terms[support])))
+        if kls[-1] == math.inf:
             warnings.warn(
                 "model assigns zero probability to an outcome the true posterior "
                 "supports; likelihood bound is infinite",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return float("inf")
-        kls.append(float(np.sum(terms[support])))
+            return math.inf
     return prior + T * float(np.mean(kls))
 
 
@@ -665,10 +667,10 @@ class TabularDenoiser(Denoiser):
     but only the rows training touches are stored: an int32 map sends each
     logical row to its stored row, and every other row to the shared
     all-+0.0 row 0.  ``weights`` builds the dense table on access.
-    ``predict`` is the softmax of the gathered rows.  The first checked
-    prediction takes the softmax of every stored row and runs the contract
-    check once over it; if every row passes, it keeps the renormalised table
-    and its log, and each checked prediction is one gather from one of them.
+    ``predict`` is the softmax of the gathered rows.  Every logit is finite
+    (``weights=``, ``load_denoiser`` and ``train_denoiser`` refuse others), so the
+    softmax of every stored row passes the contract check: the first checked prediction
+    keeps its renormalisation and that table's log, and each is one gather from them.
     """
 
     def __init__(self, K, grid_shape, T, cond_labels, weights=None):
@@ -684,14 +686,14 @@ class TabularDenoiser(Denoiser):
         self._guard(1)
         self._map = np.zeros(math.prod(self._shape[:-1]), np.int32)
         self._stored = np.zeros((1, self.K))  # the shared row 0, then each registered row's
-        # None until built; then the checked renormalisation of the softmax of
-        # self._stored and its log, or () if some row fails the check
-        self._checked = None
+        self._checked = None  # until built: the checked softmax of self._stored and its log
         # the row of each position's token 0 at condition row 0 and step 0
         self._offsets = np.arange(0, math.prod(self._shape[2:5]), self.K + 1).reshape(self.grid_shape)
         self._offsets.flags.writeable = False
         if weights is not None:
             weights = np.ascontiguousarray(weights, dtype=float)
+            if not np.isfinite(weights).all():
+                raise ValueError("weights must be finite numbers")
             if weights.size != math.prod(self._shape):
                 raise ValueError(
                     f"weights hold {weights.size} values; the stored shape {self._shape} "
@@ -768,20 +770,13 @@ class TabularDenoiser(Denoiser):
 
     def _checked_predictions(self, x_t: TokenGrid, t: int, conds: tuple,
                              log: bool = False) -> np.ndarray:
-        """The default's stack by one gather of every label's rows from the checked
-        table or its log; the default itself while some row of the table fails the
-        check, so a failing row raises only where it is read."""
+        """The default's stack by one gather of every label's rows from the checked table."""
         self._check_input(x_t, t)
         rows = self._rows(np.array([self._cond_row(cond) for cond in conds]), t, x_t.data)
         if self._checked is None:  # each step is row-wise: its bits on the gathered rows
             self._guard(len(self._stored))
-            try:
-                checked = _renormalised(_softmax(self._stored))
-                self._checked = (checked, _log(checked))
-            except ContractError:
-                self._checked = ()
-        if not self._checked:
-            return super()._checked_predictions(x_t, t, conds, log)
+            checked = _renormalised(_softmax(self._stored))
+            self._checked = (checked, _log(checked))
         return self._checked[log][self._map[rows]]  # (len(conds), N_q, L, K), a copy
 
 
@@ -792,8 +787,7 @@ def save_denoiser(path, denoiser: TabularDenoiser) -> None:
     K logits stay all zero.  ``rows`` lists, ascending, the rows of
     ``weights.reshape(-1, K)`` with any bit set, and ``weights`` holds
     their logits, flattened.  A row holding only ``-0.0`` counts as
-    touched, so the round trip is bit for bit.  Non-finite entries raise
-    ``ValueError`` before anything is written.
+    touched, so the round trip is bit for bit.
 
     The bytes are those of ``json.dumps`` of that object, but each distinct
     logit is formatted once: a trained table holds few distinct values.  The
@@ -801,8 +795,6 @@ def save_denoiser(path, denoiser: TabularDenoiser) -> None:
     """
     rows = np.flatnonzero(_set_rows(denoiser._stored)[denoiser._map])  # row 0 has no bit set
     touched = denoiser._stored[denoiser._map[rows]]
-    if not np.isfinite(touched).all():  # every other entry is +0.0
-        raise ValueError("denoiser field 'weights' holds non-finite entries")
     patterns = np.unique(touched.view(np.int64))
     reprs = np.array(list(map(repr, patterns.view(float).tolist())), dtype=object)
     head = json.dumps({
@@ -889,7 +881,7 @@ def _kl_step(data: np.ndarray, x0: np.ndarray, p: np.ndarray, table, t):
     the valid set and 0 off it, with ratio = post / mix.  The loss is an array with
     one entry per grid: an array ``t`` has one step per grid along the first axis of ``data``.
     """
-    kernel, _, _, ratio, terms = _kl_terms(data, x0, p, table, t)  # ratio is 0 off the support
+    kernel, _, ratio, terms = _kl_terms(data, x0, p, table, t)  # ratio is 0 off the support
     inner, valid = kernel.mix_t(ratio)
     M = np.where(valid, p, 0.0).sum(axis=-1, keepdims=True)
     g_p = (valid - inner) / M  # inner is 0 off the valid set
@@ -914,7 +906,8 @@ def train_denoiser(
     ``_StepKernel``), so a step costs O(N_q·L·K).  With probability
     ``null_cond_prob`` the condition is replaced by the null label, which
     trains the guidance reference for free.  Returns the denoiser and the
-    mean per-epoch loss trace.
+    mean per-epoch loss trace (+inf if a step's model gives no mass to a state
+    the posterior supports); an ``lr`` that makes training diverge raises ``FittingError``.
 
     No draw depends on the weights, so the draws come first, in step order,
     and then the rows they touch are stored; then each greedy run of steps
@@ -934,6 +927,7 @@ def train_denoiser(
     labels = sorted({c for _, c in pairs if c is not None})
     den = TabularDenoiser(K, (N_q, L), T, labels)
 
+    diverged = f"training diverged at lr={config.lr!r}; use a smaller lr"
     trace: list[float] = []
     cap = max(1, _TRAIN_BLOCK_VALUES // (N_q * L * (K + 1)))  # steps per block
     for _ in range(config.epochs):
@@ -959,9 +953,14 @@ def train_denoiser(
             for a, b in zip(starts, starts[1:] + [m]):  # each step reads only rows it writes
                 at = ids[a:b].reshape(-1)
                 p = _softmax(stored[at])
-                loss, g_w = _kl_step(x_t[a:b], x0[a:b], p.reshape(b - a, N_q, L, K),
-                                     table, ts[a:b])
+                try:  # x_t is drawn from x0, so only the model's zero mass can raise
+                    loss, g_w = _kl_step(x_t[a:b], x0[a:b], p.reshape(b - a, N_q, L, K),
+                                         table, ts[a:b])
+                except InconsistencyError as exc:
+                    raise FittingError(diverged) from exc
                 losses.append(loss)
                 stored[at] -= config.lr * g_w.reshape(p.shape)
+        if not np.isfinite(den._stored).all():
+            raise FittingError(diverged)
         trace.append(float(np.mean(np.concatenate(losses))))
     return den, trace

@@ -22,7 +22,7 @@ class ContractError(VqdiffError):
 
 
 class FittingError(VqdiffError):
-    """Codebook fitting cannot proceed (e.g. too few distinct frames)."""
+    """Fitting cannot proceed (e.g. too few distinct frames, or training diverges)."""
 
 
 class SizeGuardError(VqdiffError):

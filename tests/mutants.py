@@ -224,14 +224,10 @@ MUTANTS = [
     ("diffusion.py", "+ 32 * self.K * n_stored", "+ 16 * self.K * n_stored",
      [TRAIN + "::test_stored_rows_bounded_by_the_guard",
       PROBS + "::test_table_refused_above_the_guard"]),
-    # the checked table and its log: guarded and checked as a whole, dropped by every write,
-    # renormalised by the clipped sums, kept renormalised, logged after that, and left while
-    # a row fails
+    # the checked table and its log: guarded as a whole, dropped by every write, renormalised
+    # by the clipped sums, kept renormalised and logged after that
     ("diffusion.py", "            self._guard(len(self._stored))\n", "",
      [PROBS + "::test_table_refused_above_the_guard"]),
-    ("diffusion.py", "checked = _renormalised(_softmax(self._stored))",
-     "checked = _softmax(self._stored) / _softmax(self._stored).sum(axis=-1, keepdims=True)",
-     [CHECKED + "::test_a_failing_row_raises_only_where_it_is_read"]),
     ("diffusion.py", "        self._checked = None\n        new = np.unique(",
      "        new = np.unique(",
      [CHECKED + "::test_register_after_sample_shows_in_the_next_sample"]),
@@ -243,9 +239,20 @@ MUTANTS = [
     ("diffusion.py", "self._checked = (checked, _log(checked))",
      "self._checked = (checked, _log(_softmax(self._stored)))",
      [CHECKED + "::test_gather_path_equals_the_default_path[K=256-weights-improved]"]),
+    # every logit finite: weights= refuses others, training stops at a non-finite logit or a
+    # massless prediction, and a zero model mass on the posterior's support is an infinite KL
+    ("diffusion.py", "            if not np.isfinite(weights).all():\n"
+     '                raise ValueError("weights must be finite numbers")\n', "",
+     [CHECKED + "::test_weights_refuse_a_non_finite_logit", FILE + "::test_table[non-finite]"]),
     ("diffusion.py",
-     "        if not self._checked:\n            return super()._checked_predictions(x_t, t, conds, log)\n",
-     "", [CHECKED + "::test_a_failing_row_raises_only_where_it_is_read"]),
+     "        if not np.isfinite(den._stored).all():\n"
+     "            raise FittingError(diverged)\n", "",
+     [TRAIN + "::test_diverging_learning_rate_named[non-finite-logits]"]),
+    ("diffusion.py", "except InconsistencyError as exc:", "except FittingError as exc:",
+     [TRAIN + "::test_diverging_learning_rate_named[massless-prediction]"]),
+    ("diffusion.py", "    terms[support & (mix == 0)] = np.inf\n", "",
+     [TRAIN + "::test_zero_model_mass_is_an_infinite_loss",
+      "tests/test_diffusion.py::TestVlbLoss::test_infinite_loss_on_zero_support"]),
     ("diffusion.py", '(", " if a else "")', '(", " if a > step else "")',
      [FILE + "::test_pieces_of_rows_give_the_bytes_of_one_string"]),
     ("tokens.py", ".any(axis=(1, 2)))[0]", ".any(axis=(1, 2)))[-1]",

@@ -273,6 +273,24 @@ class TestExitCodesAndErrors:
         assert "Traceback" not in err and stdout == ""
         assert not out.exists()
 
+    def test_diverging_learning_rate_is_one_error_line(self, tmp_path):
+        # 16 uniform 4x32 grids at K=16: lr=1e4 leaves NaN logits; run apart from pytest's
+        # warning filters, so that a RuntimeWarning would show on stderr
+        rng = np.random.default_rng(0)
+        tokens, sched, out = (tmp_path / f for f in ("tokens.json", "sched.json", "never.json"))
+        save_token_file(tokens, [TokenGrid(data=rng.integers(0, 16, (4, 32)), K=16)
+                                 for _ in range(16)], labels=[i % 2 for i in range(16)])
+        save_schedule(sched, improved_schedule(20, 16, 4))
+        src = str(Path(vqdiff.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "vqdiff.cli", "diffuse", "train", "--tokens", str(tokens),
+             "--schedule", str(sched), "--epochs", "20", "--lr", "10000", "--seed", "1",
+             "--out", str(out)], env=env, capture_output=True, text=True, timeout=300)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "error: training diverged at lr=10000.0; use a smaller lr\n"
+        assert not out.exists()
+
     def test_bad_guidance_scale_without_cond_is_exit_one(self, toy_setup, capsys, tmp_path):
         den = tmp_path / "den.json"
         assert invoke(

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from vqdiff import (
     BayesOracleDenoiser,
     ContractError,
     Denoiser,
+    FittingError,
     InconsistencyError,
     ScheduleTable,
     SizeGuardError,
@@ -964,6 +966,12 @@ class TestCleanGrids:
             self.empirical([wide, square])
 
 
+def random_labelled_grids(K, shape):
+    """16 uniform grids of ``shape`` from ``default_rng(0)``, grid i labelled i % 2."""
+    rng = np.random.default_rng(0)
+    return [(TokenGrid(data=rng.integers(0, K, shape), K=K), i % 2) for i in range(16)]
+
+
 class TestTrainDenoiser:
     def test_null_cond_default(self):
         assert TrainConfig().null_cond_prob == 0.1
@@ -976,6 +984,22 @@ class TestTrainDenoiser:
     def test_bad_learning_rate_rejected(self, lr):
         with pytest.raises(ValueError, match="lr"):
             train_denoiser([grid1([0, 1], 3)], linear_schedule(5, 3), TrainConfig(lr=lr))
+
+    @pytest.mark.parametrize("K, shape, T, lr", [(16, (4, 32), 20, 1e4), (3, (1, 2), 4, 1e200)],
+                             ids=["non-finite-logits", "massless-prediction"])
+    def test_diverging_learning_rate_named(self, K, shape, T, lr):
+        # 1e4 leaves NaN logits by the first epoch's end; 1e200 leaves finite logits whose
+        # softmax gives no mass to any clean token an observed token allows
+        with pytest.raises(FittingError, match=f"^training diverged at lr={re.escape(repr(lr))};"):
+            train_denoiser(random_labelled_grids(K, shape), improved_schedule(T, K, shape[0]),
+                           TrainConfig(epochs=20, lr=lr), np.random.default_rng(1))
+
+    def test_zero_model_mass_is_an_infinite_loss(self):
+        # the model kernel gives no mass to a state the posterior supports, so that step's KL
+        # is +inf: a trace entry of the KL's terms without it would be negative
+        _, trace = train_denoiser(random_labelled_grids(3, (1, 2)), improved_schedule(4, 3, 1),
+                                  TrainConfig(epochs=20, lr=1e4), np.random.default_rng(1))
+        assert min(trace) >= 0 and math.inf in trace
 
     @pytest.mark.parametrize("epochs", [0, -2, 1.5, 2.0, True, "3", None])
     def test_bad_epochs_rejected(self, epochs):
@@ -1344,6 +1368,12 @@ DENOISER_TABLES = [
 
 def denoiser_table(name):
     """A small table, (2, 3, 1, 2, K + 1, K) or (3, ...) for K=2, with the named entries set."""
+    K, labels, dense = denoiser_weights(name)
+    return TabularDenoiser(K, (1, 2), 2, labels, weights=dense)
+
+
+def denoiser_weights(name):
+    """K, the labels and the dense weights of ``denoiser_table(name)``."""
     K = 2 if name == "K=2" else 3
     labels = [1, 4] if K == 2 else [0]
     dense = np.zeros((len(labels) + 1, 3, 1, 2, K + 1, K))
@@ -1377,7 +1407,7 @@ def denoiser_table(name):
                                 size=rows[1::2].shape)
     else:
         assert name == "all-zero"
-    return TabularDenoiser(K, (1, 2), 2, labels, weights=dense)
+    return K, labels, dense
 
 
 class TestDenoiserFile:
@@ -1421,16 +1451,17 @@ class TestDenoiserFile:
 
     @pytest.mark.parametrize("name", DENOISER_TABLES)
     def test_table(self, tmp_path, name):
-        den = denoiser_table(name)
-        if np.isfinite(den.weights).all():
+        K, labels, dense = denoiser_weights(name)
+        if np.isfinite(dense).all():
+            den = denoiser_table(name)
             self.check_round_trip(tmp_path, den)
             assert (tmp_path / "den.json").read_bytes() == save_denoiser_sparse_reference(den)
             return
-        path = tmp_path / "den.json"
-        with pytest.raises(ValueError, match="'weights'.*finite"):
-            save_denoiser(path, den)
-        assert not path.exists()
-        save_denoiser_reference(path, den)
+        with pytest.raises(ValueError, match="^weights must be finite numbers$"):
+            TabularDenoiser(K, (1, 2), 2, labels, weights=dense)
+        path = tmp_path / "den.json"  # a dense file written from the array
+        save_denoiser_reference(path, types.SimpleNamespace(
+            K=K, grid_shape=(1, 2), T=2, cond_labels=labels, weights=dense))
         with pytest.raises(ValueError, match="'weights'.*finite"):
             load_denoiser(path)
 
@@ -1659,23 +1690,15 @@ class TestCheckedTable:
                              for d in (den, ref))
             assert math.isfinite(got) and np.float64(got).tobytes() == np.float64(expected).tobytes()
 
-    def test_a_failing_row_raises_only_where_it_is_read(self):
+    def test_weights_refuse_a_non_finite_logit(self):
         # label 1's row at t = T, position (0, 0), under the mask: every chain of label 1
-        # reads it at its first step, since the improved schedule masks every position at T
-        table = improved_schedule(20, 16, 4)
-        dense = np.array(pipeline_trained_denoiser().weights)
-        dense[2, 20, 0, 0, 16, 3] = np.inf
-        with np.errstate(invalid="ignore"):  # the softmax of that row is NaN
-            den = TabularDenoiser(16, (4, 32), 20, [0, 1], weights=dense)
-            configs = [(cond, *config) for cond in (0, None) for config in GUIDED_CONFIGS[::3]]
-            assert same_chains(den, table, configs, 15)
-            x_T = TokenGrid(data=np.full((4, 32), 16), K=16)
-            for d in (den, DefaultPath(den)):
-                for call in (lambda: d._checked_predictions(x_T, 20, (0, 1)),
-                             lambda: sample(d, 1, table, rng=np.random.default_rng(16),
-                                            guidance_scale=0.5)):
-                    with pytest.raises(ContractError, match="non-finite"):
-                        call()
+        # reads it at its first step; a -inf logit alone gives a finite softmax
+        trained = pipeline_trained_denoiser().weights
+        for value in (np.nan, np.inf, -np.inf):
+            dense = np.array(trained)
+            dense[2, 20, 0, 0, 16, 3] = value
+            with pytest.raises(ValueError, match="^weights must be finite numbers$"):
+                TabularDenoiser(16, (4, 32), 20, [0, 1], weights=dense)
 
     def test_unknown_label_refused_as_before(self):
         table, den = improved_schedule(20, 16, 4), pipeline_trained_denoiser()
